@@ -7,11 +7,10 @@
 // GenerateOnly and EncodingStats::Passes), solving, the polynomial
 // checkers, and the store's legality machinery — as history size grows.
 //
-// Measured finding (recorded here because ROADMAP asked): in this
-// native reproduction ~95% of generation wall-clock is inside libz3
-// (term hash-consing + per-assert preprocessing), so batching asserts
-// (BM_GenerateBatched vs BM_Generate) does not help — the knob exists
-// to keep that negative result reproducible.
+// Measured finding: in this native reproduction ~95% of generation
+// wall-clock is inside libz3 (term hash-consing + per-assert
+// preprocessing), so batching asserts did not help (README, negative
+// results).
 //
 //===----------------------------------------------------------------------===//
 
@@ -60,14 +59,12 @@ void predictOnce(benchmark::State &State, const char *App, Strategy Strat,
 /// pass and asserts, then returns. Per-pass seconds land in counters so
 /// regressions are attributable to a stage from the CI log alone.
 void generateOnce(benchmark::State &State, const char *App, Strategy Strat,
-                  IsolationLevel Level, bool Batched = false,
-                  bool Prune = false) {
+                  IsolationLevel Level, bool Prune = false) {
   History H = observedHistory(App, static_cast<unsigned>(State.range(0)), 1);
   PredictOptions Opts;
   Opts.Level = Level;
   Opts.Strat = Strat;
   Opts.GenerateOnly = true;
-  Opts.BatchAsserts = Batched;
   Opts.PruneFormula = Prune;
   EncodingStats Stats;
   for (auto _ : State) {
@@ -126,15 +123,6 @@ static void BM_GenerateTpccRelaxedRc(benchmark::State &State) {
 }
 BENCHMARK(BM_GenerateTpccRelaxedRc)->Arg(8);
 
-/// The batching ablation: identical literals, one Z3_solver_assert per
-/// pass. Compare against BM_GenerateTpccRankRc — measured slower, which
-/// is the ROADMAP's "batching Z3 asserts may help" answered.
-static void BM_GenerateBatchedTpccRankRc(benchmark::State &State) {
-  generateOnce(State, "tpcc", Strategy::ApproxStrict,
-               IsolationLevel::ReadCommitted, /*Batched=*/true);
-}
-BENCHMARK(BM_GenerateBatchedTpccRankRc)->Arg(8)->Arg(16);
-
 /// Formula minimization (PredictOptions::PruneFormula): the relevance-
 /// pruned encoding of the same query as BM_GenerateTpccRankRc — fewer
 /// declared variables and emitted literals, sat-equivalent verdicts
@@ -142,20 +130,20 @@ BENCHMARK(BM_GenerateBatchedTpccRankRc)->Arg(8)->Arg(16);
 /// payoff). pruned_vars / pruned_lits counters attribute the cut.
 static void BM_GeneratePrunedTpccRankRc(benchmark::State &State) {
   generateOnce(State, "tpcc", Strategy::ApproxStrict,
-               IsolationLevel::ReadCommitted, /*Batched=*/false,
-               /*Prune=*/true);
+               IsolationLevel::ReadCommitted, /*Prune=*/true);
 }
 BENCHMARK(BM_GeneratePrunedTpccRankRc)->Arg(8)->Arg(16);
 
 static void BM_GeneratePrunedSmallbankRankCausal(benchmark::State &State) {
   generateOnce(State, "smallbank", Strategy::ApproxStrict,
-               IsolationLevel::Causal, /*Batched=*/false, /*Prune=*/true);
+               IsolationLevel::Causal, /*Prune=*/true);
 }
 BENCHMARK(BM_GeneratePrunedSmallbankRankCausal)->Arg(4)->Arg(8)->Arg(16);
 
 /// Session reuse: steady-state per-query constraint generation on one
 /// PredictSession (same app/strategy/level/workload as
-/// BM_GenerateTpccRankRc — that benchmark is the one-shot baseline).
+/// BM_GenerateTpccRankRc — that benchmark is the one-shot baseline,
+/// which encodes the same system: base prefix plus one query).
 /// The base prefix is encoded once before the timing loop, so each
 /// iteration measures exactly what the 2nd..Nth campaign query on a
 /// shared history pays: push, boundary-link + strategy + isolation

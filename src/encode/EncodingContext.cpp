@@ -30,7 +30,7 @@ uint64_t packTK(TxnId T, KeyId K) {
 } // namespace
 
 PairMatrix isopredict::encode::defineClosure(SmtContext &Ctx,
-                                             AssertionBuffer &Asserts,
+                                             SmtSolver &Solver,
                                              const PairMatrix &Base,
                                              const char *Prefix, bool Fold,
                                              uint64_t *PrunedVars,
@@ -96,7 +96,7 @@ PairMatrix isopredict::encode::defineClosure(SmtContext &Ctx,
         }
         SmtExpr Var =
             Ctx.boolVar(formatString("%s_l%zu_%u_%u", Prefix, L, A, B));
-        Asserts.add(Ctx.mkIff(Var, Ctx.mkOr(Terms)));
+        Solver.add(Ctx.mkIff(Var, Ctx.mkOr(Terms)));
         Next[A][B] = Var;
       }
     Prev = std::move(Next);
@@ -215,10 +215,10 @@ EncodingContext::wwJust(TxnId A, TxnId B, const PairMatrix &P) {
     if (E.Other == A || !writes(A, E.K))
       continue;
     if (pruning()) {
-      // Fold constant conjuncts: a constant-false pco edge (layered
-      // encoding) kills the justification; a constant-true one grounds
-      // the derivation — no rank guard needed (Justification::
-      // Grounded) — and writeIncluded is constant true for t0's writes.
+      // Fold constant conjuncts: a constant-false pco edge kills the
+      // justification; a constant-true one grounds the derivation — no
+      // rank guard needed (Justification::Grounded) — and writeIncluded
+      // is constant true for t0's writes.
       SmtExpr Edge = P[A][E.Other];
       if (isFalse(Edge)) {
         notePrunedLits(3);
@@ -229,8 +229,7 @@ EncodingContext::wwJust(TxnId A, TxnId B, const PairMatrix &P) {
       if (Grounded)
         notePrunedLits(1); // The folded pco conjunct. (The rank guard a
                            // grounded justification also sheds is
-                           // counted by the rank pass — the layered
-                           // encoding has no guards to shed.)
+                           // counted by the rank pass.)
       else
         Conj.push_back(Edge);
       SmtExpr WInc = writeIncluded(A, E.K);
@@ -292,8 +291,7 @@ void EncodingContext::addCycleConstraint(const PairMatrix &P) {
         continue;
       }
       // Folded: a constant-false side kills the term; a constant-true
-      // side (so edges under the rank encoding, derived layers under
-      // the layered one) reduces it to the other side. Both sides true
+      // side (an so edge) reduces it to the other side. Both sides true
       // cannot happen for pco ⊇ so (so is acyclic), but an empty
       // disjunction still asserts false — "no cycle is possible" is a
       // legitimate (unsat) outcome.

@@ -7,11 +7,11 @@
 /// \file
 /// The state shared by the composable encoding passes (Passes.h): the
 /// pair-indexed variable matrices, the φwr_k atom table, the boundary
-/// and cut terms, interned helper atoms, and the batched assertion
-/// buffer. One EncodingContext exists per predict() query; the
-/// EncoderPipeline (Pipeline.h) threads it through the passes the
-/// options selected, and extraction in Predict.cpp reads the model
-/// through the same tables.
+/// and cut terms, and interned helper atoms. One EncodingContext exists
+/// per PredictSession (a one-shot predict() is a one-query session); the
+/// EncoderPipeline (Pipeline.h) threads it through the passes, and
+/// extraction in PredictSession.cpp reads the model through the same
+/// tables.
 ///
 /// Everything here is *mechanism* — constraint semantics (Appendix B)
 /// live in the passes. The split follows the paper's observation (§7.2)
@@ -48,56 +48,8 @@ namespace encode {
 /// Pair-indexed expression matrix ([t1][t2], diagonal unused).
 using PairMatrix = std::vector<std::vector<SmtExpr>>;
 
-/// Routes pass assertions to the solver. Two modes, because batching is
-/// *not* model-transparent:
-///
-///  - Immediate: every add() is a Z3_solver_assert right away,
-///    interleaved with term construction exactly as the monolithic
-///    encoder interleaved them. Z3 creates (and hash-conses) auxiliary
-///    ASTs while asserting, so the interleaving determines AST ids,
-///    which seed the solver's search heuristics — Immediate is the only
-///    mode that keeps extracted predictions bit-identical across the
-///    refactor, and the prediction pipeline uses it.
-///  - Conjoin: buffer the pass and flush it as a single batched
-///    Z3_solver_assert of the conjunction (SmtSolver::addAll) — one API
-///    crossing per pass. Sat-equivalent, but may steer the solver to a
-///    different (equally valid) model, so it is reserved for
-///    verdict-only queries (the serializability checker) where no model
-///    is extracted.
-class AssertionBuffer {
-public:
-  enum class FlushMode { Immediate, Conjoin };
-
-  explicit AssertionBuffer(SmtSolver &Solver,
-                           FlushMode Mode = FlushMode::Immediate)
-      : Solver(Solver), Mode(Mode) {}
-
-  void add(SmtExpr E) {
-    if (Mode == FlushMode::Immediate)
-      Solver.add(E);
-    else
-      Pending.push_back(E);
-  }
-
-  /// Flushes pending assertions (no-op in Immediate mode, one batched
-  /// Z3_solver_assert in Conjoin mode).
-  void flush() {
-    if (!Pending.empty()) {
-      Solver.addAll(Pending);
-      Pending.clear();
-    }
-  }
-
-  size_t pendingCount() const { return Pending.size(); }
-
-private:
-  SmtSolver &Solver;
-  FlushMode Mode;
-  std::vector<SmtExpr> Pending;
-};
-
 /// Defines fresh variables <-> transitive closure of \p Base by repeated
-/// squaring (ceil(log2 N) layers); definitions go through \p Asserts.
+/// squaring (ceil(log2 N) layers); definitions are asserted on \p Solver.
 /// Exposed as a free function so the closure machinery is testable in
 /// isolation and reusable outside a prediction query.
 ///
@@ -107,40 +59,28 @@ private:
 /// term stays constant false, and a single surviving term is passed
 /// through instead of defining a layer variable. Skipped declarations
 /// and folded-out atoms are tallied into \p PrunedVars / \p PrunedLits
-/// when non-null. Sat-equivalent; with \p Fold off the construction is
-/// bit-identical to the original.
-PairMatrix defineClosure(SmtContext &Ctx, AssertionBuffer &Asserts,
+/// when non-null. Sat-equivalent to the unfolded construction.
+PairMatrix defineClosure(SmtContext &Ctx, SmtSolver &Solver,
                          const PairMatrix &Base, const char *Prefix,
                          bool Fold = false, uint64_t *PrunedVars = nullptr,
                          uint64_t *PrunedLits = nullptr);
 
-/// Shared state of one predictive-encoding query — or, in session mode,
-/// of a whole multi-query PredictSession. Construction declares nothing;
-/// EncoderPipeline runs the DeclarePass first, which builds the variable
-/// tables below in the same order the monolithic encoder did.
+/// Shared state of a PredictSession's encoding. Construction declares
+/// nothing; EncoderPipeline runs the DeclarePass first, which builds the
+/// variable tables below.
 ///
-/// Session mode (\p SessionMode true) marks the reuse boundary of the
-/// incremental-query design: everything DeclarePass and FeasibilityPass
-/// build is query-invariant (the boundary/cut *linkage*, which depends
-/// on the strategy's boundary mode, moves into the per-query
-/// BoundaryLinkPass), so a PredictSession encodes that prefix once and
-/// answers each query inside a solver push/pop scope. To make the
-/// prefix strategy-independent, session mode always materializes the
-/// per-session Cut variables instead of aliasing them to Boundary for
-/// strict boundaries — sat-equivalent, but not bit-identical, which is
-/// why one-shot predict() keeps SessionMode off.
+/// Everything DeclarePass and FeasibilityPass build is query-invariant:
+/// the per-session Cut variables are always materialized, and their
+/// linkage to Boundary — which depends on the strategy's boundary mode —
+/// is asserted by the per-query BoundaryLinkPass. A session encodes that
+/// prefix once and answers each query on top of it; a one-shot predict()
+/// runs the same passes once.
 class EncodingContext {
 public:
   EncodingContext(const History &H, const PredictOptions &Opts,
-                  SmtContext &Ctx, SmtSolver &Solver,
-                  bool SessionMode = false, bool Streaming = false)
-      : H(H), Opts(Opts), Ctx(Ctx),
-        Asserts(Solver, Opts.BatchAsserts
-                            ? AssertionBuffer::FlushMode::Conjoin
-                            : AssertionBuffer::FlushMode::Immediate),
-        N(H.numTxns()), SessionMode(SessionMode || Streaming),
-        Streaming(Streaming),
-        Relaxed(Opts.Strat == Strategy::ApproxRelaxed) {
+                  SmtContext &Ctx, SmtSolver &Solver, bool Streaming = false)
+      : H(H), Opts(Opts), Ctx(Ctx), Solver(Solver), N(H.numTxns()),
+        Streaming(Streaming) {
     if (Opts.PruneFormula) {
       // Streaming plans disable the single-writer fixed-choice rule:
       // it is the one relevance rule that is not monotone under
@@ -155,17 +95,16 @@ public:
   const History &H;
   const PredictOptions &Opts;
   SmtContext &Ctx;
-  AssertionBuffer Asserts;
+  SmtSolver &Solver;
   /// Number of encoded transactions; fixed except in streaming mode,
   /// where extendHistory() grows it as H is appended to.
   size_t N;
-  const bool SessionMode;
-  /// Streaming mode (implies SessionMode): the declare+feasibility
-  /// prefix holds only the *monotone* constraint families (so
-  /// constants, before-boundary implications, choice-inclusion
-  /// implications, φwr_k/φwr definitions — all stable as transactions
-  /// are appended) and grows in place via delta re-runs of the base
-  /// passes over [DeltaFrom, N). The non-monotone families — boundary
+  /// Streaming mode: the declare+feasibility prefix holds only the
+  /// *monotone* constraint families (so constants, before-boundary
+  /// implications, choice-inclusion implications, φwr_k/φwr
+  /// definitions — all stable as transactions are appended) and grows
+  /// in place via delta re-runs of the base passes over
+  /// [DeltaFrom, N). The non-monotone families — boundary
   /// domains and choice domains (their disjunctions widen with new
   /// reads/writers) and the hb closure (new transactions can connect
   /// already-encoded pairs) — move into the per-query WindowPass,
@@ -173,7 +112,7 @@ public:
   /// unpruned, and φhb pair variables are never declared (EC.Hb
   /// aliases the per-query folded closure; hb occurs only positively,
   /// so this is sat-equivalent). Streaming encodings are therefore
-  /// never bit-identical to one-shot ones — outcome equivalence is
+  /// never bit-identical to non-streaming ones — outcome equivalence is
   /// what the streaming tests pin.
   const bool Streaming;
   /// Streaming: first transaction of the current delta — the base
@@ -182,13 +121,12 @@ public:
   size_t DeltaFrom = 0;
   /// Relevance plan of the pruned encoding (PredictOptions::
   /// PruneFormula); null when pruning is off. Computed once per context
-  /// — once per one-shot query, or once per PredictSession — because it
-  /// depends only on the observed history.
+  /// (once per PredictSession) because it depends only on the observed
+  /// history.
   const EncodingPlan *Plan = nullptr;
-  /// Boundary mode of the current query (strict aliases cut to
-  /// boundary). Fixed for a one-shot encoding; updated per query by
-  /// beginQuery() in session mode.
-  bool Relaxed;
+  /// Boundary mode of the current query (BoundaryLinkPass pins the cut
+  /// to the boundary when strict); set per query by beginQuery().
+  bool Relaxed = false;
 
   //===--------------------------------------------------------------------===
   // Pruning (PredictOptions::PruneFormula)
@@ -239,13 +177,12 @@ public:
   }
 
   /// Resets the per-query state (the strategy-pass outputs below) ahead
-  /// of the next session query; the base tables built by DeclarePass /
+  /// of the next query; the base tables built by DeclarePass /
   /// FeasibilityPass are untouched. Stale Pco/Rank matrices from an
   /// earlier query must not leak into extraction — an ExactStrict query
   /// after an Approx one would otherwise read a witness from relation
   /// variables its own scope never constrained.
   void beginQuery(Strategy Strat) {
-    assert(SessionMode && "beginQuery is a session-mode operation");
     Relaxed = Strat == Strategy::ApproxRelaxed;
     Pco.clear();
     Rank.clear();
@@ -278,8 +215,8 @@ public:
   PairMatrix Rank; ///< Int vars, rank encoding only.
 
   /// φwr_k(t1,t2), keyed by (key, writer, reader). Ordered container:
-  /// FeasibilityPass iterates it when defining the φwr_k semantics, and
-  /// assertion order is part of the bit-identical behaviour contract.
+  /// FeasibilityPass iterates it when defining the φwr_k semantics, so
+  /// assertion order is deterministic.
   std::map<std::tuple<KeyId, TxnId, TxnId>, SmtExpr> WrK;
 
   /// Integer standing in for the "∞" boundary position: strictly larger
@@ -291,7 +228,8 @@ public:
   /// φboundary(s): integer variable, a read position or Inf.
   std::vector<SmtExpr> Boundary;
   /// Derived cut: last included position (== Boundary when strict; the
-  /// end of the boundary read's transaction when relaxed; Table 1).
+  /// end of the boundary read's transaction when relaxed; Table 1 —
+  /// BoundaryLinkPass asserts the linkage per query).
   std::vector<SmtExpr> Cut;
 
   //===--------------------------------------------------------------------===
@@ -327,8 +265,8 @@ public:
   // Builders and interned atoms
   //===--------------------------------------------------------------------===
 
-  /// Buffers \p E for the next batched assert.
-  void assertExpr(SmtExpr E) { Asserts.add(E); }
+  /// Asserts \p E on the solver.
+  void assertExpr(SmtExpr E) { Solver.add(E); }
 
   /// Fresh N×N matrix of named bool (or int) variables.
   PairMatrix makePairMatrix(const char *Name, bool IsInt = false);
@@ -359,7 +297,7 @@ public:
   /// Member shorthand for the free defineClosure above (folding — and
   /// tallying into the pruning counters — exactly when pruning is on).
   PairMatrix closure(const PairMatrix &Base, const char *Prefix) {
-    return defineClosure(Ctx, Asserts, Base, Prefix, pruning(),
+    return defineClosure(Ctx, Solver, Base, Prefix, pruning(),
                          &PrunedVars, &PrunedLits);
   }
 

@@ -8,12 +8,13 @@
 //  - hb is encoded as an exact transitive closure by repeated squaring
 //    instead of a recursive fixpoint equality; hb only occurs positively
 //    in the isolation constraints, so only spurious models are removed.
-//  - An alternative bounded-depth pco realization (PcoEncoding::Layered)
-//    exists for comparison; the paper's rank encoding is the default.
+//  - Each session's cut is a materialized variable linked to its
+//    boundary per query (BoundaryLinkPass) rather than a term alias, so
+//    the declare+feasibility prefix is the same for every strategy.
 //
-// Every pass has two construction paths: the default one, bit-identical
-// to the pre-refactor monolithic encoder (the golden fixtures pin it),
-// and a pruned one gated on EncodingContext::pruning()
+// Every pass has two construction paths: the default one (the golden
+// fixtures pin its outcomes) and a pruned one gated on
+// EncodingContext::pruning()
 // (PredictOptions::PruneFormula) that consults the relevance plan
 // (Prune.h) to fold constants and skip declarations/assertions no model
 // can distinguish. The pruned path is sat/unsat-equivalent only —
@@ -29,26 +30,6 @@ using namespace isopredict;
 using namespace isopredict::encode;
 
 namespace {
-
-// The Table-1 relaxed-boundary linkage, built in exactly one place so
-// the one-shot (FeasibilityPass) and session (BoundaryLinkPass) callers
-// cannot drift apart: a boundary at this read extends the cut to the
-// end of the read's transaction; a boundary at ∞ leaves everything in.
-
-SmtExpr relaxedCutAtRead(EncodingContext &EC, SessionId S, uint32_t Pos,
-                         uint32_t EndPos) {
-  SmtContext &Ctx = EC.Ctx;
-  return Ctx.mkImplies(
-      Ctx.internEq(EC.Boundary[S], Ctx.internIntVal(Pos)),
-      Ctx.internEq(EC.Cut[S], Ctx.internIntVal(EndPos)));
-}
-
-SmtExpr relaxedCutAtInf(EncodingContext &EC, SessionId S) {
-  SmtContext &Ctx = EC.Ctx;
-  return Ctx.mkImplies(
-      Ctx.internEq(EC.Boundary[S], Ctx.internIntVal(EC.Inf)),
-      Ctx.internEq(EC.Cut[S], Ctx.internIntVal(EC.Inf)));
-}
 
 /// The pruned realization of the B.3 embeddings' per-pair constraint
 /// "(lhs-or-terms) ⇒ co(A) < co(B)". The default path names the ww
@@ -310,15 +291,11 @@ void DeclarePass::run(EncodingContext &EC) {
                                                   E.Pos)));
       }
 
-  // Session mode always materializes Cut so the declarations do not
-  // depend on the query's boundary mode (BoundaryLinkPass asserts the
-  // strict Cut == Boundary aliasing per query instead).
+  // Cut is always materialized so the declarations do not depend on
+  // the query's boundary mode (BoundaryLinkPass links it per query).
   for (SessionId S = 0; S < H.numSessions(); ++S) {
     EC.Boundary.push_back(Ctx.intVar(formatString("boundary_%u", S)));
-    if (EC.Relaxed || EC.SessionMode)
-      EC.Cut.push_back(Ctx.intVar(formatString("cut_%u", S)));
-    else
-      EC.Cut.push_back(EC.Boundary.back());
+    EC.Cut.push_back(Ctx.intVar(formatString("cut_%u", S)));
   }
 
   EC.buildIndexes();
@@ -346,30 +323,19 @@ void FeasibilityPass::run(EncodingContext &EC) {
     EC.notePrunedLits(static_cast<uint64_t>(N) * (N - 1));
   }
 
-  // --- Boundary domain: a read position of the session, or ∞; for the
-  // relaxed boundary the cut is constrained to the end of the boundary
-  // read's transaction (Table 1). In session mode the boundary↔cut
-  // linkage is query-dependent and asserted by BoundaryLinkPass inside
-  // each query's solver scope.
-  bool LinkCut = EC.Relaxed && !EC.SessionMode;
+  // --- Boundary domain: a read position of the session, or ∞. The
+  // boundary↔cut linkage is query-dependent (Table 1) and asserted by
+  // BoundaryLinkPass.
   for (SessionId S = 0; S < H.numSessions(); ++S) {
     std::vector<SmtExpr> Options;
-    for (TxnId T : H.sessionTxns(S)) {
-      const Transaction &Txn = H.txn(T);
-      for (const Event &E : Txn.Events) {
-        if (E.Kind != EventKind::Read)
-          continue;
-        Options.push_back(
-            Ctx.internEq(EC.Boundary[S], Ctx.internIntVal(E.Pos)));
-        if (LinkCut)
-          EC.assertExpr(relaxedCutAtRead(EC, S, E.Pos, Txn.EndPos));
-      }
-    }
+    for (TxnId T : H.sessionTxns(S))
+      for (const Event &E : H.txn(T).Events)
+        if (E.Kind == EventKind::Read)
+          Options.push_back(
+              Ctx.internEq(EC.Boundary[S], Ctx.internIntVal(E.Pos)));
     Options.push_back(
         Ctx.internEq(EC.Boundary[S], Ctx.internIntVal(EC.Inf)));
     EC.assertExpr(Ctx.mkOr(Options));
-    if (LinkCut)
-      EC.assertExpr(relaxedCutAtInf(EC, S));
   }
 
   // --- Read choices: every read's choice ranges over the writers of
@@ -564,7 +530,7 @@ void WindowPass::run(EncodingContext &EC) {
         continue;
       Base[A][B] = EC.isTrue(EC.So[A][B]) ? EC.So[A][B] : EC.Wr[A][B];
     }
-  EC.Hb = defineClosure(Ctx, EC.Asserts, Base, "hb", /*Fold=*/true,
+  EC.Hb = defineClosure(Ctx, EC.Solver, Base, "hb", /*Fold=*/true,
                         &EC.PrunedVars, &EC.PrunedLits);
 #ifndef NDEBUG
   if (EC.pruning())
@@ -579,33 +545,33 @@ void WindowPass::run(EncodingContext &EC) {
 void BoundaryLinkPass::run(EncodingContext &EC) {
   const History &H = EC.H;
   SmtContext &Ctx = EC.Ctx;
-  assert(EC.SessionMode && "BoundaryLinkPass is session-mode only");
 
   if (!EC.Relaxed) {
-    // Strict boundary: the cut *is* the boundary read. One-shot
-    // encodings alias the terms; here the materialized cut variable is
-    // pinned instead, which is sat-equivalent in every constraint that
-    // compares against it.
+    // Strict boundary: the cut *is* the boundary read — the cut
+    // variable is pinned to it.
     for (SessionId S = 0; S < H.numSessions(); ++S)
       EC.assertExpr(Ctx.internEq(EC.Cut[S], EC.Boundary[S]));
     return;
   }
 
-  // Relaxed boundary: the cut extends to the end of the boundary read's
-  // transaction (Table 1) — the same implications FeasibilityPass emits
-  // inline for one-shot relaxed encodings. The boundary atoms already
-  // exist in the intern tables from the shared prefix, so re-entering
-  // this pass per query only rebuilds the implication shells.
+  // Relaxed boundary: a boundary at a read extends the cut to the end of
+  // the read's transaction (Table 1); a boundary at ∞ leaves everything
+  // in. The boundary atoms already exist in the intern tables from the
+  // base prefix, so re-entering this pass per query only rebuilds the
+  // implication shells.
+  auto CutAt = [&](SessionId S, int64_t BoundaryPos, int64_t CutPos) {
+    EC.assertExpr(Ctx.mkImplies(
+        Ctx.internEq(EC.Boundary[S], Ctx.internIntVal(BoundaryPos)),
+        Ctx.internEq(EC.Cut[S], Ctx.internIntVal(CutPos))));
+  };
   for (SessionId S = 0; S < H.numSessions(); ++S) {
     for (TxnId T : H.sessionTxns(S)) {
       const Transaction &Txn = H.txn(T);
-      for (const Event &E : Txn.Events) {
-        if (E.Kind != EventKind::Read)
-          continue;
-        EC.assertExpr(relaxedCutAtRead(EC, S, E.Pos, Txn.EndPos));
-      }
+      for (const Event &E : Txn.Events)
+        if (E.Kind == EventKind::Read)
+          CutAt(S, E.Pos, Txn.EndPos);
     }
-    EC.assertExpr(relaxedCutAtInf(EC, S));
+    CutAt(S, EC.Inf, EC.Inf);
   }
 }
 
@@ -919,73 +885,6 @@ void ApproxRankPass::runPruned(EncodingContext &EC) {
     }
   }
 
-  EC.addCycleConstraint(EC.Pco);
-}
-
-void ApproxLayeredPass::run(EncodingContext &EC) {
-  SmtContext &Ctx = EC.Ctx;
-  size_t N = EC.N;
-  bool Pruned = EC.pruning();
-
-  // B.2.2 realized as a bounded-depth least fixpoint: every relation is
-  // a deterministic function of the read choices and boundaries, so
-  // self-justifying edges cannot exist by construction and the solver
-  // only searches the choice space. Depth `PcoDepth` bounds how many
-  // alternations of (derive ww/rw; close transitively) are captured;
-  // deeper cycles are missed — soundly, and never in our experiments
-  // (bench/ablation_pco cross-checks against the rank encoding). Under
-  // the plan the base and every closure layer constant-fold
-  // (EC.closure), and justifications against constant-false layer
-  // entries are dropped in wwJust/rwJust.
-  PairMatrix Base(N, std::vector<SmtExpr>(N));
-  for (TxnId A = 0; A < N; ++A)
-    for (TxnId B = 0; B < N; ++B) {
-      if (A == B)
-        continue;
-      if (!Pruned) {
-        Base[A][B] = Ctx.mkOr(EC.So[A][B], EC.Wr[A][B]);
-      } else if (EC.isTrue(EC.So[A][B])) {
-        Base[A][B] = EC.So[A][B];
-        EC.notePrunedLits(1);
-      } else if (EC.isFalse(EC.Wr[A][B])) {
-        Base[A][B] = EC.Wr[A][B];
-        EC.notePrunedLits(2);
-      } else {
-        Base[A][B] = EC.Wr[A][B];
-        EC.notePrunedLits(1);
-      }
-    }
-  PairMatrix P = EC.closure(Base, "pco0");
-
-  unsigned Depth = std::max(1u, EC.Opts.PcoDepth);
-  for (unsigned Round = 1; Round <= Depth; ++Round) {
-    PairMatrix NextBase(N, std::vector<SmtExpr>(N));
-    for (TxnId A = 0; A < N; ++A)
-      for (TxnId B = 0; B < N; ++B) {
-        if (A == B)
-          continue;
-        if (Pruned && EC.isTrue(P[A][B])) {
-          // Already derived at a lower layer; justifications add
-          // nothing (their enumeration is skipped outright).
-          NextBase[A][B] = P[A][B];
-          continue;
-        }
-        std::vector<SmtExpr> Terms;
-        if (Pruned && EC.isFalse(P[A][B]))
-          EC.notePrunedLits(1);
-        else
-          Terms.push_back(P[A][B]);
-        for (EncodingContext::Justification &J : EC.wwJust(A, B, P))
-          Terms.push_back(J.Cond);
-        for (EncodingContext::Justification &J : EC.rwJust(A, B, P))
-          Terms.push_back(J.Cond);
-        NextBase[A][B] = Terms.empty() && Pruned ? Ctx.boolVal(false)
-                                                 : Ctx.mkOr(Terms);
-      }
-    P = EC.closure(NextBase, formatString("pco%u", Round).c_str());
-  }
-
-  EC.Pco = P; // Witness extraction reads the final matrix.
   EC.addCycleConstraint(EC.Pco);
 }
 

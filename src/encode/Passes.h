@@ -6,25 +6,27 @@
 ///
 /// \file
 /// The Appendix-B constraint system as composable pipeline passes over a
-/// shared EncodingContext. Each pass emits one coherent slice of the
-/// constraint system through the context's batched assertion buffer:
+/// shared EncodingContext. Each pass asserts one coherent slice of the
+/// constraint system on the context's solver:
 ///
 ///   DeclarePass        variable tables (φso/φwr/φhb, φwr_k, φchoice,
 ///                      boundary/cut)                  — declarations only
 ///   FeasibilityPass    B.1: observed so, boundary domains, read
 ///                      choices, φwr_k definitions, hb closure
+///   BoundaryLinkPass   Table 1: cut ↔ boundary for the query's
+///                      boundary mode
+///   WindowPass         streaming only: the non-monotone B.1 families
 ///   ExactStrictPass    B.2.1: ∀co. ¬IsSerializable(co)
-///   ApproxRankPass     B.2.2: rank-guarded pco cycle (the default)
-///   ApproxLayeredPass  B.2.2: bounded-depth least fixpoint (frozen
-///                      ablation alternative; see PcoEncoding::Layered)
+///   ApproxRankPass     B.2.2: rank-guarded pco cycle
 ///   CausalPass         B.3.1: (hb ∪ wwcausal) embeds in a total order
 ///   ReadAtomicPass     like B.3.1 with one-step visibility (§8)
 ///   ReadCommittedPass  B.3.2: (hb ∪ wwrc) embeds in a total order
 ///
-/// Pass order matters and is fixed by EncoderPipeline::forOptions:
-/// declare → feasibility → one strategy pass → one isolation pass —
-/// the exact construction order of the pre-refactor monolithic encoder,
-/// so the generated constraint system is bit-identical to it.
+/// Pass order is fixed by EncoderPipeline: declare → feasibility once
+/// (forSessionBase), then per query boundary-link → one strategy pass →
+/// one isolation pass (forQuery; streaming prepends the window pass).
+/// One-shot predict() and session queries run the same sequence, so
+/// they build the same constraint system.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,11 +64,10 @@ public:
   void run(EncodingContext &EC) override;
 };
 
-/// Session-mode only: links each session's cut to its boundary according
-/// to the *current query's* boundary mode (Table 1) — Cut == Boundary
-/// under a strict boundary, the end of the boundary read's transaction
-/// under the relaxed one. One-shot encodings bake this linkage into
-/// DeclarePass/FeasibilityPass; session mode hoists it here so the
+/// Links each session's cut to its boundary according to the *current
+/// query's* boundary mode (Table 1) — Cut == Boundary under a strict
+/// boundary, the end of the boundary read's transaction under the
+/// relaxed one. Kept out of DeclarePass/FeasibilityPass so the
 /// declare+feasibility prefix is query-invariant and reusable across
 /// solver scopes.
 class BoundaryLinkPass : public EncodingPass {
@@ -109,14 +110,6 @@ private:
   /// observed-so pairs substitute constant-true pco and lose their
   /// ww/rw/rank variables; grounded justifications lose their guards.
   void runPruned(EncodingContext &EC);
-};
-
-/// B.2.2 realized as a bounded-depth least fixpoint (frozen ablation
-/// alternative to ApproxRankPass; see PcoEncoding::Layered).
-class ApproxLayeredPass : public EncodingPass {
-public:
-  const char *name() const override { return "approx-layered"; }
-  void run(EncodingContext &EC) override;
 };
 
 /// B.3.1: causal-consistency admissibility of the prediction.

@@ -21,7 +21,6 @@ void EncoderPipeline::run(EncodingContext &EC, EncodingStats &Stats) const {
     uint64_t Before = EC.Ctx.literalCount();
     uint64_t PVBefore = EC.PrunedVars, PLBefore = EC.PrunedLits;
     Pass->run(EC);
-    EC.Asserts.flush(); // No-op in Immediate mode; batch in Conjoin.
     S.finish();
     uint64_t Lits = EC.Ctx.literalCount() - Before;
     Stats.Passes.push_back({Pass->name(), Lits, S.seconds(),
@@ -34,14 +33,13 @@ void EncoderPipeline::run(EncodingContext &EC, EncodingStats &Stats) const {
 }
 
 /// Appends the strategy (B.2) and isolation (B.3) passes \p Opts
-/// selects — the query-dependent tail shared by forOptions and forQuery.
+/// selects — the query-dependent tail shared by forQuery and
+/// forStreamQuery.
 static void addQueryPasses(EncoderPipeline &P, const PredictOptions &Opts) {
   if (Opts.Strat == Strategy::ExactStrict)
     P.add(std::make_unique<ExactStrictPass>());
-  else if (Opts.Pco == PcoEncoding::Rank)
-    P.add(std::make_unique<ApproxRankPass>());
   else
-    P.add(std::make_unique<ApproxLayeredPass>());
+    P.add(std::make_unique<ApproxRankPass>());
 
   switch (Opts.Level) {
   case IsolationLevel::Causal:
@@ -56,14 +54,6 @@ static void addQueryPasses(EncoderPipeline &P, const PredictOptions &Opts) {
   case IsolationLevel::Serializable:
     break; // Rejected by predict()'s precondition.
   }
-}
-
-EncoderPipeline EncoderPipeline::forOptions(const PredictOptions &Opts) {
-  EncoderPipeline P;
-  P.add(std::make_unique<DeclarePass>());
-  P.add(std::make_unique<FeasibilityPass>());
-  addQueryPasses(P, Opts);
-  return P;
 }
 
 EncoderPipeline EncoderPipeline::forSessionBase(const PredictOptions &) {

@@ -5,16 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Runs a sequence of encoding passes over one EncodingContext, flushing
-/// the assertion buffer at every pass boundary and attributing literals
-/// and wall-clock to each pass (EncodingStats::Passes — the breakdown
-/// bench/micro_encoding reports). The prediction pipeline asserts in
-/// Immediate mode — see AssertionBuffer for why batching is reserved
-/// for verdict-only queries.
+/// Runs a sequence of encoding passes over one EncodingContext,
+/// attributing literals and wall-clock to each pass
+/// (EncodingStats::Passes — the breakdown bench/micro_encoding reports).
 ///
-/// predict() assembles the standard pipeline from its options through
-/// forOptions(); nothing stops callers from composing their own pass
-/// sequence for experiments.
+/// Every prediction — a one-shot predict() or a session query — runs
+/// forSessionBase() once and then forQuery() (forStreamQuery() for
+/// streaming sessions); nothing stops callers from composing their own
+/// pass sequence for experiments.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,18 +42,13 @@ public:
   /// \p Stats (literals sum to the context's asserted-literal delta).
   void run(EncodingContext &EC, EncodingStats &Stats) const;
 
-  /// The standard Appendix-B pipeline for \p Opts:
-  /// declare → feasibility → strategy (B.2) → isolation (B.3).
-  static EncoderPipeline forOptions(const PredictOptions &Opts);
-
-  /// The query-invariant prefix of a PredictSession (session-mode
-  /// EncodingContext): declare → feasibility. Encoded once per session,
-  /// below every solver scope.
+  /// The query-invariant prefix of a PredictSession: declare →
+  /// feasibility. Encoded once per session, below every solver scope.
   static EncoderPipeline forSessionBase(const PredictOptions &Opts);
 
-  /// The per-query suffix of a PredictSession: boundary-link →
-  /// strategy (B.2) → isolation (B.3), asserted inside one push/pop
-  /// scope on top of the forSessionBase prefix.
+  /// The per-query suffix: boundary-link → strategy (B.2) → isolation
+  /// (B.3), on top of the forSessionBase prefix — inside one push/pop
+  /// scope for session queries, at root scope for one-shot ones.
   static EncoderPipeline forQuery(const PredictOptions &Opts);
 
   /// The per-query suffix of a *streaming* PredictSession: window →

@@ -3,7 +3,6 @@
 #include "encode/Serializable.h"
 
 #include "checker/Checkers.h"
-#include "encode/EncodingContext.h"
 #include "support/StrUtil.h"
 
 using namespace isopredict;
@@ -13,9 +12,9 @@ void isopredict::encode::encodeSerializableCo(const History &H,
                                               SmtContext &Ctx,
                                               SmtSolver &Solver) {
   size_t N = H.numTxns();
-  // Verdict-only query: no model is extracted, so the whole system can
-  // go to Z3 as a single batched assert.
-  AssertionBuffer Asserts(Solver, AssertionBuffer::FlushMode::Conjoin);
+  // Verdict-only query: no model is extracted, so the whole system goes
+  // to Z3 as a single batched assert (SmtSolver::addAll).
+  std::vector<SmtExpr> Asserts;
 
   std::vector<SmtExpr> Co;
   Co.reserve(N);
@@ -23,7 +22,7 @@ void isopredict::encode::encodeSerializableCo(const History &H,
     Co.push_back(Ctx.intVar(formatString("co_%u", T)));
 
   if (N >= 2)
-    Asserts.add(Ctx.mkDistinct(Co));
+    Asserts.push_back(Ctx.mkDistinct(Co));
 
   // hb ⊆ co: it suffices to order the so ∪ wr generators.
   BitRel So = soRel(H);
@@ -31,7 +30,7 @@ void isopredict::encode::encodeSerializableCo(const History &H,
   for (TxnId A = 0; A < N; ++A)
     for (TxnId B = 0; B < N; ++B)
       if (A != B && (So.test(A, B) || Wr.test(A, B)))
-        Asserts.add(Ctx.internLt(Co[A], Co[B]));
+        Asserts.push_back(Ctx.internLt(Co[A], Co[B]));
 
   // Arbitration (Eq. 1): for writers t1,t2 of k and wr_k(t2,t3):
   // co(t1) < co(t3) ⇒ co(t1) < co(t2). The same (t1,t3)/(t1,t2)
@@ -44,11 +43,11 @@ void isopredict::encode::encodeSerializableCo(const History &H,
       for (TxnId T1 : H.writersOf(K)) {
         if (T1 == T2 || T1 == T3)
           continue;
-        Asserts.add(Ctx.mkImplies(Ctx.internLt(Co[T1], Co[T3]),
-                                  Ctx.internLt(Co[T1], Co[T2])));
+        Asserts.push_back(Ctx.mkImplies(Ctx.internLt(Co[T1], Co[T3]),
+                                        Ctx.internLt(Co[T1], Co[T2])));
       }
     }
   }
 
-  Asserts.flush();
+  Solver.addAll(Asserts);
 }

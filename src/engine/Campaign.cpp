@@ -78,8 +78,7 @@ Campaign Campaign::predictGrid(std::string Name,
                                const std::vector<IsolationLevel> &Levels,
                                const std::vector<Strategy> &Strategies,
                                const std::vector<bool> &Larges,
-                               unsigned NumSeeds, unsigned TimeoutMs,
-                               PcoEncoding Pco) {
+                               unsigned NumSeeds, unsigned TimeoutMs) {
   Campaign C;
   C.Name = std::move(Name);
   for (const std::string &App : Apps)
@@ -94,7 +93,6 @@ Campaign Campaign::predictGrid(std::string Name,
                           : WorkloadConfig::small(Seed);
             J.Level = Level;
             J.Strat = S;
-            J.Pco = Pco;
             J.TimeoutMs = TimeoutMs;
             C.Jobs.push_back(std::move(J));
           }

@@ -350,13 +350,23 @@ isopredict::engine::jobSpecFromJson(const JsonValue &Obj, std::string *Error) {
   std::optional<std::string> Pco = wantStr(Obj, "pco", Error);
   if (!Level || !Strat || !Pco)
     return std::nullopt;
-  std::optional<IsolationLevel> L = isolationLevelFromString(*Level);
-  std::optional<Strategy> St = strategyFromString(*Strat);
-  std::optional<PcoEncoding> P = pcoEncodingFromString(*Pco);
-  if (!L || !St || !P) {
-    setError(Error, "job entry: unknown level/strategy/pco name");
+  // Names the offending field and the accepted spellings.
+  auto Unknown = [&](const char *Field, const std::string &Value,
+                     const char *Valid) -> std::optional<JobSpec> {
+    setError(Error, std::string("job entry: unknown ") + Field + " '" +
+                        Value + "' (field \"" + Field +
+                        "\"; accepted: " + Valid + ")");
     return std::nullopt;
-  }
+  };
+  std::optional<IsolationLevel> L = isolationLevelFromString(*Level);
+  if (!L)
+    return Unknown("level", *Level, isolationLevelValidNames());
+  std::optional<Strategy> St = strategyFromString(*Strat);
+  if (!St)
+    return Unknown("strategy", *Strat, strategyValidNames());
+  std::optional<PcoEncoding> P = pcoEncodingFromString(*Pco);
+  if (!P)
+    return Unknown("pco", *Pco, pcoEncodingValidNames());
   S.Level = *L;
   S.Strat = *St;
   S.Pco = *P;

@@ -16,7 +16,10 @@ using namespace isopredict::engine;
 // 5: JobSpec gained Prune (canonicalSpec "prune=" field), so every
 // spec hash moved — older cache entries and shard files are orphaned
 // wholesale rather than mismatched one by one.
-const char *isopredict::engine::toolVersion() { return "isopredict-5"; }
+// 6: one-shot predict() builds the session encoding (materialized cuts
+// linked by BoundaryLinkPass), so cached literal counts and witnesses
+// changed; spec hashes did not.
+const char *isopredict::engine::toolVersion() { return "isopredict-6"; }
 
 namespace {
 

@@ -1,11 +1,10 @@
 //===- Predict.cpp - IsoPredict predictive analysis -----------*- C++ -*-===//
 //
-// The constraint system lives in the layered src/encode/ pipeline
+// The constraint system lives in the src/encode/ pass pipeline
 // (EncodingContext + passes; see Passes.cpp for the Appendix-B clause
-// map) and the query machinery in PredictSession. predict() is the
-// one-shot compatibility entry point: a thin one-query session with
-// session mode off, bit-identical to the pre-session encoder (the
-// golden fixtures pin that).
+// map) and the query machinery in PredictSession. predict() is one
+// root-scope query on a fresh session — the same encoding a session
+// query builds, without the push/pop scope.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,8 +17,6 @@ using namespace isopredict;
 
 const char *isopredict::toString(PcoEncoding E) {
   switch (E) {
-  case PcoEncoding::Layered:
-    return "layered";
   case PcoEncoding::Rank:
     return "rank";
   }
@@ -59,14 +56,13 @@ isopredict::pcoEncodingFromString(std::string_view Name) {
   std::string N = toLowerAscii(Name);
   if (N == "rank")
     return PcoEncoding::Rank;
-  if (N == "layered")
-    return PcoEncoding::Layered;
   return std::nullopt;
 }
 
-const char *isopredict::pcoEncodingValidNames() { return "rank, layered"; }
+const char *isopredict::pcoEncodingValidNames() { return "rank"; }
 
 Prediction isopredict::predict(const History &Observed,
                                const PredictOptions &Opts) {
-  return PredictSession::oneShot(Observed, Opts);
+  // A lane nobody races: the one-shot session path, history not copied.
+  return PredictSession::makeLane(Observed, Opts)->solveLane();
 }

@@ -58,29 +58,21 @@ const char *strategyValidNames(); // "exact, strict, relaxed"
 /// How the approximate strategies realize the "minimal relation"
 /// requirement on pco (§4.2.2).
 enum class PcoEncoding {
-  /// The paper's encoding (the default): free relation variables guarded
-  /// by integer `rank` terms that forbid self-justifying edges (§4.2.2,
-  /// Fig. 6). Complete for any derivation depth.
+  /// The paper's encoding, and the only one: free relation variables
+  /// guarded by integer `rank` terms that forbid self-justifying edges
+  /// (§4.2.2, Fig. 6). Complete for any derivation depth. The enum stays
+  /// because job specs, reports, and spec hashes name it ("pco=rank").
   Rank,
-  /// Frozen/experimental alternative: pco computed as a bounded-depth
-  /// least fixpoint (`PcoDepth` rounds of ww/rw derivation + transitive
-  /// closure by repeated squaring), making every auxiliary relation a
-  /// deterministic function of the read choices. Sound (misses cycles
-  /// needing deeper derivations), but the closure-layer CNF loses to the
-  /// rank encoding on every workload (see bench/ablation_pco), so it is
-  /// frozen: kept compiling and benchmarked for the ablation, not
-  /// developed further.
-  Layered,
 };
 
 const char *toString(PcoEncoding E);
 
-/// Parses a pco-encoding name ("rank" / "layered", ASCII
-/// case-insensitively). std::nullopt on anything else.
+/// Parses a pco-encoding name ("rank", ASCII case-insensitively).
+/// std::nullopt on anything else.
 std::optional<PcoEncoding> pcoEncodingFromString(std::string_view Name);
 
-/// The spellings pcoEncodingFromString accepts, for CLI error lists.
-const char *pcoEncodingValidNames(); // "rank, layered"
+/// The spellings pcoEncodingFromString accepts, for error messages.
+const char *pcoEncodingValidNames(); // "rank"
 
 struct PredictOptions {
   IsolationLevel Level = IsolationLevel::Causal;
@@ -92,23 +84,10 @@ struct PredictOptions {
   bool EnableRw = true;
   /// pco realization for the approximate strategies; see PcoEncoding.
   PcoEncoding Pco = PcoEncoding::Rank;
-  /// Derivation-depth bound for PcoEncoding::Layered.
-  unsigned PcoDepth = 3;
-  /// Bench-only: build and batch-assert the constraint system but skip
-  /// the solver query (Result stays Unknown). Lets bench/micro_encoding
+  /// Bench-only: build and assert the constraint system but skip the
+  /// solver query (Result stays Unknown). Lets bench/micro_encoding
   /// measure constraint generation in isolation.
   bool GenerateOnly = false;
-  /// Ablation knob: batch each encoding pass into a single
-  /// Z3_solver_assert (encode::AssertionBuffer Conjoin mode). Identical
-  /// literal counts and sat/unsat outcomes, but Z3 may pick a different
-  /// (equally valid) model, so extracted predictions are not bit-stable
-  /// against the default mode — and measurement (bench/micro_encoding
-  /// BM_Generate*) shows it is *not* faster: Z3's per-assert
-  /// preprocessing dominates generation and flattening one huge
-  /// conjunction costs more than it saves. Kept as the knob that
-  /// records that negative result (ROADMAP "batching Z3 asserts may
-  /// help" — it does not).
-  bool BatchAsserts = false;
   /// Formula minimization (src/encode/Prune.h): run a relevance
   /// analysis over the observed history and skip declarations and
   /// assertions no model can distinguish — observed-so pair variables
@@ -202,7 +181,11 @@ struct Prediction {
   std::vector<TxnId> Witness;
 };
 
-/// Runs IsoPredict's predictive analysis on \p Observed.
+/// Runs IsoPredict's predictive analysis on \p Observed: one query on a
+/// fresh PredictSession, encoding the same constraint system as
+/// PredictSession::query() but asserting it at root solver scope (no
+/// push/pop — Z3 keeps its non-incremental solver, which decides more
+/// one-shot queries within a budget).
 Prediction predict(const History &Observed, const PredictOptions &Opts);
 
 } // namespace isopredict

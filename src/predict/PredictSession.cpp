@@ -3,11 +3,11 @@
 // Session lifecycle: the constructor records the history and the causal
 // fast-path precondition; the first query that needs the solver builds
 // the Z3 context and encodes the shared declare+feasibility prefix
-// (EncoderPipeline::forSessionBase on a session-mode EncodingContext);
-// every query then runs the per-query passes inside one solver
-// push/pop scope. One-shot predict() reuses runQuery() with session
-// mode off — no scopes, full pipeline, bit-identical to the
-// pre-session encoder.
+// (EncoderPipeline::forSessionBase); every query then runs the
+// per-query passes (EncoderPipeline::forQuery) inside one solver
+// push/pop scope. One-shot predict() and portfolio lanes run the very
+// same passes through runQuery() at root scope, without the scope and
+// without session.* telemetry.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 using namespace isopredict;
 
@@ -106,7 +107,7 @@ void extract(encode::EncodingContext &EC, SmtSolver &Solver,
   ExtractSeconds.observe(Sp.seconds());
 }
 
-/// Post-check bookkeeping shared by the one-shot and session paths:
+/// Post-check bookkeeping of every query:
 /// reads the solver's per-query Z3 statistics and classifies an Unknown
 /// as a timeout when Z3 says so or the solve time reached the budget.
 void recordCheckOutcome(SmtSolver &Solver, unsigned TimeoutMs,
@@ -142,7 +143,6 @@ PredictOptions toPredictOptions(const PredictSession::Options &SO) {
   PredictOptions O;
   O.TimeoutMs = SO.TimeoutMs;
   O.EnableRw = SO.EnableRw;
-  O.PcoDepth = SO.PcoDepth;
   O.PruneFormula = SO.PruneFormula;
   return O;
 }
@@ -195,8 +195,7 @@ void PredictSession::ensureSolver() {
   for (const auto &Param : Opts.SolverParams)
     Solver->setOption(Param.first, Param.second);
   EC = std::make_unique<encode::EncodingContext>(
-      Streaming ? SubH : H, Opts, *Ctx, *Solver,
-      /*SessionMode=*/Shared, Streaming);
+      Streaming ? SubH : H, Opts, *Ctx, *Solver, Streaming);
   // Publish the solver for cross-thread interrupt(), then re-check the
   // sticky request: an interrupt that raced solver creation is applied
   // here instead of being lost.
@@ -209,12 +208,15 @@ void PredictSession::ensureBase() {
   if (BaseDone)
     return;
   ensureSolver();
-  static obs::Counter &BaseEncodes =
-      obs::Metrics::global().counter("session.base_encodes");
-  BaseEncodes.inc();
-  obs::Span Gen("session.base_encode", obs::CatSession);
+  std::optional<obs::Span> Sp;
+  if (Shared) {
+    static obs::Counter &BaseEncodes =
+        obs::Metrics::global().counter("session.base_encodes");
+    BaseEncodes.inc();
+    Sp.emplace("session.base_encode", obs::CatSession);
+  }
+  Timer Gen;
   encode::EncoderPipeline::forSessionBase(Opts).run(*EC, BaseStats);
-  Gen.finish();
   BaseStats.GenSeconds = Gen.seconds();
   BaseStats.NumLiterals = Ctx->literalCount();
   BaseStats.PrunedVars = EC->PrunedVars;
@@ -392,18 +394,6 @@ PredictSession::ExtendStats PredictSession::extend(const History &Delta) {
   return ES;
 }
 
-Prediction PredictSession::oneShot(const History &Observed,
-                                   const PredictOptions &O) {
-  PredictSession S(Observed, O, /*Shared=*/false);
-  QueryOptions Q;
-  Q.Level = O.Level;
-  Q.Strat = O.Strat;
-  Q.Pco = O.Pco;
-  Q.TimeoutMs = O.TimeoutMs;
-  Q.GenerateOnly = O.GenerateOnly;
-  return S.runQuery(Q);
-}
-
 std::unique_ptr<PredictSession>
 PredictSession::makeLane(const History &Observed, const PredictOptions &O) {
   // Not make_unique: the one-shot constructor is private.
@@ -416,7 +406,6 @@ Prediction PredictSession::solveLane() {
   QueryOptions Q;
   Q.Level = Opts.Level;
   Q.Strat = Opts.Strat;
-  Q.Pco = Opts.Pco;
   Q.TimeoutMs = Opts.TimeoutMs;
   Q.GenerateOnly = Opts.GenerateOnly;
   return runQuery(Q);
@@ -443,52 +432,31 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
   // EncodingContext's reference to Opts.
   Opts.Level = Q.Level;
   Opts.Strat = Q.Strat;
-  Opts.Pco = Q.Pco;
   Opts.TimeoutMs = Q.TimeoutMs ? Q.TimeoutMs : DefaultTimeoutMs;
 
-  if (!Shared) {
-    // One-shot: the exact pre-session predict() sequence on a fresh
-    // context — construction order determines Z3 AST ids, which seed
-    // the solver's search, so this path is bit-identical by keeping
-    // the order identical.
-    ensureSolver();
-    Timer Gen;
-    encode::EncoderPipeline::forOptions(Opts).run(*EC, Out.Stats);
-    Out.Stats.GenSeconds = Gen.seconds();
-    Out.Stats.NumLiterals = Ctx->literalCount();
-    Out.Stats.PrunedVars = EC->PrunedVars;
-    Out.Stats.PrunedLits = EC->PrunedLits;
-    if (Q.GenerateOnly) {
-      ++Queries;
-      return Out; // Bench-only: Result stays Unknown.
-    }
-    if (Opts.TimeoutMs)
-      Solver->setTimeoutMs(Opts.TimeoutMs);
-    Timer Solve;
-    Out.Result = Solver->check();
-    Out.Stats.SolveSeconds = Solve.seconds();
-    recordCheckOutcome(*Solver, Opts.TimeoutMs, Out);
-    if (Out.Result == SmtResult::Sat)
-      extract(*EC, *Solver, Out);
-    ++Queries;
-    return Out;
-  }
-
-  // Shared: base prefix below, one scope per query on top.
-  static obs::Counter &SessionQueries =
-      obs::Metrics::global().counter("session.queries");
-  static obs::Counter &BaseReuses =
-      obs::Metrics::global().counter("session.base_reuses");
+  // Base prefix first (once per session), then the per-query passes.
+  // Sessions wrap those in a push/pop scope so the next query starts
+  // from the bare base; one-shot queries assert them at root scope —
+  // push() would switch Z3 to its incremental solver, which decides
+  // fewer one-shot queries within a budget.
   bool ReusedBase = BaseDone;
   ensureBase();
-  SessionQueries.inc();
-  if (ReusedBase)
-    BaseReuses.inc();
-  obs::Span QSpan("session.query", obs::CatSession);
-  QSpan.arg("level", toString(Q.Level));
-  QSpan.arg("strategy", toString(Q.Strat));
+  std::optional<obs::Span> QSpan;
+  if (Shared) {
+    static obs::Counter &SessionQueries =
+        obs::Metrics::global().counter("session.queries");
+    static obs::Counter &BaseReuses =
+        obs::Metrics::global().counter("session.base_reuses");
+    SessionQueries.inc();
+    if (ReusedBase)
+      BaseReuses.inc();
+    QSpan.emplace("session.query", obs::CatSession);
+    QSpan->arg("level", toString(Q.Level));
+    QSpan->arg("strategy", toString(Q.Strat));
+  }
   EC->beginQuery(Q.Strat);
-  Solver->push();
+  if (Shared)
+    Solver->push();
   uint64_t Before = Ctx->literalCount();
   uint64_t PVBefore = EC->PrunedVars, PLBefore = EC->PrunedLits;
   Timer Gen;
@@ -529,7 +497,8 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
           T = SubToFull[T];
     }
   }
-  Solver->pop();
+  if (Shared)
+    Solver->pop();
   ++Queries;
   return Out;
 }

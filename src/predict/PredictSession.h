@@ -18,18 +18,16 @@
 /// the per-query passes (boundary linkage, strategy, isolation level).
 ///
 /// Compatibility contract:
-///  - `query()` returns the same `Prediction::Result` (sat/unsat) as a
-///    one-shot `predict()` with the same options: the session encoding
-///    is sat-equivalent by construction (the only difference is that
-///    strict-boundary cuts are materialized variables pinned to the
-///    boundary instead of term aliases). Models — and therefore
-///    boundary/cut positions, witnesses, and validation outcomes — may
-///    legitimately differ, because the solver's search is seeded by the
-///    incremental state.
-///  - One-shot `predict()` itself is implemented as a session in
-///    one-shot mode (session mode off, no scopes) and stays
-///    bit-identical to the pre-session encoder — the golden fixtures
-///    pin that.
+///  - `query()` and one-shot `predict()` encode the *same* constraint
+///    system: declare → feasibility → boundary-link → strategy →
+///    isolation, with identical literal counts per pass. Only the solver
+///    scope differs: a session query asserts its passes inside a
+///    push/pop scope, while predict() (and a portfolio lane's
+///    solveLane()) asserts everything at root scope. Z3 switches to its
+///    incremental solver once push() is called, so models — and
+///    therefore boundary/cut positions, witnesses, and validation
+///    outcomes — may legitimately differ between the two, and so may
+///    which queries a tight budget decides; sat/unsat never does.
 ///
 /// Lifecycle:
 ///
@@ -68,8 +66,6 @@ public:
     unsigned TimeoutMs = 0;
     /// Ablation knob: include anti-dependency (rw) edges in pco.
     bool EnableRw = true;
-    /// Derivation-depth bound for PcoEncoding::Layered queries.
-    unsigned PcoDepth = 3;
     /// Formula minimization (PredictOptions::PruneFormula). Session-
     /// wide because the relevance plan shapes the shared declare +
     /// feasibility prefix: it is computed once per session (it depends
@@ -119,7 +115,6 @@ public:
   struct QueryOptions {
     IsolationLevel Level = IsolationLevel::Causal;
     Strategy Strat = Strategy::ApproxRelaxed;
-    PcoEncoding Pco = PcoEncoding::Rank;
     /// Per-query solver timeout (ms); 0 = the session default.
     unsigned TimeoutMs = 0;
     /// Bench-only: assert the per-query passes but skip the solver
@@ -205,30 +200,24 @@ public:
 
   const History &observed() const { return H; }
 
-  /// One-shot compatibility path: runs the full pipeline on a fresh
-  /// context with session mode off — bit-identical to the pre-session
-  /// predict(), which is now a thin wrapper over this.
-  static Prediction oneShot(const History &Observed,
-                            const PredictOptions &Opts);
-
   //===--------------------------------------------------------------------===
   // Portfolio lanes (src/portfolio/)
   //===--------------------------------------------------------------------===
   //
   // A lane is a caller-owned one-shot session: construction is cheap (no
-  // Z3 state until solveLane), solveLane() runs the exact oneShot()
-  // pipeline — so a lane with the query's own options is bit-identical
-  // to single-lane mode — and interrupt() may cancel the solve from
-  // another thread. Unlike oneShot(), a lane does NOT copy the history:
-  // the caller's History must outlive the lane (all lanes of one race
-  // share one read-only observed history).
+  // Z3 state until solveLane), solveLane() runs the root-scope query
+  // predict() runs — predict() is a lane nobody races, so a lane with the
+  // query's own options is bit-identical to single-lane mode — and
+  // interrupt() may cancel the solve from another thread. A lane does
+  // NOT copy the history: the caller's History must outlive the lane
+  // (all lanes of one race share one read-only observed history).
 
   /// Creates a lane for \p Observed with the given effective options
   /// (including PredictOptions::SolverParams presets).
   static std::unique_ptr<PredictSession> makeLane(const History &Observed,
                                                   const PredictOptions &Opts);
 
-  /// Runs the one-shot pipeline with the options given to makeLane().
+  /// Runs the one root-scope query with the options given to makeLane().
   /// Generation always runs to completion even when interrupted (the
   /// literal count stays deterministic); only the solver check is
   /// skipped or canceled. Call at most once, from the lane's own thread.
@@ -269,20 +258,24 @@ private:
   /// timeout currently installed on the solver.
   void applyTimeout(unsigned TimeoutMs);
 
-  /// The common query path; \p Shared decides scoped vs one-shot.
+  /// The one query path. \p Shared only decides the solver scope and the
+  /// telemetry: the encoding is the same either way.
   Prediction runQuery(const QueryOptions &Q);
 
   /// Shared sessions own a copy of the observed history (the session
   /// outlives the structures campaigns build histories in); streaming
   /// extends append to it in place (see extend()'s aliasing rule). The
   /// one-shot path leaves this empty and references the caller's
-  /// history directly — it never outlives the predict() call, so the
-  /// pre-session no-copy behaviour is preserved.
+  /// history directly — it never outlives the predict() call.
   History OwnedH;
   const History &H;
   /// Effective options handed to the encoding passes; the query-varying
-  /// fields (Level/Strat/Pco/TimeoutMs) are rewritten per query.
+  /// fields (Level/Strat/TimeoutMs) are rewritten per query.
   PredictOptions Opts;
+  /// True for sessions answering query(): each query runs inside a
+  /// push/pop scope and is counted under session.* metrics and spans.
+  /// False for one-shot lanes (predict(), portfolio), which assert the
+  /// same passes at root scope and emit no session.* telemetry.
   const bool Shared;
   const bool Streaming;
   const unsigned Window;

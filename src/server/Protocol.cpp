@@ -181,7 +181,9 @@ bool server::parseQueryOptions(const JsonValue &Obj, JobSpec &S,
     std::optional<PcoEncoding> Pco = pcoEncodingFromString(P->Text);
     if (!Pco) {
       if (Error)
-        *Error = "unknown pco encoding '" + P->Text + "'";
+        *Error = "unknown pco encoding '" + P->Text +
+                 "' (field \"pco\"; accepted: " + pcoEncodingValidNames() +
+                 ")";
       return false;
     }
     S.Pco = *Pco;

@@ -16,6 +16,8 @@
 #include "TestUtil.h"
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 using namespace isopredict;
 using namespace isopredict::testutil;
 
@@ -47,15 +49,13 @@ TEST(Encode, ClosureBySquaringMatchesNaiveClosure) {
 
       SmtContext Ctx;
       SmtSolver Solver(Ctx);
-      encode::AssertionBuffer Asserts(Solver);
       encode::PairMatrix Base(N, std::vector<SmtExpr>(N));
       for (size_t A = 0; A < N; ++A)
         for (size_t B = 0; B < N; ++B)
           if (A != B)
             Base[A][B] = Ctx.boolVal(R.test(A, B));
       encode::PairMatrix Closed =
-          encode::defineClosure(Ctx, Asserts, Base, "t");
-      Asserts.flush();
+          encode::defineClosure(Ctx, Solver, Base, "t");
 
       BitRel Expect = R;
       // Warshall produces reflexive pairs only on cycles; the squaring
@@ -140,11 +140,14 @@ TEST(Encode, PassLiteralsSumToTotal) {
       O.GenerateOnly = true;
       Prediction P = predict(H, O);
 
-      ASSERT_EQ(P.Stats.Passes.size(), 4u) << toString(S);
+      ASSERT_EQ(P.Stats.Passes.size(), 5u) << toString(S);
       EXPECT_EQ(P.Stats.Passes[0].Name, "declare");
       EXPECT_EQ(P.Stats.Passes[0].Literals, 0u)
           << "declaration asserts nothing";
       EXPECT_EQ(P.Stats.Passes[1].Name, "feasibility");
+      EXPECT_EQ(P.Stats.Passes[2].Name, "boundary-link");
+      EXPECT_GT(P.Stats.Passes[2].Literals, 0u)
+          << "the cut is linked to the boundary under every strategy";
 
       uint64_t Sum = 0;
       for (const PassStats &PS : P.Stats.Passes) {
@@ -161,39 +164,21 @@ TEST(Encode, PipelineSelectsPassesFromOptions) {
                           Strategy::ApproxStrict);
   O.GenerateOnly = true;
   Prediction P = predict(crossReadObserved(), O);
-  ASSERT_EQ(P.Stats.Passes.size(), 4u);
-  EXPECT_EQ(P.Stats.Passes[2].Name, "approx-rank");
-  EXPECT_EQ(P.Stats.Passes[3].Name, "read-committed");
-
-  O.Pco = PcoEncoding::Layered;
-  P = predict(crossReadObserved(), O);
-  ASSERT_EQ(P.Stats.Passes.size(), 4u);
-  EXPECT_EQ(P.Stats.Passes[2].Name, "approx-layered");
+  // The one-shot pipeline is the session one: declare → feasibility →
+  // boundary-link → strategy → isolation.
+  const char *Expect[] = {"declare", "feasibility", "boundary-link",
+                          "approx-rank", "read-committed"};
+  ASSERT_EQ(P.Stats.Passes.size(), std::size(Expect));
+  for (size_t I = 0; I < std::size(Expect); ++I)
+    EXPECT_EQ(P.Stats.Passes[I].Name, Expect[I]) << I;
 
   O.Strat = Strategy::ExactStrict;
   O.Level = IsolationLevel::Causal;
   P = predict(crossReadObserved(), O);
-  ASSERT_EQ(P.Stats.Passes.size(), 4u);
-  EXPECT_EQ(P.Stats.Passes[2].Name, "exact-strict");
-  EXPECT_EQ(P.Stats.Passes[3].Name, "causal");
-}
-
-//===----------------------------------------------------------------------===
-// Batched assertion (the ablation knob)
-//===----------------------------------------------------------------------===
-
-TEST(Encode, BatchedAssertsKeepLiteralsAndVerdict) {
-  for (int HistIdx = 0; HistIdx < 3; ++HistIdx) {
-    History H = HistIdx == 0   ? depositObserved()
-                : HistIdx == 1 ? crossReadObserved()
-                               : selfJustifyTrap();
-    PredictOptions O = opts(IsolationLevel::Causal, Strategy::ApproxStrict);
-    Prediction Plain = predict(H, O);
-    O.BatchAsserts = true;
-    Prediction Batched = predict(H, O);
-    EXPECT_EQ(Plain.Result, Batched.Result);
-    EXPECT_EQ(Plain.Stats.NumLiterals, Batched.Stats.NumLiterals);
-  }
+  ASSERT_EQ(P.Stats.Passes.size(), 5u);
+  EXPECT_EQ(P.Stats.Passes[2].Name, "boundary-link");
+  EXPECT_EQ(P.Stats.Passes[3].Name, "exact-strict");
+  EXPECT_EQ(P.Stats.Passes[4].Name, "causal");
 }
 
 TEST(Encode, AddAllAccountsLiteralsLikeAdd) {
@@ -491,8 +476,8 @@ TEST(Prune, PrunedEncodingShrinksAndCounts) {
 }
 
 TEST(Prune, PrunedVerdictsMatchOnHandBuiltHistories) {
-  // Every canned history, every strategy/level, both pco encodings:
-  // the pruned encoding must agree with the default on sat/unsat.
+  // Every canned history, every strategy/level: the pruned encoding
+  // must agree with the default on sat/unsat.
   for (int HistIdx = 0; HistIdx < 5; ++HistIdx) {
     History H = HistIdx == 0   ? depositObserved()
                 : HistIdx == 1 ? depositUnserializable()
@@ -503,20 +488,15 @@ TEST(Prune, PrunedVerdictsMatchOnHandBuiltHistories) {
                        Strategy::ApproxRelaxed})
       for (IsolationLevel L :
            {IsolationLevel::Causal, IsolationLevel::ReadAtomic,
-            IsolationLevel::ReadCommitted})
-        for (PcoEncoding Pco : {PcoEncoding::Rank, PcoEncoding::Layered}) {
-          if (S == Strategy::ExactStrict && Pco == PcoEncoding::Layered)
-            continue; // Exact ignores the pco encoding.
-          SCOPED_TRACE(formatString("hist=%d %s %s %s", HistIdx,
-                                    toString(S), toString(L),
-                                    toString(Pco)));
-          PredictOptions O = opts(L, S);
-          O.Pco = Pco;
-          Prediction Plain = predict(H, O);
-          O.PruneFormula = true;
-          Prediction Pruned = predict(H, O);
-          EXPECT_EQ(Plain.Result, Pruned.Result);
-        }
+            IsolationLevel::ReadCommitted}) {
+        SCOPED_TRACE(formatString("hist=%d %s %s", HistIdx, toString(S),
+                                  toString(L)));
+        PredictOptions O = opts(L, S);
+        Prediction Plain = predict(H, O);
+        O.PruneFormula = true;
+        Prediction Pruned = predict(H, O);
+        EXPECT_EQ(Plain.Result, Pruned.Result);
+      }
   }
 }
 

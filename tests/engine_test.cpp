@@ -242,9 +242,6 @@ TEST(Campaign, SpecHashIsStableAndDiscriminating) {
   B.Strat = Strategy::ExactStrict;
   EXPECT_NE(specHash(A), specHash(B));
   B = A;
-  B.Pco = PcoEncoding::Layered;
-  EXPECT_NE(specHash(A), specHash(B));
-  B = A;
   B.StoreSeed = 7;
   EXPECT_NE(specHash(A), specHash(B));
   // Pruned and unpruned runs have different default-report bytes
@@ -253,6 +250,49 @@ TEST(Campaign, SpecHashIsStableAndDiscriminating) {
   B = A;
   B.Prune = true;
   EXPECT_NE(specHash(A), specHash(B));
+}
+
+// Campaign files and report entries name the pco encoding; the removed
+// "layered" spelling must be rejected with an error that names the field
+// and the accepted spelling, not silently mapped to rank.
+TEST(JobIo, OnlyRankPcoIsAccepted) {
+  JobSpec S;
+  S.Kind = JobKind::Predict;
+  S.App = "smallbank";
+  S.Cfg = WorkloadConfig::small(1);
+  JobResult R;
+  R.Spec = S;
+  R.Ok = true;
+  R.Outcome = SmtResult::Unsat;
+  JsonWriter J;
+  J.openObject();
+  writeJobFields(J, R, ReportOptions{});
+  J.closeObject();
+  std::string Json = J.take();
+
+  std::string Error;
+  std::optional<JsonValue> Doc = parseJson(Json, &Error);
+  ASSERT_TRUE(Doc.has_value()) << Error;
+  ASSERT_TRUE(jobSpecFromJson(*Doc, &Error).has_value()) << Error;
+  ASSERT_TRUE(jobResultFromJson(*Doc, &Error).has_value()) << Error;
+
+  const std::string Rank = "\"pco\": \"rank\"";
+  size_t Pos = Json.find(Rank);
+  ASSERT_NE(Pos, std::string::npos) << Json;
+  Json.replace(Pos, Rank.size(), "\"pco\": \"layered\"");
+  Doc = parseJson(Json, &Error);
+  ASSERT_TRUE(Doc.has_value()) << Error;
+  for (bool AsReport : {false, true}) {
+    Error.clear();
+    bool Parsed = AsReport ? jobResultFromJson(*Doc, &Error).has_value()
+                           : jobSpecFromJson(*Doc, &Error).has_value();
+    EXPECT_FALSE(Parsed);
+    EXPECT_NE(Error.find("unknown pco 'layered'"), std::string::npos)
+        << Error;
+    EXPECT_NE(Error.find("(field \"pco\"; accepted: rank)"),
+              std::string::npos)
+        << Error;
+  }
 }
 
 TEST(Report, EmitsSpecHashPerJob) {
@@ -321,9 +361,8 @@ TEST(Campaign, GoldenSpecHashes) {
 
   JobSpec Exact = Predict;
   Exact.Strat = Strategy::ExactStrict;
-  Exact.Pco = PcoEncoding::Layered;
   Exact.Validate = false;
-  EXPECT_EQ(hash(Exact), "38cbec66d1c1f95e");
+  EXPECT_EQ(hash(Exact), "387af10b618097f0");
 
   JobSpec Observe;
   Observe.Kind = JobKind::Observe;

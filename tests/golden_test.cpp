@@ -1,9 +1,10 @@
 //===- golden_test.cpp - Golden-equivalence fixtures for predict() -------===//
 //
 // Pins predict()'s observable behaviour — Result, BoundaryPos, CutPos,
-// and the witness cycle — on the seed workloads to fixtures generated
-// from the pre-refactor monolithic Encoder. The layered src/encode/
-// pipeline must reproduce every field bit-for-bit.
+// and the witness cycle — on the seed workloads. The verdicts are the
+// contract: every Sat model must also replay-validate. Boundary, cut,
+// and witness pin the current encoding's models, so an encoding change
+// that moves them regenerates the fixtures (Result must not move).
 //
 // The fixture grid only contains configurations whose solver time is far
 // below the 300 s timeout, so outcomes are machine-independent.
@@ -80,6 +81,22 @@ std::string joinTxns(const std::vector<TxnId> &Ts) {
     Out += formatString("%u", Ts[I]);
   }
   return Out;
+}
+
+/// A non-diverged validating execution follows the predicted reads
+/// exactly and is therefore unserializable, so a "serializable" verdict
+/// without divergence would expose an unsound encoding.
+void expectReplayValidates(const std::string &App, uint64_t Seed,
+                           const Prediction &P, IsolationLevel Level) {
+  History H = observedHistory(App, Seed);
+  auto Replay = makeApplication(App);
+  ValidationResult V = validatePrediction(*Replay, WorkloadConfig::small(Seed),
+                                          H, P, Level, GoldenTimeoutMs);
+  EXPECT_TRUE(V.St == ValidationResult::Status::ValidatedUnserializable ||
+              V.Diverged)
+      << "non-diverged replay of a Sat prediction was serializable "
+         "(validation: "
+      << toString(V.St) << ")";
 }
 
 Prediction runCase(const char *App, IsolationLevel Level, Strategy Strat,
@@ -181,6 +198,38 @@ TEST_P(Golden, PredictionMatchesFixture) {
   EXPECT_EQ(joinPositions(P.BoundaryPos), C.Boundary);
   EXPECT_EQ(joinPositions(P.CutPos), C.Cut);
   EXPECT_EQ(joinTxns(P.Witness), C.Witness);
+  if (P.Result == SmtResult::Sat)
+    expectReplayValidates(C.App, C.Seed, P, C.Level);
+}
+
+// One encoding per query: predict() and a fresh session's first query()
+// build the same constraint system — same passes, same literals per
+// pass — and differ only in solver scope (root vs push/pop).
+TEST_P(Golden, OneShotEncodingMatchesFirstSessionQuery) {
+  const GoldenCase &C = GoldenCases[GetParam()];
+  History H = observedHistory(C.App, C.Seed);
+  PredictOptions Opts;
+  Opts.Level = C.Level;
+  Opts.Strat = C.Strat;
+  Opts.GenerateOnly = true;
+  Prediction OneShot = predict(H, Opts);
+
+  PredictSession Session(H);
+  PredictSession::QueryOptions Q;
+  Q.Level = C.Level;
+  Q.Strat = C.Strat;
+  Q.GenerateOnly = true;
+  Prediction First = Session.query(Q);
+
+  EXPECT_EQ(OneShot.Stats.NumLiterals, First.Stats.NumLiterals);
+  EXPECT_EQ(OneShot.Stats.BasePrefixReused, First.Stats.BasePrefixReused);
+  ASSERT_EQ(OneShot.Stats.Passes.size(), First.Stats.Passes.size());
+  for (size_t I = 0; I < OneShot.Stats.Passes.size(); ++I) {
+    EXPECT_EQ(OneShot.Stats.Passes[I].Name, First.Stats.Passes[I].Name);
+    EXPECT_EQ(OneShot.Stats.Passes[I].Literals,
+              First.Stats.Passes[I].Literals)
+        << OneShot.Stats.Passes[I].Name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -198,15 +247,12 @@ INSTANTIATE_TEST_SUITE_P(
       return Name;
     });
 
-// Session-mode sweep over the same fixture grid: one PredictSession per
+// Session sweep over the same fixture grid: one PredictSession per
 // observed history answers every (level × strategy) fixture on it.
-// Incremental solving legitimately produces different *models* than the
-// one-shot path (the base prefix seeds the search differently), so only
-// Result is pinned against the fixtures — and every Sat prediction must
-// still replay-validate: a non-diverged validating execution follows
-// the predicted reads exactly and is therefore unserializable, so a
-// "serializable" verdict without divergence would expose an unsound
-// session encoding.
+// Incremental solving (push/pop scopes) legitimately produces different
+// *models* than the root-scope one-shot path, so only Result is pinned
+// against the fixtures — and every Sat prediction must still
+// replay-validate.
 TEST(SessionEquivalence, ResultsMatchFixturesAcrossSharedSessions) {
   // Group fixtures by observed history, preserving fixture order.
   std::vector<std::pair<std::pair<std::string, uint64_t>,
@@ -249,18 +295,8 @@ TEST(SessionEquivalence, ResultsMatchFixturesAcrossSharedSessions) {
         EXPECT_GT(Session.baseLiterals(), 0u);
       }
 
-      if (P.Result == SmtResult::Sat) {
-        auto Replay = makeApplication(App);
-        ValidationResult V =
-            validatePrediction(*Replay, WorkloadConfig::small(Seed), H, P,
-                               C->Level, GoldenTimeoutMs);
-        EXPECT_TRUE(V.St ==
-                        ValidationResult::Status::ValidatedUnserializable ||
-                    V.Diverged)
-            << "non-diverged replay of a session prediction was "
-               "serializable (validation: "
-            << toString(V.St) << ")";
-      }
+      if (P.Result == SmtResult::Sat)
+        expectReplayValidates(App, Seed, P, C->Level);
     }
     EXPECT_EQ(Session.numQueries(), Cases.size());
   }

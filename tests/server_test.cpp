@@ -138,6 +138,30 @@ TEST(Protocol, LenientSpecFormFillsDefaults) {
   EXPECT_NE(Error.find("dirty"), std::string::npos);
 }
 
+TEST(Protocol, OnlyRankPcoIsAccepted) {
+  // "rank" is the only pco encoding; the removed "layered" one bounces
+  // with an error naming the field and the accepted spelling.
+  std::string Error;
+  std::optional<JsonValue> Obj =
+      parseJson(R"({"app": "voter", "pco": "layered"})", &Error);
+  ASSERT_TRUE(Obj.has_value());
+  EXPECT_FALSE(parseQuerySpec(*Obj, &Error).has_value());
+  EXPECT_NE(Error.find("'layered'"), std::string::npos) << Error;
+  EXPECT_NE(Error.find("\"pco\""), std::string::npos) << Error;
+  EXPECT_NE(Error.find("accepted: rank"), std::string::npos) << Error;
+
+  // The query-options form (history queries) shares the check.
+  JobSpec S;
+  EXPECT_FALSE(parseQueryOptions(*Obj, S, &Error));
+  EXPECT_NE(Error.find("accepted: rank"), std::string::npos) << Error;
+
+  Obj = parseJson(R"({"app": "voter", "pco": "rank"})", &Error);
+  ASSERT_TRUE(Obj.has_value());
+  std::optional<JobSpec> Ok = parseQuerySpec(*Obj, &Error);
+  ASSERT_TRUE(Ok.has_value()) << Error;
+  EXPECT_EQ(Ok->Pco, PcoEncoding::Rank);
+}
+
 TEST(Protocol, StrictSpecFormRoundTripsThroughJobIo) {
   JobSpec S;
   S.Kind = engine::JobKind::Predict;
