@@ -69,8 +69,8 @@ uint64_t isopredict::cache::shareGroupHash(const Campaign &C,
 }
 
 bool isopredict::cache::cacheable(const JobResult &R) {
-  if (!R.Ok)
-    return false;
+  if (!R.Ok || R.Canceled)
+    return false; // Failed, or cut short by an interrupt: not the spec's.
   const JobSpec &S = R.Spec;
   if (S.Kind == JobKind::Predict) {
     if (R.Outcome == SmtResult::Unknown)

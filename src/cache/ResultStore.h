@@ -45,8 +45,8 @@
 namespace isopredict {
 namespace cache {
 
-/// True when \p R is safe to persist: the job ran, and no outcome
-/// smells of a solver timeout. Unknown outcomes are *not* pure
+/// True when \p R is safe to persist: the job ran uninterrupted, and no
+/// outcome smells of a solver timeout. Unknown outcomes are *not* pure
 /// functions of the spec — a faster machine (or a luckier run) may
 /// decide them — so caching them would freeze transient weakness into
 /// every future run.

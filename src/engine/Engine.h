@@ -5,21 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes a Campaign on a fixed-size worker pool. Workers pull *group*
-/// indices from a shared atomic cursor (without ShareEncodings every job
-/// is its own group, so the queue degenerates to the campaign's job
-/// vector) and run each group end to end with private state: every job
-/// builds its own DataStore, applications, and — inside
-/// predict()/checkSerializableSmt() — its own Z3 SmtContext; with
-/// ShareEncodings, Predict jobs on the same observed execution share
-/// one PredictSession (and its Z3 context) but nothing crosses a group
-/// boundary. The only shared write is each worker storing results into
-/// its jobs' pre-allocated slots, so reports are ordered by campaign
-/// position and byte-identical regardless of worker count.
+/// Executes a Campaign on a fixed-size worker pool. Scheduling groups
+/// (planGroups; without ShareEncodings every job is its own group) are
+/// submitted to a TaskPool and run FIFO, each end to end with private
+/// state: every job builds its own DataStore, applications, and —
+/// inside predict()/checkSerializableSmt() — its own Z3 SmtContext;
+/// with ShareEncodings, Predict jobs on the same observed execution
+/// share one PredictSession (and its Z3 context) but nothing crosses a
+/// group boundary. The only shared write is each worker storing results
+/// into its jobs' pre-allocated slots, so reports are ordered by
+/// campaign position and byte-identical regardless of worker count.
 ///
-/// runJob() is also the single place the observe → predict → validate
-/// pipeline of Figure 4 is spelled out; the bench harnesses and CLIs
-/// are thin wrappers that build campaigns and format reports.
+/// Each group is answered by the Executor (engine/Executor.h), the one
+/// place the observe → predict → validate pipeline of Figure 4 and its
+/// cache and session steps are spelled out — the server answers its
+/// queries through the same class.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +43,7 @@ struct EngineOptions {
   /// observed execution (same App, workload Cfg, StoreSeed): each such
   /// group runs through one PredictSession, which encodes the
   /// declare+feasibility prefix once and answers every (level ×
-  /// strategy × pco) query in a solver scope. Groups become the
+  /// strategy) query in a solver scope. Groups become the
   /// scheduling unit — jobs within a group run sequentially in
   /// campaign order — so reports stay deterministic across worker
   /// counts. Outcomes (sat/unsat) match the share-nothing mode;

@@ -54,6 +54,34 @@ void isopredict::engine::writeJobSpecFields(JsonWriter &J, const JobSpec &S) {
   }
 }
 
+namespace {
+
+/// The pco-cycle witness of a Sat answer.
+void writeWitness(JsonWriter &J, const JobResult &R) {
+  if (R.Outcome != SmtResult::Sat)
+    return;
+  J.openArray("witness");
+  for (TxnId T : R.Witness)
+    J.numElement(T);
+  J.closeArray();
+}
+
+/// Z3 search statistics of one query or lane; absent when it never
+/// reached the solver.
+void writeSolverStats(JsonWriter &J, const SolverStatistics &S) {
+  if (!S.Collected)
+    return;
+  J.openObjectIn("solver_stats");
+  J.num("conflicts", S.Conflicts);
+  J.num("decisions", S.Decisions);
+  J.num("restarts", S.Restarts);
+  J.num("propagations", S.Propagations);
+  J.num("max_memory_mb", S.MaxMemoryMb);
+  J.closeObject();
+}
+
+} // namespace
+
 void isopredict::engine::writeJobFields(JsonWriter &J, const JobResult &R,
                                         const ReportOptions &Opts) {
   const JobSpec &S = R.Spec;
@@ -81,10 +109,11 @@ void isopredict::engine::writeJobFields(JsonWriter &J, const JobResult &R,
     // so cold/warm byte-identity is unaffected.
     if (R.TimedOut)
       J.boolean("timeout", true);
-    // Unknown-because-interrupted marker (SmtSolver::interrupt), kept
-    // distinct from "timeout" with the same gating rationale. Engine
-    // job results never set it — an interrupted portfolio lane is not
-    // the job's answer — so default report bytes are unaffected.
+    // Unknown-because-interrupted marker (SmtSolver::interruptAll on
+    // SIGINT or a server drain), kept distinct from "timeout" with the
+    // same gating rationale. Only interrupted runs set it (a losing
+    // portfolio lane's interrupt is not the job's answer), so default
+    // report bytes of completed runs are unaffected.
     if (R.Canceled)
       J.boolean("canceled", true);
     J.num("literals", R.Stats.NumLiterals);
@@ -95,12 +124,7 @@ void isopredict::engine::writeJobFields(JsonWriter &J, const JobResult &R,
     // share-nothing reports carry no trace of the sharing feature.
     if (R.Stats.BasePrefixReused)
       J.boolean("base_prefix_reused", true);
-    if (R.Outcome == SmtResult::Sat) {
-      J.openArray("witness");
-      for (TxnId T : R.Witness)
-        J.numElement(T);
-      J.closeArray();
-    }
+    writeWitness(J, R);
     if (S.Validate) {
       J.str("validation", toString(R.ValStatus));
       J.boolean("diverged", R.Diverged);
@@ -113,12 +137,7 @@ void isopredict::engine::writeJobFields(JsonWriter &J, const JobResult &R,
     J.str("result", toString(R.Outcome));
     if (R.TimedOut)
       J.boolean("timeout", true);
-    if (R.Outcome == SmtResult::Sat) {
-      J.openArray("witness");
-      for (TxnId T : R.Witness)
-        J.numElement(T);
-      J.closeArray();
-    }
+    writeWitness(J, R);
     // Per-step outcomes, in feed order. Outcome fields are default
     // bytes; literals and seconds are timings-gated because they
     // depend on the execution mode (extend vs from-scratch baseline),
@@ -163,18 +182,10 @@ void isopredict::engine::writeJobFields(JsonWriter &J, const JobResult &R,
     if (S.Kind == JobKind::Predict || S.Kind == JobKind::Stream) {
       J.num("gen_seconds", R.Stats.GenSeconds);
       J.num("solve_seconds", R.Stats.SolveSeconds);
-      // Z3 search statistics for this query (SmtSolver::statistics());
-      // absent when the query never reached the solver. Run-dependent
-      // magnitudes, so timings-gated like the seconds fields.
-      if (R.SolverStats.Collected) {
-        J.openObjectIn("solver_stats");
-        J.num("conflicts", R.SolverStats.Conflicts);
-        J.num("decisions", R.SolverStats.Decisions);
-        J.num("restarts", R.SolverStats.Restarts);
-        J.num("propagations", R.SolverStats.Propagations);
-        J.num("max_memory_mb", R.SolverStats.MaxMemoryMb);
-        J.closeObject();
-      }
+      // Z3 search statistics for this query (SmtSolver::statistics()).
+      // Run-dependent magnitudes, so timings-gated like the seconds
+      // fields.
+      writeSolverStats(J, R.SolverStats);
       // Pruning attribution (--prune jobs only; deterministic, but
       // timing-gated so default report bytes keep their shape, and
       // emitted only when present so unpruned --timings reports do
@@ -226,15 +237,7 @@ void isopredict::engine::writeJobFields(JsonWriter &J, const JobResult &R,
           J.num("gen_seconds", L.GenSeconds);
           J.num("solve_seconds", L.SolveSeconds);
           J.num("seconds", L.Seconds);
-          if (L.Stats.Collected) {
-            J.openObjectIn("solver_stats");
-            J.num("conflicts", L.Stats.Conflicts);
-            J.num("decisions", L.Stats.Decisions);
-            J.num("restarts", L.Stats.Restarts);
-            J.num("propagations", L.Stats.Propagations);
-            J.num("max_memory_mb", L.Stats.MaxMemoryMb);
-            J.closeObject();
-          }
+          writeSolverStats(J, L.Stats);
           J.closeObject();
         }
         J.closeArray();
@@ -315,6 +318,69 @@ double optDouble(const JsonValue &Obj, const char *Key) {
   return std::strtod(F->Text.c_str(), nullptr);
 }
 
+/// Optional string field (names); empty when absent.
+std::string optStr(const JsonValue &Obj, const char *Key) {
+  const JsonValue *F = Obj.field(Key);
+  return F && F->K == JsonValue::Kind::String ? F->Text : std::string();
+}
+
+/// Optional flag; false when absent.
+bool optBool(const JsonValue &Obj, const char *Key) {
+  const JsonValue *F = Obj.field(Key);
+  return F && F->K == JsonValue::Kind::Bool && F->B;
+}
+
+/// Optional counter field; 0 when absent.
+uint64_t optU64(const JsonValue &Obj, const char *Key) {
+  const JsonValue *F = Obj.field(Key);
+  if (!F || F->K != JsonValue::Kind::Number)
+    return 0;
+  return std::strtoull(F->Text.c_str(), nullptr, 10);
+}
+
+/// The "solver_stats" object of \p Obj, when present.
+void readSolverStats(const JsonValue &Obj, SolverStatistics &S) {
+  const JsonValue *Stats = Obj.field("solver_stats");
+  if (!Stats || Stats->K != JsonValue::Kind::Object)
+    return;
+  S.Conflicts = optU64(*Stats, "conflicts");
+  S.Decisions = optU64(*Stats, "decisions");
+  S.Restarts = optU64(*Stats, "restarts");
+  S.Propagations = optU64(*Stats, "propagations");
+  S.MaxMemoryMb = optDouble(*Stats, "max_memory_mb");
+  S.Collected = true;
+}
+
+/// The answer fields Predict and Stream entries share: result, the
+/// timeout/canceled markers, and a Sat answer's witness. Witness ids
+/// land in default-report bytes, so a damaged array must reject the
+/// whole entry (a cache miss), never be served as zeros or wrapped
+/// negatives.
+bool readAnswer(const JsonValue &Obj, JobResult &R, std::string *Error) {
+  std::optional<std::string> Result = wantStr(Obj, "result", Error);
+  if (!Result)
+    return false;
+  std::optional<SmtResult> Outcome = smtResultFromString(*Result);
+  if (!Outcome)
+    return setError(Error, "job entry: unknown result '" + *Result + "'");
+  R.Outcome = *Outcome;
+  R.TimedOut = optBool(Obj, "timeout");
+  R.Canceled = optBool(Obj, "canceled");
+  if (R.Outcome != SmtResult::Sat)
+    return true;
+  const JsonValue *W = want(Obj, "witness", JsonValue::Kind::Array, Error);
+  if (!W)
+    return false;
+  for (const JsonValue &T : W->Items) {
+    std::optional<int64_t> Id =
+        T.K == JsonValue::Kind::Number ? parseInt(T.Text) : std::nullopt;
+    if (!Id || *Id < 0)
+      return setError(Error, "job entry: ill-typed witness element");
+    R.Witness.push_back(static_cast<TxnId>(*Id));
+  }
+  return true;
+}
+
 } // namespace
 
 std::optional<JobSpec>
@@ -385,8 +451,7 @@ isopredict::engine::jobSpecFromJson(const JsonValue &Obj, std::string *Error) {
   // Added with the prune field (tool version 5); absent in older
   // entries, whose default-false reconstruction then fails the hash
   // re-derivation below — exactly the stale-entry rejection we want.
-  if (const JsonValue *Prune = Obj.field("prune"))
-    S.Prune = Prune->K == JsonValue::Kind::Bool && Prune->B;
+  S.Prune = optBool(Obj, "prune");
   // Stream entries always carry their window/chunk (they are part of
   // the canonical spec for this kind); other kinds never do.
   if (S.Kind == JobKind::Stream) {
@@ -451,44 +516,15 @@ isopredict::engine::jobResultFromJson(const JsonValue &Obj,
   R.ReadOnlyTxns = static_cast<unsigned>(*ReadOnly);
   R.AbortedTxns = static_cast<unsigned>(*Aborted);
 
+  if ((S.Kind == JobKind::Predict || S.Kind == JobKind::Stream) &&
+      !readAnswer(Obj, R, Error))
+    return std::nullopt;
   if (S.Kind == JobKind::Predict) {
-    std::optional<std::string> Result = wantStr(Obj, "result", Error);
     std::optional<uint64_t> Literals = wantU64(Obj, "literals", Error);
-    if (!Result || !Literals)
+    if (!Literals)
       return std::nullopt;
-    std::optional<SmtResult> Outcome = smtResultFromString(*Result);
-    if (!Outcome) {
-      setError(Error, "job entry: unknown result '" + *Result + "'");
-      return std::nullopt;
-    }
-    R.Outcome = *Outcome;
     R.Stats.NumLiterals = *Literals;
-    if (const JsonValue *TO = Obj.field("timeout"))
-      R.TimedOut = TO->K == JsonValue::Kind::Bool && TO->B;
-    if (const JsonValue *Can = Obj.field("canceled"))
-      R.Canceled = Can->K == JsonValue::Kind::Bool && Can->B;
-    if (const JsonValue *Reused = Obj.field("base_prefix_reused"))
-      R.Stats.BasePrefixReused =
-          Reused->K == JsonValue::Kind::Bool && Reused->B;
-    if (R.Outcome == SmtResult::Sat) {
-      const JsonValue *Witness =
-          want(Obj, "witness", JsonValue::Kind::Array, Error);
-      if (!Witness)
-        return std::nullopt;
-      for (const JsonValue &T : Witness->Items) {
-        // Witness ids land in default-report bytes, so a damaged
-        // array must reject the whole entry (a cache miss), never be
-        // served as zeros or wrapped negatives.
-        std::optional<int64_t> Id = T.K == JsonValue::Kind::Number
-                                        ? parseInt(T.Text)
-                                        : std::nullopt;
-        if (!Id || *Id < 0) {
-          setError(Error, "job entry: ill-typed witness element");
-          return std::nullopt;
-        }
-        R.Witness.push_back(static_cast<TxnId>(*Id));
-      }
-    }
+    R.Stats.BasePrefixReused = optBool(Obj, "base_prefix_reused");
     if (S.Validate) {
       std::optional<std::string> Val = wantStr(Obj, "validation", Error);
       std::optional<bool> Diverged = wantBool(Obj, "diverged", Error);
@@ -506,33 +542,6 @@ isopredict::engine::jobResultFromJson(const JsonValue &Obj,
   }
 
   if (S.Kind == JobKind::Stream) {
-    std::optional<std::string> Result = wantStr(Obj, "result", Error);
-    if (!Result)
-      return std::nullopt;
-    std::optional<SmtResult> Outcome = smtResultFromString(*Result);
-    if (!Outcome) {
-      setError(Error, "job entry: unknown result '" + *Result + "'");
-      return std::nullopt;
-    }
-    R.Outcome = *Outcome;
-    if (const JsonValue *TO = Obj.field("timeout"))
-      R.TimedOut = TO->K == JsonValue::Kind::Bool && TO->B;
-    if (R.Outcome == SmtResult::Sat) {
-      const JsonValue *Witness =
-          want(Obj, "witness", JsonValue::Kind::Array, Error);
-      if (!Witness)
-        return std::nullopt;
-      for (const JsonValue &T : Witness->Items) {
-        std::optional<int64_t> Id = T.K == JsonValue::Kind::Number
-                                        ? parseInt(T.Text)
-                                        : std::nullopt;
-        if (!Id || *Id < 0) {
-          setError(Error, "job entry: ill-typed witness element");
-          return std::nullopt;
-        }
-        R.Witness.push_back(static_cast<TxnId>(*Id));
-      }
-    }
     const JsonValue *Steps = want(Obj, "steps", JsonValue::Kind::Array, Error);
     if (!Steps)
       return std::nullopt;
@@ -555,15 +564,9 @@ isopredict::engine::jobResultFromJson(const JsonValue &Obj,
       St.Txns = static_cast<unsigned>(*Txns);
       St.WindowTxns = static_cast<unsigned>(*WinTxns);
       St.Outcome = *SO;
-      auto StepBool = [&SV](const char *Key) {
-        const JsonValue *F = SV.field(Key);
-        return F && F->K == JsonValue::Kind::Bool && F->B;
-      };
-      St.TimedOut = StepBool("timeout");
-      St.EpochRebuild = StepBool("epoch_rebuild");
-      if (const JsonValue *Lits = SV.field("literals"))
-        if (Lits->K == JsonValue::Kind::Number)
-          St.Literals = std::strtoull(Lits->Text.c_str(), nullptr, 10);
+      St.TimedOut = optBool(SV, "timeout");
+      St.EpochRebuild = optBool(SV, "epoch_rebuild");
+      St.Literals = optU64(SV, "literals");
       St.ExtendSeconds = optDouble(SV, "extend_seconds");
       St.SolveSeconds = optDouble(SV, "solve_seconds");
       R.Steps.push_back(St);
@@ -615,25 +618,10 @@ isopredict::engine::jobResultFromJson(const JsonValue &Obj,
   R.Stats.GenSeconds = optDouble(Obj, "gen_seconds");
   R.Stats.SolveSeconds = optDouble(Obj, "solve_seconds");
   R.WallSeconds = optDouble(Obj, "wall_seconds");
-  if (const JsonValue *Hit = Obj.field("cache_hit"))
-    R.CacheHit = Hit->K == JsonValue::Kind::Bool && Hit->B;
-  auto optU64 = [](const JsonValue &O, const char *Key) -> uint64_t {
-    const JsonValue *F = O.field(Key);
-    if (!F || F->K != JsonValue::Kind::Number)
-      return 0;
-    return std::strtoull(F->Text.c_str(), nullptr, 10);
-  };
+  R.CacheHit = optBool(Obj, "cache_hit");
   R.Stats.PrunedVars = optU64(Obj, "pruned_vars");
   R.Stats.PrunedLits = optU64(Obj, "pruned_lits");
-  if (const JsonValue *Stats = Obj.field("solver_stats"))
-    if (Stats->K == JsonValue::Kind::Object) {
-      R.SolverStats.Conflicts = optU64(*Stats, "conflicts");
-      R.SolverStats.Decisions = optU64(*Stats, "decisions");
-      R.SolverStats.Restarts = optU64(*Stats, "restarts");
-      R.SolverStats.Propagations = optU64(*Stats, "propagations");
-      R.SolverStats.MaxMemoryMb = optDouble(*Stats, "max_memory_mb");
-      R.SolverStats.Collected = true;
-    }
+  readSolverStats(Obj, R.SolverStats);
   if (const JsonValue *Passes = Obj.field("passes"))
     if (Passes->K == JsonValue::Kind::Array)
       for (const JsonValue &P : Passes->Items) {
@@ -642,22 +630,14 @@ isopredict::engine::jobResultFromJson(const JsonValue &Obj,
           return std::nullopt;
         }
         PassStats PS;
-        if (const JsonValue *Name = P.field("name"))
-          if (Name->K == JsonValue::Kind::String)
-            PS.Name = Name->Text;
-        if (const JsonValue *Lits = P.field("literals"))
-          if (Lits->K == JsonValue::Kind::Number)
-            PS.Literals = std::strtoull(Lits->Text.c_str(), nullptr, 10);
-        if (const JsonValue *Secs = P.field("seconds"))
-          if (Secs->K == JsonValue::Kind::Number)
-            PS.Seconds = std::strtod(Secs->Text.c_str(), nullptr);
+        PS.Name = optStr(P, "name");
+        PS.Literals = optU64(P, "literals");
+        PS.Seconds = optDouble(P, "seconds");
         PS.PrunedVars = optU64(P, "pruned_vars");
         PS.PrunedLits = optU64(P, "pruned_lits");
         R.Stats.Passes.push_back(std::move(PS));
       }
-  if (const JsonValue *Lane = Obj.field("winning_lane"))
-    if (Lane->K == JsonValue::Kind::String)
-      R.WinningLane = Lane->Text;
+  R.WinningLane = optStr(Obj, "winning_lane");
   if (const JsonValue *Lanes = Obj.field("lanes"))
     if (Lanes->K == JsonValue::Kind::Array)
       for (const JsonValue &L : Lanes->Items) {
@@ -666,38 +646,22 @@ isopredict::engine::jobResultFromJson(const JsonValue &Obj,
           return std::nullopt;
         }
         LaneResult LR;
-        if (const JsonValue *Name = L.field("lane"))
-          if (Name->K == JsonValue::Kind::String)
-            LR.Name = Name->Text;
-        if (const JsonValue *Strat = L.field("strategy"))
-          if (Strat->K == JsonValue::Kind::String)
-            if (std::optional<Strategy> St = strategyFromString(Strat->Text))
-              LR.Strat = *St;
-        auto LaneBool = [&L](const char *Key) {
-          const JsonValue *F = L.field(Key);
-          return F && F->K == JsonValue::Kind::Bool && F->B;
-        };
-        LR.Prune = LaneBool("prune");
-        if (const JsonValue *Res = L.field("result"))
-          if (Res->K == JsonValue::Kind::String)
-            if (std::optional<SmtResult> O = smtResultFromString(Res->Text))
-              LR.Outcome = *O;
-        LR.Skipped = LaneBool("skipped");
-        LR.Canceled = LaneBool("canceled");
-        LR.TimedOut = LaneBool("timeout");
+        LR.Name = optStr(L, "lane");
+        if (std::optional<Strategy> St =
+                strategyFromString(optStr(L, "strategy")))
+          LR.Strat = *St;
+        LR.Prune = optBool(L, "prune");
+        if (std::optional<SmtResult> O =
+                smtResultFromString(optStr(L, "result")))
+          LR.Outcome = *O;
+        LR.Skipped = optBool(L, "skipped");
+        LR.Canceled = optBool(L, "canceled");
+        LR.TimedOut = optBool(L, "timeout");
         LR.Literals = optU64(L, "literals");
         LR.GenSeconds = optDouble(L, "gen_seconds");
         LR.SolveSeconds = optDouble(L, "solve_seconds");
         LR.Seconds = optDouble(L, "seconds");
-        if (const JsonValue *Stats = L.field("solver_stats"))
-          if (Stats->K == JsonValue::Kind::Object) {
-            LR.Stats.Conflicts = optU64(*Stats, "conflicts");
-            LR.Stats.Decisions = optU64(*Stats, "decisions");
-            LR.Stats.Restarts = optU64(*Stats, "restarts");
-            LR.Stats.Propagations = optU64(*Stats, "propagations");
-            LR.Stats.MaxMemoryMb = optDouble(*Stats, "max_memory_mb");
-            LR.Stats.Collected = true;
-          }
+        readSolverStats(L, LR.Stats);
         R.Lanes.push_back(std::move(LR));
       }
   return R;

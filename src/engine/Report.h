@@ -145,11 +145,12 @@ struct JobResult {
   /// without timeouts emits unchanged bytes.
   bool TimedOut = false;
 
-  /// An Unknown Outcome was caused by a deliberate interrupt
-  /// (SmtSolver::interrupt) rather than a timeout or incompleteness.
-  /// Never set on job results the engine emits — an interrupted
-  /// portfolio lane is by definition not the job's answer — but
-  /// round-tripped like "timeout" so cache entries and lane records
+  /// The job was cut short deliberately rather than by a timeout or
+  /// incompleteness: its solve was interrupted (SmtSolver::interruptAll
+  /// on SIGINT or a server drain; Outcome is then Unknown), or a
+  /// stopped run skipped it (Ok false). A losing portfolio lane's
+  /// interrupt never surfaces here — it is not the job's answer.
+  /// Round-tripped like "timeout" so cache entries and lane records
   /// keep the distinction.
   bool Canceled = false;
 

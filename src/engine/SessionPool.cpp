@@ -1,12 +1,12 @@
 //===- SessionPool.cpp - LRU pool of warm PredictSessions -----------------===//
 
-#include "server/SessionPool.h"
+#include "engine/SessionPool.h"
 
 #include "obs/Metrics.h"
 #include "support/StrUtil.h"
 
 using namespace isopredict;
-using namespace isopredict::server;
+using namespace isopredict::engine;
 
 std::string SessionPool::key(const std::string &AppId, uint64_t ContentHash,
                              bool Prune) {

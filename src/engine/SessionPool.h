@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Keeps warm PredictSessions between queries. A hot (tenant × history)
-/// pair answers repeat queries without re-encoding the shared
-/// declare+feasibility prefix — the PR 3 prefix-reuse, now across
-/// requests instead of within one campaign group.
+/// Keeps warm PredictSessions between queries, owned by the Executor. A
+/// hot (tenant × history) pair answers repeat queries without
+/// re-encoding the shared declare+feasibility prefix — prefix reuse
+/// across requests instead of within one campaign group.
 ///
 /// Checkout model: acquire() *removes* an idle session from the pool
 /// (or reports a miss, in which case the caller builds one), the caller
@@ -25,8 +25,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef ISOPREDICT_SERVER_SESSIONPOOL_H
-#define ISOPREDICT_SERVER_SESSIONPOOL_H
+#ifndef ISOPREDICT_ENGINE_SESSIONPOOL_H
+#define ISOPREDICT_ENGINE_SESSIONPOOL_H
 
 #include "predict/PredictSession.h"
 
@@ -37,7 +37,7 @@
 #include <string>
 
 namespace isopredict {
-namespace server {
+namespace engine {
 
 class SessionPool {
 public:
@@ -81,7 +81,7 @@ private:
   uint64_t Hits = 0, Misses = 0, Evictions = 0;
 };
 
-} // namespace server
+} // namespace engine
 } // namespace isopredict
 
-#endif // ISOPREDICT_SERVER_SESSIONPOOL_H
+#endif // ISOPREDICT_ENGINE_SESSIONPOOL_H

@@ -95,8 +95,8 @@ struct Schedule {
   std::vector<double> DelaySeconds;
 };
 
-/// Replays a Sat prediction for validation (engine::validateInto's
-/// core); null when the job does not validate.
+/// Replays a Sat prediction for validation (the engine executor's
+/// replay); null when the job does not validate.
 using Validator = std::function<ValidationResult(const Prediction &)>;
 
 /// What one lane did.

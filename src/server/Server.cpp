@@ -3,7 +3,6 @@
 #include "server/Server.h"
 
 #include "engine/Campaign.h"
-#include "engine/Engine.h"
 #include "engine/JobIo.h"
 #include "history/TraceIO.h"
 #include "obs/Log.h"
@@ -11,7 +10,6 @@
 #include "obs/Prometheus.h"
 #include "obs/Tracer.h"
 #include "smt/Smt.h"
-#include "store/Store.h"
 #include "support/Fs.h"
 #include "support/Signal.h"
 #include "support/StrUtil.h"
@@ -49,23 +47,12 @@ obs::Counter &errorsCounter() {
   return C;
 }
 
-/// Fills the workload-shape counters of a history-query result from the
-/// uploaded history itself (there is no RunResult — the server never
-/// re-executed the workload).
-void fillHistoryStats(JobResult &R, const History &H) {
-  R.CommittedTxns = static_cast<unsigned>(H.numTxns() - 1);
-  for (TxnId Id = 1; Id < H.numTxns(); ++Id) {
-    bool Wrote = false;
-    for (const Event &E : H.txn(Id).Events) {
-      if (E.Kind == EventKind::Read)
-        ++R.Reads;
-      else {
-        ++R.Writes;
-        Wrote = true;
-      }
-    }
-    R.ReadOnlyTxns += !Wrote;
-  }
+/// The executor's settings: the server shares the batch result cache
+/// and never shares encodings, races lanes or streams jobs.
+engine::EngineOptions executorOptions(const ServerOptions &O) {
+  engine::EngineOptions E;
+  E.CacheDir = O.CacheDir;
+  return E;
 }
 
 } // namespace
@@ -97,6 +84,13 @@ void Server::Conn::send(const std::string &Line) {
   }
 }
 
+bool Server::sendError(Conn &C, const Request &Req, const char *Code,
+                       const std::string &Message) {
+  errorsCounter().inc();
+  C.send(errorResponse(Req, Code, Message));
+  return false;
+}
+
 //===----------------------------------------------------------------------===
 // Lifecycle
 //===----------------------------------------------------------------------===
@@ -104,10 +98,7 @@ void Server::Conn::send(const std::string &Line) {
 Server::Server(ServerOptions O, TenantRegistry R)
     : Opts(std::move(O)), Registry(std::move(R)),
       Pool(std::max(1u, resolveWorkers(Opts.Workers))),
-      Sessions(Opts.SessionCapacity) {
-  if (!Opts.CacheDir.empty())
-    Store.emplace(Opts.CacheDir);
-}
+      Exec(executorOptions(Opts), Opts.SessionCapacity) {}
 
 Server::~Server() { drainAndClose(); }
 
@@ -254,7 +245,7 @@ void Server::drainAndClose() {
     if (T.joinable())
       T.join();
   Readers.clear();
-  Sessions.clear();
+  Exec.sessions().clear();
 }
 
 //===----------------------------------------------------------------------===
@@ -340,10 +331,8 @@ void Server::handleRequest(const std::shared_ptr<Conn> &C, Request Req) {
              Req.Verb == "shutdown") {
     Tenant *T = C->T.load(std::memory_order_acquire);
     if (!T) {
-      Ok = false;
-      errorsCounter().inc();
-      C->send(errorResponse(Req, errc::AuthRequired,
-                            "authenticate first (auth verb)"));
+      Ok = sendError(*C, Req, errc::AuthRequired,
+                     "authenticate first (auth verb)");
     } else if (Req.Verb == "upload") {
       Ok = handleUpload(C, Req, *T);
     } else if (Req.Verb == "observe") {
@@ -353,10 +342,8 @@ void Server::handleRequest(const std::shared_ptr<Conn> &C, Request Req) {
     } else if (Req.Verb == "query") {
       Ok = handleQuery(C, std::move(Req), *T);
     } else if (!T->config().Admin) {
-      Ok = false;
-      errorsCounter().inc();
-      C->send(errorResponse(Req, errc::NotAuthorized,
-                            "shutdown requires an admin tenant"));
+      Ok = sendError(*C, Req, errc::NotAuthorized,
+                     "shutdown requires an admin tenant");
     } else {
       JsonWriter J(JsonWriter::Style::Compact);
       beginResponse(J, Req, true);
@@ -368,10 +355,8 @@ void Server::handleRequest(const std::shared_ptr<Conn> &C, Request Req) {
       requestStop();
     }
   } else {
-    Ok = false;
-    errorsCounter().inc();
-    C->send(errorResponse(Req, errc::UnknownVerb,
-                          "unknown verb '" + Req.Verb + "'"));
+    Ok = sendError(*C, Req, errc::UnknownVerb,
+                   "unknown verb '" + Req.Verb + "'");
     // Client-chosen strings must not mint label values (unbounded
     // cardinality); every unknown verb shares one cell and no ring.
     Verb = "other";
@@ -388,22 +373,16 @@ void Server::handleRequest(const std::shared_ptr<Conn> &C, Request Req) {
 
 bool Server::handleAuth(const std::shared_ptr<Conn> &C, const Request &Req) {
   const JsonValue *Name = Req.Body.field("tenant");
-  if (!Name || Name->K != JsonValue::Kind::String || Name->Text.empty()) {
-    errorsCounter().inc();
-    C->send(errorResponse(Req, errc::BadRequest,
-                          "auth needs a string field \"tenant\""));
-    return false;
-  }
+  if (!Name || Name->K != JsonValue::Kind::String || Name->Text.empty())
+    return sendError(*C, Req, errc::BadRequest,
+                     "auth needs a string field \"tenant\"");
   const JsonValue *Key = Req.Body.field("api_key");
   Tenant *T = Registry.authenticate(
       Name->Text,
       Key && Key->K == JsonValue::Kind::String ? Key->Text : std::string());
-  if (!T) {
-    errorsCounter().inc();
-    C->send(errorResponse(Req, errc::AuthFailed,
-                          "unknown tenant or wrong api key"));
-    return false;
-  }
+  if (!T)
+    return sendError(*C, Req, errc::AuthFailed,
+                     "unknown tenant or wrong api key");
   C->T.store(T, std::memory_order_release);
   JsonWriter J(JsonWriter::Style::Compact);
   beginResponse(J, Req, true);
@@ -420,30 +399,19 @@ bool Server::handleUpload(const std::shared_ptr<Conn> &C, const Request &Req,
   const JsonValue *Name = Req.Body.field("name");
   const JsonValue *Trace = Req.Body.field("trace");
   if (!Name || Name->K != JsonValue::Kind::String || Name->Text.empty() ||
-      !Trace || Trace->K != JsonValue::Kind::String) {
-    errorsCounter().inc();
-    C->send(errorResponse(Req, errc::BadRequest,
-                          "upload needs string fields \"name\" and "
-                          "\"trace\""));
-    return false;
-  }
+      !Trace || Trace->K != JsonValue::Kind::String)
+    return sendError(*C, Req, errc::BadRequest,
+                     "upload needs string fields \"name\" and \"trace\"");
   std::string Error;
   std::optional<History> H = readTrace(Trace->Text, &Error);
-  if (!H) {
-    errorsCounter().inc();
-    C->send(errorResponse(Req, errc::BadRequest, "trace: " + Error));
-    return false;
-  }
+  if (!H)
+    return sendError(*C, Req, errc::BadRequest, "trace: " + Error);
   size_t Txns = H->numTxns() - 1, NumSessions = H->numSessions();
-  if (!T.putHistory(Name->Text, std::move(*H))) {
-    errorsCounter().inc();
-    C->send(errorResponse(
-        Req, errc::QuotaExceeded,
-        formatString("history quota of %u reached; re-upload under an "
-                     "existing name to replace it",
-                     T.config().MaxHistories)));
-    return false;
-  }
+  if (!T.putHistory(Name->Text, std::move(*H)))
+    return sendError(*C, Req, errc::QuotaExceeded,
+                     formatString("history quota of %u reached; re-upload "
+                                  "under an existing name to replace it",
+                                  T.config().MaxHistories));
   std::optional<StoredHistory> Stored = T.getHistory(Name->Text);
   JsonWriter J(JsonWriter::Style::Compact);
   beginResponse(J, Req, true);
@@ -463,39 +431,24 @@ bool Server::handleObserve(const std::shared_ptr<Conn> &C, const Request &Req,
                            Tenant &T) {
   std::string Error;
   std::optional<JobSpec> S = parseQuerySpec(Req.Body, &Error);
-  if (!S) {
-    errorsCounter().inc();
-    C->send(errorResponse(Req, errc::BadRequest, Error));
-    return false;
-  }
+  if (!S)
+    return sendError(*C, Req, errc::BadRequest, Error);
   auto App = makeApplication(S->App);
-  if (!App) {
-    errorsCounter().inc();
-    C->send(errorResponse(Req, errc::UnknownApplication,
-                          "unknown application '" + S->App + "'"));
-    return false;
-  }
+  if (!App)
+    return sendError(*C, Req, errc::UnknownApplication,
+                     "unknown application '" + S->App + "'");
   obs::Span Span("server.observe", obs::CatServer);
   Span.arg("app", S->App);
-  DataStore::Options SO;
-  SO.Mode = StoreMode::SerialObserved;
-  SO.Level = IsolationLevel::Serializable;
-  SO.Seed = S->Cfg.Seed;
-  DataStore DS(SO);
-  RunResult Run = WorkloadRunner::run(*App, DS, S->Cfg);
+  RunResult Run = engine::observe(*App, S->Cfg);
 
   const JsonValue *Name = Req.Body.field("name");
   std::optional<StoredHistory> Stored;
   if (Name && Name->K == JsonValue::Kind::String && !Name->Text.empty()) {
     History Copy = Run.Hist;
-    if (!T.putHistory(Name->Text, std::move(Copy))) {
-      errorsCounter().inc();
-      C->send(errorResponse(
-          Req, errc::QuotaExceeded,
-          formatString("history quota of %u reached",
-                       T.config().MaxHistories)));
-      return false;
-    }
+    if (!T.putHistory(Name->Text, std::move(Copy)))
+      return sendError(*C, Req, errc::QuotaExceeded,
+                       formatString("history quota of %u reached",
+                                    T.config().MaxHistories));
     Stored = T.getHistory(Name->Text);
   }
 
@@ -527,28 +480,18 @@ bool Server::handleExtend(const std::shared_ptr<Conn> &C, const Request &Req,
   const JsonValue *Name = Req.Body.field("name");
   const JsonValue *Trace = Req.Body.field("trace");
   if (!Name || Name->K != JsonValue::Kind::String || Name->Text.empty() ||
-      !Trace || Trace->K != JsonValue::Kind::String) {
-    errorsCounter().inc();
-    C->send(errorResponse(Req, errc::BadRequest,
-                          "extend needs string fields \"name\" and "
-                          "\"trace\""));
-    return false;
-  }
+      !Trace || Trace->K != JsonValue::Kind::String)
+    return sendError(*C, Req, errc::BadRequest,
+                     "extend needs string fields \"name\" and \"trace\"");
   std::optional<StoredHistory> Old = T.getHistory(Name->Text);
-  if (!Old) {
-    errorsCounter().inc();
-    C->send(errorResponse(Req, errc::UnknownHistory,
-                          "no history named '" + Name->Text +
-                              "' (upload or observe it first)"));
-    return false;
-  }
+  if (!Old)
+    return sendError(*C, Req, errc::UnknownHistory,
+                     "no history named '" + Name->Text +
+                         "' (upload or observe it first)");
   std::string Error;
   std::optional<History> Delta = parseTraceDelta(*Old->H, Trace->Text, &Error);
-  if (!Delta) {
-    errorsCounter().inc();
-    C->send(errorResponse(Req, errc::BadRequest, "delta: " + Error));
-    return false;
-  }
+  if (!Delta)
+    return sendError(*C, Req, errc::BadRequest, "delta: " + Error);
   size_t DeltaTxns = Delta->Txns.size() - 1; // [0] is the t0 sentinel
   History Full = *Old->H;
   Full.append(*Delta);
@@ -557,30 +500,13 @@ bool Server::handleExtend(const std::shared_ptr<Conn> &C, const Request &Req,
   T.putHistory(Name->Text, std::move(Full));
   std::optional<StoredHistory> Stored = T.getHistory(Name->Text);
 
-  // Re-home warm sessions: a pooled session keyed under the old content
-  // hash is grown in place — its encoded base keeps amortizing across
-  // the extended trace — and released under the new hash. A session a
-  // concurrent query holds right now is simply missed here; it comes
-  // back under the old key as an unreachable stray and ages out of the
-  // LRU. Non-streaming strays (pooled before this server version) are
-  // discarded the same way.
-  unsigned ExtendedInPlace = 0;
-  if (Stored) {
-    for (bool Prune : {false, true}) {
-      std::unique_ptr<PredictSession> Sess = Sessions.acquire(
-          SessionPool::key(T.config().AppId, Old->ContentHash, Prune));
-      if (!Sess)
-        continue;
-      if (!Sess->streaming() ||
-          Sess->observed().numTxns() != Old->H->numTxns())
-        continue;
-      Sess->extend(*Delta);
-      Sessions.release(
-          SessionPool::key(T.config().AppId, Stored->ContentHash, Prune),
-          std::move(Sess));
-      ++ExtendedInPlace;
-    }
-  }
+  // Re-home warm sessions: grown in place, their encoded base keeps
+  // amortizing across the extended trace.
+  unsigned ExtendedInPlace =
+      Stored ? Exec.extendSessions(T.config().AppId, Old->ContentHash,
+                                   Old->H->numTxns(), *Delta,
+                                   Stored->ContentHash)
+             : 0;
   Extends.inc();
   InPlace.inc(ExtendedInPlace);
   obs::Log::global().info(
@@ -629,34 +555,22 @@ bool Server::handleQuery(const std::shared_ptr<Conn> &C, Request Req,
   std::string Error;
   if (const JsonValue *Spec = Req.Body.field("spec")) {
     std::optional<JobSpec> S = parseQuerySpec(*Spec, &Error);
-    if (!S) {
-      errorsCounter().inc();
-      C->send(errorResponse(Req, errc::BadRequest, Error));
-      return false;
-    }
-    if (!makeApplication(S->App)) {
-      errorsCounter().inc();
-      C->send(errorResponse(Req, errc::UnknownApplication,
-                            "unknown application '" + S->App + "'"));
-      return false;
-    }
-    Job.Spec = *S;
-    Job.CacheSpec = scopedSpec(T, *S);
+    if (!S)
+      return sendError(*C, Req, errc::BadRequest, Error);
+    if (!makeApplication(S->App))
+      return sendError(*C, Req, errc::UnknownApplication,
+                       "unknown application '" + S->App + "'");
+    Job.Q.Spec = *S;
+    Job.Q.CacheSpec = scopedSpec(T, *S);
   } else if (const JsonValue *HName = Req.Body.field("history")) {
-    if (HName->K != JsonValue::Kind::String) {
-      errorsCounter().inc();
-      C->send(errorResponse(Req, errc::BadRequest,
-                            "field \"history\" must be a string"));
-      return false;
-    }
+    if (HName->K != JsonValue::Kind::String)
+      return sendError(*C, Req, errc::BadRequest,
+                       "field \"history\" must be a string");
     std::optional<StoredHistory> SH = T.getHistory(HName->Text);
-    if (!SH) {
-      errorsCounter().inc();
-      C->send(errorResponse(Req, errc::UnknownHistory,
-                            "no history named '" + HName->Text +
-                                "' (upload or observe it first)"));
-      return false;
-    }
+    if (!SH)
+      return sendError(*C, Req, errc::UnknownHistory,
+                       "no history named '" + HName->Text +
+                           "' (upload or observe it first)");
     JobSpec S;
     S.Kind = engine::JobKind::Predict;
     S.App = "@" + HName->Text;
@@ -676,19 +590,16 @@ bool Server::handleQuery(const std::shared_ptr<Conn> &C, Request Req,
     // Bounded by default — an unbounded solve would pin a pool worker
     // for as long as the tenant likes. timeout_ms=0 opts out explicitly.
     S.TimeoutMs = 5000;
-    if (!parseQueryOptions(Req.Body, S, &Error)) {
-      errorsCounter().inc();
-      C->send(errorResponse(Req, errc::BadRequest, Error));
-      return false;
-    }
-    Job.Spec = S;
-    Job.Hist = SH;
-    Job.CacheSpec = scopedHistorySpec(T, *SH, S);
+    if (!parseQueryOptions(Req.Body, S, &Error))
+      return sendError(*C, Req, errc::BadRequest, Error);
+    Job.Q.Spec = S;
+    Job.Q.CacheSpec = scopedHistorySpec(T, *SH, S);
+    Job.Q.Hist = SH->H;
+    Job.Q.ContentHash = SH->ContentHash;
+    Job.Q.Owner = T.config().AppId;
   } else {
-    errorsCounter().inc();
-    C->send(errorResponse(Req, errc::BadRequest,
-                          "query needs \"spec\" or \"history\""));
-    return false;
+    return sendError(*C, Req, errc::BadRequest,
+                     "query needs \"spec\" or \"history\"");
   }
   Job.Req = std::move(Req);
 
@@ -742,65 +653,16 @@ void Server::executeQuery(QueryJob &Job) {
   static obs::Histogram &QuerySeconds =
       obs::Metrics::global().histogram("server.query_seconds");
   obs::Span Span("server.query", obs::CatServer);
-  Span.arg("app", Job.Spec.App);
+  Span.arg("app", Job.Q.Spec.App);
   Span.arg("tenant", Job.T->name());
 
-  cache::EncodingMode Mode =
-      Job.Hist ? cache::EncodingMode::Session : cache::EncodingMode::OneShot;
-  JobResult R;
-  bool Warm = false;
-
-  std::optional<JobResult> Hit;
-  if (Store)
-    Hit = Store->lookup(Job.CacheSpec, Mode);
-  if (Hit) {
-    R = std::move(*Hit);
-    R.Spec = Job.Spec; // Back into the client's (unscoped) identity.
+  engine::Executor::Answer A = Exec.answer(Job.Q);
+  JobResult &R = A.R;
+  if (A.By == engine::AnsweredBy::Cache) {
     Job.T->noteCacheHit();
     CacheAnswers.inc();
-  } else if (Job.Hist) {
-    R.Spec = Job.Spec;
-    R.Ok = true;
-    const History &H = *Job.Hist->H;
-    fillHistoryStats(R, H);
-    std::string Key = SessionPool::key(Job.T->config().AppId,
-                                       Job.Hist->ContentHash, Job.Spec.Prune);
-    std::unique_ptr<PredictSession> Sess = Sessions.acquire(Key);
-    Warm = Sess != nullptr;
-    if (Warm) {
-      Job.T->noteSessionHit();
-    } else {
-      PredictSession::Options SO;
-      SO.PruneFormula = Job.Spec.Prune;
-      // Streaming with an unbounded window: outcome-equivalent to a
-      // plain session (the window covers the whole trace), but the
-      // extend verb can grow the pooled session in place instead of
-      // throwing the warm encoding away.
-      SO.Streaming = true;
-      Sess = std::make_unique<PredictSession>(H, SO);
-    }
-    PredictSession::QueryOptions Q;
-    Q.Level = Job.Spec.Level;
-    Q.Strat = Job.Spec.Strat;
-    Q.TimeoutMs = Job.Spec.TimeoutMs;
-    Prediction P = Sess->query(Q);
-    R.Outcome = P.Result;
-    R.Stats = P.Stats;
-    R.Witness = P.Witness;
-    R.TimedOut = P.TimedOut;
-    R.Canceled = P.Canceled;
-    R.SolverStats = P.SolverStats;
-    // An interrupted solver is sticky-canceled; never pool it.
-    if (!P.Canceled)
-      Sessions.release(Key, std::move(Sess));
-  } else {
-    R = engine::Engine::runJob(Job.Spec);
-  }
-
-  if (Store && !R.CacheHit && cache::cacheable(R)) {
-    JobResult Stored = R;
-    Stored.Spec = Job.CacheSpec; // The store verifies spec identity.
-    Store->store(Stored, Mode);
+  } else if (A.By == engine::AnsweredBy::WarmSession) {
+    Job.T->noteSessionHit();
   }
 
   Span.finish();
@@ -828,16 +690,13 @@ void Server::executeQuery(QueryJob &Job) {
     SlowF.at({Job.T->name()}).inc();
     std::vector<obs::LogField> Fields = {
         {"tenant", Job.T->name()},
-        {"app", Job.Spec.App},
+        {"app", Job.Q.Spec.App},
         {"spec_hash",
          formatString("%016llx", static_cast<unsigned long long>(
-                                     engine::specHash(Job.CacheSpec)))},
+                                     engine::specHash(Job.Q.CacheSpec)))},
         {"seconds", formatString("%.3f", Secs)},
         {"outcome", Outcome},
-        {"answered_by",
-         R.CacheHit ? "cache"
-                    : (Job.Hist ? (Warm ? "warm_session" : "session")
-                                : "engine")},
+        {"answered_by", engine::toString(A.By)},
     };
     if (!R.WinningLane.empty())
       Fields.emplace_back("lane", R.WinningLane);
@@ -853,19 +712,15 @@ void Server::executeQuery(QueryJob &Job) {
   }
 
   if (!R.Ok) {
-    errorsCounter().inc();
-    Job.C->send(errorResponse(Job.Req, errc::Internal, R.Error));
+    sendError(*Job.C, Job.Req, errc::Internal, R.Error);
     return;
   }
   JsonWriter J(JsonWriter::Style::Compact);
   beginResponse(J, Job.Req, true);
-  J.str("answered_by", R.CacheHit
-                           ? "cache"
-                           : (Job.Hist ? (Warm ? "warm_session" : "session")
-                                       : "engine"));
+  J.str("answered_by", engine::toString(A.By));
   J.boolean("cache_hit", R.CacheHit);
-  if (Job.Hist)
-    J.boolean("warm_session", Warm);
+  if (Job.Q.Hist)
+    J.boolean("warm_session", A.By == engine::AnsweredBy::WarmSession);
   J.openObjectIn("job");
   engine::ReportOptions RO;
   RO.IncludeTimings = true;
@@ -954,7 +809,7 @@ obs::MetricsSnapshot Server::telemetrySnapshot() {
     SessionHits.at({T->name()}).set(static_cast<int64_t>(C.SessionHits));
     Histories.at({T->name()}).set(static_cast<int64_t>(T->numHistories()));
   }
-  PoolCapacity.set(static_cast<int64_t>(Sessions.stats().Capacity));
+  PoolCapacity.set(static_cast<int64_t>(Exec.sessions().stats().Capacity));
   return obs::Metrics::global().snapshot();
 }
 
@@ -973,7 +828,7 @@ std::string Server::statusJson(const Request &Req) {
 
   // Per-pool structural state (this Server's pool, not the process-wide
   // counters, which several servers in one test process share).
-  SessionPool::Stats PS = Sessions.stats();
+  engine::SessionPool::Stats PS = Exec.sessions().stats();
   J.openObjectIn("session_pool");
   J.num("hits", PS.Hits);
   J.num("misses", PS.Misses);

@@ -11,18 +11,14 @@
 /// jobs — the same share-nothing workers a batch campaign uses, fed by
 /// the network instead of a campaign vector.
 ///
-/// Answer paths of a query, cheapest first:
-///   1. ResultStore hit (tenant-scoped spec) — zero solver calls.
-///   2. Warm PredictSession from the SessionPool (history queries on a
-///      hot (tenant × history) pair) — base prefix already encoded.
-///      Sessions are streaming (unbounded window), so the extend verb
-///      can append a trace delta to the stored history AND grow the
-///      warm session's encoding in place (PredictSession::extend)
-///      instead of discarding it — the pooled entry is re-keyed under
-///      the grown trace's content hash.
-///   3. Cold compute: a fresh session (history queries) or the full
-///      Engine::runJob pipeline (spec queries) — identical outcomes to
-///      a batch campaign_cli run, which CI gates with report_diff.
+/// Queries are answered by one engine::Executor, the same answer path
+/// batch campaigns use: result-cache hit (tenant-scoped spec) → warm
+/// PredictSession from its SessionPool (history queries; sessions are
+/// streaming with an unbounded window, so the extend verb grows them in
+/// place and re-keys them under the grown trace's content hash) → cold
+/// compute (a fresh session for history queries, the full job pipeline
+/// for spec queries) → cache store. The server itself is protocol,
+/// admission, telemetry and response writing.
 ///
 /// Lifecycle: SIGINT/SIGTERM (support/Signal) or the shutdown verb stop
 /// the accept loop, flush queued-but-unstarted queries as well-formed
@@ -35,12 +31,11 @@
 #ifndef ISOPREDICT_SERVER_SERVER_H
 #define ISOPREDICT_SERVER_SERVER_H
 
-#include "cache/ResultStore.h"
+#include "engine/Executor.h"
 #include "engine/TaskPool.h"
 #include "obs/Metrics.h"
 #include "obs/Rolling.h"
 #include "server/Protocol.h"
-#include "server/SessionPool.h"
 #include "server/Tenant.h"
 #include "support/Env.h"
 
@@ -116,12 +111,16 @@ private:
   struct QueryJob {
     std::shared_ptr<Conn> C;
     Request Req;
-    engine::JobSpec Spec;      ///< As the client sees it (responses).
-    engine::JobSpec CacheSpec; ///< Tenant-scoped (ResultStore identity).
-    std::optional<StoredHistory> Hist; ///< Set for history queries.
+    /// Spec as the client sees it, the tenant-scoped CacheSpec, and
+    /// the stored trace of a history query.
+    engine::Executor::Query Q;
     Tenant *T = nullptr;
   };
 
+  /// Counts a server.errors and answers \p Req with an error frame.
+  /// Returns false, the error outcome of the verb handlers below.
+  static bool sendError(Conn &C, const Request &Req, const char *Code,
+                        const std::string &Message);
   void connectionLoop(std::shared_ptr<Conn> C);
   void handleRequest(const std::shared_ptr<Conn> &C, Request Req);
   /// Sync verb handlers return false when they answered with an error
@@ -153,8 +152,7 @@ private:
   ServerOptions Opts;
   TenantRegistry Registry;
   engine::TaskPool Pool;
-  SessionPool Sessions;
-  std::optional<cache::ResultStore> Store;
+  engine::Executor Exec;
 
   int ListenFd = -1;
   unsigned BoundPort = 0;

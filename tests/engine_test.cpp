@@ -2,12 +2,17 @@
 
 #include "engine/Engine.h"
 
+#include "engine/Executor.h"
 #include "engine/JobIo.h"
+#include "smt/Smt.h"
 #include "support/StrUtil.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <set>
+#include <thread>
 
 using namespace isopredict;
 using namespace isopredict::engine;
@@ -494,4 +499,87 @@ TEST(Report, StreamResultRoundTrips) {
     W2.closeObject();
     EXPECT_EQ(W2.take(), Json) << "timings=" << Timings;
   }
+}
+
+// A solve cut short by SmtSolver::interruptAll() (campaign_cli's SIGINT,
+// the server's drain) comes back canceled — not a bare unknown, and not
+// a timeout. Cancellation is sticky, so interrupting in a loop until the
+// job returns cancels the check whenever the solver goes live.
+TEST(Engine, InterruptedPredictJobIsCanceled) {
+  JobSpec J;
+  J.Kind = JobKind::Predict;
+  J.App = "tpcc";
+  J.Cfg = WorkloadConfig::small(1);
+  J.Level = IsolationLevel::Causal;
+  J.Strat = Strategy::ExactStrict;
+  J.TimeoutMs = 0; // Seconds of solving: only the interrupt ends it early.
+  std::atomic<bool> Done{false};
+  JobResult R;
+  std::thread Worker([&] {
+    R = Engine::runJob(J);
+    Done.store(true);
+  });
+  while (!Done.load()) {
+    SmtSolver::interruptAll();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  Worker.join();
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Outcome, SmtResult::Unknown);
+  EXPECT_TRUE(R.Canceled);
+  EXPECT_FALSE(R.TimedOut);
+}
+
+namespace {
+
+History observedVoter() {
+  auto App = makeApplication("voter");
+  return observe(*App, WorkloadConfig::small(1)).Hist;
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===
+// SessionPool
+//===----------------------------------------------------------------------===
+
+TEST(SessionPool, CheckoutLruLifecycle) {
+  History H = observedVoter();
+  SessionPool Pool(2);
+  std::string K1 = SessionPool::key("t", 1, false);
+  std::string K2 = SessionPool::key("t", 2, false);
+  std::string K3 = SessionPool::key("t", 3, false);
+  EXPECT_NE(K1, K2);
+  EXPECT_NE(SessionPool::key("t", 1, true), K1); // prune is part of it
+  EXPECT_NE(SessionPool::key("u", 1, false), K1);
+
+  EXPECT_EQ(Pool.acquire(K1), nullptr); // cold
+  Pool.release(K1, std::make_unique<PredictSession>(H));
+  Pool.release(K2, std::make_unique<PredictSession>(H));
+
+  // Touch K1 (checkout + return), then add K3: K2 is the LRU victim.
+  std::unique_ptr<PredictSession> S = Pool.acquire(K1);
+  ASSERT_NE(S, nullptr);
+  Pool.release(K1, std::move(S));
+  Pool.release(K3, std::make_unique<PredictSession>(H));
+  EXPECT_NE(Pool.acquire(K1), nullptr);
+  EXPECT_EQ(Pool.acquire(K2), nullptr);
+  EXPECT_NE(Pool.acquire(K3), nullptr);
+
+  SessionPool::Stats St = Pool.stats();
+  EXPECT_EQ(St.Capacity, 2u);
+  EXPECT_EQ(St.Evictions, 1u);
+  EXPECT_EQ(St.Hits, 3u);
+  EXPECT_EQ(St.Misses, 2u);
+
+  Pool.clear();
+  EXPECT_EQ(Pool.stats().Size, 0u);
+}
+
+TEST(SessionPool, ZeroCapacityDisablesPooling) {
+  History H = observedVoter();
+  SessionPool Pool(0);
+  std::string K = SessionPool::key("t", 1, false);
+  Pool.release(K, std::make_unique<PredictSession>(H));
+  EXPECT_EQ(Pool.acquire(K), nullptr);
 }

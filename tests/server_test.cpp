@@ -1,9 +1,8 @@
 //===- server_test.cpp - Prediction-service daemon tests ------*- C++ -*-===//
 //
-// Protocol parsing, tenant quotas and cache namespacing, the warm
-// session pool, the TaskPool, and the full daemon end-to-end over
-// loopback sockets — including concurrent connections, cross-tenant
-// isolation, and graceful shutdown.
+// Protocol parsing, tenant quotas and cache namespacing, the TaskPool,
+// and the full daemon end-to-end over loopback sockets — including
+// concurrent connections, cross-tenant isolation, and graceful shutdown.
 //
 //===----------------------------------------------------------------------===//
 
@@ -342,51 +341,6 @@ TEST(TenantRegistry, ConfigFileLocksDownAuth) {
 }
 
 //===----------------------------------------------------------------------===
-// SessionPool
-//===----------------------------------------------------------------------===
-
-TEST(SessionPool, CheckoutLruLifecycle) {
-  History H = observedHistory(1);
-  SessionPool Pool(2);
-  std::string K1 = SessionPool::key("t", 1, false);
-  std::string K2 = SessionPool::key("t", 2, false);
-  std::string K3 = SessionPool::key("t", 3, false);
-  EXPECT_NE(K1, K2);
-  EXPECT_NE(SessionPool::key("t", 1, true), K1); // prune is part of it
-  EXPECT_NE(SessionPool::key("u", 1, false), K1);
-
-  EXPECT_EQ(Pool.acquire(K1), nullptr); // cold
-  Pool.release(K1, std::make_unique<PredictSession>(H));
-  Pool.release(K2, std::make_unique<PredictSession>(H));
-
-  // Touch K1 (checkout + return), then add K3: K2 is the LRU victim.
-  std::unique_ptr<PredictSession> S = Pool.acquire(K1);
-  ASSERT_NE(S, nullptr);
-  Pool.release(K1, std::move(S));
-  Pool.release(K3, std::make_unique<PredictSession>(H));
-  EXPECT_NE(Pool.acquire(K1), nullptr);
-  EXPECT_EQ(Pool.acquire(K2), nullptr);
-  EXPECT_NE(Pool.acquire(K3), nullptr);
-
-  SessionPool::Stats St = Pool.stats();
-  EXPECT_EQ(St.Capacity, 2u);
-  EXPECT_EQ(St.Evictions, 1u);
-  EXPECT_EQ(St.Hits, 3u);
-  EXPECT_EQ(St.Misses, 2u);
-
-  Pool.clear();
-  EXPECT_EQ(Pool.stats().Size, 0u);
-}
-
-TEST(SessionPool, ZeroCapacityDisablesPooling) {
-  History H = observedHistory(1);
-  SessionPool Pool(0);
-  std::string K = SessionPool::key("t", 1, false);
-  Pool.release(K, std::make_unique<PredictSession>(H));
-  EXPECT_EQ(Pool.acquire(K), nullptr);
-}
-
-//===----------------------------------------------------------------------===
 // End-to-end over loopback
 //===----------------------------------------------------------------------===
 
@@ -628,34 +582,68 @@ TEST(ServerE2E, SpecQueryMatchesBatchEngine) {
   TestServer TS(std::move(O), TenantRegistry());
   ASSERT_TRUE(TS.start());
 
-  JobSpec S;
-  S.Kind = engine::JobKind::Predict;
-  S.App = "voter";
-  S.Cfg = WorkloadConfig::small(1);
-  S.Level = IsolationLevel::Causal;
-  S.Strat = Strategy::ApproxRelaxed;
-  S.TimeoutMs = 30000;
-
-  JsonWriter J(JsonWriter::Style::Compact);
-  J.openObjectIn("spec");
-  engine::writeJobSpecFields(J, S);
-  J.closeObject();
-  std::string Spec = J.take();
-  Spec.pop_back();
+  // The CI server gate's grid: one code path answers both sides.
+  engine::Campaign Grid = engine::Campaign::predictGrid(
+      "server-grid", {"smallbank", "voter"},
+      {IsolationLevel::Causal, IsolationLevel::ReadCommitted},
+      {Strategy::ApproxStrict, Strategy::ApproxRelaxed}, {false}, 1, 30000);
+  ASSERT_EQ(Grid.size(), 8u);
+  engine::EngineOptions EO;
+  EO.NumWorkers = 2;
+  engine::Report Batch = engine::Engine(EO).run(Grid);
 
   TestClient C;
   ASSERT_TRUE(C.connect(TS.S.port()));
-  std::optional<JsonValue> R =
-      C.request("\"verb\": \"query\", " + Spec);
-  ASSERT_TRUE(isOk(R)) << errorCode(R);
+  for (size_t I = 0; I < Grid.size(); ++I) {
+    const JobSpec &S = Grid.Jobs[I];
+    JsonWriter J(JsonWriter::Style::Compact);
+    J.openObjectIn("spec");
+    engine::writeJobSpecFields(J, S);
+    J.closeObject();
+    std::string Spec = J.take();
+    Spec.pop_back();
 
-  engine::JobResult Batch = engine::Engine::runJob(S);
-  const JsonValue *Job = R->field("job");
-  ASSERT_NE(Job, nullptr);
-  EXPECT_EQ(Job->field("result")->Text, toString(Batch.Outcome));
-  EXPECT_EQ(Job->field("spec_hash")->Text,
-            formatString("%016llx", static_cast<unsigned long long>(
-                                        engine::specHash(S))));
+    std::optional<JsonValue> R = C.request("\"verb\": \"query\", " + Spec);
+    ASSERT_TRUE(isOk(R)) << errorCode(R);
+    const JsonValue *Job = R->field("job");
+    ASSERT_NE(Job, nullptr);
+    EXPECT_EQ(Job->field("result")->Text,
+              toString(Batch.results()[I].Outcome))
+        << engine::canonicalSpec(S);
+    EXPECT_EQ(Job->field("spec_hash")->Text,
+              formatString("%016llx", static_cast<unsigned long long>(
+                                          engine::specHash(S))));
+  }
+}
+
+TEST(ServerE2E, SpecQueriesCountCacheProbes) {
+  ServerOptions O;
+  O.Workers = 1;
+  O.CacheDir = scratchDir("probe-cache");
+  TestServer TS(std::move(O), TenantRegistry());
+  ASSERT_TRUE(TS.start());
+
+  auto Count = [](const char *Name) {
+    return obs::Metrics::global().snapshot().counter(Name);
+  };
+  const char *Query = R"("verb": "query", "spec": {"app": "voter", )"
+                      R"("workload": "small", "seed": 2, )"
+                      R"("level": "causal", "timeout_ms": 30000})";
+  TestClient C;
+  ASSERT_TRUE(C.connect(TS.S.port()));
+  uint64_t Hits = Count("cache.hits"), Misses = Count("cache.misses");
+  std::optional<JsonValue> R = C.request(Query);
+  ASSERT_TRUE(isOk(R)) << errorCode(R);
+  EXPECT_EQ(R->field("answered_by")->Text, "engine");
+  EXPECT_EQ(Count("cache.misses"), Misses + 1);
+  EXPECT_EQ(Count("cache.hits"), Hits);
+
+  // The repeat is a cache answer, counted like a batch run's hit.
+  R = C.request(Query);
+  ASSERT_TRUE(isOk(R)) << errorCode(R);
+  EXPECT_EQ(R->field("answered_by")->Text, "cache");
+  EXPECT_EQ(Count("cache.hits"), Hits + 1);
+  EXPECT_EQ(Count("cache.misses"), Misses + 1);
 }
 
 TEST(ServerE2E, TenantsAreIsolated) {
