@@ -74,7 +74,10 @@ PairMatrix defineClosure(SmtContext &Ctx, SmtSolver &Solver,
 /// linkage to Boundary — which depends on the strategy's boundary mode —
 /// is asserted by the per-query BoundaryLinkPass. A session encodes that
 /// prefix once and answers each query on top of it; a one-shot predict()
-/// runs the same passes once.
+/// runs the same passes once. The hb closure (HbClosurePass) is
+/// query-invariant too, but only causal queries read it, so a
+/// non-streaming session adds it to the prefix the first time a causal
+/// query arrives.
 class EncodingContext {
 public:
   EncodingContext(const History &H, const PredictOptions &Opts,
@@ -104,16 +107,17 @@ public:
   /// implications, choice-inclusion implications, φwr_k/φwr
   /// definitions — all stable as transactions are appended) and grows
   /// in place via delta re-runs of the base passes over
-  /// [DeltaFrom, N). The non-monotone families — boundary
-  /// domains and choice domains (their disjunctions widen with new
-  /// reads/writers) and the hb closure (new transactions can connect
-  /// already-encoded pairs) — move into the per-query WindowPass,
-  /// inside the solver scope. φso is substituted as constants even
-  /// unpruned, and φhb pair variables are never declared (EC.Hb
-  /// aliases the per-query folded closure; hb occurs only positively,
-  /// so this is sat-equivalent). Streaming encodings are therefore
-  /// never bit-identical to non-streaming ones — outcome equivalence is
-  /// what the streaming tests pin.
+  /// [DeltaFrom, N). The non-monotone families move inside the solver
+  /// scope: boundary domains and choice domains (their disjunctions
+  /// widen with new reads/writers) into the per-query WindowPass, and
+  /// the hb closure (new transactions can connect already-encoded
+  /// pairs) into the per-query HbClosurePass, which only causal
+  /// queries run — rc and ra embed so ∪ wr and never read hb. φso is
+  /// substituted as constants even unpruned, and φhb pair variables
+  /// are never declared (EC.Hb aliases the folded closure; hb occurs
+  /// only positively, so this is sat-equivalent). Streaming encodings
+  /// are therefore never bit-identical to non-streaming ones — outcome
+  /// equivalence is what the streaming tests pin.
   const bool Streaming;
   /// Streaming: first transaction of the current delta — the base
   /// passes encode only entities/pairs touching [DeltaFrom, N).
@@ -141,7 +145,9 @@ public:
   /// exact; PrunedLits is a lower-bound estimate — each skip site adds
   /// the literals its unpruned counterpart would have emitted where
   /// that count is statically known, and one literal per folded-out
-  /// atom otherwise.
+  /// atom otherwise. The hb pair variables the folded closure aliases
+  /// (and their iffs) are tallied by HbClosurePass, so only causal
+  /// queries claim them; rc and ra never build hb.
   uint64_t PrunedVars = 0;
   uint64_t PrunedLits = 0;
   void notePrunedVars(uint64_t K) { PrunedVars += K; }
@@ -187,7 +193,8 @@ public:
     Pco.clear();
     Rank.clear();
     // Streaming: Hb aliases the previous query's (popped) closure
-    // terms; WindowPass rebuilds it before any pass reads it.
+    // terms; a causal query's HbClosurePass rebuilds it before
+    // CausalPass reads it.
     if (Streaming)
       Hb.clear();
   }
@@ -209,7 +216,10 @@ public:
   // Variable tables (built by DeclarePass)
   //===--------------------------------------------------------------------===
 
-  /// Pair-indexed boolean variables ([t1][t2], diagonal unused).
+  /// Pair-indexed boolean variables ([t1][t2], diagonal unused). Hb is
+  /// defined only by HbClosurePass (causal queries): declared but
+  /// unconstrained before it in plain encodings, empty before it when
+  /// folded (the closure terms are its entries).
   PairMatrix So, Wr, Hb;
   PairMatrix Pco;  ///< Final pco (for witness extraction).
   PairMatrix Rank; ///< Int vars, rank encoding only.
@@ -294,10 +304,25 @@ public:
   /// True outright for t0. Interned.
   SmtExpr writeIncluded(TxnId T, KeyId K);
 
+  /// True when φso is substituted as constants (pruned or streaming):
+  /// the so ∪ wr terms and the hb closure then constant-fold.
+  bool foldsSo() const { return pruning() || Streaming; }
+
+  /// so ∪ wr at (A, B): the one-step base of hb, and what rc and ra
+  /// embed in their total order. When foldsSo(), a so-ordered pair is
+  /// the constant-true so term and any other pair its wr term (itself
+  /// constant false off the plan's skeleton); otherwise the plain
+  /// disjunction.
+  SmtExpr soWr(TxnId A, TxnId B) {
+    if (foldsSo())
+      return isTrue(So[A][B]) ? So[A][B] : Wr[A][B];
+    return Ctx.mkOr(So[A][B], Wr[A][B]);
+  }
+
   /// Member shorthand for the free defineClosure above (folding — and
-  /// tallying into the pruning counters — exactly when pruning is on).
+  /// tallying into the pruning counters — exactly when foldsSo()).
   PairMatrix closure(const PairMatrix &Base, const char *Prefix) {
-    return defineClosure(Ctx, Solver, Base, Prefix, pruning(),
+    return defineClosure(Ctx, Solver, Base, Prefix, foldsSo(),
                          &PrunedVars, &PrunedLits);
   }
 

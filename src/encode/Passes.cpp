@@ -8,6 +8,14 @@
 //  - hb is encoded as an exact transitive closure by repeated squaring
 //    instead of a recursive fixpoint equality; hb only occurs positively
 //    in the isolation constraints, so only spurious models are removed.
+//  - Only causal queries build hb (HbClosurePass): CausalPass reads it
+//    in the wwcausal arbitration. ReadCommittedPass and ReadAtomicPass
+//    embed the one-step so ∪ wr in their total order instead of hb; a
+//    strict total order contains a relation exactly when it contains
+//    its transitive closure, so the two embeddings are sat-equivalent.
+//    Non-streaming sessions assert the closure once at root scope
+//    (after the base, before the first causal query's scope);
+//    streaming sessions assert it inside each causal query's scope.
 //  - Each session's cut is a materialized variable linked to its
 //    boundary per query (BoundaryLinkPass) rather than a term alias, so
 //    the declare+feasibility prefix is the same for every strategy.
@@ -37,29 +45,30 @@ namespace {
 /// separately; since that variable occurs nowhere else, the pruned path
 /// inlines the disjunction into the implication (one variable and one
 /// definitional iff avoided per pair) and folds the constant cases: a
-/// constant-true \p Hb asserts the order outright, a constant-false
-/// \p Hb with no terms asserts nothing.
-void assertEmbedding(EncodingContext &EC, SmtExpr Hb,
+/// constant-true \p Vis asserts the order outright, a constant-false
+/// \p Vis with no terms asserts nothing. \p Vis is the visibility term
+/// the order embeds: hb for causal, so ∪ wr for rc and ra.
+void assertEmbedding(EncodingContext &EC, SmtExpr Vis,
                      std::vector<SmtExpr> &Terms, SmtExpr Lt) {
   SmtContext &Ctx = EC.Ctx;
   EC.notePrunedVars(1); // The inlined-away ww relation variable.
-  if (EC.isTrue(Hb)) {
+  if (EC.isTrue(Vis)) {
     EC.assertExpr(Lt);
     EC.notePrunedLits(2);
     return;
   }
-  if (EC.isFalse(Hb)) {
+  if (EC.isFalse(Vis)) {
     if (Terms.empty()) {
       EC.notePrunedLits(2); // Vacuous implication skipped entirely.
       return;
     }
-    EC.notePrunedLits(2); // The hb disjunct and the iff's variable ref.
+    EC.notePrunedLits(2); // The Vis disjunct and the iff's variable ref.
     EC.assertExpr(Ctx.mkImplies(Ctx.mkOr(Terms), Lt));
     return;
   }
   std::vector<SmtExpr> Lhs;
   Lhs.reserve(Terms.size() + 1);
-  Lhs.push_back(Hb);
+  Lhs.push_back(Vis);
   Lhs.insert(Lhs.end(), Terms.begin(), Terms.end());
   EC.notePrunedLits(1); // The iff's variable ref.
   EC.assertExpr(Ctx.mkImplies(Ctx.mkOr(Lhs), Lt));
@@ -67,10 +76,10 @@ void assertEmbedding(EncodingContext &EC, SmtExpr Hb,
 
 /// Streaming declarations: grows the pair tables and declares only the
 /// entities of the [DeltaFrom, N) delta. φso is always substituted as
-/// constants and φhb pair variables are never declared (WindowPass
-/// aliases EC.Hb to the per-query folded closure); sat-equivalent
-/// because hb occurs only positively and so is asserted verbatim
-/// anyway. The initial encode is the DeltaFrom == 0 special case.
+/// constants (sat-equivalent: so is asserted verbatim anyway), and φhb
+/// pair variables are never declared (a causal query's HbClosurePass
+/// aliases EC.Hb to its folded closure). The initial encode is the
+/// DeltaFrom == 0 special case.
 void declareStreaming(EncodingContext &EC) {
   const History &H = EC.H;
   SmtContext &Ctx = EC.Ctx;
@@ -144,11 +153,11 @@ void declareStreaming(EncodingContext &EC) {
 /// matter what is appended later: the before-boundary implication and
 /// the φwr_k/φwr definitions of a read depend only on its own (fixed)
 /// transaction, and inclusion implications are per (writer, read) pair
-/// — new pairs only add implications. The non-monotone families (the
-/// boundary/choice domain disjunctions, which *widen* with new
-/// reads/writers, and the hb closure, which can newly connect old
-/// pairs through appended transactions) are asserted per query by
-/// WindowPass instead.
+/// — new pairs only add implications. The non-monotone families are
+/// asserted per query instead: the boundary/choice domain disjunctions,
+/// which *widen* with new reads/writers, by WindowPass, and the hb
+/// closure, which can newly connect old pairs through appended
+/// transactions, by a causal query's HbClosurePass.
 void feasibilityStreaming(EncodingContext &EC) {
   const History &H = EC.H;
   SmtContext &Ctx = EC.Ctx;
@@ -234,13 +243,18 @@ void DeclarePass::run(EncodingContext &EC) {
   if (!EC.pruning()) {
     EC.So = EC.makePairMatrix("so");
     EC.Wr = EC.makePairMatrix("wr");
+    // φhb is declared here but defined only by a causal query's
+    // HbClosurePass; rc and ra never reference it, so for them the
+    // variables never reach the solver. Declaring it up front, with so
+    // and wr, fixes the term-creation order Z3's search depends on, and
+    // with it the causal models the golden fixtures pin.
     EC.Hb = EC.makePairMatrix("hb");
   } else {
     // Pruned: φso is the observed session order (FeasibilityPass
     // asserts it verbatim anyway) — substitute the constants and never
     // declare the pair variables. φwr(A,B) without any φwr_k(A,B) is
-    // constant false. φhb is not declared at all: FeasibilityPass
-    // aliases it to the constant-folded closure terms.
+    // constant false. φhb is not declared at all: a causal query's
+    // HbClosurePass aliases it to the constant-folded closure terms.
     const EncodingPlan &Plan = *EC.Plan;
     EC.So.assign(N, std::vector<SmtExpr>(N));
     EC.Wr.assign(N, std::vector<SmtExpr>(N));
@@ -251,7 +265,6 @@ void DeclarePass::run(EncodingContext &EC) {
           continue;
         EC.So[A][B] = Ctx.boolVal(H.so(A, B));
         ++PV; // so variable
-        ++PV; // hb variable (aliased to the closure instead)
         if (Plan.wrPossible(A, B)) {
           EC.Wr[A][B] = Ctx.boolVar(formatString("wr_%u_%u", A, B));
         } else {
@@ -424,62 +437,11 @@ void FeasibilityPass::run(EncodingContext &EC) {
       }
       EC.assertExpr(Ctx.mkIff(EC.Wr[A][B], Ctx.mkOr(WrTerms[A][B])));
     }
-
-  // --- φhb: transitive closure of so ∪ wr (§4.3), encoded by repeated
-  // squaring so hb is the *exact* least fixpoint. The paper's recursive
-  // equality also admits non-minimal fixpoints; since hb only appears
-  // positively in the isolation constraints, the two encodings are
-  // sat-equivalent, but the exact closure removes a whole dimension of
-  // spurious models the solver would otherwise have to refute. Under
-  // the plan the base constant-folds (so-ordered pairs are true,
-  // skeleton-unreachable pairs false), the closure layers fold through
-  // (EC.closure), and φhb aliases the closure terms directly instead
-  // of re-naming them through declared pair variables.
-  PairMatrix Base(N, std::vector<SmtExpr>(N));
-  for (TxnId A = 0; A < N; ++A)
-    for (TxnId B = 0; B < N; ++B) {
-      if (A == B)
-        continue;
-      if (!Pruned) {
-        Base[A][B] = Ctx.mkOr(EC.So[A][B], EC.Wr[A][B]);
-      } else if (EC.isTrue(EC.So[A][B])) {
-        Base[A][B] = EC.So[A][B];
-        EC.notePrunedLits(1); // The wr disjunct.
-      } else if (EC.isFalse(EC.Wr[A][B])) {
-        Base[A][B] = EC.Wr[A][B];
-        EC.notePrunedLits(2);
-      } else {
-        Base[A][B] = EC.Wr[A][B];
-        EC.notePrunedLits(1); // The so disjunct.
-      }
-    }
-  PairMatrix Closed = EC.closure(Base, "hb");
-  if (!Pruned) {
-    for (TxnId A = 0; A < N; ++A)
-      for (TxnId B = 0; B < N; ++B)
-        if (A != B)
-          EC.assertExpr(Ctx.mkIff(EC.Hb[A][B], Closed[A][B]));
-  } else {
-    EC.Hb = std::move(Closed);
-    EC.notePrunedLits(2 * static_cast<uint64_t>(N) * (N - 1));
-#ifndef NDEBUG
-    // The folded closure must realize exactly the plan's skeleton
-    // reachability: a pair folds to constant false iff it is
-    // unreachable in so ∪ wr-possible (EncodingPlan::HbReach is the
-    // specification of the fold).
-    for (TxnId A = 0; A < N; ++A)
-      for (TxnId B = 0; B < N; ++B)
-        if (A != B)
-          assert(!EC.isFalse(EC.Hb[A][B]) == EC.Plan->hbPossible(A, B) &&
-                 "hb closure fold disagrees with the relevance plan");
-#endif
-  }
 }
 
 void WindowPass::run(EncodingContext &EC) {
   const History &H = EC.H;
   SmtContext &Ctx = EC.Ctx;
-  size_t N = EC.N;
   assert(EC.Streaming && "WindowPass is streaming-mode only");
 
   // --- Boundary domain over the session's *current* reads, closed by
@@ -511,28 +473,59 @@ void WindowPass::run(EncodingContext &EC) {
       EC.assertExpr(Ctx.mkOr(Domain));
     }
   }
+}
 
-  // --- φhb: the closure is not monotone — an appended transaction can
-  // hb-connect two already-encoded ones — so it is re-derived in every
-  // query scope over the current so/wr tables. Always folded: φso is
-  // constant in streaming mode (and φwr constant false off the plan's
-  // skeleton when pruning), so the closure base is one term per pair
-  // and EC.Hb aliases the layer terms with no declared hb variables at
-  // all. hb occurs only positively downstream, so aliasing the exact
-  // least fixpoint is sat-equivalent to the declared-iff encoding.
-  // Layer variable names are reused across query scopes; each scope
-  // re-asserts their (possibly wider) definitions and pops them with
-  // the query, so the reuse is benign.
+void HbClosurePass::run(EncodingContext &EC) {
+  SmtContext &Ctx = EC.Ctx;
+  size_t N = EC.N;
+  // Non-streaming pruned encodings tally what folding saves against the
+  // plain construction (the so ∪ wr disjuncts, the hb pair variables
+  // and their definitional iffs); streaming never declares those.
+  bool Tally = EC.pruning() && !EC.Streaming;
+
+  // --- φhb: transitive closure of so ∪ wr (§4.3), encoded by repeated
+  // squaring so hb is the *exact* least fixpoint. The paper's recursive
+  // equality also admits non-minimal fixpoints; since hb only appears
+  // positively in the isolation constraints, the two encodings are
+  // sat-equivalent, but the exact closure removes a whole dimension of
+  // spurious models the solver would otherwise have to refute. When φso
+  // is constant (pruned or streaming) the base constant-folds
+  // (so-ordered pairs are true, pairs off the plan's skeleton false),
+  // the closure layers fold through, and φhb aliases the closure terms
+  // directly instead of re-naming them through declared pair
+  // variables. In streaming mode the closure lives in the query's
+  // scope: layer variable names are reused across scopes, and each
+  // scope re-asserts their (possibly wider) definitions and pops them
+  // with the query, so the reuse is benign. Unfolded, the hb pair
+  // variables are DeclarePass's.
   PairMatrix Base(N, std::vector<SmtExpr>(N));
   for (TxnId A = 0; A < N; ++A)
     for (TxnId B = 0; B < N; ++B) {
       if (A == B)
         continue;
-      Base[A][B] = EC.isTrue(EC.So[A][B]) ? EC.So[A][B] : EC.Wr[A][B];
+      Base[A][B] = EC.soWr(A, B);
+      if (Tally) // The folded-out so or wr disjunct (both when false).
+        EC.notePrunedLits(EC.isFalse(Base[A][B]) ? 2 : 1);
     }
-  EC.Hb = defineClosure(Ctx, EC.Solver, Base, "hb", /*Fold=*/true,
-                        &EC.PrunedVars, &EC.PrunedLits);
+  PairMatrix Closed = EC.closure(Base, "hb");
+  if (!EC.foldsSo()) {
+    for (TxnId A = 0; A < N; ++A)
+      for (TxnId B = 0; B < N; ++B)
+        if (A != B)
+          EC.assertExpr(Ctx.mkIff(EC.Hb[A][B], Closed[A][B]));
+    return;
+  }
+  EC.Hb = std::move(Closed);
+  if (Tally) {
+    uint64_t Pairs = static_cast<uint64_t>(N) * (N - 1);
+    EC.notePrunedVars(Pairs);     // hb variables, aliased instead
+    EC.notePrunedLits(2 * Pairs); // their definitional iffs
+  }
 #ifndef NDEBUG
+  // The folded closure must realize exactly the plan's skeleton
+  // reachability: a pair folds to constant false iff it is
+  // unreachable in so ∪ wr-possible (EncodingPlan::HbReach is the
+  // specification of the fold).
   if (EC.pruning())
     for (TxnId A = 0; A < N; ++A)
       for (TxnId B = 0; B < N; ++B)
@@ -702,12 +695,13 @@ void ApproxRankPass::run(EncodingContext &EC) {
       WwTerms.clear();
       for (EncodingContext::Justification &J : EC.wwJust(A, B, EC.Pco))
         WwTerms.push_back(Ctx.mkAnd(J.Cond, RankLt(J.RankA, J.RankB, B)));
-      // One-directional definitional implication: ww/rw/pco occur only
-      // positively (in the pco cycle constraint), so requiring every
-      // *asserted* edge to be justified is sat-equivalent to the paper's
-      // "=" form — by rank induction, true edges lie in the least
-      // fixpoint — and leaves the solver free to ignore edges it does
-      // not need.
+      // The paper's "=" form, asserted as a definitional iff here and in
+      // runPruned(): every true ww/rw/pco edge must be justified, and
+      // every justified edge is true. (ww/rw/pco occur only positively,
+      // in the pco cycle constraint, so the one-directional "edge ⇒
+      // justification" half alone would be sat-equivalent — by rank
+      // induction, true edges lie in the least fixpoint — but neither
+      // path uses that weaker form.)
       EC.assertExpr(Ctx.mkIff(Ww[A][B], Ctx.mkOr(WwTerms)));
 
       RwTerms.clear();
@@ -957,7 +951,9 @@ void ReadAtomicPass::run(EncodingContext &EC) {
   // Read atomic: like B.3.1 but with one-step visibility (so ∪ wr)
   // instead of the hb closure — t3 must not read k from t2 while t1's
   // write to k is directly visible to it. This is the "repeated reads"
-  // extension the paper marks as straightforward (§8).
+  // extension the paper marks as straightforward (§8). The order
+  // embeds so ∪ wr rather than hb: a total order containing one
+  // contains the other's closure.
   PairMatrix WwRa;
   if (!Pruned)
     WwRa = EC.makePairMatrix("wwra");
@@ -969,9 +965,10 @@ void ReadAtomicPass::run(EncodingContext &EC) {
     for (TxnId B = 0; B < N; ++B) {
       if (A == B)
         continue;
-      if (Pruned && EC.isTrue(EC.Hb[A][B])) {
+      SmtExpr Vis = EC.soWr(A, B);
+      if (Pruned && EC.isTrue(Vis)) {
         std::vector<SmtExpr> None;
-        assertEmbedding(EC, EC.Hb[A][B], None, Ctx.mkLt(Co[A], Co[B]));
+        assertEmbedding(EC, Vis, None, Ctx.mkLt(Co[A], Co[B]));
         continue;
       }
       std::vector<SmtExpr> Terms;
@@ -1007,11 +1004,11 @@ void ReadAtomicPass::run(EncodingContext &EC) {
       }
       if (!Pruned) {
         EC.assertExpr(Ctx.mkIff(WwRa[A][B], Ctx.mkOr(Terms)));
-        EC.assertExpr(Ctx.mkImplies(Ctx.mkOr(EC.Hb[A][B], WwRa[A][B]),
+        EC.assertExpr(Ctx.mkImplies(Ctx.mkOr(Vis, WwRa[A][B]),
                                     Ctx.mkLt(Co[A], Co[B])));
         continue;
       }
-      assertEmbedding(EC, EC.Hb[A][B], Terms, Ctx.mkLt(Co[A], Co[B]));
+      assertEmbedding(EC, Vis, Terms, Ctx.mkLt(Co[A], Co[B]));
     }
 }
 
@@ -1021,7 +1018,9 @@ void ReadCommittedPass::run(EncodingContext &EC) {
   size_t N = EC.N;
   bool Pruned = EC.pruning();
 
-  // B.3.2: (hb ∪ wwrc) embeds in a total order φcorc.
+  // B.3.2: (hb ∪ wwrc) embeds in a total order φcorc — encoded as
+  // so ∪ wr ∪ wwrc, since a total order containing so ∪ wr contains
+  // its closure hb.
   PairMatrix WwRc;
   if (!Pruned)
     WwRc = EC.makePairMatrix("wwrc");
@@ -1033,9 +1032,10 @@ void ReadCommittedPass::run(EncodingContext &EC) {
     for (TxnId B = 0; B < N; ++B) {
       if (A == B)
         continue;
-      if (Pruned && EC.isTrue(EC.Hb[A][B])) {
+      SmtExpr Vis = EC.soWr(A, B);
+      if (Pruned && EC.isTrue(Vis)) {
         std::vector<SmtExpr> None;
-        assertEmbedding(EC, EC.Hb[A][B], None, Ctx.mkLt(Co[A], Co[B]));
+        assertEmbedding(EC, Vis, None, Ctx.mkLt(Co[A], Co[B]));
         continue;
       }
       std::vector<SmtExpr> Terms;
@@ -1090,10 +1090,10 @@ void ReadCommittedPass::run(EncodingContext &EC) {
       }
       if (!Pruned) {
         EC.assertExpr(Ctx.mkIff(WwRc[A][B], Ctx.mkOr(Terms)));
-        EC.assertExpr(Ctx.mkImplies(Ctx.mkOr(EC.Hb[A][B], WwRc[A][B]),
+        EC.assertExpr(Ctx.mkImplies(Ctx.mkOr(Vis, WwRc[A][B]),
                                     Ctx.mkLt(Co[A], Co[B])));
         continue;
       }
-      assertEmbedding(EC, EC.Hb[A][B], Terms, Ctx.mkLt(Co[A], Co[B]));
+      assertEmbedding(EC, Vis, Terms, Ctx.mkLt(Co[A], Co[B]));
     }
 }

@@ -12,7 +12,8 @@
 ///   DeclarePass        variable tables (φso/φwr/φhb, φwr_k, φchoice,
 ///                      boundary/cut)                  — declarations only
 ///   FeasibilityPass    B.1: observed so, boundary domains, read
-///                      choices, φwr_k definitions, hb closure
+///                      choices, φwr_k definitions
+///   HbClosurePass      §4.3: φhb = (so ∪ wr)⁺ — causal queries only
 ///   BoundaryLinkPass   Table 1: cut ↔ boundary for the query's
 ///                      boundary mode
 ///   WindowPass         streaming only: the non-monotone B.1 families
@@ -25,8 +26,11 @@
 /// Pass order is fixed by EncoderPipeline: declare → feasibility once
 /// (forSessionBase), then per query boundary-link → one strategy pass →
 /// one isolation pass (forQuery; streaming prepends the window pass).
-/// One-shot predict() and session queries run the same sequence, so
-/// they build the same constraint system.
+/// A causal query also needs the hb closure: right after the base for
+/// non-streaming sessions (forClosure, once per session), after the
+/// window pass for streaming ones. One-shot predict() and session
+/// queries run the same sequence, so they build the same constraint
+/// system.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,14 +80,29 @@ public:
   void run(EncodingContext &EC) override;
 };
 
+/// §4.3: φhb, the transitive closure of so ∪ wr, by repeated squaring.
+/// Only CausalPass reads it: the wwcausal arbitration of B.3.1 asks for
+/// hb outside an embedding. rc and ra embed so ∪ wr in their total
+/// order instead, which is sat-equivalent because a strict total order
+/// contains a relation exactly when it contains its transitive closure.
+/// Non-streaming sessions assert it once, at root scope, the first time
+/// a causal query needs it (it is query-invariant there); streaming
+/// sessions assert it inside each causal query's scope, because an
+/// appended transaction can hb-connect already-encoded pairs.
+class HbClosurePass : public EncodingPass {
+public:
+  const char *name() const override { return "hb"; }
+  void run(EncodingContext &EC) override;
+};
+
 /// Streaming mode only, first pass of every query scope: asserts the
 /// non-monotone B.1 families the streaming base prefix omits — the
 /// per-session boundary-domain disjunctions (they widen with every new
-/// read, and reference the current ∞ position), the per-read choice
-/// domains (they widen with every new writer of the key), and the hb
-/// closure (appended transactions can hb-connect already-encoded
-/// pairs, so hb cannot live below the scopes). Formula size is bounded
-/// by the encoded window, not the full trace.
+/// read, and reference the current ∞ position) and the per-read choice
+/// domains (they widen with every new writer of the key). The hb
+/// closure is not monotone either; causal queries build it in their
+/// scope with HbClosurePass, right after this pass. Formula size is
+/// bounded by the encoded window, not the full trace.
 class WindowPass : public EncodingPass {
 public:
   const char *name() const override { return "window"; }
@@ -121,14 +140,15 @@ public:
 
 /// Read atomic: like B.3.1 but with one-step visibility (so ∪ wr)
 /// instead of the hb closure (the paper's §8 "repeated reads"
-/// extension).
+/// extension). Embeds so ∪ wr, not hb.
 class ReadAtomicPass : public EncodingPass {
 public:
   const char *name() const override { return "read-atomic"; }
   void run(EncodingContext &EC) override;
 };
 
-/// B.3.2: read-committed admissibility of the prediction.
+/// B.3.2: read-committed admissibility of the prediction. Embeds
+/// so ∪ wr, not hb.
 class ReadCommittedPass : public EncodingPass {
 public:
   const char *name() const override { return "read-committed"; }

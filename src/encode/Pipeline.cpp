@@ -63,6 +63,12 @@ EncoderPipeline EncoderPipeline::forSessionBase(const PredictOptions &) {
   return P;
 }
 
+EncoderPipeline EncoderPipeline::forClosure() {
+  EncoderPipeline P;
+  P.add(std::make_unique<HbClosurePass>());
+  return P;
+}
+
 EncoderPipeline EncoderPipeline::forQuery(const PredictOptions &Opts) {
   EncoderPipeline P;
   P.add(std::make_unique<BoundaryLinkPass>());
@@ -73,6 +79,8 @@ EncoderPipeline EncoderPipeline::forQuery(const PredictOptions &Opts) {
 EncoderPipeline EncoderPipeline::forStreamQuery(const PredictOptions &Opts) {
   EncoderPipeline P;
   P.add(std::make_unique<WindowPass>());
+  if (Opts.Level == IsolationLevel::Causal)
+    P.add(std::make_unique<HbClosurePass>());
   P.add(std::make_unique<BoundaryLinkPass>());
   addQueryPasses(P, Opts);
   return P;

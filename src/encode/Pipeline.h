@@ -11,8 +11,9 @@
 ///
 /// Every prediction — a one-shot predict() or a session query — runs
 /// forSessionBase() once and then forQuery() (forStreamQuery() for
-/// streaming sessions); nothing stops callers from composing their own
-/// pass sequence for experiments.
+/// streaming sessions); a non-streaming causal query first runs
+/// forClosure() once per session. Nothing stops callers from composing
+/// their own pass sequence for experiments.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,17 +47,24 @@ public:
   /// feasibility. Encoded once per session, below every solver scope.
   static EncoderPipeline forSessionBase(const PredictOptions &Opts);
 
+  /// The hb closure (HbClosurePass) of a non-streaming session: run
+  /// once, at root scope, right after the base and before the first
+  /// causal query's scope. Queries at other levels never run it.
+  static EncoderPipeline forClosure();
+
   /// The per-query suffix: boundary-link → strategy (B.2) → isolation
   /// (B.3), on top of the forSessionBase prefix — inside one push/pop
   /// scope for session queries, at root scope for one-shot ones.
   static EncoderPipeline forQuery(const PredictOptions &Opts);
 
   /// The per-query suffix of a *streaming* PredictSession: window →
-  /// boundary-link → strategy → isolation. The leading WindowPass
-  /// asserts the non-monotone B.1 families (boundary/choice domains,
-  /// hb closure) the streaming base prefix omits; forSessionBase is
-  /// reused for the base and for each extend delta (the passes branch
-  /// on EncodingContext::Streaming internally).
+  /// (causal only: hb) → boundary-link → strategy → isolation. The
+  /// leading WindowPass asserts the non-monotone B.1 domains the
+  /// streaming base prefix omits; the hb closure is not monotone
+  /// either, so a causal query re-derives it in its own scope, and
+  /// rc/ra queries, which embed so ∪ wr, never build it.
+  /// forSessionBase is reused for the base and for each extend delta
+  /// (the passes branch on EncodingContext::Streaming internally).
   static EncoderPipeline forStreamQuery(const PredictOptions &Opts);
 
 private:

@@ -110,8 +110,9 @@ EncodingPlan computeEncodingPlan(const History &H, bool FixedChoices = true);
 /// pair changes value and only pairs involving new transactions are
 /// added (debug-asserted); HbReach is re-closed over the grown skeleton
 /// (old pairs may newly connect through new transactions, which is why
-/// streaming encodes hb per query, not in the base prefix). Streaming
-/// plans carry no Fixed entries, so there is nothing to invalidate.
+/// streaming encodes hb per causal query, not in the base prefix).
+/// Streaming plans carry no Fixed entries, so there is nothing to
+/// invalidate.
 void extendEncodingPlan(EncodingPlan &Plan, const History &H);
 
 } // namespace encode

@@ -19,7 +19,9 @@ using namespace isopredict::engine;
 // 6: one-shot predict() builds the session encoding (materialized cuts
 // linked by BoundaryLinkPass), so cached literal counts and witnesses
 // changed; spec hashes did not.
-const char *isopredict::engine::toolVersion() { return "isopredict-6"; }
+// 7: rc and ra queries embed so ∪ wr instead of the hb closure, so their
+// cached literal counts and witnesses changed; spec hashes did not.
+const char *isopredict::engine::toolVersion() { return "isopredict-7"; }
 
 namespace {
 
@@ -75,7 +77,11 @@ void accumulate(Group &G, const JobResult &R) {
     }
     G.Validated += R.validatedUnserializable();
     G.Diverged += R.Diverged;
-    G.Literals += R.Stats.NumLiterals;
+    // Stream jobs persist no literal count (it depends on the execution
+    // mode, so it lives in the timings-gated steps), and a cache-answered
+    // stream job must report the same summary as its cold run.
+    if (R.Spec.Kind == JobKind::Predict)
+      G.Literals += R.Stats.NumLiterals;
     G.PrunedVars += R.Stats.PrunedVars;
     G.PrunedLits += R.Stats.PrunedLits;
     G.GenSeconds += R.Stats.GenSeconds;

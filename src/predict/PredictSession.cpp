@@ -3,11 +3,13 @@
 // Session lifecycle: the constructor records the history and the causal
 // fast-path precondition; the first query that needs the solver builds
 // the Z3 context and encodes the shared declare+feasibility prefix
-// (EncoderPipeline::forSessionBase); every query then runs the
-// per-query passes (EncoderPipeline::forQuery) inside one solver
-// push/pop scope. One-shot predict() and portfolio lanes run the very
-// same passes through runQuery() at root scope, without the scope and
-// without session.* telemetry.
+// (EncoderPipeline::forSessionBase); the first causal query of a
+// non-streaming session adds the hb closure to that prefix
+// (EncoderPipeline::forClosure); every query then runs the per-query
+// passes (EncoderPipeline::forQuery) inside one solver push/pop scope.
+// One-shot predict() and portfolio lanes run the very same passes
+// through runQuery() at root scope, without the scope and without
+// session.* telemetry.
 //
 //===----------------------------------------------------------------------===//
 
@@ -224,6 +226,21 @@ void PredictSession::ensureBase() {
   BaseDone = true;
 }
 
+void PredictSession::ensureClosure() {
+  if (ClosureDone)
+    return;
+  assert(BaseDone && !Streaming &&
+         "the root-scope closure follows a non-streaming base");
+  Timer Gen;
+  uint64_t Before = Ctx->literalCount();
+  encode::EncoderPipeline::forClosure().run(*EC, BaseStats);
+  BaseStats.GenSeconds += Gen.seconds();
+  BaseStats.NumLiterals += Ctx->literalCount() - Before;
+  BaseStats.PrunedVars = EC->PrunedVars;
+  BaseStats.PrunedLits = EC->PrunedLits;
+  ClosureDone = true;
+}
+
 void PredictSession::applyTimeout(unsigned TimeoutMs) {
   if (TimeoutMs == AppliedTimeoutMs)
     return;
@@ -434,13 +451,19 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
   Opts.Strat = Q.Strat;
   Opts.TimeoutMs = Q.TimeoutMs ? Q.TimeoutMs : DefaultTimeoutMs;
 
-  // Base prefix first (once per session), then the per-query passes.
-  // Sessions wrap those in a push/pop scope so the next query starts
-  // from the bare base; one-shot queries assert them at root scope —
-  // push() would switch Z3 to its incremental solver, which decides
-  // fewer one-shot queries within a budget.
+  // Root-scope prefix first: the base once per session and, for a
+  // non-streaming causal query, the hb closure once per session (a
+  // streaming causal query builds it in its own scope instead). Then
+  // the per-query passes. Sessions wrap those in a push/pop scope so
+  // the next query starts from the bare prefix; one-shot queries
+  // assert them at root scope — push() would switch Z3 to its
+  // incremental solver, which decides fewer one-shot queries within a
+  // budget.
   bool ReusedBase = BaseDone;
+  EncodingStats Prefix = BaseStats;
   ensureBase();
+  if (Q.Level == IsolationLevel::Causal && !Streaming)
+    ensureClosure();
   std::optional<obs::Span> QSpan;
   if (Shared) {
     static obs::Counter &SessionQueries =
@@ -468,18 +491,16 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
   Out.Stats.PrunedVars = EC->PrunedVars - PVBefore;
   Out.Stats.PrunedLits = EC->PrunedLits - PLBefore;
   Out.Stats.BasePrefixReused = ReusedBase;
-  if (!ReusedBase) {
-    // This query paid for the shared prefix: fold its cost in so
-    // campaign-wide literal totals still account for every asserted
-    // literal exactly once.
-    Out.Stats.NumLiterals += BaseStats.NumLiterals;
-    Out.Stats.GenSeconds += BaseStats.GenSeconds;
-    Out.Stats.PrunedVars += BaseStats.PrunedVars;
-    Out.Stats.PrunedLits += BaseStats.PrunedLits;
-    Out.Stats.Passes.insert(Out.Stats.Passes.begin(),
-                            BaseStats.Passes.begin(),
-                            BaseStats.Passes.end());
-  }
+  // Whatever this query added to the shared prefix (the base, the hb
+  // closure, or both) is folded into its cost, so campaign-wide literal
+  // totals still account for every asserted literal exactly once.
+  Out.Stats.NumLiterals += BaseStats.NumLiterals - Prefix.NumLiterals;
+  Out.Stats.GenSeconds += BaseStats.GenSeconds - Prefix.GenSeconds;
+  Out.Stats.PrunedVars += BaseStats.PrunedVars - Prefix.PrunedVars;
+  Out.Stats.PrunedLits += BaseStats.PrunedLits - Prefix.PrunedLits;
+  Out.Stats.Passes.insert(Out.Stats.Passes.begin(),
+                          BaseStats.Passes.begin() + Prefix.Passes.size(),
+                          BaseStats.Passes.end());
 
   if (!Q.GenerateOnly) {
     applyTimeout(Opts.TimeoutMs);

@@ -19,12 +19,14 @@
 ///
 /// Compatibility contract:
 ///  - `query()` and one-shot `predict()` encode the *same* constraint
-///    system: declare → feasibility → boundary-link → strategy →
-///    isolation, with identical literal counts per pass. Only the solver
-///    scope differs: a session query asserts its passes inside a
-///    push/pop scope, while predict() (and a portfolio lane's
-///    solveLane()) asserts everything at root scope. Z3 switches to its
-///    incremental solver once push() is called, so models — and
+///    system: declare → feasibility → (causal only: hb) →
+///    boundary-link → strategy → isolation, with identical literal
+///    counts per pass. A session asserts the hb closure at root scope
+///    the first time a causal query needs it and reuses it after.
+///    Only the solver scope differs: a session query asserts its
+///    passes inside a push/pop scope, while predict() (and a portfolio
+///    lane's solveLane()) asserts everything at root scope. Z3 switches
+///    to its incremental solver once push() is called, so models — and
 ///    therefore boundary/cut positions, witnesses, and validation
 ///    outcomes — may legitimately differ between the two, and so may
 ///    which queries a tight budget decides; sat/unsat never does.
@@ -75,10 +77,11 @@ public:
     /// Streaming mode: the session accepts extend() deltas and encodes
     /// over a sliding window (see Window). The base prefix holds only
     /// the monotone constraint families and grows in place per extend;
-    /// the non-monotone ones are asserted per query by WindowPass
-    /// (encode/Passes.h). Streaming answers are outcome-equivalent to
-    /// predict() on the window's sub-history — and to predict() on the
-    /// full trace whenever Window covers it — but never bit-identical.
+    /// the non-monotone ones are asserted per query by WindowPass and,
+    /// for causal queries, HbClosurePass (encode/Passes.h). Streaming
+    /// answers are outcome-equivalent to predict() on the window's
+    /// sub-history — and to predict() on the full trace whenever
+    /// Window covers it — but never bit-identical.
     bool Streaming = false;
     /// Sliding window: per-session cap on the number of encoded
     /// transactions; 0 = unbounded (never evict — still streaming, the
@@ -192,10 +195,13 @@ public:
   /// in isolation without paying a query's per-query passes.
   void ensureBase();
 
-  /// Literals of the shared prefix (0 until baseEncoded()).
+  /// Literals of the shared prefix (0 until baseEncoded()): everything
+  /// asserted below the query scopes, including the hb closure once a
+  /// causal query of a non-streaming session has built it.
   uint64_t baseLiterals() const { return BaseStats.NumLiterals; }
 
-  /// Stats of the shared prefix encoding (declare + feasibility).
+  /// Stats of the shared prefix encoding (declare + feasibility, then
+  /// hb once a non-streaming causal query needed it).
   const EncodingStats &baseStats() const { return BaseStats; }
 
   const History &observed() const { return H; }
@@ -235,6 +241,10 @@ private:
 
   /// Creates the Z3 context/solver/encoding context on first use.
   void ensureSolver();
+
+  /// Non-streaming, after ensureBase(): asserts the hb closure at root
+  /// scope if no earlier causal query has (folded into BaseStats).
+  void ensureClosure();
 
   /// Deterministic eviction count for a session of \p Count
   /// transactions (see Options::Window).
@@ -311,6 +321,7 @@ private:
 
   EncodingStats BaseStats;
   bool BaseDone = false;
+  bool ClosureDone = false;
   size_t Queries = 0;
   unsigned AppliedTimeoutMs = 0;
 };

@@ -241,3 +241,28 @@ TEST_P(RandomHistoryTest, CausalHistoriesHaveAcyclicHbPlusWw) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomHistoryTest,
                          ::testing::Range<uint64_t>(1, 41));
+
+// The identity the rc and ra encodings rely on when they embed so ∪ wr
+// in their total order instead of hb = (so ∪ wr)⁺: a relation embeds in
+// a strict total order iff it is acyclic, and adding the transitive
+// closure of a subrelation never closes a new cycle. Both verdicts must
+// occur over the seeds, or the comparison would prove nothing.
+TEST(Checkers, EmbeddingSoWrMatchesEmbeddingHb) {
+  unsigned Cyclic = 0, Acyclic = 0;
+  for (uint64_t Seed = 1; Seed <= 200; ++Seed) {
+    History H = randomHistory(Seed * 15485863 + 3, 3, 8, 3);
+    BitRel SoWr = soRel(H);
+    SoWr.unionWith(wrRel(H));
+    for (const BitRel &R : {wwRcRel(H), wwRaRel(H)}) {
+      BitRel WithHb = hbRel(H);
+      WithHb.unionWith(R);
+      BitRel WithSoWr = SoWr;
+      WithSoWr.unionWith(R);
+      bool HbCyclic = WithHb.isCyclic();
+      EXPECT_EQ(HbCyclic, WithSoWr.isCyclic()) << "seed " << Seed;
+      ++(HbCyclic ? Cyclic : Acyclic);
+    }
+  }
+  EXPECT_GT(Cyclic, 0u);
+  EXPECT_GT(Acyclic, 0u);
+}

@@ -5,14 +5,17 @@
 #include "engine/Executor.h"
 #include "engine/JobIo.h"
 #include "smt/Smt.h"
+#include "support/Fs.h"
 #include "support/StrUtil.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <set>
 #include <thread>
+#include <unistd.h>
 
 using namespace isopredict;
 using namespace isopredict::engine;
@@ -451,6 +454,38 @@ TEST(Engine, StreamJobMatchesFromScratchBaseline) {
   }
   EXPECT_EQ(Ext.Outcome, Scr.Outcome);
   EXPECT_EQ(Ext.Steps.back().Outcome, Ext.Outcome);
+}
+
+// A cache-answered stream campaign writes its cold run's report bytes,
+// summary included: stream entries persist no literal count, so the
+// summary "literals" sums Predict jobs only.
+TEST(Engine, StreamCampaignWarmReportMatchesCold) {
+  Campaign C;
+  C.Name = "stream-cache";
+  JobSpec J;
+  J.Kind = JobKind::Stream;
+  J.App = "smallbank";
+  J.Cfg = WorkloadConfig::small(2);
+  J.Level = IsolationLevel::ReadCommitted;
+  J.Strat = Strategy::ExactStrict;
+  J.TimeoutMs = 60000;
+  J.Window = 4;
+  J.StreamChunk = 3;
+  C.Jobs.push_back(J);
+
+  EngineOptions O;
+  O.NumWorkers = 1;
+  O.CacheDir = pathJoin(testing::TempDir(),
+                        formatString("isopredict-stream-cache-%ld",
+                                     static_cast<long>(::getpid())));
+  std::filesystem::remove_all(O.CacheDir); // A recycled pid's leftovers.
+  ASSERT_TRUE(createDirectories(O.CacheDir));
+  Report Cold = Engine(O).run(C);
+  Report Warm = Engine(O).run(C);
+  ASSERT_EQ(Cold.cacheMisses(), 1u);
+  ASSERT_EQ(Warm.cacheHits(), 1u);
+  EXPECT_EQ(Warm.toJson(), Cold.toJson());
+  std::filesystem::remove_all(O.CacheDir);
 }
 
 // Stream job entries round-trip through the JSON wire format exactly,

@@ -227,6 +227,54 @@ TEST(PredictSession, MatchesOneShotResultsAcrossQueries) {
   EXPECT_EQ(Session.numQueries(), 6u);
 }
 
+// Mixed levels on one non-streaming session: the hb closure is added
+// at root scope by the first causal query, after rc queries have
+// already pushed and popped scopes, and later rc/ra queries run on top
+// of it. Every answer must still match the one-shot predict().
+TEST(PredictSession, LazyHbClosureMatchesOneShotAcrossLevels) {
+  const IsolationLevel Levels[] = {
+      IsolationLevel::ReadCommitted, IsolationLevel::Causal,
+      IsolationLevel::ReadCommitted, IsolationLevel::ReadAtomic};
+  for (bool Prune : {false, true})
+    for (const History &H : {crossReadObserved(), depositUnserializable(),
+                             bankDivergenceObserved(), selfJustifyTrap()})
+      for (Strategy S : {Strategy::ExactStrict, Strategy::ApproxStrict,
+                         Strategy::ApproxRelaxed}) {
+        PredictSession::Options SO;
+        SO.PruneFormula = Prune;
+        PredictSession Session(H, SO);
+        for (size_t I = 0; I < std::size(Levels); ++I) {
+          IsolationLevel L = Levels[I];
+          SCOPED_TRACE(std::string(toString(L)) + " " + toString(S) +
+                       (Prune ? " pruned" : "") + " query " +
+                       std::to_string(I));
+          uint64_t BaseBefore = Session.baseLiterals();
+          PredictSession::QueryOptions Q;
+          Q.Level = L;
+          Q.Strat = S;
+          Q.TimeoutMs = 60000;
+          Prediction Incremental = Session.query(Q);
+          PredictOptions O = opts(L, S);
+          O.PruneFormula = Prune;
+          EXPECT_EQ(Incremental.Result, predict(H, O).Result);
+
+          // Only the causal query builds the closure, below the scopes:
+          // it pays for it, and the base books grow by exactly that.
+          uint64_t HbLits = 0;
+          bool HasHb = false;
+          for (const PassStats &P : Incremental.Stats.Passes)
+            if (P.Name == "hb") {
+              HasHb = true;
+              HbLits = P.Literals;
+            }
+          EXPECT_EQ(HasHb, L == IsolationLevel::Causal);
+          if (I > 0) {
+            EXPECT_EQ(Session.baseLiterals(), BaseBefore + HbLits);
+          }
+        }
+      }
+}
+
 TEST(PredictSession, BasePrefixEncodedOnceAndReused) {
   History H = crossReadObserved();
   PredictSession Session(H);
