@@ -19,6 +19,13 @@
 //  - Each session's cut is a materialized variable linked to its
 //    boundary per query (BoundaryLinkPass) rather than a term alias, so
 //    the declare+feasibility prefix is the same for every strategy.
+//  - ExactStrictPass asserts, next to B.2.1's ∀co. ¬IsSerializable(co),
+//    its ground instance at the observed commit order co(t) = t: some
+//    edge of the prediction points backwards in TxnId order. The ∀
+//    implies it, so the set of models (and every sat/unsat answer) is
+//    unchanged; only which model Z3 returns, and how fast, can move.
+//    It hands model-based quantifier instantiation the serial order
+//    that refutes the most candidates before the search starts.
 //
 // Every pass has two construction paths: the default one (the golden
 // fixtures pin its outcomes) and a pruned one gated on
@@ -72,6 +79,52 @@ void assertEmbedding(EncodingContext &EC, SmtExpr Vis,
   Lhs.insert(Lhs.end(), Terms.begin(), Terms.end());
   EC.notePrunedLits(1); // The iff's variable ref.
   EC.assertExpr(Ctx.mkImplies(Ctx.mkOr(Lhs), Lt));
+}
+
+/// B.2.1's Ordered(A,B) = so(A,B) ∨ wr(A,B) ∨ Arbitration(A,B), with
+///   Arbitration(A,B) = ∨_{k,t3} φwr_k(B,t3) ∧ co(A) < co(t3)
+///                                ∧ wrpos_k(A) < cut(s_A).
+/// \p CoLt(X, Y) builds co(X) < co(Y): a comparison of the quantifier's
+/// bound variables in the ∀ body, a constant for its ground instance at
+/// the observed order. A constant comparison always folds (false drops
+/// its arbitration conjunct, true drops the comparison). Otherwise the
+/// disjunction is built verbatim, unless \p Fold: then the other
+/// constants fold out and are tallied as pruned — a constant-true so or
+/// wr is returned as is (the pair is ordered outright), so is otherwise
+/// constant false, wr is constant false off the plan, and writeIncluded
+/// is constant true for t0. Nothing left yields constant false.
+template <typename CoLtFn>
+SmtExpr ordered(EncodingContext &EC, TxnId A, TxnId B, bool Fold,
+                CoLtFn CoLt) {
+  SmtContext &Ctx = EC.Ctx;
+  if (Fold && EC.isTrue(EC.So[A][B]))
+    return EC.So[A][B];
+  std::vector<SmtExpr> Arb;
+  for (const EncodingContext::JustEntry &E : EC.WwByWriter[B]) {
+    if (E.Other == A || !EC.writes(A, E.K))
+      continue;
+    SmtExpr Lt = CoLt(A, E.Other);
+    if (EC.isFalse(Lt))
+      continue;
+    std::vector<SmtExpr> Parts{E.Wrk};
+    if (!EC.isTrue(Lt))
+      Parts.push_back(Lt);
+    SmtExpr WInc = EC.writeIncluded(A, E.K);
+    if (Fold && EC.isTrue(WInc))
+      EC.notePrunedLits(1);
+    else
+      Parts.push_back(WInc);
+    Arb.push_back(Ctx.mkAnd(Parts));
+  }
+  if (!Fold)
+    return Ctx.mkOr({EC.So[A][B], EC.Wr[A][B], Ctx.mkOr(Arb)});
+  std::vector<SmtExpr> Parts;
+  EC.notePrunedLits(1); // so disjunct (constant false)
+  if (EC.orTerm(Parts, EC.Wr[A][B]))
+    return EC.Wr[A][B];
+  if (!Arb.empty())
+    Parts.push_back(Ctx.mkOr(Arb));
+  return Ctx.mkOr(Parts);
 }
 
 /// Streaming declarations: grows the pair tables and declares only the
@@ -578,6 +631,9 @@ void ExactStrictPass::run(EncodingContext &EC) {
   std::vector<SmtExpr> CoBound;
   for (TxnId T = 0; T < N; ++T)
     CoBound.push_back(Ctx.intVar(formatString("coq_%u", T)));
+  auto BoundLt = [&](TxnId X, TxnId Y) {
+    return Ctx.mkLt(CoBound[X], CoBound[Y]);
+  };
 
   std::vector<SmtExpr> Conj;
   Conj.push_back(Ctx.mkDistinct(CoBound));
@@ -585,59 +641,46 @@ void ExactStrictPass::run(EncodingContext &EC) {
     for (TxnId B = 0; B < N; ++B) {
       if (A == B)
         continue;
-      SmtExpr Lt = Ctx.mkLt(CoBound[A], CoBound[B]);
-      if (Pruned && EC.isTrue(EC.So[A][B])) {
+      SmtExpr Lt = BoundLt(A, B);
+      SmtExpr Ord = ordered(EC, A, B, Pruned, BoundLt);
+      if (Pruned && EC.isTrue(Ord)) {
         // Observed so orders the pair unconditionally: the implication
         // collapses to its conclusion.
         EC.notePrunedLits(2);
         Conj.push_back(Lt);
-        continue;
-      }
-      // Arbitration(t1,t2) = \/ φwr_k(t2,t3) ∧ co(t1) < co(t3)
-      //                        ∧ wrpos_k(t1) < boundary(s1).
-      std::vector<SmtExpr> Arb;
-      for (const EncodingContext::JustEntry &E : EC.WwByWriter[B]) {
-        if (E.Other == A || !EC.writes(A, E.K))
-          continue;
-        if (Pruned) {
-          std::vector<SmtExpr> Parts{
-              E.Wrk, Ctx.mkLt(CoBound[A], CoBound[E.Other])};
-          SmtExpr WInc = EC.writeIncluded(A, E.K);
-          if (EC.isTrue(WInc))
-            EC.notePrunedLits(1);
-          else
-            Parts.push_back(WInc);
-          Arb.push_back(Ctx.mkAnd(Parts));
-          continue;
-        }
-        Arb.push_back(Ctx.mkAnd({E.Wrk,
-                                 Ctx.mkLt(CoBound[A], CoBound[E.Other]),
-                                 EC.writeIncluded(A, E.K)}));
-      }
-      if (!Pruned) {
-        SmtExpr Ordered =
-            Ctx.mkOr({EC.So[A][B], EC.Wr[A][B], Ctx.mkOr(Arb)});
-        Conj.push_back(Ctx.mkImplies(Ordered, Lt));
-        continue;
-      }
-      // Pruned: so is constant false here; fold it and a constant-
-      // false wr out of the disjunction, and skip the implication
-      // entirely when nothing can order the pair.
-      std::vector<SmtExpr> Parts;
-      EC.notePrunedLits(1); // so disjunct
-      if (EC.isFalse(EC.Wr[A][B]))
-        EC.notePrunedLits(1);
-      else
-        Parts.push_back(EC.Wr[A][B]);
-      if (!Arb.empty())
-        Parts.push_back(Ctx.mkOr(Arb));
-      if (Parts.empty()) {
+      } else if (Pruned && EC.isFalse(Ord)) {
         EC.notePrunedLits(1); // Vacuous implication.
-        continue;
+      } else {
+        Conj.push_back(Ctx.mkImplies(Ord, Lt));
       }
-      Conj.push_back(Ctx.mkImplies(Ctx.mkOr(Parts), Lt));
     }
   EC.assertExpr(Ctx.mkForall(CoBound, Ctx.mkNot(Ctx.mkAnd(Conj))));
+
+  SmtExpr Instance = observedOrderInstance(EC);
+  if (!EC.isTrue(Instance))
+    EC.assertExpr(Instance);
+}
+
+SmtExpr ExactStrictPass::observedOrderInstance(EncodingContext &EC) {
+  SmtContext &Ctx = EC.Ctx;
+  // With co(t) = t, Distinct holds and every co comparison is a
+  // constant: each A < B pair's implication holds outright, and each
+  // A > B pair's reduces to ¬Ordered(A,B). The negated conjunction is
+  // therefore ∨_{A>B} Ordered(A,B). It folds whenever so is constant
+  // (pruned or streaming), unlike the ∀ body, whose unpruned streaming
+  // form keeps its constant so terms.
+  bool Fold = EC.foldsSo();
+  auto ObservedLt = [&](TxnId X, TxnId Y) { return Ctx.boolVal(X < Y); };
+  std::vector<SmtExpr> Backward;
+  for (TxnId A = 1; A < EC.N; ++A)
+    for (TxnId B = 0; B < A; ++B) {
+      SmtExpr Ord = ordered(EC, A, B, Fold, ObservedLt);
+      if (!Fold)
+        Backward.push_back(Ord);
+      else if (EC.orTerm(Backward, Ord))
+        return Ord; // A constant-true backward edge: the instance holds.
+    }
+  return Ctx.mkOr(Backward);
 }
 
 void ApproxRankPass::run(EncodingContext &EC) {

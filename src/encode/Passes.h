@@ -17,7 +17,8 @@
 ///   BoundaryLinkPass   Table 1: cut ↔ boundary for the query's
 ///                      boundary mode
 ///   WindowPass         streaming only: the non-monotone B.1 families
-///   ExactStrictPass    B.2.1: ∀co. ¬IsSerializable(co)
+///   ExactStrictPass    B.2.1: ∀co. ¬IsSerializable(co), plus its
+///                      ground instance at the observed commit order
 ///   ApproxRankPass     B.2.2: rank-guarded pco cycle
 ///   CausalPass         B.3.1: (hb ∪ wwcausal) embeds in a total order
 ///   ReadAtomicPass     like B.3.1 with one-step visibility (§8)
@@ -110,11 +111,22 @@ public:
 };
 
 /// B.2.1: exact unserializability via a universally quantified commit
-/// order.
+/// order, seeded with the quantifier's ground instance at the observed
+/// commit order.
 class ExactStrictPass : public EncodingPass {
 public:
   const char *name() const override { return "exact-strict"; }
   void run(EncodingContext &EC) override;
+
+  /// ¬IsSerializable(co) at the observed order co(t) = t: some so, wr or
+  /// arbitration edge of the prediction points backwards in TxnId order.
+  /// TxnIds are assigned at commit, so the observed execution is serial
+  /// in that order, and this one instance already rules out every
+  /// prediction whose edges all point forwards. It is implied by the ∀
+  /// (the set of models is unchanged); asserting it next to the ∀ spares
+  /// the solver from finding it. Constant true when a folded so or wr
+  /// edge already points backwards (nothing to assert).
+  static SmtExpr observedOrderInstance(EncodingContext &EC);
 };
 
 /// B.2.2 verbatim: free relation variables with integer rank guards

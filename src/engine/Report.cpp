@@ -21,7 +21,10 @@ using namespace isopredict::engine;
 // changed; spec hashes did not.
 // 7: rc and ra queries embed so ∪ wr instead of the hb closure, so their
 // cached literal counts and witnesses changed; spec hashes did not.
-const char *isopredict::engine::toolVersion() { return "isopredict-7"; }
+// 8: Exact-Strict queries also assert the ∀co's ground instance at the
+// observed commit order, so their cached literal counts and witnesses
+// changed; spec hashes did not.
+const char *isopredict::engine::toolVersion() { return "isopredict-8"; }
 
 namespace {
 

@@ -1,8 +1,10 @@
 //===- checker_test.cpp - Isolation checker tests -------------*- C++ -*-===//
 
+#include "apps/AppFramework.h"
 #include "checker/Checkers.h"
 #include "history/History.h"
 #include "support/Rng.h"
+#include "support/StrUtil.h"
 
 #include "TestUtil.h"
 #include <gtest/gtest.h>
@@ -265,4 +267,51 @@ TEST(Checkers, EmbeddingSoWrMatchesEmbeddingHb) {
   }
   EXPECT_GT(Cyclic, 0u);
   EXPECT_GT(Acyclic, 0u);
+}
+
+// The premise of Exact-Strict's observed-order instance
+// (ExactStrictPass::observedOrderInstance): a SerialObserved store
+// assigns TxnIds at commit, so the observed execution is serial in TxnId
+// order and none of its edges points backwards in it. Arbitration(A,B)
+// at co(t) = t holds when some t3 reads k from B and A ≠ t3 writes k with
+// A < t3; for A > B that is a write to k between B's and t3's read.
+// Forward arbitration edges must occur, or the check would prove
+// nothing.
+TEST(Checkers, ObservedEdgesFollowTxnIdOrder) {
+  uint64_t ForwardArbitrations = 0;
+  for (const std::string &App : applicationNames())
+    for (uint64_t Seed = 1; Seed <= 5; ++Seed)
+      for (const WorkloadConfig &Cfg :
+           {WorkloadConfig::small(Seed), WorkloadConfig::large(Seed)}) {
+        SCOPED_TRACE(formatString("%s seed=%llu txns/session=%u",
+                                  App.c_str(),
+                                  static_cast<unsigned long long>(Seed),
+                                  Cfg.TxnsPerSession));
+        auto Application = makeApplication(App);
+        DataStore::Options O;
+        O.Mode = StoreMode::SerialObserved;
+        O.Level = IsolationLevel::Serializable;
+        O.Seed = Seed;
+        DataStore Store(O);
+        History H = WorkloadRunner::run(*Application, Store, Cfg).Hist;
+        ASSERT_GT(H.numTxns(), 2u);
+
+        uint64_t BackwardSo = 0, BackwardWr = 0, BackwardArb = 0;
+        for (TxnId A = 1; A < H.numTxns(); ++A)
+          for (TxnId B = 0; B < A; ++B) {
+            BackwardSo += H.so(A, B);
+            BackwardWr += H.wr(A, B);
+          }
+        for (KeyId K : H.keysRead())
+          for (const ReadRef &R : H.readsOf(K))
+            for (TxnId A : H.writersOf(K)) {
+              if (A == R.Writer || A == R.Reader || A > R.Reader)
+                continue;
+              ++(A > R.Writer ? BackwardArb : ForwardArbitrations);
+            }
+        EXPECT_EQ(BackwardSo, 0u);
+        EXPECT_EQ(BackwardWr, 0u);
+        EXPECT_EQ(BackwardArb, 0u);
+      }
+  EXPECT_GT(ForwardArbitrations, 0u);
 }

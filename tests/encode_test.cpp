@@ -17,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <memory>
+#include <set>
 
 using namespace isopredict;
 using namespace isopredict::testutil;
@@ -661,12 +663,15 @@ bool hasPass(const Prediction &P, const std::string &Name) {
 // Causal formulas are unchanged by moving the closure out of the
 // feasibility and window passes: these totals were measured before the
 // move, on smallbank seed 2 (only the per-pass attribution moved).
+// Exact-Strict's row then grew by its observed-order instance: +200
+// plain, +91 pruned and +119 streaming, where so and the off-plan wr
+// fold to constants.
 TEST(HbClosure, CausalLiteralCountsArePinned) {
   struct Pin {
     Strategy Strat;
     uint64_t Plain, Pruned, Streaming;
   };
-  const Pin Pins[] = {{Strategy::ExactStrict, 11202, 4676, 7362},
+  const Pin Pins[] = {{Strategy::ExactStrict, 11402, 4767, 7481},
                       {Strategy::ApproxStrict, 15778, 7630, 11938},
                       {Strategy::ApproxRelaxed, 15845, 7697, 12005}};
   History H = fixtureHistory("smallbank", 2);
@@ -710,5 +715,88 @@ TEST(HbClosure, OnlyCausalQueriesBuildIt) {
         Sum += PS.Literals;
       EXPECT_EQ(Sum, P.Stats.NumLiterals);
     }
+  }
+}
+
+//===----------------------------------------------------------------------===
+// Exact-Strict's observed-order instance
+//===----------------------------------------------------------------------===
+
+namespace {
+
+/// Feasibility with every boundary pinned to ∞ — the observed execution
+/// itself — in one of the three encodings, on a fresh solver.
+struct ObservedEncoding {
+  SmtContext Ctx;
+  SmtSolver Solver{Ctx};
+  PredictOptions O = opts(IsolationLevel::ReadCommitted,
+                          Strategy::ExactStrict);
+  std::unique_ptr<encode::EncodingContext> EC;
+
+  ObservedEncoding(const History &H, EncodeMode M) {
+    O.PruneFormula = M == EncodeMode::Pruned;
+    EC = std::make_unique<encode::EncodingContext>(
+        H, O, Ctx, Solver, M == EncodeMode::Streaming);
+    EncodingStats Stats;
+    encode::EncoderPipeline::forSessionBase(O).run(*EC, Stats);
+    EC->beginQuery(Strategy::ExactStrict);
+    if (M == EncodeMode::Streaming)
+      encode::WindowPass().run(*EC);
+    encode::BoundaryLinkPass().run(*EC);
+    for (const SmtExpr &B : EC->Boundary)
+      Solver.add(Ctx.mkEq(B, Ctx.internIntVal(EC->Inf)));
+  }
+};
+
+} // namespace
+
+// The observed execution is serial in TxnId order, so no edge of it
+// points backwards: feasibility plus every boundary at ∞ is sat, and
+// adding the instance alone (without the ∀ it instantiates) makes it
+// unsat. In every encoding, on every fixture history.
+TEST(ObservedOrder, InstanceRulesOutTheObservedExecution) {
+  std::set<std::pair<std::string, uint64_t>> Fixtures;
+  for (const PruneGoldenCase &C : PruneGoldenCases)
+    Fixtures.emplace(C.App, C.Seed);
+  for (const auto &[App, Seed] : Fixtures) {
+    History H = fixtureHistory(App, Seed);
+    for (EncodeMode M :
+         {EncodeMode::Plain, EncodeMode::Pruned, EncodeMode::Streaming}) {
+      SCOPED_TRACE(formatString("%s seed=%llu %s", App.c_str(),
+                                static_cast<unsigned long long>(Seed),
+                                toString(M)));
+      ObservedEncoding E(H, M);
+      EXPECT_EQ(E.Solver.check(), SmtResult::Sat);
+      SmtExpr Instance =
+          encode::ExactStrictPass::observedOrderInstance(*E.EC);
+      ASSERT_FALSE(E.Ctx.isTrue(Instance));
+      E.Solver.add(Instance);
+      EXPECT_EQ(E.Solver.check(), SmtResult::Unsat);
+    }
+  }
+}
+
+// The instance's literals are counted in the exact-strict pass: the
+// pinned causal totals above grew by exactly these counts (the instance
+// does not depend on the isolation level), and the per-pass literals
+// still sum to the total.
+TEST(ObservedOrder, InstanceLiteralsAreCountedInExactStrict) {
+  History H = fixtureHistory("smallbank", 2);
+  const std::pair<EncodeMode, uint64_t> Growth[] = {
+      {EncodeMode::Plain, 200},
+      {EncodeMode::Pruned, 91},
+      {EncodeMode::Streaming, 119}};
+  for (const auto &[M, Lits] : Growth) {
+    SCOPED_TRACE(toString(M));
+    ObservedEncoding E(H, M);
+    EXPECT_EQ(encode::ExactStrictPass::observedOrderInstance(*E.EC).Lits,
+              Lits);
+    Prediction P = generate(H, IsolationLevel::ReadCommitted,
+                            Strategy::ExactStrict, M);
+    EXPECT_GT(passLiterals(P, "exact-strict"), Lits);
+    uint64_t Sum = 0;
+    for (const PassStats &PS : P.Stats.Passes)
+      Sum += PS.Literals;
+    EXPECT_EQ(Sum, P.Stats.NumLiterals);
   }
 }
