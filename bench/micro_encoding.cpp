@@ -59,13 +59,12 @@ void predictOnce(benchmark::State &State, const char *App, Strategy Strat,
 /// pass and asserts, then returns. Per-pass seconds land in counters so
 /// regressions are attributable to a stage from the CI log alone.
 void generateOnce(benchmark::State &State, const char *App, Strategy Strat,
-                  IsolationLevel Level, bool Prune = false) {
+                  IsolationLevel Level) {
   History H = observedHistory(App, static_cast<unsigned>(State.range(0)), 1);
   PredictOptions Opts;
   Opts.Level = Level;
   Opts.Strat = Strat;
   Opts.GenerateOnly = true;
-  Opts.PruneFormula = Prune;
   EncodingStats Stats;
   for (auto _ : State) {
     Prediction P = predict(H, Opts);
@@ -74,10 +73,6 @@ void generateOnce(benchmark::State &State, const char *App, Strategy Strat,
   }
   State.counters["literals"] = static_cast<double>(Stats.NumLiterals);
   State.counters["txns"] = static_cast<double>(H.numTxns() - 1);
-  if (Prune) {
-    State.counters["pruned_vars"] = static_cast<double>(Stats.PrunedVars);
-    State.counters["pruned_lits"] = static_cast<double>(Stats.PrunedLits);
-  }
   for (const PassStats &P : Stats.Passes)
     State.counters[std::string("s_") + P.Name] = P.Seconds;
 }
@@ -123,23 +118,6 @@ static void BM_GenerateTpccRelaxedRc(benchmark::State &State) {
 }
 BENCHMARK(BM_GenerateTpccRelaxedRc)->Arg(8);
 
-/// Formula minimization (PredictOptions::PruneFormula): the relevance-
-/// pruned encoding of the same query as BM_GenerateTpccRankRc — fewer
-/// declared variables and emitted literals, sat-equivalent verdicts
-/// (tests/encode_test.cpp pins the equivalence; this measures the
-/// payoff). pruned_vars / pruned_lits counters attribute the cut.
-static void BM_GeneratePrunedTpccRankRc(benchmark::State &State) {
-  generateOnce(State, "tpcc", Strategy::ApproxStrict,
-               IsolationLevel::ReadCommitted, /*Prune=*/true);
-}
-BENCHMARK(BM_GeneratePrunedTpccRankRc)->Arg(8)->Arg(16);
-
-static void BM_GeneratePrunedSmallbankRankCausal(benchmark::State &State) {
-  generateOnce(State, "smallbank", Strategy::ApproxStrict,
-               IsolationLevel::Causal, /*Prune=*/true);
-}
-BENCHMARK(BM_GeneratePrunedSmallbankRankCausal)->Arg(4)->Arg(8)->Arg(16);
-
 /// Session reuse: steady-state per-query constraint generation on one
 /// PredictSession (same app/strategy/level/workload as
 /// BM_GenerateTpccRankRc — that benchmark is the one-shot baseline,
@@ -147,9 +125,8 @@ BENCHMARK(BM_GeneratePrunedSmallbankRankCausal)->Arg(4)->Arg(8)->Arg(16);
 /// The base prefix is encoded once before the timing loop, so each
 /// iteration measures exactly what the 2nd..Nth campaign query on a
 /// shared history pays: push, boundary-link + strategy + isolation
-/// passes, pop — the declare+feasibility literals (counter
-/// base_literals) are never re-emitted (counter query_literals excludes
-/// them).
+/// passes, pop — the base prefix's literals (counter base_literals)
+/// are never re-emitted (counter query_literals excludes them).
 static void BM_SessionReuseTpccRankRc(benchmark::State &State) {
   History H =
       observedHistory("tpcc", static_cast<unsigned>(State.range(0)), 1);
@@ -227,8 +204,9 @@ BENCHMARK(BM_TransitiveClosure)->Arg(16)->Arg(64)->Arg(256);
 
 namespace {
 
-/// One snapshot shape: a generation-only query measured pruned and
-/// unpruned. Literal counts are deterministic; seconds are machine-
+/// One snapshot shape: a generation-only query measured under the
+/// relevance (default) and identity plans. Literal counts are
+/// deterministic; seconds are machine-
 /// dependent (the committed BENCH_encoding.json records both, with the
 /// seconds understood as "on the machine that wrote the snapshot").
 struct SnapshotCase {
@@ -256,7 +234,7 @@ EncodingStats measureGen(const History &H, Strategy Strat,
   return Best;
 }
 
-/// Writes the pruned-vs-unpruned generation snapshot to \p Path
+/// Writes the default-vs-identity-plan generation snapshot to \p Path
 /// ("-" = stdout). The satellite trajectory file BENCH_encoding.json
 /// at the repo root is generated by exactly this mode.
 int writeSnapshot(const std::string &Path) {
@@ -273,7 +251,7 @@ int writeSnapshot(const std::string &Path) {
 
   JsonWriter J(2);
   J.openObject();
-  J.str("schema", "isopredict-bench-encoding/1");
+  J.str("schema", "isopredict-bench-encoding/2");
   J.str("benchmark", "micro_encoding --json");
   J.str("note", "generation-only (GenerateOnly); literals are "
                 "deterministic, seconds are machine-dependent");
@@ -285,9 +263,9 @@ int writeSnapshot(const std::string &Path) {
     // case's measurement runs land in "span_seconds" below. enable()
     // clears prior spans, so each case starts fresh.
     obs::Tracer::global().enable();
-    EncodingStats Plain =
+    EncodingStats Identity =
         measureGen(H, C.Strat, C.Level, /*Prune=*/false, Reps);
-    EncodingStats Pruned =
+    EncodingStats Default =
         measureGen(H, C.Strat, C.Level, /*Prune=*/true, Reps);
     std::vector<std::pair<std::string, double>> Phases =
         obs::Tracer::global().categorySeconds();
@@ -299,24 +277,22 @@ int writeSnapshot(const std::string &Path) {
     J.str("level", toString(C.Level));
     J.num("txns_per_session", static_cast<uint64_t>(C.TxnsPerSession));
     J.num("txns", static_cast<uint64_t>(H.numTxns() - 1));
-    J.num("literals", Plain.NumLiterals);
-    J.num("pruned_literals", Pruned.NumLiterals);
-    J.num("gen_seconds", Plain.GenSeconds);
-    J.num("pruned_gen_seconds", Pruned.GenSeconds);
-    J.num("pruned_vars", Pruned.PrunedVars);
-    J.num("pruned_lits_estimate", Pruned.PrunedLits);
+    J.num("literals", Default.NumLiterals);
+    J.num("identity_literals", Identity.NumLiterals);
+    J.num("gen_seconds", Default.GenSeconds);
+    J.num("identity_gen_seconds", Identity.GenSeconds);
     double LitCut =
-        Plain.NumLiterals
-            ? 1.0 - static_cast<double>(Pruned.NumLiterals) /
-                        static_cast<double>(Plain.NumLiterals)
+        Identity.NumLiterals
+            ? 1.0 - static_cast<double>(Default.NumLiterals) /
+                        static_cast<double>(Identity.NumLiterals)
             : 0.0;
-    double TimeCut =
-        Plain.GenSeconds > 0 ? 1.0 - Pruned.GenSeconds / Plain.GenSeconds
-                             : 0.0;
+    double TimeCut = Identity.GenSeconds > 0
+                         ? 1.0 - Default.GenSeconds / Identity.GenSeconds
+                         : 0.0;
     J.num("literal_reduction", LitCut);
     J.num("gen_time_reduction", TimeCut);
     // Per-phase wall-clock from obs spans, summed over every run of
-    // this case (all reps, pruned and unpruned). Generation-only, so
+    // this case (all reps, both plans). Generation-only, so
     // "encode" dominates; machine-dependent like the seconds above.
     J.openObjectIn("span_seconds");
     for (const auto &KV : Phases)
@@ -324,12 +300,12 @@ int writeSnapshot(const std::string &Path) {
     J.closeObject();
     J.closeObject();
     std::fprintf(stderr,
-                 "%s/%u: %llu -> %llu literals (-%.1f%%), "
-                 "%.3fs -> %.3fs gen (-%.1f%%)\n",
+                 "%s/%u: %llu (identity) -> %llu (default) literals "
+                 "(-%.1f%%), %.3fs -> %.3fs gen (-%.1f%%)\n",
                  C.Name, C.TxnsPerSession,
-                 static_cast<unsigned long long>(Plain.NumLiterals),
-                 static_cast<unsigned long long>(Pruned.NumLiterals),
-                 100 * LitCut, Plain.GenSeconds, Pruned.GenSeconds,
+                 static_cast<unsigned long long>(Identity.NumLiterals),
+                 static_cast<unsigned long long>(Default.NumLiterals),
+                 100 * LitCut, Identity.GenSeconds, Default.GenSeconds,
                  100 * TimeCut);
   }
   J.closeArray();

@@ -7,7 +7,8 @@
 //   campaign_cli [--apps a,b] [--levels causal,rc,ra]
 //                [--strategies exact,strict,relaxed] [--sizes small,large]
 //                [--seeds N] [--jobs N] [--timeout-ms N]
-//                [--share-encodings] [--portfolio[=N]] [--lane-stats-dir DIR]
+//                [--share-encodings] [--no-prune] [--portfolio[=N]]
+//                [--lane-stats-dir DIR]
 //                [--stream[=CHUNK]] [--window N] [--stream-from-scratch]
 //                [--no-validate] [--timings] [--quiet]
 //                [--cache-dir DIR] [--shard K/N] [--write-shards N]
@@ -79,12 +80,12 @@ int usage(const char *Msg = nullptr) {
       "  --jobs N              worker threads, 0 = all cores (default: 1)\n"
       "  --timeout-ms N        per-query solver timeout (default: 5000)\n"
       "  --share-encodings     one PredictSession per observed execution:\n"
-      "                        reuse the declare+feasibility encoding across\n"
+      "                        reuse the base encoding across\n"
       "                        that execution's queries (same sat/unsat\n"
       "                        outcomes; witnesses/validation may differ)\n"
-      "  --prune               formula minimization: relevance-pruned\n"
-      "                        encoding plan (same sat/unsat outcomes;\n"
-      "                        fewer literals, models may differ)\n"
+      "  --no-prune            encode with the identity plan instead of\n"
+      "                        the relevance plan (same sat/unsat\n"
+      "                        outcomes; more literals, models may differ)\n"
       "  --portfolio[=N]       race up to N solve lanes per predict query\n"
       "                        (default 4): strategy/encoding/Z3-preset\n"
       "                        variants on their own threads, first\n"
@@ -175,12 +176,12 @@ int dryRun(const Campaign &C, const std::string &CacheDir,
     if (S.Kind == JobKind::Predict)
       Detail = formatString(" %s %s %s%s", toString(S.Level),
                             toString(S.Strat), toString(S.Pco),
-                            S.Prune ? " prune" : "");
+                            S.Prune ? "" : " no-prune");
     else if (S.Kind == JobKind::Stream)
       Detail = formatString(" %s %s %s window=%u chunk=%u%s",
                             toString(S.Level), toString(S.Strat),
                             toString(S.Pco), S.Window, S.StreamChunk,
-                            S.Prune ? " prune" : "");
+                            S.Prune ? "" : " no-prune");
     else if (S.Kind == JobKind::RandomWeak)
       Detail = formatString(" %s store_seed=%llu", toString(S.Level),
                             static_cast<unsigned long long>(S.StoreSeed));
@@ -213,7 +214,7 @@ int main(int argc, char **argv) {
   unsigned Jobs = 1;
   unsigned TimeoutMs = 5000;
   bool ShareEncodings = false;
-  bool Prune = false;
+  bool Prune = true;
   bool Stream = false;
   unsigned StreamChunk = 4;
   unsigned Window = 0;
@@ -285,10 +286,10 @@ int main(int argc, char **argv) {
       // Execution mode, not part of any job's spec: the baseline run
       // keeps the extend run's spec hashes so reports diff cleanly.
       StreamFromScratch = true;
-    } else if (Flag == "--prune") {
+    } else if (Flag == "--no-prune") {
       // Changes every job's spec (and hash), so it is a grid flag:
       // campaign files carry their own prune decision per job.
-      Prune = true;
+      Prune = false;
       GridFlagUsed = true;
     } else if (Flag == "--timings") {
       Timings = true;

@@ -86,9 +86,6 @@ static int runPredict(const History &H, IsolationLevel Level, Strategy S) {
   Opts.Strat = S;
   Opts.TimeoutMs =
       static_cast<unsigned>(envInt("ISOPREDICT_TIMEOUT_MS", 60000));
-  // Formula minimization (README "Formula minimization"): same
-  // sat/unsat verdicts, fewer literals, models may differ.
-  Opts.PruneFormula = envInt("ISOPREDICT_PRUNE", 0) != 0;
   Prediction P = predict(H, Opts);
   std::fprintf(stderr,
                "# %s under %s: %s (%llu literals, gen %.2fs, solve %.2fs)\n",

@@ -28,13 +28,15 @@
 //                               exact JobIo wire form, so outcomes are
 //                               comparable with campaign_cli reports
 //   --query-history NAME[,K=V...]  query a registered history (level=,
-//                               strategy=, pco=, timeout_ms=, prune=)\n
+//                               strategy=, pco=, timeout_ms=, prune=)
+//                               prune= defaults to 1 (the relevance
+//                               plan); prune=0 selects the identity plan
 //   --burst N                   pipeline N copies of the NEXT query
 //                               action without waiting (quota probing;
 //                               burst responses never affect exit code)
 //   --status                    print a status/metrics snapshot
 //   --status-out FILE           write the raw status response to FILE
-//                               (report_profile reads it)\n
+//                               (report_profile reads it)
 //   --metrics-out FILE          fetch the `metrics` verb and write the
 //                               Prometheus text exposition to FILE
 //   --shutdown                  ask the server to drain (admin tenants)
@@ -79,7 +81,9 @@ int usage(const char *Msg = nullptr) {
       "         --extend NAME:FILE | --observe k=v,... | --query k=v,... \n"
       "         --query-history NAME[,k=v...] | --burst N | --status\n"
       "         --status-out FILE | --metrics-out FILE | --shutdown\n"
-      "         --collect FILE\n");
+      "         --collect FILE\n"
+      "query keys: prune=1 (default) encodes with the relevance plan,\n"
+      "            prune=0 with the identity plan\n");
   return 2;
 }
 

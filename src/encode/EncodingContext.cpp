@@ -32,14 +32,11 @@ uint64_t packTK(TxnId T, KeyId K) {
 PairMatrix isopredict::encode::defineClosure(SmtContext &Ctx,
                                              SmtSolver &Solver,
                                              const PairMatrix &Base,
-                                             const char *Prefix, bool Fold,
-                                             uint64_t *PrunedVars,
-                                             uint64_t *PrunedLits) {
+                                             const char *Prefix) {
   size_t N = Base.size();
   size_t Layers = 1;
   while ((size_t(1) << Layers) < N)
     ++Layers;
-  uint64_t PV = 0, PL = 0;
   PairMatrix Prev = Base;
   std::vector<SmtExpr> Terms;
   Terms.reserve(N);
@@ -49,49 +46,36 @@ PairMatrix isopredict::encode::defineClosure(SmtContext &Ctx,
       for (TxnId B = 0; B < N; ++B) {
         if (A == B)
           continue;
-        if (Fold && Ctx.isTrue(Prev[A][B])) {
+        if (Ctx.isTrue(Prev[A][B])) {
           // A constant-true path stays true through every later layer.
           Next[A][B] = Prev[A][B];
-          ++PV;
           continue;
         }
         Terms.clear();
         bool True = false;
-        if (Fold && Ctx.isFalse(Prev[A][B]))
-          ++PL;
-        else
+        if (!Ctx.isFalse(Prev[A][B]))
           Terms.push_back(Prev[A][B]);
         for (TxnId M = 0; M < N; ++M) {
           if (M == A || M == B)
             continue;
-          if (!Fold) {
-            Terms.push_back(Ctx.mkAnd(Prev[A][M], Prev[M][B]));
-            continue;
-          }
           SmtExpr Lhs = Prev[A][M], Rhs = Prev[M][B];
-          if (Ctx.isFalse(Lhs) || Ctx.isFalse(Rhs)) {
-            PL += 2; // The whole two-atom conjunct is unsatisfiable.
-            continue;
-          }
+          if (Ctx.isFalse(Lhs) || Ctx.isFalse(Rhs))
+            continue; // The whole two-atom conjunct is unsatisfiable.
           if (Ctx.isTrue(Lhs) && Ctx.isTrue(Rhs)) {
             True = true;
             break;
           }
-          if (Ctx.isTrue(Lhs)) {
+          if (Ctx.isTrue(Lhs))
             Terms.push_back(Rhs);
-            ++PL;
-          } else if (Ctx.isTrue(Rhs)) {
+          else if (Ctx.isTrue(Rhs))
             Terms.push_back(Lhs);
-            ++PL;
-          } else {
+          else
             Terms.push_back(Ctx.mkAnd(Lhs, Rhs));
-          }
         }
-        if (Fold && (True || Terms.empty() || Terms.size() == 1)) {
+        if (True || Terms.size() <= 1) {
           // Constant or pass-through: no layer variable, no definition.
           Next[A][B] = True ? Ctx.boolVal(true)
                             : Terms.empty() ? Ctx.boolVal(false) : Terms[0];
-          ++PV;
           continue;
         }
         SmtExpr Var =
@@ -101,23 +85,7 @@ PairMatrix isopredict::encode::defineClosure(SmtContext &Ctx,
       }
     Prev = std::move(Next);
   }
-  if (PrunedVars)
-    *PrunedVars += PV;
-  if (PrunedLits)
-    *PrunedLits += PL;
   return Prev;
-}
-
-PairMatrix EncodingContext::makePairMatrix(const char *Name, bool IsInt) {
-  PairMatrix M(N, std::vector<SmtExpr>(N));
-  for (TxnId A = 0; A < N; ++A)
-    for (TxnId B = 0; B < N; ++B) {
-      if (A == B)
-        continue;
-      std::string VarName = formatString("%s_%u_%u", Name, A, B);
-      M[A][B] = IsInt ? Ctx.intVar(VarName) : Ctx.boolVar(VarName);
-    }
-  return M;
 }
 
 SmtExpr &EncodingContext::wrkVar(KeyId K, TxnId Writer, TxnId Reader) {
@@ -133,9 +101,8 @@ bool EncodingContext::hasWrk(KeyId K, TxnId Writer, TxnId Reader) const {
 SmtExpr EncodingContext::choiceIs(SessionId S, uint32_t Pos, TxnId W) {
   // A fixed read (EncodingPlan::Fixed) has no choice variable: the
   // equality is a constant, folded by the caller.
-  if (Plan)
-    if (const TxnId *F = Plan->fixedChoice(S, Pos))
-      return Ctx.boolVal(*F == W);
+  if (const TxnId *F = Plan.fixedChoice(S, Pos))
+    return Ctx.boolVal(*F == W);
   auto [It, New] = ChoiceAtomCache.try_emplace(packSPW(S, Pos, W));
   if (New)
     It->second = Ctx.mkEq(Choice.at({S, Pos}), Ctx.internIntVal(W));
@@ -210,38 +177,25 @@ std::vector<EncodingContext::Justification>
 EncodingContext::wwJust(TxnId A, TxnId B, const PairMatrix &P) {
   // φww(A,B): B's write to k is read by some t3 that pco-follows A, and
   // A's write to k lies inside its session's boundary (App. B.2.2).
+  // Constant conjuncts fold: a constant-false pco edge kills the
+  // justification; a constant-true one grounds the derivation — no rank
+  // guard needed (Justification::Grounded) — and writeIncluded is
+  // constant true for t0's writes.
   std::vector<Justification> Out;
   for (const JustEntry &E : WwByWriter[B]) {
     if (E.Other == A || !writes(A, E.K))
       continue;
-    if (pruning()) {
-      // Fold constant conjuncts: a constant-false pco edge kills the
-      // justification; a constant-true one grounds the derivation — no
-      // rank guard needed (Justification::Grounded) — and writeIncluded
-      // is constant true for t0's writes.
-      SmtExpr Edge = P[A][E.Other];
-      if (isFalse(Edge)) {
-        notePrunedLits(3);
-        continue;
-      }
-      std::vector<SmtExpr> Conj{E.Wrk};
-      bool Grounded = isTrue(Edge);
-      if (Grounded)
-        notePrunedLits(1); // The folded pco conjunct. (The rank guard a
-                           // grounded justification also sheds is
-                           // counted by the rank pass.)
-      else
-        Conj.push_back(Edge);
-      SmtExpr WInc = writeIncluded(A, E.K);
-      if (isTrue(WInc))
-        notePrunedLits(1);
-      else
-        Conj.push_back(WInc);
-      Out.push_back({Ctx.mkAnd(Conj), A, E.Other, Grounded});
+    SmtExpr Edge = P[A][E.Other];
+    if (isFalse(Edge))
       continue;
-    }
-    Out.push_back({Ctx.mkAnd({E.Wrk, P[A][E.Other], writeIncluded(A, E.K)}),
-                   A, E.Other});
+    std::vector<SmtExpr> Conj{E.Wrk};
+    bool Grounded = isTrue(Edge);
+    if (!Grounded)
+      Conj.push_back(Edge);
+    SmtExpr WInc = writeIncluded(A, E.K);
+    if (!isTrue(WInc))
+      Conj.push_back(WInc);
+    Out.push_back({Ctx.mkAnd(Conj), A, E.Other, Grounded});
   }
   return Out;
 }
@@ -249,68 +203,49 @@ EncodingContext::wwJust(TxnId A, TxnId B, const PairMatrix &P) {
 std::vector<EncodingContext::Justification>
 EncodingContext::rwJust(TxnId A, TxnId B, const PairMatrix &P) {
   // φrw(A,B): A reads k from some t3, B also writes k and pco-follows
-  // t3, and B's write to k lies inside its session's boundary.
+  // t3, and B's write to k lies inside its session's boundary. Folded
+  // as in wwJust.
   std::vector<Justification> Out;
   if (!Opts.EnableRw)
     return Out;
   for (const JustEntry &E : RwByReader[A]) {
     if (E.Other == B || !writes(B, E.K))
       continue;
-    if (pruning()) {
-      SmtExpr Edge = P[E.Other][B];
-      if (isFalse(Edge)) {
-        notePrunedLits(3);
-        continue;
-      }
-      std::vector<SmtExpr> Conj{E.Wrk};
-      bool Grounded = isTrue(Edge);
-      if (Grounded)
-        notePrunedLits(1); // Pco conjunct only; see wwJust.
-      else
-        Conj.push_back(Edge);
-      SmtExpr WInc = writeIncluded(B, E.K);
-      if (isTrue(WInc))
-        notePrunedLits(1);
-      else
-        Conj.push_back(WInc);
-      Out.push_back({Ctx.mkAnd(Conj), E.Other, B, Grounded});
+    SmtExpr Edge = P[E.Other][B];
+    if (isFalse(Edge))
       continue;
-    }
-    Out.push_back({Ctx.mkAnd({E.Wrk, P[E.Other][B], writeIncluded(B, E.K)}),
-                   E.Other, B});
+    std::vector<SmtExpr> Conj{E.Wrk};
+    bool Grounded = isTrue(Edge);
+    if (!Grounded)
+      Conj.push_back(Edge);
+    SmtExpr WInc = writeIncluded(B, E.K);
+    if (!isTrue(WInc))
+      Conj.push_back(WInc);
+    Out.push_back({Ctx.mkAnd(Conj), E.Other, B, Grounded});
   }
   return Out;
 }
 
 void EncodingContext::addCycleConstraint(const PairMatrix &P) {
+  // A constant-false side kills the term; a constant-true side (an so
+  // edge) reduces it to the other side. Both sides true cannot happen
+  // for pco ⊇ so (so is acyclic), but an empty disjunction still
+  // asserts false — "no cycle is possible" is a legitimate (unsat)
+  // outcome.
   std::vector<SmtExpr> CycleTerms;
   for (TxnId A = 0; A < N; ++A)
     for (TxnId B = A + 1; B < N; ++B) {
-      if (!pruning()) {
-        CycleTerms.push_back(Ctx.mkAnd(P[A][B], P[B][A]));
-        continue;
-      }
-      // Folded: a constant-false side kills the term; a constant-true
-      // side (an so edge) reduces it to the other side. Both sides true
-      // cannot happen for pco ⊇ so (so is acyclic), but an empty
-      // disjunction still asserts false — "no cycle is possible" is a
-      // legitimate (unsat) outcome.
       SmtExpr Fwd = P[A][B], Bwd = P[B][A];
-      if (isFalse(Fwd) || isFalse(Bwd)) {
-        notePrunedLits(2);
+      if (isFalse(Fwd) || isFalse(Bwd))
         continue;
-      }
-      if (isTrue(Fwd) && isTrue(Bwd)) {
+      if (isTrue(Fwd) && isTrue(Bwd))
         CycleTerms.push_back(Ctx.boolVal(true));
-      } else if (isTrue(Fwd)) {
-        notePrunedLits(1);
+      else if (isTrue(Fwd))
         CycleTerms.push_back(Bwd);
-      } else if (isTrue(Bwd)) {
-        notePrunedLits(1);
+      else if (isTrue(Bwd))
         CycleTerms.push_back(Fwd);
-      } else {
+      else
         CycleTerms.push_back(Ctx.mkAnd(Fwd, Bwd));
-      }
     }
   assertExpr(Ctx.mkOr(CycleTerms));
 }

@@ -36,7 +36,6 @@
 #include "smt/Smt.h"
 
 #include <map>
-#include <memory>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -53,47 +52,41 @@ using PairMatrix = std::vector<std::vector<SmtExpr>>;
 /// Exposed as a free function so the closure machinery is testable in
 /// isolation and reusable outside a prediction query.
 ///
-/// With \p Fold set (the pruned encoding), base entries may be boolean
-/// constants and the layers constant-fold through them: a pair with a
-/// constant-true path stays constant true, a pair with no non-false
-/// term stays constant false, and a single surviving term is passed
-/// through instead of defining a layer variable. Skipped declarations
-/// and folded-out atoms are tallied into \p PrunedVars / \p PrunedLits
-/// when non-null. Sat-equivalent to the unfolded construction.
+/// Base entries may be boolean constants, and the layers constant-fold
+/// through them: a pair with a constant-true path stays constant true,
+/// a pair with no non-false term stays constant false, and a single
+/// surviving term is passed through instead of defining a layer
+/// variable. Sat-equivalent to naming every layer pair.
 PairMatrix defineClosure(SmtContext &Ctx, SmtSolver &Solver,
-                         const PairMatrix &Base, const char *Prefix,
-                         bool Fold = false, uint64_t *PrunedVars = nullptr,
-                         uint64_t *PrunedLits = nullptr);
+                         const PairMatrix &Base, const char *Prefix);
 
-/// Shared state of a PredictSession's encoding. Construction declares
-/// nothing; EncoderPipeline runs the DeclarePass first, which builds the
-/// variable tables below.
+/// Shared state of a PredictSession's encoding. Construction computes
+/// the relevance plan and declares nothing; EncoderPipeline runs the
+/// DeclarePass first, which builds the variable tables below.
 ///
-/// Everything DeclarePass and FeasibilityPass build is query-invariant:
-/// the per-session Cut variables are always materialized, and their
-/// linkage to Boundary — which depends on the strategy's boundary mode —
-/// is asserted by the per-query BoundaryLinkPass. A session encodes that
-/// prefix once and answers each query on top of it; a one-shot predict()
-/// runs the same passes once. The hb closure (HbClosurePass) is
-/// query-invariant too, but only causal queries read it, so a
-/// non-streaming session adds it to the prefix the first time a causal
-/// query arrives.
+/// Everything DeclarePass, FeasibilityPass and WindowPass build is
+/// query-invariant: the per-session Cut variables are always
+/// materialized, and their linkage to Boundary — which depends on the
+/// strategy's boundary mode — is asserted by the per-query
+/// BoundaryLinkPass. A session encodes that prefix once and answers
+/// each query on top of it; a one-shot predict() runs the same passes
+/// once. The hb closure (HbClosurePass) is query-invariant too, but
+/// only causal queries read it, so a non-streaming session adds it to
+/// the prefix the first time a causal query arrives.
 class EncodingContext {
 public:
   EncodingContext(const History &H, const PredictOptions &Opts,
                   SmtContext &Ctx, SmtSolver &Solver, bool Streaming = false)
       : H(H), Opts(Opts), Ctx(Ctx), Solver(Solver), N(H.numTxns()),
-        Streaming(Streaming) {
-    if (Opts.PruneFormula) {
-      // Streaming plans disable the single-writer fixed-choice rule:
-      // it is the one relevance rule that is not monotone under
-      // history extension (a new writer would un-fix a read whose
-      // constant is already asserted).
-      PlanStorage = std::make_unique<EncodingPlan>(
-          computeEncodingPlan(H, /*FixedChoices=*/!Streaming));
-      Plan = PlanStorage.get();
-    }
-  }
+        Streaming(Streaming),
+        // Streaming plans disable the single-writer fixed-choice rule:
+        // it is the one relevance rule that is not monotone under
+        // history extension (a new writer would un-fix a read whose
+        // constant is already asserted).
+        Plan(computeEncodingPlan(H,
+                                 Opts.PruneFormula ? PlanKind::Relevance
+                                                   : PlanKind::Identity,
+                                 /*FixedChoices=*/!Streaming)) {}
 
   const History &H;
   const PredictOptions &Opts;
@@ -103,80 +96,49 @@ public:
   /// where extendHistory() grows it as H is appended to.
   size_t N;
   /// Streaming mode: the declare+feasibility prefix holds only the
-  /// *monotone* constraint families (so constants, before-boundary
-  /// implications, choice-inclusion implications, φwr_k/φwr
-  /// definitions — all stable as transactions are appended) and grows
-  /// in place via delta re-runs of the base passes over
-  /// [DeltaFrom, N). The non-monotone families move inside the solver
-  /// scope: boundary domains and choice domains (their disjunctions
-  /// widen with new reads/writers) into the per-query WindowPass, and
-  /// the hb closure (new transactions can connect already-encoded
-  /// pairs) into the per-query HbClosurePass, which only causal
-  /// queries run — rc and ra embed so ∪ wr and never read hb. φso is
-  /// substituted as constants even unpruned, and φhb pair variables
-  /// are never declared (EC.Hb aliases the folded closure; hb occurs
-  /// only positively, so this is sat-equivalent). Streaming encodings
-  /// are therefore never bit-identical to non-streaming ones — outcome
-  /// equivalence is what the streaming tests pin.
+  /// *monotone* constraint families (before-boundary implications,
+  /// choice-inclusion implications, φwr_k/φwr definitions — all stable
+  /// as transactions are appended) and grows in place via delta re-runs
+  /// of the base passes over [DeltaFrom, N). The non-monotone families
+  /// live inside the solver scope: boundary domains and choice domains
+  /// (their disjunctions widen with new reads/writers) in the per-query
+  /// WindowPass, and the hb closure (new transactions can connect
+  /// already-encoded pairs) in the per-query HbClosurePass, which only
+  /// causal queries run — rc and ra embed so ∪ wr and never read hb.
+  /// The passes are the same as for a non-streaming context, which
+  /// runs WindowPass in its base instead; the plan differs (no fixed
+  /// reads), so streaming and non-streaming encodings of one history
+  /// are outcome-equivalent, not bit-identical — outcome equivalence is
+  /// what the streaming tests pin.
   const bool Streaming;
   /// Streaming: first transaction of the current delta — the base
   /// passes encode only entities/pairs touching [DeltaFrom, N).
-  /// 0 on the initial encode (everything is new).
+  /// 0 on the initial encode (everything is new), and always 0 for a
+  /// non-streaming context.
   size_t DeltaFrom = 0;
-  /// Relevance plan of the pruned encoding (PredictOptions::
-  /// PruneFormula); null when pruning is off. Computed once per context
-  /// (once per PredictSession) because it depends only on the observed
-  /// history.
-  const EncodingPlan *Plan = nullptr;
+  /// The plan every pass reads (Prune.h): the relevance plan, or the
+  /// identity plan when PredictOptions::PruneFormula is off. Computed
+  /// once per context (once per PredictSession) because it depends only
+  /// on the observed history; extendHistory() extends it in place.
+  EncodingPlan Plan;
   /// Boundary mode of the current query (BoundaryLinkPass pins the cut
   /// to the boundary when strict); set per query by beginQuery().
   bool Relaxed = false;
 
   //===--------------------------------------------------------------------===
-  // Pruning (PredictOptions::PruneFormula)
+  // Constant folding
   //===--------------------------------------------------------------------===
 
-  bool pruning() const { return Plan != nullptr; }
   bool isTrue(SmtExpr E) const { return Ctx.isTrue(E); }
   bool isFalse(SmtExpr E) const { return Ctx.isFalse(E); }
 
-  /// Cumulative pruning counters (the pipeline attributes per-pass
-  /// deltas into PassStats, mirroring literalCount()). PrunedVars is
-  /// exact; PrunedLits is a lower-bound estimate — each skip site adds
-  /// the literals its unpruned counterpart would have emitted where
-  /// that count is statically known, and one literal per folded-out
-  /// atom otherwise. The hb pair variables the folded closure aliases
-  /// (and their iffs) are tallied by HbClosurePass, so only causal
-  /// queries claim them; rc and ra never build hb.
-  uint64_t PrunedVars = 0;
-  uint64_t PrunedLits = 0;
-  void notePrunedVars(uint64_t K) { PrunedVars += K; }
-  void notePrunedLits(uint64_t K) { PrunedLits += K; }
-
-  /// Disjunct folding for the pruned passes: appends \p E to \p Terms
-  /// unless it is constant false (dropped, one pruned literal);
-  /// returns true when \p E is constant true — the disjunction is then
-  /// trivially true and the caller short-circuits.
+  /// Disjunct folding: appends \p E to \p Terms unless it is constant
+  /// false; returns true when \p E is constant true — the disjunction
+  /// is then trivially true and the caller short-circuits.
   bool orTerm(std::vector<SmtExpr> &Terms, SmtExpr E) {
-    if (isFalse(E)) {
-      notePrunedLits(1);
-      return false;
-    }
-    if (isTrue(E))
-      return true;
-    Terms.push_back(E);
-    return false;
-  }
-
-  /// Conjunct folding: appends \p E unless constant true (dropped, one
-  /// pruned literal); returns true when \p E is constant false — the
-  /// conjunction is then trivially false and the caller drops it.
-  bool andTerm(std::vector<SmtExpr> &Terms, SmtExpr E) {
-    if (isTrue(E)) {
-      notePrunedLits(1);
-      return false;
-    }
     if (isFalse(E))
+      return false;
+    if (isTrue(E))
       return true;
     Terms.push_back(E);
     return false;
@@ -201,25 +163,24 @@ public:
 
   /// Streaming: accounts for transactions appended to H since the last
   /// base encode — advances the [DeltaFrom, N) delta range and extends
-  /// the relevance plan additively. The caller then re-runs the base
-  /// passes (forSessionBase) at root solver scope to encode the delta;
+  /// the plan additively. The caller then re-runs the base passes
+  /// (forSessionBase) at root solver scope to encode the delta;
   /// existing pairs are never re-encoded.
   void extendHistory() {
     assert(Streaming && "extendHistory is a streaming-mode operation");
     DeltaFrom = N;
     N = H.numTxns();
-    if (PlanStorage)
-      extendEncodingPlan(*PlanStorage, H);
+    extendEncodingPlan(Plan, H);
   }
 
   //===--------------------------------------------------------------------===
   // Variable tables (built by DeclarePass)
   //===--------------------------------------------------------------------===
 
-  /// Pair-indexed boolean variables ([t1][t2], diagonal unused). Hb is
-  /// defined only by HbClosurePass (causal queries): declared but
-  /// unconstrained before it in plain encodings, empty before it when
-  /// folded (the closure terms are its entries).
+  /// Pair-indexed terms ([t1][t2], diagonal unused). So holds the
+  /// observed session order's constants, Wr variables (constant false
+  /// off the plan). Hb is empty until HbClosurePass (causal queries)
+  /// aliases it to the folded closure terms.
   PairMatrix So, Wr, Hb;
   PairMatrix Pco;  ///< Final pco (for witness extraction).
   PairMatrix Rank; ///< Int vars, rank encoding only.
@@ -278,9 +239,6 @@ public:
   /// Asserts \p E on the solver.
   void assertExpr(SmtExpr E) { Solver.add(E); }
 
-  /// Fresh N×N matrix of named bool (or int) variables.
-  PairMatrix makePairMatrix(const char *Name, bool IsInt = false);
-
   SmtExpr &wrkVar(KeyId K, TxnId Writer, TxnId Reader);
   bool hasWrk(KeyId K, TxnId Writer, TxnId Reader) const;
 
@@ -304,26 +262,17 @@ public:
   /// True outright for t0. Interned.
   SmtExpr writeIncluded(TxnId T, KeyId K);
 
-  /// True when φso is substituted as constants (pruned or streaming):
-  /// the so ∪ wr terms and the hb closure then constant-fold.
-  bool foldsSo() const { return pruning() || Streaming; }
-
   /// so ∪ wr at (A, B): the one-step base of hb, and what rc and ra
-  /// embed in their total order. When foldsSo(), a so-ordered pair is
-  /// the constant-true so term and any other pair its wr term (itself
-  /// constant false off the plan's skeleton); otherwise the plain
-  /// disjunction.
+  /// embed in their total order, with the so constant folded: a
+  /// so-ordered pair is the constant-true so term and any other pair
+  /// its wr term (itself constant false off the plan's skeleton).
   SmtExpr soWr(TxnId A, TxnId B) {
-    if (foldsSo())
-      return isTrue(So[A][B]) ? So[A][B] : Wr[A][B];
-    return Ctx.mkOr(So[A][B], Wr[A][B]);
+    return isTrue(So[A][B]) ? So[A][B] : Wr[A][B];
   }
 
-  /// Member shorthand for the free defineClosure above (folding — and
-  /// tallying into the pruning counters — exactly when foldsSo()).
+  /// Member shorthand for the free defineClosure above.
   PairMatrix closure(const PairMatrix &Base, const char *Prefix) {
-    return defineClosure(Ctx, Solver, Base, Prefix, foldsSo(),
-                         &PrunedVars, &PrunedLits);
+    return defineClosure(Ctx, Solver, Base, Prefix);
   }
 
   /// One way to justify a ww/rw edge: the condition plus the pco edge
@@ -331,10 +280,10 @@ public:
   struct Justification {
     SmtExpr Cond;
     TxnId RankA, RankB;
-    /// Pruned encodings only: the consumed pco edge is a constant-true
-    /// so edge, i.e. the derivation is grounded at base level and
-    /// cannot be self-justifying — ApproxRankPass omits its rank guard
-    /// (the constant conjunct is already folded out of Cond).
+    /// The consumed pco edge is a constant-true so edge, i.e. the
+    /// derivation is grounded at base level and cannot be
+    /// self-justifying — ApproxRankPass omits its rank guard (the
+    /// constant conjunct is already folded out of Cond).
     bool Grounded = false;
   };
 
@@ -349,7 +298,8 @@ public:
   std::vector<Justification> rwJust(TxnId A, TxnId B, const PairMatrix &P);
 
   /// Asserts that \p P contains a 2-cycle through its closure (the
-  /// unserializability witness requirement).
+  /// unserializability witness requirement), with constant sides
+  /// folded.
   void addCycleConstraint(const PairMatrix &P);
 
   /// Builds WritesBit and the justification indexes; DeclarePass calls
@@ -357,7 +307,6 @@ public:
   void buildIndexes();
 
 private:
-  std::unique_ptr<EncodingPlan> PlanStorage;
   size_t NumKeys = 0;
   /// Dense N×numKeys "t writes k" bitset (t0 writes every key).
   std::vector<uint8_t> WritesBit;

@@ -9,14 +9,15 @@
 /// shared EncodingContext. Each pass asserts one coherent slice of the
 /// constraint system on the context's solver:
 ///
-///   DeclarePass        variable tables (φso/φwr/φhb, φwr_k, φchoice,
-///                      boundary/cut)                  — declarations only
-///   FeasibilityPass    B.1: observed so, boundary domains, read
-///                      choices, φwr_k definitions
+///   DeclarePass        variable tables (φso constants, φwr, φwr_k,
+///                      φchoice, boundary/cut)         — declarations only
+///   FeasibilityPass    B.1, monotone part: before-boundary and
+///                      inclusion implications, φwr_k/φwr definitions
+///   WindowPass         B.1, non-monotone part: boundary and choice
+///                      domains
 ///   HbClosurePass      §4.3: φhb = (so ∪ wr)⁺ — causal queries only
 ///   BoundaryLinkPass   Table 1: cut ↔ boundary for the query's
 ///                      boundary mode
-///   WindowPass         streaming only: the non-monotone B.1 families
 ///   ExactStrictPass    B.2.1: ∀co. ¬IsSerializable(co), plus its
 ///                      ground instance at the observed commit order
 ///   ApproxRankPass     B.2.2: rank-guarded pco cycle
@@ -24,14 +25,16 @@
 ///   ReadAtomicPass     like B.3.1 with one-step visibility (§8)
 ///   ReadCommittedPass  B.3.2: (hb ∪ wwrc) embeds in a total order
 ///
-/// Pass order is fixed by EncoderPipeline: declare → feasibility once
-/// (forSessionBase), then per query boundary-link → one strategy pass →
-/// one isolation pass (forQuery; streaming prepends the window pass).
-/// A causal query also needs the hb closure: right after the base for
-/// non-streaming sessions (forClosure, once per session), after the
-/// window pass for streaming ones. One-shot predict() and session
-/// queries run the same sequence, so they build the same constraint
-/// system.
+/// Pass order is fixed by EncoderPipeline: declare → feasibility →
+/// window once (forSessionBase), then per query boundary-link → one
+/// strategy pass → one isolation pass (forQuery). A streaming base
+/// omits the window pass and each query scope runs it first
+/// (forStreamQuery). A causal query also needs the hb closure: right
+/// after the base for non-streaming sessions (forClosure, once per
+/// session), after the window pass for streaming ones. One-shot
+/// predict() and session queries run the same sequence, so they build
+/// the same constraint system. Every pass has one body, driven by the
+/// context's relevance plan (Prune.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,7 +65,8 @@ public:
   void run(EncodingContext &EC) override;
 };
 
-/// B.1: feasibility of the predicted prefix.
+/// B.1: feasibility of the predicted prefix — the families that stay
+/// valid as transactions are appended, over the [DeltaFrom, N) delta.
 class FeasibilityPass : public EncodingPass {
 public:
   const char *name() const override { return "feasibility"; }
@@ -72,9 +76,8 @@ public:
 /// Links each session's cut to its boundary according to the *current
 /// query's* boundary mode (Table 1) — Cut == Boundary under a strict
 /// boundary, the end of the boundary read's transaction under the
-/// relaxed one. Kept out of DeclarePass/FeasibilityPass so the
-/// declare+feasibility prefix is query-invariant and reusable across
-/// solver scopes.
+/// relaxed one. Kept out of the base passes so the base prefix is
+/// query-invariant and reusable across solver scopes.
 class BoundaryLinkPass : public EncodingPass {
 public:
   const char *name() const override { return "boundary-link"; }
@@ -96,13 +99,14 @@ public:
   void run(EncodingContext &EC) override;
 };
 
-/// Streaming mode only, first pass of every query scope: asserts the
-/// non-monotone B.1 families the streaming base prefix omits — the
-/// per-session boundary-domain disjunctions (they widen with every new
-/// read, and reference the current ∞ position) and the per-read choice
-/// domains (they widen with every new writer of the key). The hb
-/// closure is not monotone either; causal queries build it in their
-/// scope with HbClosurePass, right after this pass. Formula size is
+/// B.1's non-monotone families: the per-session boundary-domain
+/// disjunctions (they widen with every new read, and reference the
+/// current ∞ position) and the per-read choice domains (they widen with
+/// every new writer of the key). Last pass of the base for one-shot
+/// queries and non-streaming sessions; first pass of every query scope
+/// for streaming sessions, whose base grows under them. (The hb closure
+/// is not monotone either; a streaming causal query builds it in its
+/// scope with HbClosurePass, right after this pass.) Formula size is
 /// bounded by the encoded window, not the full trace.
 class WindowPass : public EncodingPass {
 public:
@@ -129,18 +133,14 @@ public:
   static SmtExpr observedOrderInstance(EncodingContext &EC);
 };
 
-/// B.2.2 verbatim: free relation variables with integer rank guards
-/// (§4.2.2, Fig. 6).
+/// B.2.2: free relation variables with integer rank guards (§4.2.2,
+/// Fig. 6). Observed-so pairs substitute constant-true pco and lose
+/// their ww/rw/rank variables; grounded justifications lose their
+/// guards.
 class ApproxRankPass : public EncodingPass {
 public:
   const char *name() const override { return "approx-rank"; }
   void run(EncodingContext &EC) override;
-
-private:
-  /// The plan-driven realization (PredictOptions::PruneFormula):
-  /// observed-so pairs substitute constant-true pco and lose their
-  /// ww/rw/rank variables; grounded justifications lose their guards.
-  void runPruned(EncodingContext &EC);
 };
 
 /// B.3.1: causal-consistency admissibility of the prediction.

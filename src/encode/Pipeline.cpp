@@ -19,13 +19,10 @@ void EncoderPipeline::run(EncodingContext &EC, EncodingStats &Stats) const {
     // timings and trace spans are the same measurement.
     obs::Span S(Pass->name(), obs::CatEncode);
     uint64_t Before = EC.Ctx.literalCount();
-    uint64_t PVBefore = EC.PrunedVars, PLBefore = EC.PrunedLits;
     Pass->run(EC);
     S.finish();
     uint64_t Lits = EC.Ctx.literalCount() - Before;
-    Stats.Passes.push_back({Pass->name(), Lits, S.seconds(),
-                            EC.PrunedVars - PVBefore,
-                            EC.PrunedLits - PLBefore});
+    Stats.Passes.push_back({Pass->name(), Lits, S.seconds()});
     PassesRun.inc();
     Literals.inc(Lits);
     PassSeconds.observe(S.seconds());
@@ -56,10 +53,12 @@ static void addQueryPasses(EncoderPipeline &P, const PredictOptions &Opts) {
   }
 }
 
-EncoderPipeline EncoderPipeline::forSessionBase(const PredictOptions &) {
+EncoderPipeline EncoderPipeline::forSessionBase(bool Streaming) {
   EncoderPipeline P;
   P.add(std::make_unique<DeclarePass>());
   P.add(std::make_unique<FeasibilityPass>());
+  if (!Streaming)
+    P.add(std::make_unique<WindowPass>());
   return P;
 }
 

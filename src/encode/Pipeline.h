@@ -44,8 +44,10 @@ public:
   void run(EncodingContext &EC, EncodingStats &Stats) const;
 
   /// The query-invariant prefix of a PredictSession: declare →
-  /// feasibility. Encoded once per session, below every solver scope.
-  static EncoderPipeline forSessionBase(const PredictOptions &Opts);
+  /// feasibility → window. Encoded once per session, below every solver
+  /// scope. A \p Streaming base stops before the window pass (each
+  /// query scope runs it instead) and is re-run for each extend delta.
+  static EncoderPipeline forSessionBase(bool Streaming);
 
   /// The hb closure (HbClosurePass) of a non-streaming session: run
   /// once, at root scope, right after the base and before the first
@@ -63,8 +65,6 @@ public:
   /// streaming base prefix omits; the hb closure is not monotone
   /// either, so a causal query re-derives it in its own scope, and
   /// rc/ra queries, which embed so ∪ wr, never build it.
-  /// forSessionBase is reused for the base and for each extend delta
-  /// (the passes branch on EncodingContext::Streaming internally).
   static EncoderPipeline forStreamQuery(const PredictOptions &Opts);
 
 private:

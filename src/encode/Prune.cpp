@@ -1,4 +1,4 @@
-//===- Prune.cpp - Relevance analysis for formula minimization -----------===//
+//===- Prune.cpp - The relevance plan every encoding pass reads ----------===//
 
 #include "encode/Prune.h"
 
@@ -6,10 +6,12 @@ using namespace isopredict;
 using namespace isopredict::encode;
 
 EncodingPlan isopredict::encode::computeEncodingPlan(const History &H,
+                                                     PlanKind Kind,
                                                      bool FixedChoices) {
   EncodingPlan Plan;
   size_t N = H.numTxns();
   Plan.N = N;
+  Plan.Kind = Kind;
   Plan.So = BitRel(N);
   Plan.WrPossible = BitRel(N);
 
@@ -17,6 +19,16 @@ EncodingPlan isopredict::encode::computeEncodingPlan(const History &H,
     for (TxnId B = 0; B < N; ++B)
       if (A != B && H.so(A, B))
         Plan.So.set(A, B);
+
+  if (Kind == PlanKind::Identity) {
+    // Only so is substituted: every other pair stays possible.
+    for (TxnId A = 0; A < N; ++A)
+      for (TxnId B = 0; B < N; ++B)
+        if (A != B)
+          Plan.WrPossible.set(A, B);
+    Plan.HbReach = Plan.WrPossible;
+    return Plan;
+  }
 
   // φwr_k existence, in the same (keysRead, writersOf, readsOf)
   // enumeration DeclarePass uses to build the variable table: a pair
@@ -71,7 +83,7 @@ void isopredict::encode::extendEncodingPlan(EncodingPlan &Plan,
 #ifndef NDEBUG
   EncodingPlan Old = Plan;
 #endif
-  Plan = computeEncodingPlan(H, /*FixedChoices=*/false);
+  Plan = computeEncodingPlan(H, Plan.Kind, /*FixedChoices=*/false);
 #ifndef NDEBUG
   // So and WrPossible must be monotone over the already-encoded prefix:
   // the delta passes rely on existing pair constants/variables staying

@@ -90,13 +90,13 @@ struct JobSpec {
   bool Validate = true;
   /// RandomWeak: run the ∃co serializability check on the history.
   bool CheckSerializability = true;
-  /// Predict: relevance-pruned encoding (PredictOptions::PruneFormula).
-  /// Sat/unsat outcomes match the default encoding, but models,
-  /// witnesses, validation replays, and literal counts may differ — all
-  /// of which land in default report bytes — so the flag is part of the
-  /// canonical spec: pruned and unpruned runs never answer each other's
-  /// cache lookups or match in report_diff.
-  bool Prune = false;
+  /// Predict: relevance plan (true, the default) or identity plan
+  /// (PredictOptions::PruneFormula). Sat/unsat outcomes match, but
+  /// models, witnesses, validation replays, and literal counts may
+  /// differ — all of which land in default report bytes — so the flag
+  /// is part of the canonical spec: runs under the two plans never
+  /// answer each other's cache lookups or match in report_diff.
+  bool Prune = true;
   /// Stream: sliding-window width in transactions per session
   /// (PredictSession::Options::Window); 0 = unbounded (every query
   /// covers the whole trace). Part of the canonical spec for Stream

@@ -21,9 +21,9 @@ namespace {
 
 /// Key of one encoding-share group: the fields that determine the
 /// observed execution a Predict job encodes against — plus the prune
-/// flag, because the relevance plan shapes the session's shared
-/// declare+feasibility prefix (pruned and unpruned jobs must not share
-/// a PredictSession).
+/// flag, because the plan shapes the session's shared base prefix
+/// (jobs under the relevance and identity plans must not share a
+/// PredictSession).
 std::string shareKey(const JobSpec &S) {
   return formatString("%s|%u|%u|%llu|%llu|%u", S.App.c_str(),
                       S.Cfg.Sessions, S.Cfg.TxnsPerSession,

@@ -42,7 +42,7 @@ struct EngineOptions {
   /// Share constraint encodings across Predict jobs on the same
   /// observed execution (same App, workload Cfg, StoreSeed): each such
   /// group runs through one PredictSession, which encodes the
-  /// declare+feasibility prefix once and answers every (level ×
+  /// base prefix once and answers every (level ×
   /// strategy) query in a solver scope. Groups become the
   /// scheduling unit — jobs within a group run sequentially in
   /// campaign order — so reports stay deterministic across worker

@@ -118,7 +118,7 @@ void isopredict::engine::writeJobFields(JsonWriter &J, const JobResult &R,
       J.boolean("canceled", true);
     J.num("literals", R.Stats.NumLiterals);
     // Present only under EngineOptions::ShareEncodings, where literal
-    // counts cover just the per-query passes: the declare+feasibility
+    // counts cover just the per-query passes: the base
     // prefix was already on the shared session's solver. Deterministic
     // (groups schedule as a unit), and emitted only when true so
     // share-nothing reports carry no trace of the sharing feature.
@@ -186,14 +186,6 @@ void isopredict::engine::writeJobFields(JsonWriter &J, const JobResult &R,
       // Run-dependent magnitudes, so timings-gated like the seconds
       // fields.
       writeSolverStats(J, R.SolverStats);
-      // Pruning attribution (--prune jobs only; deterministic, but
-      // timing-gated so default report bytes keep their shape, and
-      // emitted only when present so unpruned --timings reports do
-      // too).
-      if (R.Stats.PrunedVars || R.Stats.PrunedLits) {
-        J.num("pruned_vars", R.Stats.PrunedVars);
-        J.num("pruned_lits", R.Stats.PrunedLits);
-      }
       // Per-pass attribution of the encoding pipeline (src/encode/).
       // Timing-gated with the rest: pass literals are deterministic,
       // but adding fields to the default report would break its
@@ -205,10 +197,6 @@ void isopredict::engine::writeJobFields(JsonWriter &J, const JobResult &R,
           J.str("name", P.Name);
           J.num("literals", P.Literals);
           J.num("seconds", P.Seconds);
-          if (P.PrunedVars || P.PrunedLits) {
-            J.num("pruned_vars", P.PrunedVars);
-            J.num("pruned_lits", P.PrunedLits);
-          }
           J.closeObject();
         }
         J.closeArray();
@@ -324,10 +312,10 @@ std::string optStr(const JsonValue &Obj, const char *Key) {
   return F && F->K == JsonValue::Kind::String ? F->Text : std::string();
 }
 
-/// Optional flag; false when absent.
-bool optBool(const JsonValue &Obj, const char *Key) {
+/// Optional flag; \p Default when absent.
+bool optBool(const JsonValue &Obj, const char *Key, bool Default = false) {
   const JsonValue *F = Obj.field(Key);
-  return F && F->K == JsonValue::Kind::Bool && F->B;
+  return F && F->K == JsonValue::Kind::Bool ? F->B : Default;
 }
 
 /// Optional counter field; 0 when absent.
@@ -448,10 +436,9 @@ isopredict::engine::jobSpecFromJson(const JsonValue &Obj, std::string *Error) {
   S.TimeoutMs = static_cast<unsigned>(*TimeoutMs);
   S.Validate = *Validate;
   S.CheckSerializability = *CheckSer;
-  // Added with the prune field (tool version 5); absent in older
-  // entries, whose default-false reconstruction then fails the hash
-  // re-derivation below — exactly the stale-entry rejection we want.
-  S.Prune = optBool(Obj, "prune");
+  // Added with the prune field (tool version 5). A file that omits it
+  // means JobSpec's default, as the server protocol does.
+  S.Prune = optBool(Obj, "prune", JobSpec().Prune);
   // Stream entries always carry their window/chunk (they are part of
   // the canonical spec for this kind); other kinds never do.
   if (S.Kind == JobKind::Stream) {
@@ -619,8 +606,6 @@ isopredict::engine::jobResultFromJson(const JsonValue &Obj,
   R.Stats.SolveSeconds = optDouble(Obj, "solve_seconds");
   R.WallSeconds = optDouble(Obj, "wall_seconds");
   R.CacheHit = optBool(Obj, "cache_hit");
-  R.Stats.PrunedVars = optU64(Obj, "pruned_vars");
-  R.Stats.PrunedLits = optU64(Obj, "pruned_lits");
   readSolverStats(Obj, R.SolverStats);
   if (const JsonValue *Passes = Obj.field("passes"))
     if (Passes->K == JsonValue::Kind::Array)
@@ -633,8 +618,6 @@ isopredict::engine::jobResultFromJson(const JsonValue &Obj,
         PS.Name = optStr(P, "name");
         PS.Literals = optU64(P, "literals");
         PS.Seconds = optDouble(P, "seconds");
-        PS.PrunedVars = optU64(P, "pruned_vars");
-        PS.PrunedLits = optU64(P, "pruned_lits");
         R.Stats.Passes.push_back(std::move(PS));
       }
   R.WinningLane = optStr(Obj, "winning_lane");

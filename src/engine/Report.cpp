@@ -24,7 +24,10 @@ using namespace isopredict::engine;
 // 8: Exact-Strict queries also assert the ∀co's ground instance at the
 // observed commit order, so their cached literal counts and witnesses
 // changed; spec hashes did not.
-const char *isopredict::engine::toolVersion() { return "isopredict-8"; }
+// 9: JobSpec::Prune defaults to true (canonicalSpec "prune=1"), so the
+// default grid's spec hashes moved, and the identity plan (prune=0)
+// builds a different formula than the old unpruned encoding.
+const char *isopredict::engine::toolVersion() { return "isopredict-9"; }
 
 namespace {
 
@@ -38,7 +41,6 @@ struct Group {
   unsigned CommittedTxns = 0, Reads = 0, Writes = 0, ReadOnlyTxns = 0,
            AbortedTxns = 0, DeadlockAborts = 0;
   uint64_t Literals = 0;
-  uint64_t PrunedVars = 0, PrunedLits = 0;
   double GenSeconds = 0, SolveSeconds = 0, WallSeconds = 0;
 };
 
@@ -85,8 +87,6 @@ void accumulate(Group &G, const JobResult &R) {
     // stream job must report the same summary as its cold run.
     if (R.Spec.Kind == JobKind::Predict)
       G.Literals += R.Stats.NumLiterals;
-    G.PrunedVars += R.Stats.PrunedVars;
-    G.PrunedLits += R.Stats.PrunedLits;
     G.GenSeconds += R.Stats.GenSeconds;
     G.SolveSeconds += R.Stats.SolveSeconds;
   }
@@ -133,12 +133,6 @@ void emitGroup(JsonWriter &J, const std::string &Key, const Group &G,
   J.num("deadlock_aborts", static_cast<uint64_t>(G.DeadlockAborts));
   J.num("literals", G.Literals);
   if (Opts.IncludeTimings) {
-    // Pruning attribution (--prune jobs only): emitted when present so
-    // unpruned --timings reports keep their previous shape.
-    if (G.PrunedVars || G.PrunedLits) {
-      J.num("pruned_vars", G.PrunedVars);
-      J.num("pruned_lits", G.PrunedLits);
-    }
     J.num("gen_seconds", G.GenSeconds);
     J.num("solve_seconds", G.SolveSeconds);
     J.num("wall_seconds", G.WallSeconds);
@@ -269,16 +263,6 @@ void Report::printSummary(FILE *Out) const {
   if (CacheHits || CacheMisses)
     std::fprintf(Out, "cache: %u hit(s), %u miss(es)\n", CacheHits,
                  CacheMisses);
-  uint64_t PrunedVars = 0, PrunedLits = 0;
-  for (const JobResult &R : Results) {
-    PrunedVars += R.Stats.PrunedVars;
-    PrunedLits += R.Stats.PrunedLits;
-  }
-  if (PrunedVars || PrunedLits)
-    std::fprintf(Out,
-                 "prune: %llu variable(s) and >= %llu literal(s) avoided\n",
-                 static_cast<unsigned long long>(PrunedVars),
-                 static_cast<unsigned long long>(PrunedLits));
   unsigned Raced = 0, LanesCanceled = 0, LanesSkipped = 0, Rescued = 0;
   for (const JobResult &R : Results) {
     if (R.Lanes.empty())

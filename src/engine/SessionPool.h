@@ -7,7 +7,7 @@
 /// \file
 /// Keeps warm PredictSessions between queries, owned by the Executor. A
 /// hot (tenant × history) pair answers repeat queries without
-/// re-encoding the shared declare+feasibility prefix — prefix reuse
+/// re-encoding the shared base prefix — prefix reuse
 /// across requests instead of within one campaign group.
 ///
 /// Checkout model: acquire() *removes* an idle session from the pool
@@ -20,7 +20,7 @@
 /// idle session per key.
 ///
 /// Keys bake in the tenant's app-id, the history's content hash, and
-/// the prune flag (a pruned session's shared prefix differs), so warm
+/// the prune flag (each plan has its own shared prefix), so warm
 /// state never leaks across tenants or encoding variants.
 ///
 //===----------------------------------------------------------------------===//

@@ -35,10 +35,9 @@ std::vector<LaneSpec> portfolio::buildLanes(const PredictOptions &Q,
   Ref.Prune = Q.PruneFormula;
   Add(Ref);
 
-  // Encoding toggle: the PR 5 pruned formula is sat/unsat-equivalent
-  // and often takes a different search trajectory (besides encoding in
-  // half the time). Both directions, depending on what the query asked
-  // for.
+  // Encoding toggle: the relevance plan's formula ("pruned") and the
+  // identity plan's ("unpruned") are sat/unsat-equivalent and often take
+  // different search trajectories. Whichever the query did not ask for.
   LaneSpec Toggle = Ref;
   Toggle.Name = Q.PruneFormula ? "unpruned" : "pruned";
   Toggle.Prune = !Q.PruneFormula;

@@ -9,7 +9,7 @@
 /// query — on their own threads, commits the first definitive answer,
 /// and cancels the losers (SmtSolver::interrupt). The prediction
 /// queries are embarrassingly racy: the Exact and Approx encodings, the
-/// pruned and unpruned formulas, and any sat/unsat-preserving Z3
+/// relevance and identity plans' formulas, and any sat/unsat-preserving Z3
 /// parameter preset all answer the same sat/unsat question, with solve
 /// times that differ by orders of magnitude per query.
 ///
@@ -21,7 +21,7 @@
 ///
 /// Definitiveness (the sat/unsat-equivalence contract):
 ///  - A lane with the query's own strategy is sat/unsat-equivalent by
-///    the established encoding contracts (pruning, solver parameters),
+///    the established encoding contracts (either plan, solver parameters),
 ///    so both of its decided answers commit.
 ///  - Cross-strategy lanes commit only along the soundness lattice:
 ///    Approx-Strict sat implies Exact sat (the approx encoding is a

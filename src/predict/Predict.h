@@ -88,17 +88,17 @@ struct PredictOptions {
   /// solver query (Result stays Unknown). Lets bench/micro_encoding
   /// measure constraint generation in isolation.
   bool GenerateOnly = false;
-  /// Formula minimization (src/encode/Prune.h): run a relevance
-  /// analysis over the observed history and skip declarations and
-  /// assertions no model can distinguish — observed-so pair variables
-  /// become constants, wr/hb pairs outside the skeleton become false,
-  /// single-writer reads lose their choice atoms, and the strategy and
-  /// isolation passes fold the constants out of their terms. The pruned
-  /// encoding is sat/unsat-equivalent to the default one (validated
-  /// against the golden fixtures with replay-validated Sat models) but
-  /// *not* bit-identical: models, witnesses, and literal counts differ,
-  /// which is why it is opt-in.
-  bool PruneFormula = false;
+  /// Which relevance plan the encoding reads (src/encode/Prune.h). On
+  /// (the default): the relevance analysis over the observed history —
+  /// wr/hb pairs outside the skeleton become constant false and
+  /// single-writer reads lose their choice atoms, and the passes fold
+  /// the constants out of their terms. Off: the identity plan, which
+  /// substitutes only the observed session order. Both are
+  /// sat/unsat-equivalent (validated against the golden fixtures with
+  /// replay-validated Sat models) but not bit-identical: models,
+  /// witnesses, and literal counts differ. Data, not a code path: the
+  /// passes have one body either way.
+  bool PruneFormula = true;
   /// Extra Z3 solver parameters applied after solver creation
   /// (name = value, via SmtSolver::setOption). Portfolio lanes use these
   /// for sat/unsat-preserving heuristic presets ("smt.arith.solver",
@@ -113,13 +113,6 @@ struct PassStats {
   std::string Name;
   uint64_t Literals = 0;
   double Seconds = 0;
-  /// Declarations and literals this pass avoided under
-  /// PredictOptions::PruneFormula (zero with pruning off). PrunedVars
-  /// is exact; PrunedLits is a lower-bound estimate accumulated at the
-  /// fold sites (each folded-out atom or skipped assertion counts the
-  /// literals its unpruned counterpart would have emitted).
-  uint64_t PrunedVars = 0;
-  uint64_t PrunedLits = 0;
 };
 
 /// Sizing and timing of one predictive-analysis query (the paper's
@@ -128,17 +121,12 @@ struct EncodingStats {
   uint64_t NumLiterals = 0;
   double GenSeconds = 0;
   double SolveSeconds = 0;
-  /// True when this query ran on a PredictSession whose declare +
-  /// feasibility prefix was already on the solver: those literals were
-  /// not re-emitted, so NumLiterals/GenSeconds/Passes cover only the
-  /// per-query passes. False for one-shot queries and for the session
-  /// query that paid for the base (its stats include the base passes).
+  /// True when this query ran on a PredictSession whose base prefix was
+  /// already on the solver: those literals were not re-emitted, so
+  /// NumLiterals/GenSeconds/Passes cover only the per-query passes.
+  /// False for one-shot queries and for the session query that paid
+  /// for the base (its stats include the base passes).
   bool BasePrefixReused = false;
-  /// Totals of the per-pass pruning counters (PassStats): variable
-  /// declarations skipped and literals avoided (estimated) under
-  /// PredictOptions::PruneFormula. Zero with pruning off.
-  uint64_t PrunedVars = 0;
-  uint64_t PrunedLits = 0;
   /// Per-pass attribution, in pipeline order; literals sum to
   /// NumLiterals and seconds sum to (just under) GenSeconds.
   std::vector<PassStats> Passes;

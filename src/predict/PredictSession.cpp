@@ -2,8 +2,8 @@
 //
 // Session lifecycle: the constructor records the history and the causal
 // fast-path precondition; the first query that needs the solver builds
-// the Z3 context and encodes the shared declare+feasibility prefix
-// (EncoderPipeline::forSessionBase); the first causal query of a
+// the Z3 context and encodes the shared declare → feasibility → window
+// prefix (EncoderPipeline::forSessionBase); the first causal query of a
 // non-streaming session adds the hb closure to that prefix
 // (EncoderPipeline::forClosure); every query then runs the per-query
 // passes (EncoderPipeline::forQuery) inside one solver push/pop scope.
@@ -61,10 +61,9 @@ void extract(encode::EncodingContext &EC, SmtSolver &Solver,
       if (CutS != InfPos && E.Pos > CutS)
         continue;
       if (E.Kind == EventKind::Read) {
-        // Fixed single-writer reads (pruned encodings) have no choice
-        // variable; their writer is the plan's constant.
-        const TxnId *Fixed =
-            EC.Plan ? EC.Plan->fixedChoice(T.Session, E.Pos) : nullptr;
+        // Fixed single-writer reads have no choice variable; their
+        // writer is the plan's constant.
+        const TxnId *Fixed = EC.Plan.fixedChoice(T.Session, E.Pos);
         TxnId W = Fixed ? *Fixed
                         : static_cast<TxnId>(Solver.modelInt(
                               EC.Choice.at({T.Session, E.Pos})));
@@ -218,11 +217,9 @@ void PredictSession::ensureBase() {
     Sp.emplace("session.base_encode", obs::CatSession);
   }
   Timer Gen;
-  encode::EncoderPipeline::forSessionBase(Opts).run(*EC, BaseStats);
+  encode::EncoderPipeline::forSessionBase(Streaming).run(*EC, BaseStats);
   BaseStats.GenSeconds = Gen.seconds();
   BaseStats.NumLiterals = Ctx->literalCount();
-  BaseStats.PrunedVars = EC->PrunedVars;
-  BaseStats.PrunedLits = EC->PrunedLits;
   BaseDone = true;
 }
 
@@ -236,8 +233,6 @@ void PredictSession::ensureClosure() {
   encode::EncoderPipeline::forClosure().run(*EC, BaseStats);
   BaseStats.GenSeconds += Gen.seconds();
   BaseStats.NumLiterals += Ctx->literalCount() - Before;
-  BaseStats.PrunedVars = EC->PrunedVars;
-  BaseStats.PrunedLits = EC->PrunedLits;
   ClosureDone = true;
 }
 
@@ -395,7 +390,7 @@ PredictSession::ExtendStats PredictSession::extend(const History &Delta) {
     obs::Span Gen("session.extend_encode", obs::CatSession);
     uint64_t Before = Ctx->literalCount();
     EncodingStats DeltaStats;
-    encode::EncoderPipeline::forSessionBase(Opts).run(*EC, DeltaStats);
+    encode::EncoderPipeline::forSessionBase(Streaming).run(*EC, DeltaStats);
     Gen.finish();
     ES.GenSeconds = Gen.seconds();
     ES.NumLiterals = Ctx->literalCount() - Before;
@@ -403,8 +398,6 @@ PredictSession::ExtendStats PredictSession::extend(const History &Delta) {
     // the solver below the scopes".
     BaseStats.NumLiterals += ES.NumLiterals;
     BaseStats.GenSeconds += ES.GenSeconds;
-    BaseStats.PrunedVars = EC->PrunedVars;
-    BaseStats.PrunedLits = EC->PrunedLits;
   }
   ++Extends;
   ES.WindowTxns = SubH.numTxns();
@@ -481,23 +474,18 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
   if (Shared)
     Solver->push();
   uint64_t Before = Ctx->literalCount();
-  uint64_t PVBefore = EC->PrunedVars, PLBefore = EC->PrunedLits;
   Timer Gen;
   (Streaming ? encode::EncoderPipeline::forStreamQuery(Opts)
              : encode::EncoderPipeline::forQuery(Opts))
       .run(*EC, Out.Stats);
   Out.Stats.GenSeconds = Gen.seconds();
   Out.Stats.NumLiterals = Ctx->literalCount() - Before;
-  Out.Stats.PrunedVars = EC->PrunedVars - PVBefore;
-  Out.Stats.PrunedLits = EC->PrunedLits - PLBefore;
   Out.Stats.BasePrefixReused = ReusedBase;
   // Whatever this query added to the shared prefix (the base, the hb
   // closure, or both) is folded into its cost, so campaign-wide literal
   // totals still account for every asserted literal exactly once.
   Out.Stats.NumLiterals += BaseStats.NumLiterals - Prefix.NumLiterals;
   Out.Stats.GenSeconds += BaseStats.GenSeconds - Prefix.GenSeconds;
-  Out.Stats.PrunedVars += BaseStats.PrunedVars - Prefix.PrunedVars;
-  Out.Stats.PrunedLits += BaseStats.PrunedLits - Prefix.PrunedLits;
   Out.Stats.Passes.insert(Out.Stats.Passes.begin(),
                           BaseStats.Passes.begin() + Prefix.Passes.size(),
                           BaseStats.Passes.end());

@@ -12,14 +12,14 @@
 /// constraint system per (level × strategy) query on the *same* observed
 /// history is the dominant avoidable cost. A PredictSession keeps one
 /// SmtContext and solver alive for an observed history, encodes the
-/// query-invariant prefix (DeclarePass + FeasibilityPass, see
-/// EncoderPipeline::forSessionBase) exactly once, and answers each
+/// query-invariant prefix (DeclarePass + FeasibilityPass + WindowPass,
+/// see EncoderPipeline::forSessionBase) exactly once, and answers each
 /// query(QueryOptions) inside a solver push/pop scope that asserts only
 /// the per-query passes (boundary linkage, strategy, isolation level).
 ///
 /// Compatibility contract:
 ///  - `query()` and one-shot `predict()` encode the *same* constraint
-///    system: declare → feasibility → (causal only: hb) →
+///    system: declare → feasibility → window → (causal only: hb) →
 ///    boundary-link → strategy → isolation, with identical literal
 ///    counts per pass. A session asserts the hb closure at root scope
 ///    the first time a causal query needs it and reuses it after.
@@ -68,12 +68,11 @@ public:
     unsigned TimeoutMs = 0;
     /// Ablation knob: include anti-dependency (rw) edges in pco.
     bool EnableRw = true;
-    /// Formula minimization (PredictOptions::PruneFormula). Session-
-    /// wide because the relevance plan shapes the shared declare +
-    /// feasibility prefix: it is computed once per session (it depends
-    /// only on the observed history) and every query's scope encodes
-    /// against the same pruned base.
-    bool PruneFormula = false;
+    /// Relevance plan or identity plan (PredictOptions::PruneFormula).
+    /// Session-wide because the plan shapes the shared base prefix: it
+    /// is computed once per session (it depends only on the observed
+    /// history) and every query's scope encodes against the same base.
+    bool PruneFormula = true;
     /// Streaming mode: the session accepts extend() deltas and encodes
     /// over a sliding window (see Window). The base prefix holds only
     /// the monotone constraint families and grows in place per extend;
@@ -184,12 +183,12 @@ public:
   /// Queries answered so far (including fast-pathed ones).
   size_t numQueries() const { return Queries; }
 
-  /// True once the shared declare+feasibility prefix is on the solver
-  /// (it is encoded lazily by the first query that needs the solver).
+  /// True once the shared base prefix is on the solver (it is encoded
+  /// lazily by the first query that needs the solver).
   bool baseEncoded() const { return BaseDone; }
 
-  /// Encodes the shared declare+feasibility prefix now if not done yet.
-  /// Normally lazy (the first query pays for it); public so callers can
+  /// Encodes the shared base prefix now if not done yet. Normally lazy
+  /// (the first query pays for it); public so callers can
   /// warm a session up front — e.g. pre-encoding a registered history
   /// before the first query arrives, or measuring the base-encode cost
   /// in isolation without paying a query's per-query passes.
@@ -200,8 +199,8 @@ public:
   /// causal query of a non-streaming session has built it.
   uint64_t baseLiterals() const { return BaseStats.NumLiterals; }
 
-  /// Stats of the shared prefix encoding (declare + feasibility, then
-  /// hb once a non-streaming causal query needed it).
+  /// Stats of the shared prefix encoding (declare → feasibility →
+  /// window, then hb once a non-streaming causal query needed it).
   const EncodingStats &baseStats() const { return BaseStats; }
 
   const History &observed() const { return H; }

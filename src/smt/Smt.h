@@ -97,9 +97,9 @@ public:
   SmtExpr intVal(int64_t V);
 
   /// Constant recognition (Z3 hash-conses per context, so the true/false
-  /// ASTs are stable pointers). The pruned encoding path
-  /// (PredictOptions::PruneFormula) folds these constants out of the
-  /// formulas it builds; invalid expressions are neither.
+  /// ASTs are stable pointers). The encoding passes fold these
+  /// constants (the relevance plan's substitutions) out of the formulas
+  /// they build; invalid expressions are neither.
   bool isTrue(SmtExpr E) const { return E.Ast == TrueAst; }
   bool isFalse(SmtExpr E) const { return E.Ast == FalseAst; }
 
@@ -272,7 +272,7 @@ public:
   // scope-aware: pop() rewinds the context's asserted-literal counter to
   // its value at the matching push(), keeping literalCount() equal to
   // "literals currently on the solver". This is what lets PredictSession
-  // encode the declare+feasibility prefix once and answer many queries
+  // encode the base prefix once and answer many queries
   // by pushing a scope per query.
 
   /// Opens a backtrackable assertion scope.

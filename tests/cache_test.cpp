@@ -514,62 +514,67 @@ TEST(EngineCache, SessionEntriesAreScopedToTheirShareGroup) {
 
 TEST(EngineCache, PrunedAndUnprunedEntriesNeverCrossAnswer) {
   // JobSpec::Prune rides in canonicalSpec (and therefore in the spec
-  // hash): pruned and unpruned runs of the same grid file under
-  // different identities, so neither answers the other's lookups —
-  // their default-report bytes (literal counts, possibly models)
-  // legitimately differ.
-  Campaign Plain = Campaign::predictGrid(
+  // hash): runs of the same grid under the default (relevance) plan and
+  // the identity plan file under different identities, so neither
+  // answers the other's lookups — their default-report bytes (literal
+  // counts, possibly models) legitimately differ.
+  Campaign Default = Campaign::predictGrid(
       "prune-x", {"smallbank"},
       {IsolationLevel::Causal, IsolationLevel::ReadCommitted},
       {Strategy::ApproxStrict, Strategy::ApproxRelaxed}, {false}, 1, 60000);
-  Campaign Pruned = Plain;
-  for (JobSpec &J : Pruned.Jobs)
-    J.Prune = true;
-  for (size_t I = 0; I < Plain.size(); ++I)
-    EXPECT_NE(specHash(Plain.Jobs[I]), specHash(Pruned.Jobs[I]));
+  Campaign Identity = Default;
+  for (JobSpec &J : Identity.Jobs)
+    J.Prune = false;
+  for (size_t I = 0; I < Default.size(); ++I)
+    EXPECT_NE(specHash(Default.Jobs[I]), specHash(Identity.Jobs[I]));
 
   std::string Dir = scratchDir("prunecross");
-  Report PlainCold = run(Plain, Dir);
-  EXPECT_EQ(PlainCold.cacheMisses(), Plain.size());
+  Report DefaultCold = run(Default, Dir);
+  EXPECT_EQ(DefaultCold.cacheMisses(), Default.size());
 
-  // A pruned run against the unpruned-filled cache: all misses.
-  Report PrunedCold = run(Pruned, Dir);
-  EXPECT_EQ(PrunedCold.cacheHits(), 0u);
-  EXPECT_EQ(PrunedCold.cacheMisses(), Pruned.size());
+  // An identity-plan run against the default-filled cache: all misses.
+  Report IdentityCold = run(Identity, Dir);
+  EXPECT_EQ(IdentityCold.cacheHits(), 0u);
+  EXPECT_EQ(IdentityCold.cacheMisses(), Identity.size());
 
   // Both are now warm from their own entries.
-  EXPECT_EQ(run(Plain, Dir).cacheHits(), Plain.size());
-  EXPECT_EQ(run(Pruned, Dir).cacheHits(), Pruned.size());
+  EXPECT_EQ(run(Default, Dir).cacheHits(), Default.size());
+  EXPECT_EQ(run(Identity, Dir).cacheHits(), Identity.size());
 }
 
 TEST(EngineCache, PrunedWarmRunReplaysPrunedBytes) {
-  // A pruned cold run and its warm replay must be byte-identical —
-  // including the pruned literal counts in default bytes and the
-  // pruned_vars/pruned_lits attribution under timings — and identical
-  // to a cache-less pruned run.
-  Campaign C = Campaign::predictGrid(
-      "prune-warm", {"smallbank"}, {IsolationLevel::ReadCommitted},
-      {Strategy::ApproxStrict, Strategy::ApproxRelaxed}, {false}, 2, 60000);
-  for (JobSpec &J : C.Jobs)
-    J.Prune = true;
-  std::string Dir = scratchDir("prunewarm");
+  // Under either plan, a cold run and its warm replay must be
+  // byte-identical — including the plan's literal counts in default
+  // bytes and the per-pass literals under timings — and identical to a
+  // cache-less run.
+  for (bool Prune : {true, false}) {
+    SCOPED_TRACE(Prune ? "default plan" : "identity plan");
+    Campaign C = Campaign::predictGrid(
+        "prune-warm", {"smallbank"}, {IsolationLevel::ReadCommitted},
+        {Strategy::ApproxStrict, Strategy::ApproxRelaxed}, {false}, 2,
+        60000);
+    for (JobSpec &J : C.Jobs)
+      J.Prune = Prune;
+    std::string Dir = scratchDir(Prune ? "prunewarm" : "identitywarm");
 
-  Report Cold = run(C, Dir);
-  EXPECT_EQ(Cold.cacheMisses(), C.size());
-  Report Warm = run(C, Dir);
-  EXPECT_EQ(Warm.cacheHits(), C.size());
-  for (const JobResult &R : Warm.results()) {
-    EXPECT_TRUE(R.CacheHit);
-    EXPECT_GT(R.Stats.PrunedVars, 0u) << "warm result lost its pruning "
-                                         "attribution";
+    Report Cold = run(C, Dir);
+    EXPECT_EQ(Cold.cacheMisses(), C.size());
+    Report Warm = run(C, Dir);
+    EXPECT_EQ(Warm.cacheHits(), C.size());
+    for (const JobResult &R : Warm.results()) {
+      EXPECT_TRUE(R.CacheHit);
+      EXPECT_FALSE(R.Stats.Passes.empty())
+          << "warm result lost its per-pass attribution";
+    }
+    EXPECT_EQ(Cold.toJson(), Warm.toJson());
+    EXPECT_EQ(run(C).toJson(), Warm.toJson());
+    // Timings-included bytes carry the per-pass literals through the
+    // cache round-trip (the entry preserves the full JSON job entry).
+    ReportOptions RO;
+    RO.IncludeTimings = true;
+    EXPECT_NE(Warm.toJson(RO).find("\"name\": \"window\""),
+              std::string::npos);
   }
-  EXPECT_EQ(Cold.toJson(), Warm.toJson());
-  EXPECT_EQ(run(C).toJson(), Warm.toJson());
-  // Timings-included bytes carry the pruning attribution through the
-  // cache round-trip (the entry preserves the full JSON job entry).
-  ReportOptions RO;
-  RO.IncludeTimings = true;
-  EXPECT_NE(Warm.toJson(RO).find("\"pruned_vars\""), std::string::npos);
 }
 
 TEST(ResultStore, CorruptWitnessIsAMiss) {

@@ -144,16 +144,17 @@ TEST(Encode, PassLiteralsSumToTotal) {
 
       // Causal queries add the hb closure right after the base.
       size_t Hb = L == IsolationLevel::Causal;
-      ASSERT_EQ(P.Stats.Passes.size(), 5u + Hb) << toString(S);
+      ASSERT_EQ(P.Stats.Passes.size(), 6u + Hb) << toString(S);
       EXPECT_EQ(P.Stats.Passes[0].Name, "declare");
       EXPECT_EQ(P.Stats.Passes[0].Literals, 0u)
           << "declaration asserts nothing";
       EXPECT_EQ(P.Stats.Passes[1].Name, "feasibility");
+      EXPECT_EQ(P.Stats.Passes[2].Name, "window");
       if (Hb) {
-        EXPECT_EQ(P.Stats.Passes[2].Name, "hb");
+        EXPECT_EQ(P.Stats.Passes[3].Name, "hb");
       }
-      EXPECT_EQ(P.Stats.Passes[2 + Hb].Name, "boundary-link");
-      EXPECT_GT(P.Stats.Passes[2 + Hb].Literals, 0u)
+      EXPECT_EQ(P.Stats.Passes[3 + Hb].Name, "boundary-link");
+      EXPECT_GT(P.Stats.Passes[3 + Hb].Literals, 0u)
           << "the cut is linked to the boundary under every strategy";
 
       uint64_t Sum = 0;
@@ -172,10 +173,10 @@ TEST(Encode, PipelineSelectsPassesFromOptions) {
   O.GenerateOnly = true;
   Prediction P = predict(crossReadObserved(), O);
   // The one-shot pipeline is the session one: declare → feasibility →
-  // boundary-link → strategy → isolation (causal adds hb after the
-  // base).
-  const char *Expect[] = {"declare", "feasibility", "boundary-link",
-                          "approx-rank", "read-committed"};
+  // window → boundary-link → strategy → isolation (causal adds hb after
+  // the base).
+  const char *Expect[] = {"declare",       "feasibility", "window",
+                          "boundary-link", "approx-rank", "read-committed"};
   ASSERT_EQ(P.Stats.Passes.size(), std::size(Expect));
   for (size_t I = 0; I < std::size(Expect); ++I)
     EXPECT_EQ(P.Stats.Passes[I].Name, Expect[I]) << I;
@@ -183,11 +184,11 @@ TEST(Encode, PipelineSelectsPassesFromOptions) {
   O.Strat = Strategy::ExactStrict;
   O.Level = IsolationLevel::Causal;
   P = predict(crossReadObserved(), O);
-  ASSERT_EQ(P.Stats.Passes.size(), 6u);
-  EXPECT_EQ(P.Stats.Passes[2].Name, "hb");
-  EXPECT_EQ(P.Stats.Passes[3].Name, "boundary-link");
-  EXPECT_EQ(P.Stats.Passes[4].Name, "exact-strict");
-  EXPECT_EQ(P.Stats.Passes[5].Name, "causal");
+  ASSERT_EQ(P.Stats.Passes.size(), 7u);
+  EXPECT_EQ(P.Stats.Passes[3].Name, "hb");
+  EXPECT_EQ(P.Stats.Passes[4].Name, "boundary-link");
+  EXPECT_EQ(P.Stats.Passes[5].Name, "exact-strict");
+  EXPECT_EQ(P.Stats.Passes[6].Name, "causal");
 }
 
 TEST(Encode, AddAllAccountsLiteralsLikeAdd) {
@@ -345,7 +346,7 @@ TEST(ReportDiff, UnmatchedJobsAreReportedNotRegressions) {
 }
 
 //===----------------------------------------------------------------------===
-// Formula minimization (PredictOptions::PruneFormula)
+// The relevance plan and the identity plan (PredictOptions::PruneFormula)
 //===----------------------------------------------------------------------===
 
 namespace {
@@ -372,12 +373,6 @@ History privateKeyObserved() {
   B.write("other2", 7);
   B.commit();
   return B.finish();
-}
-
-PredictOptions prunedOpts(IsolationLevel L, Strategy S) {
-  PredictOptions O = opts(L, S);
-  O.PruneFormula = true;
-  return O;
 }
 
 } // namespace
@@ -448,7 +443,53 @@ TEST(Prune, PlanMarksHbUnreachablePairs) {
   EXPECT_TRUE(Plan.hbPossible(1, 2)); // so within s0
 }
 
-TEST(Prune, PrunedEncodingShrinksAndCounts) {
+// The identity plan keeps only the so substitution: every wr and hb
+// pair stays possible and no read is fixed — on a history whose
+// relevance plan prunes all three — and a streaming extension keeps
+// each plan's kind.
+TEST(Prune, IdentityPlanKeepsOnlySo) {
+  History H = privateKeyObserved();
+  auto ExpectIdentity = [&](const encode::EncodingPlan &Plan) {
+    EXPECT_EQ(Plan.Kind, encode::PlanKind::Identity);
+    ASSERT_EQ(Plan.N, H.numTxns());
+    for (TxnId A = 0; A < H.numTxns(); ++A)
+      for (TxnId B = 0; B < H.numTxns(); ++B) {
+        if (A == B)
+          continue;
+        SCOPED_TRACE(formatString("%u->%u", A, B));
+        EXPECT_EQ(Plan.soPair(A, B), H.so(A, B));
+        EXPECT_TRUE(Plan.wrPossible(A, B));
+        EXPECT_TRUE(Plan.hbPossible(A, B));
+      }
+    EXPECT_TRUE(Plan.Fixed.empty());
+  };
+  encode::EncodingPlan Relevance = encode::computeEncodingPlan(H);
+  EXPECT_FALSE(Relevance.wrPossible(3, 1));
+  EXPECT_FALSE(Relevance.hbPossible(1, 3));
+  EXPECT_FALSE(Relevance.Fixed.empty());
+  ExpectIdentity(encode::computeEncodingPlan(H, encode::PlanKind::Identity));
+
+  // Streaming plans (no fixed reads) over the first transaction,
+  // extended to the whole history.
+  HistoryBuilder B(2);
+  B.beginTxn(0);
+  B.read("priv", InitTxn, 0);
+  B.write("priv", 2);
+  B.commit();
+  History Prefix = B.finish();
+  encode::EncodingPlan Identity = encode::computeEncodingPlan(
+      Prefix, encode::PlanKind::Identity, /*FixedChoices=*/false);
+  encode::extendEncodingPlan(Identity, H);
+  ExpectIdentity(Identity);
+  encode::EncodingPlan Extended = encode::computeEncodingPlan(
+      Prefix, encode::PlanKind::Relevance, /*FixedChoices=*/false);
+  encode::extendEncodingPlan(Extended, H);
+  EXPECT_EQ(Extended.Kind, encode::PlanKind::Relevance);
+  EXPECT_FALSE(Extended.wrPossible(3, 1));
+  EXPECT_FALSE(Extended.hbPossible(1, 3));
+}
+
+TEST(Prune, RelevancePlanShrinksTheEncoding) {
   for (Strategy S : {Strategy::ExactStrict, Strategy::ApproxStrict,
                      Strategy::ApproxRelaxed})
     for (IsolationLevel L :
@@ -458,35 +499,26 @@ TEST(Prune, PrunedEncodingShrinksAndCounts) {
       History H = crossReadObserved();
       PredictOptions O = opts(L, S);
       O.GenerateOnly = true;
-      Prediction Plain = predict(H, O);
-      O.PruneFormula = true;
-      Prediction Pruned = predict(H, O);
+      Prediction Default = predict(H, O);
+      O.PruneFormula = false;
+      Prediction Identity = predict(H, O);
 
-      // The plain encoding reports no pruning; the pruned one reports
-      // some and emits strictly fewer literals.
-      EXPECT_EQ(Plain.Stats.PrunedVars, 0u);
-      EXPECT_EQ(Plain.Stats.PrunedLits, 0u);
-      EXPECT_GT(Pruned.Stats.PrunedVars, 0u);
-      EXPECT_GT(Pruned.Stats.PrunedLits, 0u);
-      EXPECT_LT(Pruned.Stats.NumLiterals, Plain.Stats.NumLiterals);
-
-      // Per-pass counters sum to the totals (same contract as
-      // PassStats literals vs NumLiterals).
-      uint64_t Lits = 0, PV = 0, PL = 0;
-      for (const PassStats &PS : Pruned.Stats.Passes) {
-        Lits += PS.Literals;
-        PV += PS.PrunedVars;
-        PL += PS.PrunedLits;
+      // The same passes under either plan; the relevance plan emits
+      // strictly fewer literals, and per-pass literals sum to the total.
+      ASSERT_EQ(Default.Stats.Passes.size(), Identity.Stats.Passes.size());
+      EXPECT_LT(Default.Stats.NumLiterals, Identity.Stats.NumLiterals);
+      for (const Prediction *P : {&Default, &Identity}) {
+        uint64_t Lits = 0;
+        for (const PassStats &PS : P->Stats.Passes)
+          Lits += PS.Literals;
+        EXPECT_EQ(Lits, P->Stats.NumLiterals);
       }
-      EXPECT_EQ(Lits, Pruned.Stats.NumLiterals);
-      EXPECT_EQ(PV, Pruned.Stats.PrunedVars);
-      EXPECT_EQ(PL, Pruned.Stats.PrunedLits);
     }
 }
 
-TEST(Prune, PrunedVerdictsMatchOnHandBuiltHistories) {
-  // Every canned history, every strategy/level: the pruned encoding
-  // must agree with the default on sat/unsat.
+TEST(Prune, IdentityPlanVerdictsMatchOnHandBuiltHistories) {
+  // Every canned history, every strategy/level: the identity plan must
+  // agree with the default (relevance) plan on sat/unsat.
   for (int HistIdx = 0; HistIdx < 5; ++HistIdx) {
     History H = HistIdx == 0   ? depositObserved()
                 : HistIdx == 1 ? depositUnserializable()
@@ -501,16 +533,16 @@ TEST(Prune, PrunedVerdictsMatchOnHandBuiltHistories) {
         SCOPED_TRACE(formatString("hist=%d %s %s", HistIdx, toString(S),
                                   toString(L)));
         PredictOptions O = opts(L, S);
-        Prediction Plain = predict(H, O);
-        O.PruneFormula = true;
-        Prediction Pruned = predict(H, O);
-        EXPECT_EQ(Plain.Result, Pruned.Result);
+        Prediction Default = predict(H, O);
+        O.PruneFormula = false;
+        Prediction Identity = predict(H, O);
+        EXPECT_EQ(Default.Result, Identity.Result);
       }
   }
 }
 
 //===----------------------------------------------------------------------===
-// Pruning-equivalence sweep over the golden fixtures
+// Identity-plan equivalence sweep over the golden fixtures
 //===----------------------------------------------------------------------===
 
 namespace {
@@ -544,14 +576,15 @@ History fixtureHistory(const std::string &App, uint64_t Seed) {
 
 } // namespace
 
-// The pruned encoding's correctness contract: sat/unsat-equivalence
-// with the default encoding on every golden fixture, and every pruned
-// Sat model must replay-validate — a non-diverged validating execution
-// follows the predicted reads exactly and is therefore unserializable,
-// so a "serializable" verdict without divergence would expose an
-// unsound pruning rule. (Bit-identity is deliberately NOT part of the
-// contract; boundaries, cuts, and witnesses may differ.)
-TEST(Prune, PrunedPredictionsMatchGoldenVerdictsAndValidate) {
+// The two plans' correctness contract: the golden fixtures pin the
+// default (relevance) plan's verdicts, and the identity plan must match
+// them on every fixture, with every Sat model replay-validating — a
+// non-diverged validating execution follows the predicted reads exactly
+// and is therefore unserializable, so a "serializable" verdict without
+// divergence would expose an unsound encoding. (Bit-identity is
+// deliberately NOT part of the contract; boundaries, cuts, and
+// witnesses may differ.)
+TEST(Prune, IdentityPlanPredictionsMatchGoldenVerdictsAndValidate) {
   constexpr unsigned TimeoutMs = 300000;
   for (const PruneGoldenCase &C : PruneGoldenCases) {
     SCOPED_TRACE(formatString("%s %s %s seed=%llu", C.App,
@@ -562,7 +595,7 @@ TEST(Prune, PrunedPredictionsMatchGoldenVerdictsAndValidate) {
     O.Level = C.Level;
     O.Strat = C.Strat;
     O.TimeoutMs = TimeoutMs;
-    O.PruneFormula = true;
+    O.PruneFormula = false;
     Prediction P = predict(H, O);
     EXPECT_STREQ(toString(P.Result), C.Result);
 
@@ -574,20 +607,20 @@ TEST(Prune, PrunedPredictionsMatchGoldenVerdictsAndValidate) {
       EXPECT_TRUE(V.St ==
                       ValidationResult::Status::ValidatedUnserializable ||
                   V.Diverged)
-          << "non-diverged replay of a pruned prediction was "
+          << "non-diverged replay of an identity-plan prediction was "
              "serializable (validation: "
           << toString(V.St) << ")";
     }
   }
 }
 
-// Pruned sessions: the plan is computed once per session and shared by
-// every query scope; verdicts must still match the fixtures.
-TEST(Prune, PrunedSessionMatchesFixtures) {
+// Identity-plan sessions: the plan is computed once per session and
+// shared by every query scope; verdicts must still match the fixtures.
+TEST(Prune, IdentityPlanSessionMatchesFixtures) {
   constexpr unsigned TimeoutMs = 300000;
   History H = fixtureHistory("smallbank", 1);
   PredictSession::Options SO;
-  SO.PruneFormula = true;
+  SO.PruneFormula = false;
   PredictSession Session(H, SO);
   for (const PruneGoldenCase &C : PruneGoldenCases) {
     if (std::string(C.App) != "smallbank" || C.Seed != 1)
@@ -610,9 +643,10 @@ TEST(Prune, PrunedSessionMatchesFixtures) {
 
 namespace {
 
-/// Generate-only query on a fixture history in one of the three
-/// encodings: plain one-shot, pruned one-shot, or unbounded streaming.
-enum class EncodeMode { Plain, Pruned, Streaming };
+/// Generate-only query on a fixture history in one of three encodings:
+/// one-shot under the identity plan, one-shot under the default
+/// (relevance) plan, or an unbounded streaming session (default plan).
+enum class EncodeMode { Identity, Default, Streaming };
 
 Prediction generate(const History &H, IsolationLevel L, Strategy S,
                     EncodeMode M) {
@@ -628,16 +662,16 @@ Prediction generate(const History &H, IsolationLevel L, Strategy S,
   }
   PredictOptions O = opts(L, S);
   O.GenerateOnly = true;
-  O.PruneFormula = M == EncodeMode::Pruned;
+  O.PruneFormula = M == EncodeMode::Default;
   return predict(H, O);
 }
 
 const char *toString(EncodeMode M) {
   switch (M) {
-  case EncodeMode::Plain:
-    return "plain";
-  case EncodeMode::Pruned:
-    return "pruned";
+  case EncodeMode::Identity:
+    return "identity";
+  case EncodeMode::Default:
+    return "default";
   case EncodeMode::Streaming:
     return "streaming";
   }
@@ -660,30 +694,29 @@ bool hasPass(const Prediction &P, const std::string &Name) {
 
 } // namespace
 
-// Causal formulas are unchanged by moving the closure out of the
-// feasibility and window passes: these totals were measured before the
-// move, on smallbank seed 2 (only the per-pass attribution moved).
-// Exact-Strict's row then grew by its observed-order instance: +200
-// plain, +91 pruned and +119 streaming, where so and the off-plan wr
-// fold to constants.
+// Causal literal totals on smallbank seed 2, per plan and session
+// kind. The default plan's column is literal for literal the relevance-
+// pruned encoding's before the pass bodies were unified; the identity
+// and streaming columns were regenerated then.
 TEST(HbClosure, CausalLiteralCountsArePinned) {
   struct Pin {
     Strategy Strat;
-    uint64_t Plain, Pruned, Streaming;
+    uint64_t Identity, Default, Streaming;
   };
-  const Pin Pins[] = {{Strategy::ExactStrict, 11402, 4767, 7481},
-                      {Strategy::ApproxStrict, 15778, 7630, 11938},
-                      {Strategy::ApproxRelaxed, 15845, 7697, 12005}};
+  const Pin Pins[] = {{Strategy::ExactStrict, 6661, 4767, 4791},
+                      {Strategy::ApproxStrict, 9457, 7630, 7654},
+                      {Strategy::ApproxRelaxed, 9524, 7697, 7721}};
   History H = fixtureHistory("smallbank", 2);
   for (const Pin &P : Pins) {
     SCOPED_TRACE(toString(P.Strat));
-    EXPECT_EQ(generate(H, IsolationLevel::Causal, P.Strat, EncodeMode::Plain)
-                  .Stats.NumLiterals,
-              P.Plain);
     EXPECT_EQ(
-        generate(H, IsolationLevel::Causal, P.Strat, EncodeMode::Pruned)
+        generate(H, IsolationLevel::Causal, P.Strat, EncodeMode::Identity)
             .Stats.NumLiterals,
-        P.Pruned);
+        P.Identity);
+    EXPECT_EQ(
+        generate(H, IsolationLevel::Causal, P.Strat, EncodeMode::Default)
+            .Stats.NumLiterals,
+        P.Default);
     EXPECT_EQ(
         generate(H, IsolationLevel::Causal, P.Strat, EncodeMode::Streaming)
             .Stats.NumLiterals,
@@ -697,7 +730,7 @@ TEST(HbClosure, CausalLiteralCountsArePinned) {
 TEST(HbClosure, OnlyCausalQueriesBuildIt) {
   History H = fixtureHistory("smallbank", 2);
   for (EncodeMode M :
-       {EncodeMode::Plain, EncodeMode::Pruned, EncodeMode::Streaming}) {
+       {EncodeMode::Identity, EncodeMode::Default, EncodeMode::Streaming}) {
     Prediction Causal = generate(H, IsolationLevel::Causal,
                                  Strategy::ExactStrict, M);
     EXPECT_GT(passLiterals(Causal, "hb"), 0u) << toString(M);
@@ -734,13 +767,14 @@ struct ObservedEncoding {
   std::unique_ptr<encode::EncodingContext> EC;
 
   ObservedEncoding(const History &H, EncodeMode M) {
-    O.PruneFormula = M == EncodeMode::Pruned;
-    EC = std::make_unique<encode::EncodingContext>(
-        H, O, Ctx, Solver, M == EncodeMode::Streaming);
+    bool Streaming = M == EncodeMode::Streaming;
+    O.PruneFormula = M != EncodeMode::Identity;
+    EC = std::make_unique<encode::EncodingContext>(H, O, Ctx, Solver,
+                                                   Streaming);
     EncodingStats Stats;
-    encode::EncoderPipeline::forSessionBase(O).run(*EC, Stats);
+    encode::EncoderPipeline::forSessionBase(Streaming).run(*EC, Stats);
     EC->beginQuery(Strategy::ExactStrict);
-    if (M == EncodeMode::Streaming)
+    if (Streaming)
       encode::WindowPass().run(*EC);
     encode::BoundaryLinkPass().run(*EC);
     for (const SmtExpr &B : EC->Boundary)
@@ -761,7 +795,7 @@ TEST(ObservedOrder, InstanceRulesOutTheObservedExecution) {
   for (const auto &[App, Seed] : Fixtures) {
     History H = fixtureHistory(App, Seed);
     for (EncodeMode M :
-         {EncodeMode::Plain, EncodeMode::Pruned, EncodeMode::Streaming}) {
+         {EncodeMode::Identity, EncodeMode::Default, EncodeMode::Streaming}) {
       SCOPED_TRACE(formatString("%s seed=%llu %s", App.c_str(),
                                 static_cast<unsigned long long>(Seed),
                                 toString(M)));
@@ -776,16 +810,16 @@ TEST(ObservedOrder, InstanceRulesOutTheObservedExecution) {
   }
 }
 
-// The instance's literals are counted in the exact-strict pass: the
-// pinned causal totals above grew by exactly these counts (the instance
-// does not depend on the isolation level), and the per-pass literals
-// still sum to the total.
+// The instance's literals are counted in the exact-strict pass (the
+// instance does not depend on the isolation level), and the per-pass
+// literals still sum to the total. Only off-plan wr pairs fold out of
+// it, so both relevance plans give the same count.
 TEST(ObservedOrder, InstanceLiteralsAreCountedInExactStrict) {
   History H = fixtureHistory("smallbank", 2);
   const std::pair<EncodeMode, uint64_t> Growth[] = {
-      {EncodeMode::Plain, 200},
-      {EncodeMode::Pruned, 91},
-      {EncodeMode::Streaming, 119}};
+      {EncodeMode::Identity, 119},
+      {EncodeMode::Default, 91},
+      {EncodeMode::Streaming, 91}};
   for (const auto &[M, Lits] : Growth) {
     SCOPED_TRACE(toString(M));
     ObservedEncoding E(H, M);

@@ -4,6 +4,7 @@
 
 #include "engine/Executor.h"
 #include "engine/JobIo.h"
+#include "server/Protocol.h"
 #include "smt/Smt.h"
 #include "support/Fs.h"
 #include "support/StrUtil.h"
@@ -252,11 +253,11 @@ TEST(Campaign, SpecHashIsStableAndDiscriminating) {
   B = A;
   B.StoreSeed = 7;
   EXPECT_NE(specHash(A), specHash(B));
-  // Pruned and unpruned runs have different default-report bytes
-  // (literal counts, possibly models), so the flag must discriminate:
-  // a pruned run must never answer an unpruned cache lookup.
+  // Runs under the relevance and identity plans have different
+  // default-report bytes (literal counts, possibly models), so the flag
+  // must discriminate: neither may answer the other's cache lookup.
   B = A;
-  B.Prune = true;
+  B.Prune = !A.Prune;
   EXPECT_NE(specHash(A), specHash(B));
 }
 
@@ -300,6 +301,72 @@ TEST(JobIo, OnlyRankPcoIsAccepted) {
     EXPECT_NE(Error.find("(field \"pco\"; accepted: rank)"),
               std::string::npos)
         << Error;
+  }
+}
+
+// A job entry or campaign file that omits "prune" means JobSpec's
+// default (the relevance plan), exactly as the server's lenient query
+// form does; only an explicit false selects the identity plan.
+TEST(JobIo, OmittedPruneParsesToTheJobSpecDefault) {
+  JobSpec S;
+  S.Kind = JobKind::Predict;
+  S.App = "smallbank";
+  S.Cfg = WorkloadConfig::small(1);
+  ASSERT_TRUE(S.Prune);
+  JobResult R;
+  R.Spec = S;
+  R.Ok = true;
+  R.Outcome = SmtResult::Unsat;
+  JsonWriter J;
+  J.openObject();
+  writeJobFields(J, R, ReportOptions{});
+  J.closeObject();
+  std::string Json = J.take();
+
+  // Drop the field (up to the next member's opening quote).
+  const std::string Field = "\"prune\": true";
+  size_t Pos = Json.find(Field);
+  ASSERT_NE(Pos, std::string::npos) << Json;
+  Json.erase(Pos, Json.find('"', Pos + Field.size()) - Pos);
+  ASSERT_EQ(Json.find("\"prune\""), std::string::npos) << Json;
+
+  std::string Error;
+  std::optional<JsonValue> Doc = parseJson(Json, &Error);
+  ASSERT_TRUE(Doc.has_value()) << Error;
+  std::optional<JobSpec> Back = jobSpecFromJson(*Doc, &Error);
+  ASSERT_TRUE(Back.has_value()) << Error;
+  EXPECT_TRUE(Back->Prune);
+  EXPECT_EQ(specHash(*Back), specHash(S));
+  std::optional<JobResult> BackR = jobResultFromJson(*Doc, &Error);
+  ASSERT_TRUE(BackR.has_value()) << Error;
+  EXPECT_TRUE(BackR->Spec.Prune);
+  // The server reads the JobIo form through the same parser.
+  std::optional<JobSpec> Wire = server::parseQuerySpec(*Doc, &Error);
+  ASSERT_TRUE(Wire.has_value()) << Error;
+  EXPECT_TRUE(Wire->Prune);
+
+  // An explicit false still round-trips.
+  R.Spec.Prune = false;
+  JsonWriter J2;
+  J2.openObject();
+  writeJobFields(J2, R, ReportOptions{});
+  J2.closeObject();
+  Doc = parseJson(J2.take(), &Error);
+  ASSERT_TRUE(Doc.has_value()) << Error;
+  Back = jobSpecFromJson(*Doc, &Error);
+  ASSERT_TRUE(Back.has_value()) << Error;
+  EXPECT_FALSE(Back->Prune);
+
+  // The lenient hand-written query form defaults as JobSpec does.
+  for (const char *Text : {"{\"app\": \"smallbank\"}",
+                           "{\"app\": \"smallbank\", \"prune\": false}"}) {
+    Doc = parseJson(Text, &Error);
+    ASSERT_TRUE(Doc.has_value()) << Error;
+    Wire = server::parseQuerySpec(*Doc, &Error);
+    ASSERT_TRUE(Wire.has_value()) << Error;
+    EXPECT_EQ(Wire->Prune, std::string(Text).find("false") ==
+                               std::string::npos)
+        << Text;
   }
 }
 
@@ -355,8 +422,8 @@ TEST(Campaign, GoldenSpecHashes) {
   EXPECT_EQ(canonicalSpec(Predict),
             "kind=predict;app=smallbank;sessions=3;txns=4;seed=1;"
             "level=causal;strat=Approx-Relaxed;pco=rank;store_seed=1;"
-            "timeout_ms=0;validate=1;check_ser=1;prune=0");
-  EXPECT_EQ(hash(Predict), "0cc7aab949e15986");
+            "timeout_ms=0;validate=1;check_ser=1;prune=1");
+  EXPECT_EQ(hash(Predict), "0cc7abb949e15b39");
 
   JobSpec Tpcc;
   Tpcc.Kind = JobKind::Predict;
@@ -365,18 +432,18 @@ TEST(Campaign, GoldenSpecHashes) {
   Tpcc.Level = IsolationLevel::ReadCommitted;
   Tpcc.Strat = Strategy::ApproxStrict;
   Tpcc.TimeoutMs = 5000;
-  EXPECT_EQ(hash(Tpcc), "b0797e50953e05e4");
+  EXPECT_EQ(hash(Tpcc), "b0797f50953e0797");
 
   JobSpec Exact = Predict;
   Exact.Strat = Strategy::ExactStrict;
   Exact.Validate = false;
-  EXPECT_EQ(hash(Exact), "387af10b618097f0");
+  EXPECT_EQ(hash(Exact), "387af20b618099a3");
 
   JobSpec Observe;
   Observe.Kind = JobKind::Observe;
   Observe.App = "voter";
   Observe.Cfg = WorkloadConfig::small(2);
-  EXPECT_EQ(hash(Observe), "e12e0d590a12dd5d");
+  EXPECT_EQ(hash(Observe), "e12e0c590a12dbaa");
 
   JobSpec Weak;
   Weak.Kind = JobKind::RandomWeak;
@@ -384,7 +451,7 @@ TEST(Campaign, GoldenSpecHashes) {
   Weak.Cfg = WorkloadConfig::small(1);
   Weak.Level = IsolationLevel::ReadAtomic;
   Weak.StoreSeed = 1007;
-  EXPECT_EQ(hash(Weak), "6437d18955e73895");
+  EXPECT_EQ(hash(Weak), "6437d08955e736e2");
 
   JobSpec Locking;
   Locking.Kind = JobKind::LockingRc;
@@ -392,7 +459,7 @@ TEST(Campaign, GoldenSpecHashes) {
   Locking.Cfg = WorkloadConfig::small(5);
   Locking.StoreSeed = 99;
   Locking.CheckSerializability = false;
-  EXPECT_EQ(hash(Locking), "bfb4b7a047b9d336");
+  EXPECT_EQ(hash(Locking), "bfb4b8a047b9d4e9");
 }
 
 //===----------------------------------------------------------------------===
@@ -420,7 +487,7 @@ TEST(Campaign, StreamSpecFieldsAreConditional) {
   EXPECT_EQ(canonicalSpec(S),
             "kind=stream;app=smallbank;sessions=3;txns=4;seed=1;"
             "level=causal;strat=Approx-Relaxed;pco=rank;store_seed=1;"
-            "timeout_ms=0;validate=1;check_ser=1;prune=0;window=9;chunk=4");
+            "timeout_ms=0;validate=1;check_ser=1;prune=1;window=9;chunk=4");
   JobSpec S2 = S;
   S2.Window = 10;
   EXPECT_NE(specHash(S), specHash(S2));

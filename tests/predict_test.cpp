@@ -246,7 +246,7 @@ TEST(PredictSession, LazyHbClosureMatchesOneShotAcrossLevels) {
         for (size_t I = 0; I < std::size(Levels); ++I) {
           IsolationLevel L = Levels[I];
           SCOPED_TRACE(std::string(toString(L)) + " " + toString(S) +
-                       (Prune ? " pruned" : "") + " query " +
+                       (Prune ? "" : " identity plan") + " query " +
                        std::to_string(I));
           uint64_t BaseBefore = Session.baseLiterals();
           PredictSession::QueryOptions Q;
@@ -292,7 +292,7 @@ TEST(PredictSession, BasePrefixEncodedOnceAndReused) {
   EXPECT_GT(First.Stats.NumLiterals, BaseLits); // base folded in
 
   // The acceptance criterion made checkable: a reused query's literal
-  // count excludes the declare+feasibility prefix entirely.
+  // count excludes the base prefix entirely.
   Prediction Second = Session.query(Q);
   EXPECT_TRUE(Second.Stats.BasePrefixReused);
   EXPECT_EQ(Second.Result, First.Result);
@@ -305,6 +305,7 @@ TEST(PredictSession, BasePrefixEncodedOnceAndReused) {
   for (const PassStats &P : Second.Stats.Passes) {
     EXPECT_NE(P.Name, "declare");
     EXPECT_NE(P.Name, "feasibility");
+    EXPECT_NE(P.Name, "window");
   }
 }
 

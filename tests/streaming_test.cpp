@@ -87,7 +87,8 @@ std::vector<Canned> cannedHistories() {
 } // namespace
 
 // W >= trace length: streaming outcomes must equal one-shot predict()
-// on the full history, across the fixture grid, pruned and unpruned.
+// on the full history, across the fixture grid, under the default
+// (relevance) plan and the identity plan.
 TEST(Streaming, FullWindowMatchesPredict) {
   for (const Canned &C : cannedHistories()) {
     for (bool Prune : {false, true}) {
@@ -269,7 +270,9 @@ TEST(Streaming, ExtendBeforeFirstQuery) {
   EXPECT_EQ(writeTrace(S.window()), writeTrace(Full));
 }
 
-// Pruned and unpruned streaming agree on outcomes after extends.
+// Streaming under the default (relevance) plan and the identity plan
+// agree on outcomes after extends; each plan keeps its kind when the
+// extend grows it.
 TEST(Streaming, PruneParityAcrossExtends) {
   History Full = observeApp("smallbank", WorkloadConfig::small(5), 17);
   size_t N = Full.numTxns();
