@@ -300,8 +300,6 @@ int run(const std::string &JsonPath) {
       J.openElement();
       J.str("lane", L.Name);
       J.str("result", toString(L.Outcome));
-      if (L.Skipped)
-        J.boolean("skipped", true);
       if (L.Canceled)
         J.boolean("canceled", true);
       if (L.TimedOut)

@@ -8,7 +8,6 @@
 //                [--strategies exact,strict,relaxed] [--sizes small,large]
 //                [--seeds N] [--jobs N] [--timeout-ms N]
 //                [--share-encodings] [--no-prune] [--portfolio[=N]]
-//                [--lane-stats-dir DIR]
 //                [--stream[=CHUNK]] [--window N] [--stream-from-scratch]
 //                [--no-validate] [--timings] [--quiet]
 //                [--cache-dir DIR] [--shard K/N] [--write-shards N]
@@ -48,6 +47,7 @@
 #include "engine/JobIo.h"
 #include "obs/Log.h"
 #include "obs/Tracer.h"
+#include "portfolio/Portfolio.h"
 #include "smt/Smt.h"
 #include "support/Fs.h"
 #include "support/Signal.h"
@@ -87,14 +87,12 @@ int usage(const char *Msg = nullptr) {
       "                        the relevance plan (same sat/unsat\n"
       "                        outcomes; more literals, models may differ)\n"
       "  --portfolio[=N]       race up to N solve lanes per predict query\n"
-      "                        (default 4): strategy/encoding/Z3-preset\n"
-      "                        variants on their own threads, first\n"
-      "                        definitive answer wins, losers interrupted\n"
-      "                        (same sat/unsat outcomes; models may differ).\n"
-      "                        Excludes --share-encodings\n"
-      "  --lane-stats-dir DIR  persist per-query-class lane win/latency\n"
-      "                        stats to seed future lane schedules\n"
-      "                        (default: --cache-dir when racing)\n"
+      "                        (default 4, at most 6): strategy/encoding/\n"
+      "                        Z3-preset variants started at once on their\n"
+      "                        own threads, first definitive answer wins,\n"
+      "                        losers interrupted (same sat/unsat outcomes;\n"
+      "                        models may differ). Excludes\n"
+      "                        --share-encodings\n"
       "  --stream[=CHUNK]      streaming jobs instead of one-shot predict:\n"
       "                        feed each observed execution to a windowed\n"
       "                        PredictSession CHUNK transactions at a time\n"
@@ -220,7 +218,6 @@ int main(int argc, char **argv) {
   unsigned Window = 0;
   bool StreamFromScratch = false;
   unsigned PortfolioLanes = 0;
-  std::string LaneStatsDir;
   bool Validate = true;
   bool Timings = false;
   bool Quiet = false;
@@ -258,13 +255,12 @@ int main(int argc, char **argv) {
         auto N = parseInt(Flag.substr(std::strlen("--portfolio=")));
         if (!N || *N < 2)
           return usage("--portfolio=N needs at least 2 lanes");
+        if (*N > portfolio::TaxonomySize)
+          return usage(formatString("--portfolio=N takes at most %u lanes",
+                                    portfolio::TaxonomySize)
+                           .c_str());
         PortfolioLanes = static_cast<unsigned>(*N);
       }
-    } else if (Flag == "--lane-stats-dir") {
-      const char *V = next();
-      if (!V)
-        return usage("--lane-stats-dir needs a value");
-      LaneStatsDir = V;
     } else if (Flag == "--stream" || Flag.rfind("--stream=", 0) == 0) {
       if (Flag != "--stream") {
         auto N = parseInt(Flag.substr(std::strlen("--stream=")));
@@ -566,7 +562,6 @@ int main(int argc, char **argv) {
   EO.ShareEncodings = ShareEncodings;
   EO.CacheDir = CacheDir;
   EO.PortfolioLanes = PortfolioLanes;
-  EO.LaneStatsDir = LaneStatsDir;
   EO.StreamFromScratch = StreamFromScratch;
   // Per-job structured events at debug ride alongside the human
   // progress lines (which --quiet still suppresses independently).
@@ -682,12 +677,12 @@ int main(int argc, char **argv) {
   }
   R.printSummary(stderr);
   if (Interrupted) {
-    size_t Skipped = 0;
+    size_t NotRun = 0;
     for (const JobResult &J : R.results())
-      Skipped += !J.Ok && J.Canceled;
+      NotRun += !J.Ok && J.Canceled;
     std::fprintf(stderr,
                  "interrupted: partial report (%zu of %zu jobs skipped)\n",
-                 Skipped, R.size());
+                 NotRun, R.size());
     return 130;
   }
   return 0;

@@ -355,7 +355,7 @@ int profileReport(const JsonValue &Doc, unsigned TopN) {
   // --timings carry a per-job `lanes` record): which lane wins how
   // often, and how it spends its time across the campaign.
   struct LaneAgg {
-    unsigned Races = 0, Wins = 0, Canceled = 0, Skipped = 0, Timeouts = 0;
+    unsigned Races = 0, Wins = 0, Canceled = 0, Timeouts = 0;
     double Seconds = 0;
   };
   std::vector<std::pair<std::string, LaneAgg>> LaneGroups;
@@ -375,7 +375,6 @@ int profileReport(const JsonValue &Doc, unsigned TopN) {
       ++A.Races;
       A.Wins += L.Name == R.WinningLane && !R.WinningLane.empty();
       A.Canceled += L.Canceled;
-      A.Skipped += L.Skipped;
       A.Timeouts += L.TimedOut;
       A.Seconds += L.Seconds;
     }
@@ -383,13 +382,11 @@ int profileReport(const JsonValue &Doc, unsigned TopN) {
   if (RacedJobs) {
     std::printf("\nportfolio lanes (%u raced job(s)):\n", RacedJobs);
     TablePrinter LT;
-    LT.setHeader({"Lane", "Races", "Wins", "Canceled", "Skipped", "Timeout",
-                  "Seconds"});
+    LT.setHeader({"Lane", "Races", "Wins", "Canceled", "Timeout", "Seconds"});
     for (const auto &KV : LaneGroups) {
       const LaneAgg &A = KV.second;
       LT.addRow({KV.first, formatString("%u", A.Races),
                  formatString("%u", A.Wins), formatString("%u", A.Canceled),
-                 formatString("%u", A.Skipped),
                  formatString("%u", A.Timeouts), secondsCell(A.Seconds)});
     }
     LT.print(stdout);
@@ -412,14 +409,14 @@ int profileReport(const JsonValue &Doc, unsigned TopN) {
     if (R.CacheHit)
       Extra += " (cached)";
     if (!R.WinningLane.empty()) {
-      // Margin over the runner-up: the fastest other launched lane's
-      // wall-clock minus the winner's. Interrupted lanes stopped early,
-      // so their recorded time is a floor — the margin is a ">=".
+      // Margin over the runner-up: the fastest other lane's wall-clock
+      // minus the winner's. Interrupted lanes stopped early, so their
+      // recorded time is a floor — the margin is a ">=".
       double WinnerS = 0, RunnerUpS = -1;
       for (const LaneResult &L : R.Lanes) {
         if (L.Name == R.WinningLane)
           WinnerS = L.Seconds;
-        else if (!L.Skipped && (RunnerUpS < 0 || L.Seconds < RunnerUpS))
+        else if (RunnerUpS < 0 || L.Seconds < RunnerUpS)
           RunnerUpS = L.Seconds;
       }
       Extra += formatString(" [lane: %s", R.WinningLane.c_str());

@@ -64,22 +64,16 @@ struct EngineOptions {
   std::string CacheDir;
   /// Race up to this many portfolio lanes per Predict query
   /// (src/portfolio/): alternative strategy / encoding / Z3-preset
-  /// recipes on their own threads, first definitive answer wins, losers
-  /// interrupted. 0 or 1 = off. Mutually exclusive with ShareEncodings
-  /// (a shared session's solver cannot be raced); when both are set,
-  /// ShareEncodings wins and no racing happens. Lanes multiply thread
-  /// use, so the engine divides the worker pool: with W workers and N
-  /// lanes, at most max(1, W / N) groups run concurrently — the total
-  /// thread budget stays at the single-lane run's W.
+  /// recipes, all started at once on their own threads, first
+  /// definitive answer wins, losers interrupted. 0 or 1 = off; values
+  /// above portfolio::TaxonomySize are clamped to it. Mutually
+  /// exclusive with ShareEncodings (a shared session's solver cannot be
+  /// raced); when both are set, ShareEncodings wins and no racing
+  /// happens. Lanes multiply thread use, so the engine divides the
+  /// worker pool: with W workers and N lanes, at most max(1, W / N)
+  /// groups run concurrently — the total thread budget stays at the
+  /// single-lane run's W.
   unsigned PortfolioLanes = 0;
-  /// Directory for persisted per-(app × level × strategy × workload)
-  /// lane statistics (cache::LaneStatsStore): wins, losses, latencies.
-  /// Seeds the staggered-start schedule of future races — the
-  /// historically-best lane launches immediately, the rest after a
-  /// learned grace delay. Empty = CacheDir when racing (the stats ride
-  /// along with the result cache), else no persistence (every race
-  /// launches all lanes at once and learns nothing).
-  std::string LaneStatsDir;
   /// Called after each job completes, serialized under an internal
   /// mutex: (completed so far, total, result just finished).
   std::function<void(size_t, size_t, const JobResult &)> OnJobDone;

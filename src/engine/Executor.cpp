@@ -181,15 +181,14 @@ Executor::Executor(const EngineOptions &O, size_t SessionCapacity)
       StreamFromScratch(O.StreamFromScratch),
       // ShareEncodings wins over racing (a shared session's solver
       // cannot be raced); the CLI rejects the combination up front.
-      Lanes(O.PortfolioLanes >= 2 && !O.ShareEncodings ? O.PortfolioLanes
-                                                       : 0),
+      // Lanes beyond the taxonomy would never run, but Engine::run
+      // would still divide its pool by them.
+      Lanes(O.PortfolioLanes >= 2 && !O.ShareEncodings
+                ? std::min(O.PortfolioLanes, portfolio::TaxonomySize)
+                : 0),
       Sessions(SessionCapacity) {
   if (!O.CacheDir.empty())
     Store.emplace(O.CacheDir);
-  const std::string &LaneDir =
-      O.LaneStatsDir.empty() ? O.CacheDir : O.LaneStatsDir;
-  if (Lanes && !LaneDir.empty())
-    LaneStore.emplace(LaneDir);
 }
 
 std::optional<JobResult> Executor::probe(const JobSpec &S,
@@ -324,7 +323,7 @@ void Executor::predictInto(JobResult &R, const JobSpec &Spec,
     };
 
   if (!Shared && Lanes) {
-    raceInto(R, Spec, Observed, PO, Validate);
+    raceInto(R, Observed, PO, Validate);
     return;
   }
   Prediction P =
@@ -334,33 +333,16 @@ void Executor::predictInto(JobResult &R, const JobSpec &Spec,
     applyValidation(R, Validate(P));
 }
 
-/// Races up to Lanes recipes for the prediction query, commits the
+/// Races up to Lanes recipes for the prediction query and commits the
 /// winner's answer — with the reference lane's generation stats, so
-/// literal counts stay the single-lane ones — and folds the race into
-/// the learned lane statistics. Concurrent campaign_cli processes can
-/// lose each other's statistics updates; that is the documented
-/// advisory contract.
-void Executor::raceInto(JobResult &R, const JobSpec &Spec,
-                        const History &Observed, const PredictOptions &PO,
+/// literal counts stay the single-lane ones.
+void Executor::raceInto(JobResult &R, const History &Observed,
+                        const PredictOptions &PO,
                         const portfolio::Validator &Validate) {
   static obs::Counter &Rescues =
       obs::Metrics::global().counter("portfolio.rescues");
-  std::vector<portfolio::LaneSpec> LaneSpecs = portfolio::buildLanes(PO, Lanes);
-  std::string StatsKey = cache::laneStatsKey(Spec);
-  portfolio::Schedule Sched{std::vector<double>(LaneSpecs.size(), 0.0)};
-  if (LaneStore) {
-    std::lock_guard<std::mutex> Lock(LaneMutex);
-    Sched = portfolio::scheduleFromStats(LaneSpecs, LaneStore->load(StatsKey));
-  }
-
-  portfolio::RaceResult Race =
-      portfolio::race(Observed, PO, LaneSpecs, Sched, Validate);
-  if (LaneStore) {
-    std::lock_guard<std::mutex> Lock(LaneMutex);
-    std::vector<cache::LaneTally> Tallies = LaneStore->load(StatsKey);
-    portfolio::recordRace(Tallies, Race);
-    LaneStore->store(StatsKey, Tallies); // Failures degrade to not learning.
-  }
+  portfolio::RaceResult Race = portfolio::race(
+      Observed, PO, portfolio::buildLanes(PO, Lanes), Validate);
 
   // Generation stats always come from the reference lane — its encoding
   // is never interrupted, so the job's literal count is the single-lane
@@ -390,7 +372,6 @@ void Executor::raceInto(JobResult &R, const JobSpec &Spec,
     L.Strat = LR.Spec.Strat;
     L.Prune = LR.Spec.Prune;
     L.Outcome = LR.P.Result;
-    L.Skipped = !LR.Launched;
     L.Canceled = LR.P.Canceled;
     L.TimedOut = LR.P.TimedOut;
     L.GenSeconds = LR.P.Stats.GenSeconds;

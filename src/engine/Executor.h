@@ -20,15 +20,14 @@
 /// PredictSession for the group, one query per member, per-member
 /// stores scoped by the group fingerprint.
 ///
-/// The executor owns the result store, the learned lane statistics and
-/// the warm-session pool; every method is safe to call concurrently.
+/// The executor owns the result store and the warm-session pool; every
+/// method is safe to call concurrently.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ISOPREDICT_ENGINE_EXECUTOR_H
 #define ISOPREDICT_ENGINE_EXECUTOR_H
 
-#include "cache/LaneStats.h"
 #include "cache/ResultStore.h"
 #include "engine/Engine.h"
 #include "engine/SessionPool.h"
@@ -37,7 +36,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 
 namespace isopredict {
@@ -56,9 +54,9 @@ const char *toString(AnsweredBy A); // "cache", "warm_session", ...
 
 class Executor {
 public:
-  /// Cache, share, portfolio, lane-statistics and stream settings come
-  /// from \p O; \p SessionCapacity bounds the warm-session pool (0 =
-  /// no pooling, the batch engine's setting).
+  /// Cache, share, portfolio and stream settings come from \p O; \p
+  /// SessionCapacity bounds the warm-session pool (0 = no pooling, the
+  /// batch engine's setting).
   explicit Executor(const EngineOptions &O, size_t SessionCapacity = 0);
 
   /// One query.
@@ -99,7 +97,8 @@ public:
                           uint64_t NewHash);
 
   SessionPool &sessions() { return Sessions; }
-  /// Portfolio lanes per Predict job (0 when racing is off).
+  /// Portfolio lanes per Predict job: EngineOptions::PortfolioLanes
+  /// clamped to portfolio::TaxonomySize (0 when racing is off).
   unsigned portfolioLanes() const { return Lanes; }
   bool caching() const { return Store.has_value(); }
   unsigned cacheHits() const { return Hits.load(); }
@@ -118,17 +117,13 @@ private:
   /// one-shot or raced) and validate a Sat answer.
   void predictInto(JobResult &R, const JobSpec &Spec, const History &Observed,
                    PredictSession *Shared = nullptr);
-  void raceInto(JobResult &R, const JobSpec &Spec, const History &Observed,
+  void raceInto(JobResult &R, const History &Observed,
                 const PredictOptions &PO, const portfolio::Validator &Validate);
 
   std::optional<cache::ResultStore> Store;
   bool ShareEncodings;
   bool StreamFromScratch;
   unsigned Lanes;
-  /// Learned lane statistics (null when not racing or not persisted);
-  /// the mutex serializes their read-modify-write updates.
-  std::optional<cache::LaneStatsStore> LaneStore;
-  std::mutex LaneMutex;
   SessionPool Sessions;
   std::atomic<unsigned> Hits{0}, Misses{0};
 };

@@ -215,8 +215,6 @@ void isopredict::engine::writeJobFields(JsonWriter &J, const JobResult &R,
           J.str("strategy", toString(L.Strat));
           J.boolean("prune", L.Prune);
           J.str("result", toString(L.Outcome));
-          if (L.Skipped)
-            J.boolean("skipped", true);
           if (L.Canceled)
             J.boolean("canceled", true);
           if (L.TimedOut)
@@ -637,7 +635,6 @@ isopredict::engine::jobResultFromJson(const JsonValue &Obj,
         if (std::optional<SmtResult> O =
                 smtResultFromString(optStr(L, "result")))
           LR.Outcome = *O;
-        LR.Skipped = optBool(L, "skipped");
         LR.Canceled = optBool(L, "canceled");
         LR.TimedOut = optBool(L, "timeout");
         LR.Literals = optU64(L, "literals");

@@ -51,12 +51,11 @@ struct LaneResult {
   std::string Name;
   Strategy Strat = Strategy::ApproxRelaxed;
   bool Prune = false;
-  /// The lane's own answer (Unknown for canceled or never-launched
-  /// lanes); the job's Outcome comes from the winning lane only.
+  /// The lane's own answer (Unknown for canceled lanes); the job's
+  /// Outcome comes from the winning lane only.
   SmtResult Outcome = SmtResult::Unknown;
-  /// The race ended before this lane's staggered start: it never ran.
-  bool Skipped = false;
-  /// The lane launched and was interrupted by the winner.
+  /// The lane was interrupted by the winner (or started after the race
+  /// was decided).
   bool Canceled = false;
   /// The lane's solver hit the job's timeout budget (a genuine
   /// timeout, never an interrupt).

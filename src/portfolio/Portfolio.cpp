@@ -8,10 +8,7 @@
 #include "support/Env.h"
 #include "support/StrUtil.h"
 
-#include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <condition_variable>
 #include <mutex>
 #include <thread>
 
@@ -85,6 +82,7 @@ std::vector<LaneSpec> portfolio::buildLanes(const PredictOptions &Q,
   Relevancy.SolverParams = {{"relevancy", "0"}};
   Add(Relevancy);
 
+  assert(Lanes.size() <= TaxonomySize && "TaxonomySize undercounts lanes");
   return Lanes;
 }
 
@@ -95,11 +93,8 @@ namespace {
 /// before its session is destroyed, so nobody interrupts a dead one.
 struct Coordinator {
   std::mutex M;
-  std::condition_variable CV;
   bool RaceOver = false;
   int Winner = -1;
-  unsigned Running = 0;
-  unsigned LaunchedCount = 0;
   std::vector<PredictSession *> Sessions;
 };
 
@@ -108,17 +103,14 @@ struct Coordinator {
 RaceResult portfolio::race(const History &Observed,
                            const PredictOptions &Base,
                            const std::vector<LaneSpec> &Lanes,
-                           const Schedule &Sched,
                            const Validator &Validate) {
   assert(!Lanes.empty() && "race needs at least the reference lane");
   static obs::Counter &Queries =
       obs::Metrics::global().counter("portfolio.queries");
-  static obs::Counter &LanesLaunched =
+  static obs::Counter &LanesStarted =
       obs::Metrics::global().counter("portfolio.lanes_launched");
   static obs::Counter &LanesCanceled =
       obs::Metrics::global().counter("portfolio.lanes_canceled");
-  static obs::Counter &LanesSkipped =
-      obs::Metrics::global().counter("portfolio.lanes_skipped");
   static obs::Histogram &LaneSeconds =
       obs::Metrics::global().histogram("portfolio.lane_seconds");
   Queries.inc();
@@ -211,52 +203,17 @@ RaceResult portfolio::race(const History &Observed,
           if (J != I && C.Sessions[J])
             C.Sessions[J]->interrupt();
       }
-      --C.Running;
-      C.CV.notify_all();
     }
     LaneSpan.arg("result", toString(LR.P.Result));
     LaneSpan.finish();
   };
 
-  // Staggered launch: lanes in delay order; a pending launch is skipped
-  // when the race ends first (the stagger payoff), or fast-forwarded
-  // when every running lane already finished undecided.
-  std::vector<std::pair<double, size_t>> Plan;
-  Plan.reserve(Lanes.size());
-  for (size_t I = 0; I < Lanes.size(); ++I)
-    Plan.emplace_back(
-        I < Sched.DelaySeconds.size() ? Sched.DelaySeconds[I] : 0.0, I);
-  std::stable_sort(Plan.begin(), Plan.end(),
-                   [](const auto &A, const auto &B) {
-                     return A.first < B.first;
-                   });
-
   std::vector<std::thread> Threads;
   Threads.reserve(Lanes.size());
   Timer Clock;
-  {
-    std::unique_lock<std::mutex> Lock(C.M);
-    for (const auto &[Delay, I] : Plan) {
-      double Remaining = Delay - Clock.seconds();
-      if (Remaining > 0)
-        C.CV.wait_for(
-            Lock, std::chrono::duration<double>(Remaining), [&] {
-              return C.RaceOver ||
-                     (C.LaunchedCount > 0 && C.Running == 0);
-            });
-      if (C.RaceOver && I != 0) {
-        LanesSkipped.inc();
-        continue; // Never launched; Launched stays false.
-      }
-      Out.Lanes[I].Launched = true;
-      ++C.Running;
-      ++C.LaunchedCount;
-      LanesLaunched.inc();
-      Lock.unlock();
-      Threads.emplace_back(LaneMain, I);
-      Lock.lock();
-    }
-  }
+  for (size_t I = 0; I < Lanes.size(); ++I)
+    Threads.emplace_back(LaneMain, I);
+  LanesStarted.inc(Lanes.size());
   for (std::thread &T : Threads)
     T.join();
 
@@ -266,75 +223,4 @@ RaceResult portfolio::race(const History &Observed,
                C.Winner >= 0 ? Lanes[C.Winner].Name.c_str() : "none");
   RaceSpan.finish();
   return Out;
-}
-
-Schedule portfolio::scheduleFromStats(
-    const std::vector<LaneSpec> &Lanes,
-    const std::vector<cache::LaneTally> &Stats) {
-  Schedule Sched;
-  Sched.DelaySeconds.assign(Lanes.size(), 0.0);
-  if (Stats.empty())
-    return Sched;
-
-  auto TallyOf = [&](const std::string &Name) -> const cache::LaneTally * {
-    for (const cache::LaneTally &T : Stats)
-      if (T.Lane == Name)
-        return &T;
-    return nullptr;
-  };
-  auto MeanSeconds = [](const cache::LaneTally &T) {
-    return T.Runs ? T.Seconds / static_cast<double>(T.Runs) : 0.0;
-  };
-
-  // The favorite: most wins, then fastest mean, then lowest index (so
-  // the choice is deterministic for tied histories).
-  int Best = -1;
-  for (size_t I = 0; I < Lanes.size(); ++I) {
-    const cache::LaneTally *T = TallyOf(Lanes[I].Name);
-    if (!T || T->Wins == 0)
-      continue;
-    if (Best < 0)
-      Best = static_cast<int>(I);
-    else {
-      const cache::LaneTally *B = TallyOf(Lanes[Best].Name);
-      if (T->Wins > B->Wins ||
-          (T->Wins == B->Wins && MeanSeconds(*T) < MeanSeconds(*B)))
-        Best = static_cast<int>(I);
-    }
-  }
-  if (Best < 0)
-    return Sched; // No lane has ever won here: race everything at once.
-
-  double Grace = 1.5 * MeanSeconds(*TallyOf(Lanes[Best].Name));
-  Grace = std::max(0.05, std::min(5.0, Grace));
-  for (size_t I = 0; I < Lanes.size(); ++I)
-    if (static_cast<int>(I) != Best && I != 0)
-      Sched.DelaySeconds[I] = Grace;
-  return Sched;
-}
-
-void portfolio::recordRace(std::vector<cache::LaneTally> &Tallies,
-                           const RaceResult &R) {
-  auto TallyOf = [&](const std::string &Name) -> cache::LaneTally & {
-    for (cache::LaneTally &T : Tallies)
-      if (T.Lane == Name)
-        return T;
-    Tallies.emplace_back();
-    Tallies.back().Lane = Name;
-    return Tallies.back();
-  };
-  for (size_t I = 0; I < R.Lanes.size(); ++I) {
-    const LaneRun &LR = R.Lanes[I];
-    if (!LR.Launched)
-      continue; // Skipped lanes taught us nothing.
-    cache::LaneTally &T = TallyOf(LR.Spec.Name);
-    T.Runs += 1;
-    T.Seconds += LR.Seconds;
-    if (R.Winner == static_cast<int>(I))
-      T.Wins += 1;
-    else
-      T.Losses += 1;
-    if (LR.P.TimedOut)
-      T.Timeouts += 1;
-  }
 }

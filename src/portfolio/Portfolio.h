@@ -37,6 +37,10 @@
 ///    lane* before committing, and the winner's validation is reused as
 ///    the job's — never computed twice.
 ///
+/// Launch policy: every lane starts at once, one thread each. A lane
+/// other than the reference that starts after the race is already
+/// decided skips its encoding and reports Canceled.
+///
 /// Determinism: generation is never interrupted (only the solver check
 /// is — see SmtSolver::interrupt), so the reference lane always
 /// produces the single-lane literal count, which is what reports carry.
@@ -49,7 +53,6 @@
 #ifndef ISOPREDICT_PORTFOLIO_PORTFOLIO_H
 #define ISOPREDICT_PORTFOLIO_PORTFOLIO_H
 
-#include "cache/LaneStats.h"
 #include "predict/Predict.h"
 #include "validate/Validate.h"
 
@@ -66,8 +69,7 @@ namespace portfolio {
 /// direction(s) in which its answer is definitive for the query.
 struct LaneSpec {
   /// Stable label ("reference", "pruned", "approx-scout", "arith2",
-  /// ...): reports, lane-stats keys, and the learned ranking all join
-  /// on it.
+  /// ...): reports and report_profile's lane table join on it.
   std::string Name;
   Strategy Strat = Strategy::ApproxRelaxed;
   bool Prune = false;
@@ -82,18 +84,13 @@ struct LaneSpec {
   bool AcceptUnsat = true;
 };
 
+/// Size of the whole lane taxonomy: the most lanes buildLanes() returns
+/// for any query (Approx-Relaxed queries get one fewer).
+constexpr unsigned TaxonomySize = 6;
+
 /// The lane taxonomy for a query with effective options \p Q, capped at
 /// \p MaxLanes (>= 1). Lanes[0] is always the reference lane.
 std::vector<LaneSpec> buildLanes(const PredictOptions &Q, unsigned MaxLanes);
-
-/// Launch plan: per-lane delay in seconds from race start. The learned
-/// schedule starts the historically-best lane (and always the
-/// reference lane) at 0 and holds the rest back by a grace delay — if
-/// the favorite answers within its grace, the held lanes never launch
-/// (and never burn a thread). All-zeros = launch everything at once.
-struct Schedule {
-  std::vector<double> DelaySeconds;
-};
 
 /// Replays a Sat prediction for validation (the engine executor's
 /// replay); null when the job does not validate.
@@ -106,9 +103,6 @@ struct LaneRun {
   /// Set when the lane replay-validated its Sat model (the winner's is
   /// reused as the job's validation).
   std::optional<ValidationResult> Val;
-  /// False when the race ended before this lane's delay expired — the
-  /// staggered-start payoff; the lane never ran at all.
-  bool Launched = false;
   /// This lane's answer commits the query (see LaneSpec accept flags).
   bool Definitive = false;
   /// Lane wall-clock from launch to completion (encode + solve +
@@ -127,29 +121,13 @@ struct RaceResult {
 };
 
 /// Races \p Lanes for the query described by \p Base (lane fields
-/// Strat/Prune/SolverParams override it per lane). \p Observed must
-/// outlive the call; it is shared read-only across lane threads. The
-/// reference lane (index 0) always launches and always completes its
-/// generation, so RaceResult.Lanes[0].P.Stats carries the single-lane
-/// literal count even when another lane wins first.
+/// Strat/Prune/SolverParams override it per lane), one thread per lane,
+/// all started at once. \p Observed must outlive the call; it is shared
+/// read-only across lane threads. The reference lane (index 0) always
+/// completes its generation, so RaceResult.Lanes[0].P.Stats carries the
+/// single-lane literal count even when another lane wins first.
 RaceResult race(const History &Observed, const PredictOptions &Base,
-                const std::vector<LaneSpec> &Lanes, const Schedule &Sched,
-                const Validator &Validate);
-
-/// The learned launch plan for \p Lanes given the historical tallies of
-/// their query class (cache::LaneStatsStore). The historically-best lane
-/// — most wins, mean seconds as tie-break — and the reference lane
-/// launch at 0; every other lane is held back by a grace delay of
-/// 1.5 × the best lane's mean seconds (clamped to [0.05s, 5s]), so when
-/// the favorite answers within its usual time, the rest never launch.
-/// Lanes with no history, or an empty \p Stats, launch at 0.
-Schedule scheduleFromStats(const std::vector<LaneSpec> &Lanes,
-                           const std::vector<cache::LaneTally> &Stats);
-
-/// Folds one finished race into \p Tallies (find-or-append by lane
-/// name): launched lanes accumulate Runs/Seconds, the winner a Win,
-/// launched losers a Loss, and genuine solver timeouts a Timeout.
-void recordRace(std::vector<cache::LaneTally> &Tallies, const RaceResult &R);
+                const std::vector<LaneSpec> &Lanes, const Validator &Validate);
 
 } // namespace portfolio
 } // namespace isopredict

@@ -162,12 +162,12 @@ ValidationResult isopredict::validatePrediction(
 
   auto Order = Hb.topoOrder();
   assert(Order && "predicted hb must be acyclic for a valid prediction");
-  std::vector<std::pair<SessionId, uint32_t>> Schedule;
+  std::vector<std::pair<SessionId, uint32_t>> Slots;
   for (TxnId T : *Order) {
     if (T == InitTxn || !Included[T])
       continue;
     const Transaction &Txn = Observed.txn(T);
-    Schedule.push_back({Txn.Session, Txn.Slot});
+    Slots.push_back({Txn.Session, Txn.Slot});
   }
 
   DataStore::Options StoreOpts;
@@ -178,13 +178,13 @@ ValidationResult isopredict::validatePrediction(
   PredictedReadDirector Director(Observed, Pred.Predicted, Store);
   Store.setDirector(&Director);
 
-  Out.Run = WorkloadRunner::replay(App, Store, Cfg, Schedule);
+  Out.Run = WorkloadRunner::replay(App, Store, Cfg, Slots);
   Out.Validating = Out.Run.Hist;
   Out.Diverged = Out.Run.Divergences > 0;
   // A transaction that committed in the predicted execution but aborted
   // in the validating execution is also divergence (§4.5's second
   // category). Every scheduled slot committed in the observed execution.
-  for (auto [Session, Slot] : Schedule)
+  for (auto [Session, Slot] : Slots)
     if (!Store.txnForSlot(Session, Slot))
       Out.Diverged = true;
 

@@ -632,6 +632,28 @@ TEST(Engine, InterruptedPredictJobIsCanceled) {
   EXPECT_FALSE(R.TimedOut);
 }
 
+// buildLanes never returns more than the lane taxonomy, so the executor
+// must not report more: Engine::run divides its worker pool by
+// portfolioLanes(), and an unclamped --jobs 12 --portfolio=12 would run
+// one job at a time on at most 6 lane threads.
+TEST(Executor, PortfolioLanesAreClampedToTheTaxonomy) {
+  auto lanesFor = [](unsigned Requested) {
+    EngineOptions O;
+    O.PortfolioLanes = Requested;
+    return Executor(O).portfolioLanes();
+  };
+  EXPECT_EQ(lanesFor(0), 0u);
+  EXPECT_EQ(lanesFor(1), 0u);
+  EXPECT_EQ(lanesFor(4), 4u);
+  EXPECT_EQ(lanesFor(portfolio::TaxonomySize), portfolio::TaxonomySize);
+  EXPECT_EQ(lanesFor(12), portfolio::TaxonomySize);
+
+  EngineOptions Shared;
+  Shared.PortfolioLanes = 12;
+  Shared.ShareEncodings = true;
+  EXPECT_EQ(Executor(Shared).portfolioLanes(), 0u);
+}
+
 namespace {
 
 History observedVoter() {

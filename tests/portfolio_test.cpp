@@ -1,4 +1,4 @@
-//===- portfolio_test.cpp - Lane racing, schedule learning, lane stats ---===//
+//===- portfolio_test.cpp - Lane racing and its engine integration ------===//
 //
 // The portfolio's contract is sat/unsat-equivalence with the single-lane
 // pipeline: whichever lane wins the race, the committed outcome must be
@@ -11,7 +11,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/AppFramework.h"
-#include "cache/LaneStats.h"
 #include "engine/Engine.h"
 #include "engine/JobIo.h"
 #include "portfolio/Portfolio.h"
@@ -23,8 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
-#include <fstream>
+#include <filesystem>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -107,7 +105,7 @@ TEST_P(PortfolioGolden, RaceCommitsFixtureOutcome) {
                               C.Level, GoldenTimeoutMs);
   };
 
-  RaceResult R = race(H, Base, Lanes, Schedule{}, Validate);
+  RaceResult R = race(H, Base, Lanes, Validate);
 
   // Every fixture decides well within the timeout, so some lane must
   // have committed — and committed the single-lane answer.
@@ -116,10 +114,9 @@ TEST_P(PortfolioGolden, RaceCommitsFixtureOutcome) {
   EXPECT_TRUE(W.Definitive);
   EXPECT_STREQ(toString(W.P.Result), C.Result);
 
-  // The reference lane always launches, and its generation is never
-  // interrupted (only the solver check is): even when another lane wins
-  // first, it carries exactly the single-lane literal count.
-  EXPECT_TRUE(R.Lanes[0].Launched);
+  // The reference lane's generation is never interrupted (only the
+  // solver check is): even when another lane wins first, it carries
+  // exactly the single-lane literal count.
   Prediction Solo = predict(H, Base);
   EXPECT_EQ(R.Lanes[0].P.Stats.NumLiterals, Solo.Stats.NumLiterals);
 
@@ -172,6 +169,13 @@ TEST(PortfolioLanes, ReferenceLaneIsTheQueryConfiguration) {
   // MaxLanes caps the taxonomy; 1 degenerates to the reference lane.
   EXPECT_EQ(buildLanes(Q, 1).size(), 1u);
   EXPECT_LE(buildLanes(Q, 3).size(), 3u);
+  // TaxonomySize is the whole taxonomy of the strict strategies; the
+  // relaxed one has no cross-strategy lane.
+  EXPECT_EQ(buildLanes(Q, 100).size(), TaxonomySize);
+  Q.Strat = Strategy::ExactStrict;
+  EXPECT_EQ(buildLanes(Q, 100).size(), TaxonomySize);
+  Q.Strat = Strategy::ApproxRelaxed;
+  EXPECT_EQ(buildLanes(Q, 100).size(), TaxonomySize - 1);
 }
 
 TEST(PortfolioLanes, CrossStrategyLanesFollowTheSoundnessLattice) {
@@ -212,101 +216,12 @@ TEST(PortfolioLanes, CrossStrategyLanesFollowTheSoundnessLattice) {
 }
 
 //===----------------------------------------------------------------------===
-// Schedule learning
-//===----------------------------------------------------------------------===
-
-TEST(PortfolioSchedule, NoHistoryLaunchesEverythingAtOnce) {
-  PredictOptions Q;
-  std::vector<LaneSpec> Lanes = buildLanes(Q, 4);
-  Schedule S = scheduleFromStats(Lanes, {});
-  ASSERT_EQ(S.DelaySeconds.size(), Lanes.size());
-  for (double D : S.DelaySeconds)
-    EXPECT_EQ(D, 0.0);
-}
-
-TEST(PortfolioSchedule, BestLaneLaunchesFirstOthersWaitItsGrace) {
-  PredictOptions Q;
-  std::vector<LaneSpec> Lanes = buildLanes(Q, 4);
-  ASSERT_GE(Lanes.size(), 3u);
-
-  // Lane [1] dominates history: 8 wins averaging 2 s.
-  std::vector<cache::LaneTally> Stats;
-  Stats.push_back({Lanes[1].Name, /*Runs=*/10, /*Wins=*/8, /*Losses=*/2,
-                   /*Timeouts=*/0, /*Seconds=*/20.0});
-  Stats.push_back({Lanes[2].Name, /*Runs=*/10, /*Wins=*/2, /*Losses=*/8,
-                   /*Timeouts=*/0, /*Seconds=*/10.0});
-
-  Schedule S = scheduleFromStats(Lanes, Stats);
-  ASSERT_EQ(S.DelaySeconds.size(), Lanes.size());
-  // The favorite and the reference lane launch immediately; everyone
-  // else is held back by 1.5 x the favorite's 2 s mean.
-  EXPECT_EQ(S.DelaySeconds[0], 0.0);
-  EXPECT_EQ(S.DelaySeconds[1], 0.0);
-  for (size_t I = 2; I < S.DelaySeconds.size(); ++I)
-    EXPECT_NEAR(S.DelaySeconds[I], 3.0, 1e-9) << "lane " << I;
-}
-
-TEST(PortfolioSchedule, GraceDelayIsClamped) {
-  PredictOptions Q;
-  std::vector<LaneSpec> Lanes = buildLanes(Q, 4);
-  ASSERT_GE(Lanes.size(), 3u);
-
-  // A favorite with a 100 s mean must not hold the field back forever.
-  std::vector<cache::LaneTally> Slow;
-  Slow.push_back({Lanes[1].Name, 2, 2, 0, 0, 200.0});
-  Schedule S = scheduleFromStats(Lanes, Slow);
-  for (size_t I = 2; I < S.DelaySeconds.size(); ++I)
-    EXPECT_NEAR(S.DelaySeconds[I], 5.0, 1e-9);
-
-  // A sub-millisecond favorite still gives the field a real stagger.
-  std::vector<cache::LaneTally> Fast;
-  Fast.push_back({Lanes[1].Name, 5, 5, 0, 0, 0.001});
-  S = scheduleFromStats(Lanes, Fast);
-  for (size_t I = 2; I < S.DelaySeconds.size(); ++I)
-    EXPECT_NEAR(S.DelaySeconds[I], 0.05, 1e-9);
-}
-
-TEST(PortfolioSchedule, RecordRaceAccumulatesTallies) {
-  PredictOptions Q;
-  std::vector<LaneSpec> Lanes = buildLanes(Q, 4);
-  ASSERT_GE(Lanes.size(), 3u);
-
-  RaceResult R;
-  R.Lanes.resize(Lanes.size());
-  for (size_t I = 0; I < Lanes.size(); ++I)
-    R.Lanes[I].Spec = Lanes[I];
-  R.Lanes[0].Launched = true;
-  R.Lanes[0].Seconds = 2.0;
-  R.Lanes[0].P.TimedOut = true;
-  R.Lanes[1].Launched = true;
-  R.Lanes[1].Seconds = 0.5;
-  R.Winner = 1;
-  // Lane 2 never launched (staggered out): it must not accumulate.
-
-  std::vector<cache::LaneTally> T;
-  recordRace(T, R);
-  recordRace(T, R);
-
-  ASSERT_EQ(T.size(), 2u);
-  EXPECT_EQ(T[0].Lane, Lanes[0].Name);
-  EXPECT_EQ(T[0].Runs, 2u);
-  EXPECT_EQ(T[0].Wins, 0u);
-  EXPECT_EQ(T[0].Losses, 2u);
-  EXPECT_EQ(T[0].Timeouts, 2u);
-  EXPECT_NEAR(T[0].Seconds, 4.0, 1e-9);
-  EXPECT_EQ(T[1].Lane, Lanes[1].Name);
-  EXPECT_EQ(T[1].Wins, 2u);
-  EXPECT_EQ(T[1].Losses, 0u);
-  EXPECT_NEAR(T[1].Seconds, 1.0, 1e-9);
-}
-
-//===----------------------------------------------------------------------===
-// Lane-stats persistence
+// JobResult wire format: lanes, winning_lane, canceled
 //===----------------------------------------------------------------------===
 
 namespace {
 
-JobSpec laneStatsSpec() {
+JobSpec predictSpec() {
   JobSpec S;
   S.Kind = JobKind::Predict;
   S.App = "smallbank";
@@ -318,100 +233,9 @@ JobSpec laneStatsSpec() {
 
 } // namespace
 
-TEST(LaneStats, KeyIsSeedIndependent) {
-  JobSpec A = laneStatsSpec();
-  JobSpec B = laneStatsSpec();
-  B.Cfg = WorkloadConfig::small(7);
-  // Lane performance is a property of the query *class*, not the
-  // concrete workload seed: every seed shares one tally.
-  EXPECT_EQ(cache::laneStatsKey(A), cache::laneStatsKey(B));
-
-  JobSpec C = laneStatsSpec();
-  C.Strat = Strategy::ExactStrict;
-  EXPECT_NE(cache::laneStatsKey(A), cache::laneStatsKey(C));
-  JobSpec D = laneStatsSpec();
-  D.Cfg = WorkloadConfig::large(1);
-  EXPECT_NE(cache::laneStatsKey(A), cache::laneStatsKey(D));
-}
-
-TEST(LaneStats, RoundTripsThroughDisk) {
-  std::string Dir = scratchDir("lanestats");
-  cache::LaneStatsStore Store(Dir);
-  std::string Key = cache::laneStatsKey(laneStatsSpec());
-
-  EXPECT_TRUE(Store.load(Key).empty()) << "cold store must be empty";
-
-  std::vector<cache::LaneTally> T;
-  T.push_back({"reference", 3, 1, 2, 1, 4.5});
-  T.push_back({"exact-refuter", 3, 2, 1, 0, 1.25});
-  ASSERT_TRUE(Store.store(Key, T));
-
-  std::vector<cache::LaneTally> Back = Store.load(Key);
-  ASSERT_EQ(Back.size(), 2u);
-  EXPECT_EQ(Back[0].Lane, "reference");
-  EXPECT_EQ(Back[0].Runs, 3u);
-  EXPECT_EQ(Back[0].Wins, 1u);
-  EXPECT_EQ(Back[0].Losses, 2u);
-  EXPECT_EQ(Back[0].Timeouts, 1u);
-  EXPECT_NEAR(Back[0].Seconds, 4.5, 1e-9);
-  EXPECT_EQ(Back[1].Lane, "exact-refuter");
-  EXPECT_NEAR(Back[1].Seconds, 1.25, 1e-9);
-
-  // Different key: different file, still empty.
-  JobSpec Other = laneStatsSpec();
-  Other.Level = IsolationLevel::ReadAtomic;
-  EXPECT_TRUE(Store.load(cache::laneStatsKey(Other)).empty());
-}
-
-TEST(LaneStats, CorruptionIsBenign) {
-  std::string Dir = scratchDir("lanestats-corrupt");
-  cache::LaneStatsStore Store(Dir);
-  std::string Key = cache::laneStatsKey(laneStatsSpec());
-  std::vector<cache::LaneTally> T;
-  T.push_back({"reference", 1, 1, 0, 0, 0.5});
-  ASSERT_TRUE(Store.store(Key, T));
-  std::string Path = Store.entryPath(Key);
-
-  auto overwrite = [&](const std::string &Content) {
-    std::ofstream Out(Path, std::ios::trunc);
-    Out << Content;
-  };
-
-  // Truncated JSON, non-JSON garbage, a wrong schema, and a key
-  // mismatch (hash collision shape) all load as "no history" — the
-  // stats are advisory, a broken file only costs the learned stagger.
-  overwrite("{\"schema\": \"isopredict-lane-st");
-  EXPECT_TRUE(Store.load(Key).empty());
-  overwrite("not json at all");
-  EXPECT_TRUE(Store.load(Key).empty());
-  overwrite("{\"schema\": \"some-other-tool/9\", \"lanes\": []}");
-  EXPECT_TRUE(Store.load(Key).empty());
-  ASSERT_TRUE(Store.store(Key, T));
-  std::string Good;
-  {
-    std::ifstream In(Path);
-    Good.assign(std::istreambuf_iterator<char>(In),
-                std::istreambuf_iterator<char>());
-  }
-  std::string Swapped = Good;
-  size_t At = Swapped.find("\"key\"");
-  ASSERT_NE(At, std::string::npos);
-  Swapped.replace(At, 5, "\"kee\"");
-  overwrite(Swapped);
-  EXPECT_TRUE(Store.load(Key).empty());
-
-  // An ill-typed lane entry rejects the whole file, not just the entry.
-  overwrite(Good); // sanity: the pristine bytes still load
-  EXPECT_EQ(Store.load(Key).size(), 1u);
-}
-
-//===----------------------------------------------------------------------===
-// JobResult wire format: lanes, winning_lane, canceled
-//===----------------------------------------------------------------------===
-
 TEST(PortfolioJobIo, LaneRecordsRoundTrip) {
   JobResult R;
-  R.Spec = laneStatsSpec();
+  R.Spec = predictSpec();
   R.Ok = true;
   R.Outcome = SmtResult::Sat;
   R.WinningLane = "exact-refuter";
@@ -432,10 +256,10 @@ TEST(PortfolioJobIo, LaneRecordsRoundTrip) {
   Win.Seconds = 0.9;
   Win.Stats.Collected = true;
   Win.Stats.Conflicts = 42;
-  LaneResult Held;
-  Held.Name = "arith2";
-  Held.Skipped = true;
-  R.Lanes = {Ref, Win, Held};
+  LaneResult Slow;
+  Slow.Name = "arith2";
+  Slow.TimedOut = true;
+  R.Lanes = {Ref, Win, Slow};
 
   ReportOptions Timed;
   Timed.IncludeTimings = true;
@@ -456,7 +280,7 @@ TEST(PortfolioJobIo, LaneRecordsRoundTrip) {
   EXPECT_EQ(Back->Lanes[0].Name, "reference");
   EXPECT_EQ(Back->Lanes[0].Strat, Strategy::ApproxStrict);
   EXPECT_TRUE(Back->Lanes[0].Canceled);
-  EXPECT_FALSE(Back->Lanes[0].Skipped);
+  EXPECT_FALSE(Back->Lanes[0].TimedOut);
   EXPECT_EQ(Back->Lanes[0].Literals, 1234u);
   EXPECT_NEAR(Back->Lanes[0].SolveSeconds, 1.5, 1e-9);
   EXPECT_EQ(Back->Lanes[1].Name, "exact-refuter");
@@ -464,7 +288,8 @@ TEST(PortfolioJobIo, LaneRecordsRoundTrip) {
   EXPECT_EQ(Back->Lanes[1].Outcome, SmtResult::Sat);
   EXPECT_TRUE(Back->Lanes[1].Stats.Collected);
   EXPECT_EQ(Back->Lanes[1].Stats.Conflicts, 42u);
-  EXPECT_TRUE(Back->Lanes[2].Skipped);
+  EXPECT_TRUE(Back->Lanes[2].TimedOut);
+  EXPECT_FALSE(Back->Lanes[2].Canceled);
 
   // Re-emitting the parsed result reproduces the original bytes — the
   // JobIo invariant the cache and shard merger stand on.
@@ -489,7 +314,7 @@ TEST(PortfolioJobIo, CanceledIsDistinctFromTimeout) {
   // "canceled" mirrors "timeout": outcome-shaped (not timing-gated),
   // emitted only when set, and round-trips exactly.
   JobResult R;
-  R.Spec = laneStatsSpec();
+  R.Spec = predictSpec();
   R.Ok = true;
   R.Outcome = SmtResult::Unknown;
   R.Canceled = true;
@@ -539,11 +364,11 @@ Campaign voterCausalCampaign() {
 }
 
 Report runEngine(const Campaign &C, unsigned Workers, unsigned Lanes,
-                 const std::string &LaneStatsDir = {}) {
+                 const std::string &CacheDir = {}) {
   EngineOptions O;
   O.NumWorkers = Workers;
   O.PortfolioLanes = Lanes;
-  O.LaneStatsDir = LaneStatsDir;
+  O.CacheDir = CacheDir;
   return Engine(O).run(C);
 }
 
@@ -561,8 +386,8 @@ TEST(PortfolioEngine, ReportBytesAreWorkerCountAndLaneInvariant) {
          "the portfolio";
 }
 
-TEST(PortfolioEngine, RacedJobsCarryLaneRecordsAndLearnStats) {
-  std::string Dir = scratchDir("engine-lanestats");
+TEST(PortfolioEngine, CacheDirHoldsOnlyResultEntries) {
+  std::string Dir = scratchDir("engine-portfolio-cache");
   Campaign C = voterCausalCampaign();
   Report R = runEngine(C, 2, 4, Dir);
 
@@ -581,23 +406,20 @@ TEST(PortfolioEngine, RacedJobsCarryLaneRecordsAndLearnStats) {
     EXPECT_TRUE(WinnerListed);
   }
 
-  // The race left tallies behind, keyed by query class: the next run
-  // seeds its schedule from them.
-  cache::LaneStatsStore Store(Dir);
-  for (const JobSpec &S : C.Jobs) {
-    std::vector<cache::LaneTally> T = Store.load(cache::laneStatsKey(S));
-    ASSERT_FALSE(T.empty()) << cache::laneStatsKey(S);
-    uint64_t Wins = 0;
-    for (const cache::LaneTally &L : T) {
-      EXPECT_GT(L.Runs, 0u);
-      Wins += L.Wins;
-    }
-    // Both seeds of the class raced and decided: two wins recorded.
-    EXPECT_EQ(Wins, 2u);
+  // Races leave no state behind but their results: the cache's version
+  // directory holds one entry file per job and nothing else (no lane
+  // tallies that a later race would read).
+  std::string VersionDir = pathJoin(Dir, toolVersion());
+  EXPECT_FALSE(pathExists(pathJoin(VersionDir, "lanes")));
+  size_t Entries = 0;
+  for (const auto &E : std::filesystem::directory_iterator(VersionDir)) {
+    EXPECT_TRUE(E.is_regular_file()) << E.path();
+    EXPECT_EQ(E.path().extension(), ".json") << E.path();
+    ++Entries;
   }
+  EXPECT_EQ(Entries, C.size());
 
-  // A second run over the learned stats must commit the same outcomes
-  // (the stagger may skip lanes, never change answers).
+  // A second run over the same directory commits the same outcomes.
   Report R2 = runEngine(C, 2, 4, Dir);
   EXPECT_EQ(R2.toJson(), R.toJson());
 }
