@@ -87,9 +87,9 @@ int usage(const char *Msg = nullptr) {
       "                        the relevance plan (same sat/unsat\n"
       "                        outcomes; more literals, models may differ)\n"
       "  --portfolio[=N]       race up to N solve lanes per predict query\n"
-      "                        (default 4, at most 6): strategy/encoding/\n"
-      "                        Z3-preset variants started at once on their\n"
-      "                        own threads, first definitive answer wins,\n"
+      "                        (default 4, at most 5): encoding/Z3-preset\n"
+      "                        variants started at once on their own\n"
+      "                        threads, first decided answer wins,\n"
       "                        losers interrupted (same sat/unsat outcomes;\n"
       "                        models may differ). Excludes\n"
       "                        --share-encodings\n"

@@ -26,6 +26,17 @@
 //    unchanged; only which model Z3 returns, and how fast, can move.
 //    It hands model-based quantifier instantiation the serial order
 //    that refutes the most candidates before the search starts.
+//  - Approx queries are solved along the soundness lattice, not by
+//    ApproxRankPass alone (PredictSession::runQuery). Stage 1 runs
+//    ExactStrictPass under the query's own boundary mode: pco is
+//    contained in every valid commit order, so the approx models are a
+//    subset of its models, and its unsat is the answer. Its sat is the
+//    answer too when the predicted history shows a pco cycle
+//    (pcoCycle saturates the same least fixpoint wwJust/rwJust encode,
+//    over the same predicted prefix). Only a sat without a cycle, or
+//    an unknown that is not a timeout, solves B.2.2's rank encoding;
+//    in a session stage 1 gets a quarter of the budget, and its
+//    timeout falls back too.
 //
 //  - φso is never declared: the observed session order is substituted
 //    as constants, and every pass folds them (and the other constants

@@ -63,9 +63,9 @@ struct EngineOptions {
   /// timing-gated), so warm re-runs reproduce cold reports exactly.
   std::string CacheDir;
   /// Race up to this many portfolio lanes per Predict query
-  /// (src/portfolio/): alternative strategy / encoding / Z3-preset
-  /// recipes, all started at once on their own threads, first
-  /// definitive answer wins, losers interrupted. 0 or 1 = off; values
+  /// (src/portfolio/): alternative encoding / Z3-preset recipes, all
+  /// started at once on their own threads, first decided answer wins,
+  /// losers interrupted. 0 or 1 = off; values
   /// above portfolio::TaxonomySize are clamped to it. Mutually
   /// exclusive with ShareEncodings (a shared session's solver cannot be
   /// raced); when both are set, ShareEncodings wins and no racing

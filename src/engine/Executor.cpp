@@ -346,8 +346,10 @@ void Executor::raceInto(JobResult &R, const History &Observed,
 
   // Generation stats always come from the reference lane — its encoding
   // is never interrupted, so the job's literal count is the single-lane
-  // one whatever lane won the solve. With no winner the job's answer is
-  // the reference lane's unknown, timeout and cancel markers included.
+  // one whatever lane won the solve (an Approx query's rank-encoding
+  // fallback, which a canceled lane may skip, is counted apart in the
+  // timings-gated FallbackLiterals). With no winner the job's answer is the reference lane's unknown,
+  // timeout and cancel markers included.
   const portfolio::LaneRun &Ref = Race.Lanes.front();
   if (Race.Winner >= 0) {
     const portfolio::LaneRun &W = Race.Lanes[Race.Winner];
@@ -369,7 +371,6 @@ void Executor::raceInto(JobResult &R, const History &Observed,
   for (const portfolio::LaneRun &LR : Race.Lanes) {
     LaneResult L;
     L.Name = LR.Spec.Name;
-    L.Strat = LR.Spec.Strat;
     L.Prune = LR.Spec.Prune;
     L.Outcome = LR.P.Result;
     L.Canceled = LR.P.Canceled;

@@ -182,6 +182,11 @@ void isopredict::engine::writeJobFields(JsonWriter &J, const JobResult &R,
     if (S.Kind == JobKind::Predict || S.Kind == JobKind::Stream) {
       J.num("gen_seconds", R.Stats.GenSeconds);
       J.num("solve_seconds", R.Stats.SolveSeconds);
+      // An Approx query's rank-encoding fallback, when it ran. Whether
+      // it runs in a portfolio race depends on when the reference lane
+      // was canceled, so unlike "literals" it is timings-gated.
+      if (R.Stats.FallbackLiterals)
+        J.num("fallback_literals", R.Stats.FallbackLiterals);
       // Z3 search statistics for this query (SmtSolver::statistics()).
       // Run-dependent magnitudes, so timings-gated like the seconds
       // fields.
@@ -212,7 +217,6 @@ void isopredict::engine::writeJobFields(JsonWriter &J, const JobResult &R,
         for (const LaneResult &L : R.Lanes) {
           J.openElement();
           J.str("lane", L.Name);
-          J.str("strategy", toString(L.Strat));
           J.boolean("prune", L.Prune);
           J.str("result", toString(L.Outcome));
           if (L.Canceled)
@@ -602,6 +606,7 @@ isopredict::engine::jobResultFromJson(const JsonValue &Obj,
   // report can still attribute the original compute cost).
   R.Stats.GenSeconds = optDouble(Obj, "gen_seconds");
   R.Stats.SolveSeconds = optDouble(Obj, "solve_seconds");
+  R.Stats.FallbackLiterals = optU64(Obj, "fallback_literals");
   R.WallSeconds = optDouble(Obj, "wall_seconds");
   R.CacheHit = optBool(Obj, "cache_hit");
   readSolverStats(Obj, R.SolverStats);
@@ -628,9 +633,6 @@ isopredict::engine::jobResultFromJson(const JsonValue &Obj,
         }
         LaneResult LR;
         LR.Name = optStr(L, "lane");
-        if (std::optional<Strategy> St =
-                strategyFromString(optStr(L, "strategy")))
-          LR.Strat = *St;
         LR.Prune = optBool(L, "prune");
         if (std::optional<SmtResult> O =
                 smtResultFromString(optStr(L, "result")))

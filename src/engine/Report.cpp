@@ -27,7 +27,10 @@ using namespace isopredict::engine;
 // 9: JobSpec::Prune defaults to true (canonicalSpec "prune=1"), so the
 // default grid's spec hashes moved, and the identity plan (prune=0)
 // builds a different formula than the old unpruned encoding.
-const char *isopredict::engine::toolVersion() { return "isopredict-9"; }
+// 10: Approx queries solve the exact formula first and fall back to the
+// rank encoding only when it cannot settle the answer, so their cached
+// models, witnesses and literal counts changed; spec hashes did not.
+const char *isopredict::engine::toolVersion() { return "isopredict-10"; }
 
 namespace {
 

@@ -49,7 +49,6 @@ const char *toolVersion();
 struct LaneResult {
   /// portfolio::LaneSpec::Name ("reference", "pruned", ...).
   std::string Name;
-  Strategy Strat = Strategy::ApproxRelaxed;
   bool Prune = false;
   /// The lane's own answer (Unknown for canceled lanes); the job's
   /// Outcome comes from the winning lane only.

@@ -28,7 +28,6 @@ std::vector<LaneSpec> portfolio::buildLanes(const PredictOptions &Q,
   // Lane 0: the reference lane — exactly the single-lane configuration.
   LaneSpec Ref;
   Ref.Name = "reference";
-  Ref.Strat = Q.Strat;
   Ref.Prune = Q.PruneFormula;
   Add(Ref);
 
@@ -39,30 +38,6 @@ std::vector<LaneSpec> portfolio::buildLanes(const PredictOptions &Q,
   Toggle.Name = Q.PruneFormula ? "unpruned" : "pruned";
   Toggle.Prune = !Q.PruneFormula;
   Add(Toggle);
-
-  // Cross-strategy scouts, along the soundness lattice only (and only
-  // for the strict strategies — the relaxed boundary changes the
-  // predicted-history semantics):
-  //  - approx-sat ⇒ exact-sat (the approx encoding is a sufficient
-  //    condition for unserializability), so an Exact query accepts an
-  //    Approx-Strict lane's sat;
-  //  - exact-unsat ⇒ approx-unsat (the exact encoding is complete), so
-  //    an Approx-Strict query accepts an Exact lane's unsat.
-  if (Q.Strat == Strategy::ExactStrict) {
-    LaneSpec Scout = Ref;
-    Scout.Name = "approx-scout";
-    Scout.Strat = Strategy::ApproxStrict;
-    Scout.SameStrategy = false;
-    Scout.AcceptUnsat = false;
-    Add(Scout);
-  } else if (Q.Strat == Strategy::ApproxStrict) {
-    LaneSpec Refuter = Ref;
-    Refuter.Name = "exact-refuter";
-    Refuter.Strat = Strategy::ExactStrict;
-    Refuter.SameStrategy = false;
-    Refuter.AcceptSat = false;
-    Add(Refuter);
-  }
 
   // Z3 parameter presets on the reference configuration: heuristic
   // knobs only, sat/unsat-preserving by construction. Values verified
@@ -133,7 +108,6 @@ RaceResult portfolio::race(const History &Observed,
     Timer T;
 
     PredictOptions LO = Base;
-    LO.Strat = LR.Spec.Strat;
     LO.PruneFormula = LR.Spec.Prune;
     LO.SolverParams = LR.Spec.SolverParams;
     std::unique_ptr<PredictSession> Session =
@@ -157,37 +131,22 @@ RaceResult portfolio::race(const History &Observed,
     if (!LR.P.Canceled)
       LR.P = Session->solveLane();
 
-    // Decide definitiveness (and validate a Sat model) outside the
-    // lock: validation replays the application and can itself solve.
-    bool Definitive = false;
-    if (!LR.P.Canceled) {
-      if (LR.P.Result == SmtResult::Unsat) {
-        Definitive = LR.Spec.AcceptUnsat;
-      } else if (LR.P.Result == SmtResult::Sat && LR.Spec.AcceptSat) {
-        if (Validate) {
-          bool Over;
-          {
-            std::lock_guard<std::mutex> Lock(C.M);
-            Over = C.RaceOver;
-          }
-          if (!Over) {
-            obs::Span V("portfolio.lane_validate", obs::CatPortfolio);
-            V.arg("lane", LR.Spec.Name.c_str());
-            LR.Val = Validate(LR.P);
-            V.finish();
-            // A same-strategy sat is the contractual outcome whatever
-            // the replay says (single-lane mode would report it too);
-            // a cross-strategy sat must come with the concrete proof.
-            Definitive = LR.Spec.SameStrategy ||
-                         LR.Val->St ==
-                             ValidationResult::Status::ValidatedUnserializable;
-          }
-        } else {
-          Definitive = LR.Spec.SameStrategy;
-        }
+    // Every decided answer commits; validate a Sat model outside the
+    // lock (validation replays the application and can itself solve),
+    // unless another lane has already won.
+    bool Decided = !LR.P.Canceled && LR.P.Result != SmtResult::Unknown;
+    if (Decided && LR.P.Result == SmtResult::Sat && Validate) {
+      bool Over;
+      {
+        std::lock_guard<std::mutex> Lock(C.M);
+        Over = C.RaceOver;
+      }
+      if (!Over) {
+        obs::Span V("portfolio.lane_validate", obs::CatPortfolio);
+        V.arg("lane", LR.Spec.Name.c_str());
+        LR.Val = Validate(LR.P);
       }
     }
-    LR.Definitive = Definitive;
     LR.Seconds = T.seconds();
     LaneSeconds.observe(LR.Seconds);
     if (LR.P.Canceled)
@@ -196,7 +155,7 @@ RaceResult portfolio::race(const History &Observed,
     {
       std::lock_guard<std::mutex> Lock(C.M);
       C.Sessions[I] = nullptr; // Session dies with this thread.
-      if (Definitive && !C.RaceOver) {
+      if (Decided && !C.RaceOver) {
         C.RaceOver = true;
         C.Winner = static_cast<int>(I);
         for (size_t J = 0; J < C.Sessions.size(); ++J)

@@ -6,47 +6,39 @@
 ///
 /// \file
 /// Races N *lanes* — alternative ways of answering the same prediction
-/// query — on their own threads, commits the first definitive answer,
-/// and cancels the losers (SmtSolver::interrupt). The prediction
-/// queries are embarrassingly racy: the Exact and Approx encodings, the
-/// relevance and identity plans' formulas, and any sat/unsat-preserving Z3
-/// parameter preset all answer the same sat/unsat question, with solve
-/// times that differ by orders of magnitude per query.
+/// query — on their own threads, commits the first decided answer, and
+/// cancels the losers (SmtSolver::interrupt). The relevance and identity
+/// plans' formulas and any sat/unsat-preserving Z3 parameter preset all
+/// answer the same sat/unsat question, with solve times that can differ
+/// by orders of magnitude per query.
 ///
 /// Lane taxonomy (buildLanes): lane 0 is always the *reference* lane —
-/// exactly the single-lane configuration (query strategy, query prune
-/// flag, default solver parameters), running the same one-shot pipeline
-/// bit for bit. Then, budget permitting: the prune toggle, a
-/// cross-strategy scout, and Z3 parameter presets.
+/// exactly the single-lane configuration (query prune flag, default
+/// solver parameters), running the same one-shot pipeline bit for bit.
+/// Then, budget permitting: the prune toggle and Z3 parameter presets.
+/// Every lane answers the query's own strategy, so every decided answer
+/// commits. There are no cross-strategy lanes: an Approx query already
+/// solves the exact formula first (PredictSession::runQuery), so an
+/// Exact lane would only race the reference lane's own first stage.
 ///
-/// Definitiveness (the sat/unsat-equivalence contract):
-///  - A lane with the query's own strategy is sat/unsat-equivalent by
-///    the established encoding contracts (either plan, solver parameters),
-///    so both of its decided answers commit.
-///  - Cross-strategy lanes commit only along the soundness lattice:
-///    Approx-Strict sat implies Exact sat (the approx encoding is a
-///    sufficient condition), and Exact unsat implies Approx-Strict
-///    unsat (the exact encoding is complete). So an Exact query accepts
-///    an Approx-Strict lane's *sat* (additionally requiring a
-///    replay-validated model — a concrete unserializability proof, not
-///    just the theorem), and an Approx-Strict query accepts an Exact
-///    lane's *unsat*. Approx-Relaxed queries get same-strategy lanes
-///    only (the relaxed boundary changes the predicted-history
-///    semantics).
-///  - Sat answers of a validating job are replay-validated *inside the
-///    lane* before committing, and the winner's validation is reused as
-///    the job's — never computed twice.
+/// Sat answers of a validating job are replay-validated *inside the
+/// lane* before committing, and the winner's validation is reused as
+/// the job's — never computed twice.
 ///
 /// Launch policy: every lane starts at once, one thread each. A lane
 /// other than the reference that starts after the race is already
 /// decided skips its encoding and reports Canceled.
 ///
 /// Determinism: generation is never interrupted (only the solver check
-/// is — see SmtSolver::interrupt), so the reference lane always
-/// produces the single-lane literal count, which is what reports carry.
-/// Outcomes are deterministic by the contract above; *which* lane wins
-/// (and therefore sat models/witnesses) is a race, exactly like the
-/// "models may differ" contract of --share-encodings and --prune.
+/// is — see SmtSolver::interrupt), so the reference lane produces the
+/// single-lane literal count, which is what reports carry. (An Approx
+/// query's rank-encoding fallback is counted apart, in the
+/// timings-gated EncodingStats::FallbackLiterals: a lane canceled in
+/// the first stage never learns whether it would have fallen back.)
+/// Outcomes are deterministic by the
+/// contract above; *which* lane wins (and therefore sat
+/// models/witnesses) is a race, exactly like the "models may differ"
+/// contract of --share-encodings and --prune.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,28 +57,18 @@
 namespace isopredict {
 namespace portfolio {
 
-/// One lane: a complete recipe for answering the query, plus the
-/// direction(s) in which its answer is definitive for the query.
+/// One lane: a complete recipe for answering the query.
 struct LaneSpec {
-  /// Stable label ("reference", "pruned", "approx-scout", "arith2",
-  /// ...): reports and report_profile's lane table join on it.
+  /// Stable label ("reference", "pruned", "arith2", ...): reports and
+  /// report_profile's lane table join on it.
   std::string Name;
-  Strategy Strat = Strategy::ApproxRelaxed;
   bool Prune = false;
   /// Z3 parameter presets (PredictOptions::SolverParams).
   std::vector<std::pair<std::string, std::string>> SolverParams;
-  /// Lane strategy == query strategy (same encoding family: both
-  /// decided answers commit, and a sat model needs no extra proof).
-  bool SameStrategy = true;
-  /// This lane's Sat commits the query (see the soundness lattice).
-  bool AcceptSat = true;
-  /// This lane's Unsat commits the query.
-  bool AcceptUnsat = true;
 };
 
-/// Size of the whole lane taxonomy: the most lanes buildLanes() returns
-/// for any query (Approx-Relaxed queries get one fewer).
-constexpr unsigned TaxonomySize = 6;
+/// Size of the whole lane taxonomy: the most lanes buildLanes() returns.
+constexpr unsigned TaxonomySize = 5;
 
 /// The lane taxonomy for a query with effective options \p Q, capped at
 /// \p MaxLanes (>= 1). Lanes[0] is always the reference lane.
@@ -103,8 +85,6 @@ struct LaneRun {
   /// Set when the lane replay-validated its Sat model (the winner's is
   /// reused as the job's validation).
   std::optional<ValidationResult> Val;
-  /// This lane's answer commits the query (see LaneSpec accept flags).
-  bool Definitive = false;
   /// Lane wall-clock from launch to completion (encode + solve +
   /// in-lane validation); partial time for canceled lanes.
   double Seconds = 0;
@@ -121,7 +101,7 @@ struct RaceResult {
 };
 
 /// Races \p Lanes for the query described by \p Base (lane fields
-/// Strat/Prune/SolverParams override it per lane), one thread per lane,
+/// Prune/SolverParams override it per lane), one thread per lane,
 /// all started at once. \p Observed must outlive the call; it is shared
 /// read-only across lane threads. The reference lane (index 0) always
 /// completes its generation, so RaceResult.Lanes[0].P.Stats carries the

@@ -19,6 +19,13 @@
 ///                   transactions, so more predictions but divergence may
 ///                   cause false predictions).
 ///
+/// An Approx query is answered exact-first: the exact formula under the
+/// query's boundary mode decides it when it is unsat, or sat with a pco
+/// cycle in the predicted history (the cycle is the witness); the rank
+/// encoding runs only when that stage cannot settle the answer (see
+/// PredictSession::runQuery). The answer is the rank encoding's; the
+/// model and witness are those of the stage that settled it.
+///
 /// The prediction boundary (§4.5): each session gets a boundary event —
 /// either a read observing a different writer than in the observed
 /// execution, or the session's last event (encoded as "infinity"). Reads
@@ -118,7 +125,15 @@ struct PassStats {
 /// Sizing and timing of one predictive-analysis query (the paper's
 /// # Literals / constraint-generation / solving-time columns).
 struct EncodingStats {
+  /// Literals of the formula the query solves first (for an Approx
+  /// query, its exact stage). Whether the rank-encoding fallback runs
+  /// depends on that stage's answer, which a canceled portfolio lane
+  /// never learns, so its literals are counted apart: NumLiterals is
+  /// the same however far a query got.
   uint64_t NumLiterals = 0;
+  /// Literals of an Approx query's rank-encoding fallback; 0 when it
+  /// did not run.
+  uint64_t FallbackLiterals = 0;
   double GenSeconds = 0;
   double SolveSeconds = 0;
   /// True when this query ran on a PredictSession whose base prefix was
@@ -128,7 +143,8 @@ struct EncodingStats {
   /// for the base (its stats include the base passes).
   bool BasePrefixReused = false;
   /// Per-pass attribution, in pipeline order; literals sum to
-  /// NumLiterals and seconds sum to (just under) GenSeconds.
+  /// NumLiterals + FallbackLiterals and seconds sum to (just under)
+  /// GenSeconds.
   std::vector<PassStats> Passes;
 };
 
@@ -164,8 +180,10 @@ struct Prediction {
   /// Per-session cut: last included event position (InfPos = everything).
   std::vector<uint32_t> CutPos;
   /// A pco cycle witnessing unserializability of the prediction, as
-  /// transaction ids (empty for ExactStrict, where no explicit cycle is
-  /// produced).
+  /// transaction ids: the cycle pcoCycle finds in Predicted when the
+  /// exact stage settled an Approx query, the rank model's pco cycle
+  /// when the fallback did. Empty for ExactStrict, where no explicit
+  /// cycle is produced.
   std::vector<TxnId> Witness;
 };
 
@@ -173,7 +191,8 @@ struct Prediction {
 /// fresh PredictSession, encoding the same constraint system as
 /// PredictSession::query() but asserting it at root solver scope (no
 /// push/pop — Z3 keeps its non-incremental solver, which decides more
-/// one-shot queries within a budget).
+/// one-shot queries within a budget). An Approx query whose exact stage
+/// cannot settle it solves the rank encoding on a fresh solver.
 Prediction predict(const History &Observed, const PredictOptions &Opts);
 
 } // namespace isopredict

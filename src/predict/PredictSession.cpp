@@ -9,7 +9,10 @@
 // passes (EncoderPipeline::forQuery) inside one solver push/pop scope.
 // One-shot predict() and portfolio lanes run the very same passes
 // through runQuery() at root scope, without the scope and without
-// session.* telemetry.
+// session.* telemetry. An Approx query runs up to two stages (runStage):
+// the exact formula, then the rank encoding when the first stage
+// cannot settle the answer — in its own scope for sessions, on a fresh
+// solver for one-shot queries.
 //
 //===----------------------------------------------------------------------===//
 
@@ -132,11 +135,6 @@ void recordCheckOutcome(SmtSolver &Solver, unsigned TimeoutMs,
                  Reason.find("canceled") != std::string::npos ||
                  (TimeoutMs != 0 &&
                   Out.Stats.SolveSeconds * 1000.0 >= TimeoutMs);
-  if (Out.TimedOut) {
-    static obs::Counter &Timeouts =
-        obs::Metrics::global().counter("solver.timeouts");
-    Timeouts.inc();
-  }
 }
 
 /// Session-level knobs as the PredictOptions the passes read.
@@ -197,12 +195,30 @@ void PredictSession::ensureSolver() {
     Solver->setOption(Param.first, Param.second);
   EC = std::make_unique<encode::EncodingContext>(
       Streaming ? SubH : H, Opts, *Ctx, *Solver, Streaming);
-  // Publish the solver for cross-thread interrupt(), then re-check the
-  // sticky request: an interrupt that raced solver creation is applied
-  // here instead of being lost.
-  PublishedSolver.store(Solver.get(), std::memory_order_release);
-  if (InterruptRequested.load(std::memory_order_acquire))
+  // Publish the solver for cross-thread interrupt(), and apply a sticky
+  // request that arrived before it existed.
+  std::lock_guard<std::mutex> Lock(PublishMu);
+  PublishedSolver = Solver.get();
+  if (InterruptRequested)
     Solver->interrupt();
+}
+
+void PredictSession::dropSolver() {
+  {
+    std::lock_guard<std::mutex> Lock(PublishMu);
+    PublishedSolver = nullptr;
+    // An interrupt that reached only the old solver (SmtSolver::
+    // interruptAll) stays sticky for its successor.
+    if (Solver && Solver->interrupted())
+      InterruptRequested = true;
+  }
+  EC.reset();
+  Solver.reset();
+  Ctx.reset();
+  BaseDone = false;
+  ClosureDone = false;
+  BaseStats = EncodingStats();
+  AppliedTimeoutMs = 0;
 }
 
 void PredictSession::ensureBase() {
@@ -371,13 +387,7 @@ PredictSession::ExtendStats PredictSession::extend(const History &Delta) {
     // per session.
     ES.EpochRebuild = true;
     rebuildSub();
-    PublishedSolver.store(nullptr, std::memory_order_release);
-    EC.reset();
-    Solver.reset();
-    Ctx.reset();
-    BaseDone = false;
-    BaseStats = EncodingStats();
-    AppliedTimeoutMs = 0;
+    dropSolver();
     ensureBase(); // Re-publishes the solver for interrupt().
     ES.GenSeconds = BaseStats.GenSeconds;
     ES.NumLiterals = BaseStats.NumLiterals;
@@ -422,9 +432,10 @@ Prediction PredictSession::solveLane() {
 }
 
 void PredictSession::interrupt() {
-  InterruptRequested.store(true, std::memory_order_release);
-  if (SmtSolver *S = PublishedSolver.load(std::memory_order_acquire))
-    S->interrupt();
+  std::lock_guard<std::mutex> Lock(PublishMu);
+  InterruptRequested = true;
+  if (PublishedSolver)
+    PublishedSolver->interrupt();
 }
 
 Prediction PredictSession::runQuery(const QueryOptions &Q) {
@@ -438,25 +449,9 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
     return Out;
   }
 
-  // Install the query's knobs; the passes read them through the
-  // EncodingContext's reference to Opts.
   Opts.Level = Q.Level;
-  Opts.Strat = Q.Strat;
-  Opts.TimeoutMs = Q.TimeoutMs ? Q.TimeoutMs : DefaultTimeoutMs;
-
-  // Root-scope prefix first: the base once per session and, for a
-  // non-streaming causal query, the hb closure once per session (a
-  // streaming causal query builds it in its own scope instead). Then
-  // the per-query passes. Sessions wrap those in a push/pop scope so
-  // the next query starts from the bare prefix; one-shot queries
-  // assert them at root scope — push() would switch Z3 to its
-  // incremental solver, which decides fewer one-shot queries within a
-  // budget.
+  unsigned Budget = Q.TimeoutMs ? Q.TimeoutMs : DefaultTimeoutMs;
   bool ReusedBase = BaseDone;
-  EncodingStats Prefix = BaseStats;
-  ensureBase();
-  if (Q.Level == IsolationLevel::Causal && !Streaming)
-    ensureClosure();
   std::optional<obs::Span> QSpan;
   if (Shared) {
     static obs::Counter &SessionQueries =
@@ -470,6 +465,103 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
     QSpan->arg("level", toString(Q.Level));
     QSpan->arg("strategy", toString(Q.Strat));
   }
+
+  if (Q.Strat == Strategy::ExactStrict || Q.GenerateOnly) {
+    Out = runStage(Q, Q.Strat, Budget);
+  } else {
+    // Approx queries are answered exact-first, along the soundness
+    // lattice. pco is contained in every valid commit order, so a pco
+    // cycle refutes every co: the approx models are a subset of the
+    // exact formula's under the same boundary mode. Stage 1 therefore
+    // solves the exact formula; its unsat is the answer, and so is its
+    // sat when the predicted history shows a pco cycle (pcoCycle
+    // saturates the least fixpoint the rank encoding's ww/rw
+    // justifications define, over the same predicted prefix). A sat
+    // without a cycle, or an unknown that is not a timeout, falls back
+    // to the rank encoding with the budget stage 1 left. pcoCycle
+    // always uses rw edges, so the rw ablation always falls back.
+    //
+    // Sessions solve under push/pop, where Z3's incremental solver can
+    // take far longer on the exact formula than a one-shot solve (tpcc
+    // streaming windows: seconds against a tenth of one) while the rank
+    // encoding stays fast. So a session's stage 1 gets a quarter of the
+    // budget and falls back on its timeout too: the rank encoding keeps
+    // the other three quarters.
+    unsigned Stage1 = Shared && Budget ? std::max(1u, Budget / 4) : Budget;
+    Out = runStage(Q, Strategy::ExactStrict, Stage1);
+    std::optional<std::vector<TxnId>> Cycle;
+    if (Out.Result == SmtResult::Sat && Opts.EnableRw)
+      Cycle = pcoCycle(Out.Predicted);
+    if (Cycle) {
+      Out.Witness = std::move(*Cycle);
+    } else if (Out.Result != SmtResult::Unsat && !Out.Canceled &&
+               (!Out.TimedOut || Stage1 < Budget)) {
+      unsigned Left = 0;
+      if (Budget) {
+        double Spent = Out.Stats.SolveSeconds * 1000.0;
+        Left = Spent + 1 >= Budget ? 1 : static_cast<unsigned>(Budget - Spent);
+      }
+      // One-shot queries solve at root scope, so the rank encoding gets
+      // a fresh solver (re-encoding the base costs milliseconds);
+      // sessions popped stage 1's scope and reuse their base.
+      if (!Shared)
+        dropSolver();
+      Prediction Rank = runStage(Q, Q.Strat, Left);
+      Rank.Stats.FallbackLiterals = Rank.Stats.NumLiterals;
+      Rank.Stats.NumLiterals = Out.Stats.NumLiterals;
+      Rank.Stats.GenSeconds += Out.Stats.GenSeconds;
+      Rank.Stats.SolveSeconds += Out.Stats.SolveSeconds;
+      Rank.Stats.BasePrefixReused = Out.Stats.BasePrefixReused;
+      Rank.Stats.Passes.insert(Rank.Stats.Passes.begin(),
+                               Out.Stats.Passes.begin(),
+                               Out.Stats.Passes.end());
+      SolverStatistics &S = Rank.SolverStats;
+      S.Conflicts += Out.SolverStats.Conflicts;
+      S.Decisions += Out.SolverStats.Decisions;
+      S.Restarts += Out.SolverStats.Restarts;
+      S.Propagations += Out.SolverStats.Propagations;
+      S.MaxMemoryMb = std::max(S.MaxMemoryMb, Out.SolverStats.MaxMemoryMb);
+      Out = std::move(Rank);
+    }
+  }
+  if (Out.TimedOut) {
+    static obs::Counter &Timeouts =
+        obs::Metrics::global().counter("solver.timeouts");
+    Timeouts.inc();
+  }
+  if (Streaming)
+    // The model speaks window ids: map the witness back to the observed
+    // history's ids. Predicted stays window-scoped (its ids are the
+    // window's — see windowToFull).
+    for (TxnId &T : Out.Witness)
+      T = SubToFull[T];
+  ++Queries;
+  return Out;
+}
+
+Prediction PredictSession::runStage(const QueryOptions &Q, Strategy Formula,
+                                    unsigned TimeoutMs) {
+  // Install the stage's knobs; the passes read them through the
+  // EncodingContext's reference to Opts.
+  Opts.Strat = Formula;
+  Opts.TimeoutMs = TimeoutMs;
+
+  // Root-scope prefix first: the base once per session and, for a
+  // non-streaming causal query, the hb closure once per session (a
+  // streaming causal query builds it in its own scope instead). Then
+  // the per-query passes. Sessions wrap those in a push/pop scope so
+  // the next stage starts from the bare prefix; one-shot queries
+  // assert them at root scope — push() would switch Z3 to its
+  // incremental solver, which decides fewer one-shot queries within a
+  // budget.
+  Prediction Out;
+  bool ReusedBase = BaseDone;
+  EncodingStats Prefix = BaseStats;
+  ensureBase();
+  if (Q.Level == IsolationLevel::Causal && !Streaming)
+    ensureClosure();
+  // The boundary mode is the query's, whichever formula this stage
+  // solves.
   EC->beginQuery(Q.Strat);
   if (Shared)
     Solver->push();
@@ -481,7 +573,7 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
   Out.Stats.GenSeconds = Gen.seconds();
   Out.Stats.NumLiterals = Ctx->literalCount() - Before;
   Out.Stats.BasePrefixReused = ReusedBase;
-  // Whatever this query added to the shared prefix (the base, the hb
+  // Whatever this stage added to the shared prefix (the base, the hb
   // closure, or both) is folded into its cost, so campaign-wide literal
   // totals still account for every asserted literal exactly once.
   Out.Stats.NumLiterals += BaseStats.NumLiterals - Prefix.NumLiterals;
@@ -491,23 +583,15 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
                           BaseStats.Passes.end());
 
   if (!Q.GenerateOnly) {
-    applyTimeout(Opts.TimeoutMs);
+    applyTimeout(TimeoutMs);
     Timer Solve;
     Out.Result = Solver->check();
     Out.Stats.SolveSeconds = Solve.seconds();
-    recordCheckOutcome(*Solver, Opts.TimeoutMs, Out);
-    if (Out.Result == SmtResult::Sat) {
+    recordCheckOutcome(*Solver, TimeoutMs, Out);
+    if (Out.Result == SmtResult::Sat)
       extract(*EC, *Solver, Out); // before pop: the model reads scoped vars
-      if (Streaming)
-        // The model speaks window ids: map the witness back to the
-        // observed history's ids. Predicted stays window-scoped (its
-        // ids are the window's — see windowToFull).
-        for (TxnId &T : Out.Witness)
-          T = SubToFull[T];
-    }
   }
   if (Shared)
     Solver->pop();
-  ++Queries;
   return Out;
 }

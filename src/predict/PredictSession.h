@@ -16,6 +16,9 @@
 /// see EncoderPipeline::forSessionBase) exactly once, and answers each
 /// query(QueryOptions) inside a solver push/pop scope that asserts only
 /// the per-query passes (boundary linkage, strategy, isolation level).
+/// An Approx query takes up to two such scopes: the exact formula
+/// first, within a quarter of the budget, and the rank encoding only
+/// when the first cannot settle the answer (runQuery).
 ///
 /// Compatibility contract:
 ///  - `query()` and one-shot `predict()` encode the *same* constraint
@@ -30,6 +33,9 @@
 ///    therefore boundary/cut positions, witnesses, and validation
 ///    outcomes — may legitimately differ between the two, and so may
 ///    which queries a tight budget decides; sat/unsat never does.
+///    An Approx query that falls back to the rank encoding re-encodes
+///    the base on a fresh solver when it is one-shot (its stats then
+///    list the base passes twice) and reuses the base in a session.
 ///
 /// Lifecycle:
 ///
@@ -49,8 +55,8 @@
 
 #include "predict/Predict.h"
 
-#include <atomic>
 #include <memory>
+#include <mutex>
 
 namespace isopredict {
 
@@ -122,6 +128,8 @@ public:
     /// Bench-only: assert the per-query passes but skip the solver
     /// query (Result stays Unknown) — lets bench/micro_encoding
     /// measure steady-state per-query generation cost in isolation.
+    /// Encodes only the query's own formula (for Approx, the rank
+    /// encoding), never the exact-first stage.
     bool GenerateOnly = false;
   };
 
@@ -241,6 +249,10 @@ private:
   /// Creates the Z3 context/solver/encoding context on first use.
   void ensureSolver();
 
+  /// Destroys the solver state (unpublishing it for interrupt() first);
+  /// the next ensureBase() re-encodes the base on a fresh solver.
+  void dropSolver();
+
   /// Non-streaming, after ensureBase(): asserts the hb closure at root
   /// scope if no earlier causal query has (folded into BaseStats).
   void ensureClosure();
@@ -268,8 +280,19 @@ private:
   void applyTimeout(unsigned TimeoutMs);
 
   /// The one query path. \p Shared only decides the solver scope and the
-  /// telemetry: the encoding is the same either way.
+  /// telemetry: the encoding is the same either way. Approx queries
+  /// run two stages (see runQuery in PredictSession.cpp): the exact
+  /// formula first, the rank encoding only when stage 1 cannot settle
+  /// the answer.
   Prediction runQuery(const QueryOptions &Q);
+
+  /// One encode-and-solve stage of a query: the base prefix (if not on
+  /// the solver yet), then boundary-link under \p Q's boundary mode,
+  /// \p Formula's strategy pass and \p Q's isolation pass, solved
+  /// within \p TimeoutMs (0 = none). Sessions run it in its own push/pop
+  /// scope, one-shot queries at root scope.
+  Prediction runStage(const QueryOptions &Q, Strategy Formula,
+                      unsigned TimeoutMs);
 
   /// Shared sessions own a copy of the observed history (the session
   /// outlives the structures campaigns build histories in); streaming
@@ -311,12 +334,14 @@ private:
   std::unique_ptr<SmtSolver> Solver;
   std::unique_ptr<encode::EncodingContext> EC;
 
-  /// Cross-thread cancellation handshake: interrupt() sets the sticky
-  /// request and forwards to the solver if it is already published;
-  /// ensureSolver() publishes the solver and then re-checks the request,
-  /// so an interrupt landing between the two is never lost.
-  std::atomic<bool> InterruptRequested{false};
-  std::atomic<SmtSolver *> PublishedSolver{nullptr};
+  /// Cross-thread cancellation handshake, guarded by PublishMu:
+  /// interrupt() sets the sticky request and forwards to the published
+  /// solver; ensureSolver() publishes a new solver and applies a pending
+  /// request; dropSolver() unpublishes before destroying, so an
+  /// interrupt never reaches a dead solver and is never lost.
+  std::mutex PublishMu;
+  bool InterruptRequested = false;
+  SmtSolver *PublishedSolver = nullptr;
 
   EncodingStats BaseStats;
   bool BaseDone = false;

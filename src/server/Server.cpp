@@ -47,6 +47,13 @@ obs::Counter &errorsCounter() {
   return C;
 }
 
+/// server.requests{tenant,verb,outcome}: one request handled.
+void countRequest(const Tenant *T, const std::string &Verb, bool Ok) {
+  static obs::CounterFamily &Requests = obs::Metrics::global().counterFamily(
+      "server.requests", {"tenant", "verb", "outcome"});
+  Requests.at({T ? T->name() : "-", Verb, Ok ? "ok" : "error"}).inc();
+}
+
 /// The executor's settings: the server shares the batch result cache
 /// and never shares encodings, races lanes or streams jobs.
 engine::EngineOptions executorOptions(const ServerOptions &O) {
@@ -310,10 +317,9 @@ void Server::handleRequest(const std::shared_ptr<Conn> &C, Request Req) {
   Span.arg("verb", Req.Verb);
   static obs::Histogram &ReqSeconds =
       obs::Metrics::global().histogram("server.request_seconds");
-  static obs::CounterFamily &Requests = obs::Metrics::global().counterFamily(
-      "server.requests", {"tenant", "verb", "outcome"});
   std::string Verb = Req.Verb; // Survives the moves below.
   bool Ok = true;
+  bool Counted = false;
 
   if (Req.Verb == "ping") {
     JsonWriter J(JsonWriter::Style::Compact);
@@ -341,6 +347,7 @@ void Server::handleRequest(const std::shared_ptr<Conn> &C, Request Req) {
       Ok = handleExtend(C, Req, *T);
     } else if (Req.Verb == "query") {
       Ok = handleQuery(C, std::move(Req), *T);
+      Counted = Ok; // A dispatched query counts itself (handleQuery).
     } else if (!T->config().Admin) {
       Ok = sendError(*C, Req, errc::NotAuthorized,
                      "shutdown requires an admin tenant");
@@ -362,8 +369,8 @@ void Server::handleRequest(const std::shared_ptr<Conn> &C, Request Req) {
     Verb = "other";
   }
 
-  Tenant *T = C->T.load(std::memory_order_acquire);
-  Requests.at({T ? T->name() : "-", Verb, Ok ? "ok" : "error"}).inc();
+  if (!Counted)
+    countRequest(C->T.load(std::memory_order_acquire), Verb, Ok);
   Span.finish();
   double Secs = Span.seconds();
   ReqSeconds.observe(Secs);
@@ -603,7 +610,12 @@ bool Server::handleQuery(const std::shared_ptr<Conn> &C, Request Req,
   }
   Job.Req = std::move(Req);
 
-  switch (T.admitQuery()) {
+  Tenant::Admit Admission = T.admitQuery();
+  // Count an admitted request before a worker can answer it: a client
+  // that holds its answer must find the request in the metrics.
+  if (Admission != Tenant::Admit::Reject)
+    countRequest(&T, "query", true);
+  switch (Admission) {
   case Tenant::Admit::Run:
     submitJob(std::move(Job));
     break;

@@ -132,6 +132,8 @@ private:
                      Tenant &T);
   bool handleExtend(const std::shared_ptr<Conn> &C, const Request &Req,
                     Tenant &T);
+  /// Returns true when it dispatched the query, which it counts in
+  /// server.requests itself, before a worker can answer it.
   bool handleQuery(const std::shared_ptr<Conn> &C, Request Req, Tenant &T);
   void submitJob(QueryJob Job);
   void executeQuery(QueryJob &Job);

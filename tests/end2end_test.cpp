@@ -136,9 +136,7 @@ TEST(Headline, SmallbankPredictsUnderCausal) {
 }
 
 TEST(Headline, RcPredictsAtLeastAsOftenAsCausal) {
-  // Wikipedia is excluded here: its causal queries often hit the solver
-  // timeout, which would undercount the causal side arbitrarily.
-  for (const char *Name : {"smallbank", "voter"}) {
+  for (const char *Name : {"smallbank", "voter", "wikipedia"}) {
     unsigned Causal =
         countSat(Name, IsolationLevel::Causal, Strategy::ApproxRelaxed, 3);
     unsigned Rc = countSat(Name, IsolationLevel::ReadCommitted,

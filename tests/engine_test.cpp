@@ -635,7 +635,7 @@ TEST(Engine, InterruptedPredictJobIsCanceled) {
 // buildLanes never returns more than the lane taxonomy, so the executor
 // must not report more: Engine::run divides its worker pool by
 // portfolioLanes(), and an unclamped --jobs 12 --portfolio=12 would run
-// one job at a time on at most 6 lane threads.
+// one job at a time on at most 5 lane threads.
 TEST(Executor, PortfolioLanesAreClampedToTheTaxonomy) {
   auto lanesFor = [](unsigned Requested) {
     EngineOptions O;
