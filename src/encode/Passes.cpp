@@ -34,9 +34,8 @@
 //    answer too when the predicted history shows a pco cycle
 //    (pcoCycle saturates the same least fixpoint wwJust/rwJust encode,
 //    over the same predicted prefix). Only a sat without a cycle, or
-//    an unknown that is not a timeout, solves B.2.2's rank encoding;
-//    in a session stage 1 gets a quarter of the budget, and its
-//    timeout falls back too.
+//    an unknown that is not a timeout, solves B.2.2's rank encoding.
+//    Sessions and one-shot queries give stage 1 the whole budget.
 //
 //  - φso is never declared: the observed session order is substituted
 //    as constants, and every pass folds them (and the other constants

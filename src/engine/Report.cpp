@@ -30,7 +30,10 @@ using namespace isopredict::engine;
 // 10: Approx queries solve the exact formula first and fall back to the
 // rank encoding only when it cannot settle the answer, so their cached
 // models, witnesses and literal counts changed; spec hashes did not.
-const char *isopredict::engine::toolVersion() { return "isopredict-10"; }
+// 11: a session's scoped check that stalls in Z3's incremental solver
+// re-solves one-shot, and session stage 1 gets the whole budget, so
+// cached Session models and witnesses may move; spec hashes did not.
+const char *isopredict::engine::toolVersion() { return "isopredict-11"; }
 
 namespace {
 

@@ -26,8 +26,9 @@
 ///   encode.passes              counter   encoding passes run
 ///   encode.literals            counter   literals asserted by passes
 ///   encode.pass_seconds        histogram per-pass wall-clock
-///   solver.checks              counter   Z3_solver_check calls
+///   solver.checks              counter   SmtSolver::check calls
 ///   solver.sat/unsat/unknown   counter   check outcomes
+///   solver.fallbacks           counter   scoped checks re-solved one-shot
 ///   solver.timeouts            counter   unknowns attributed to timeout
 ///   solver.check_seconds       histogram per-check wall-clock
 ///   session.base_encodes       counter   shared prefixes encoded

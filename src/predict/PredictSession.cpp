@@ -480,22 +480,16 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
     // without a cycle, or an unknown that is not a timeout, falls back
     // to the rank encoding with the budget stage 1 left. pcoCycle
     // always uses rw edges, so the rw ablation always falls back.
-    //
-    // Sessions solve under push/pop, where Z3's incremental solver can
-    // take far longer on the exact formula than a one-shot solve (tpcc
-    // streaming windows: seconds against a tenth of one) while the rank
-    // encoding stays fast. So a session's stage 1 gets a quarter of the
-    // budget and falls back on its timeout too: the rank encoding keeps
-    // the other three quarters.
-    unsigned Stage1 = Shared && Budget ? std::max(1u, Budget / 4) : Budget;
-    Out = runStage(Q, Strategy::ExactStrict, Stage1);
+    // Sessions get the whole budget for stage 1 too: a scoped check that
+    // stalls in Z3's incremental solver re-solves one-shot (SmtSolver).
+    Out = runStage(Q, Strategy::ExactStrict, Budget);
     std::optional<std::vector<TxnId>> Cycle;
     if (Out.Result == SmtResult::Sat && Opts.EnableRw)
       Cycle = pcoCycle(Out.Predicted);
     if (Cycle) {
       Out.Witness = std::move(*Cycle);
     } else if (Out.Result != SmtResult::Unsat && !Out.Canceled &&
-               (!Out.TimedOut || Stage1 < Budget)) {
+               !Out.TimedOut) {
       unsigned Left = 0;
       if (Budget) {
         double Spent = Out.Stats.SolveSeconds * 1000.0;

@@ -17,8 +17,10 @@
 /// query(QueryOptions) inside a solver push/pop scope that asserts only
 /// the per-query passes (boundary linkage, strategy, isolation level).
 /// An Approx query takes up to two such scopes: the exact formula
-/// first, within a quarter of the budget, and the rank encoding only
-/// when the first cannot settle the answer (runQuery).
+/// first, with the whole budget, and the rank encoding only when the
+/// first cannot settle the answer (runQuery). A scoped check that
+/// stalls in Z3's incremental solver is re-solved one-shot inside
+/// SmtSolver::check() (Smt.h "Solver scopes").
 ///
 /// Compatibility contract:
 ///  - `query()` and one-shot `predict()` encode the *same* constraint
@@ -29,10 +31,11 @@
 ///    Only the solver scope differs: a session query asserts its
 ///    passes inside a push/pop scope, while predict() (and a portfolio
 ///    lane's solveLane()) asserts everything at root scope. Z3 switches
-///    to its incremental solver once push() is called, so models — and
-///    therefore boundary/cut positions, witnesses, and validation
-///    outcomes — may legitimately differ between the two, and so may
-///    which queries a tight budget decides; sat/unsat never does.
+///    to its incremental solver once push() is called (a capped attempt
+///    there, then a one-shot re-solve), so models — and therefore
+///    boundary/cut positions, witnesses, and validation outcomes — may
+///    legitimately differ between the two, and so may which queries a
+///    tight budget decides; sat/unsat never does.
 ///    An Approx query that falls back to the rank encoding re-encodes
 ///    the base on a fresh solver when it is one-shot (its stats then
 ///    list the base passes twice) and reuses the base in a session.

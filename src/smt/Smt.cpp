@@ -4,6 +4,7 @@
 
 #include "obs/Metrics.h"
 #include "obs/Tracer.h"
+#include "support/Env.h"
 
 #include <algorithm>
 #include <cassert>
@@ -268,13 +269,64 @@ struct SolverRegistry {
   }
 };
 
+Z3_solver makeZ3Solver(Z3_context C, const std::string &Logic) {
+  Z3_solver S = Logic.empty()
+                    ? Z3_mk_solver(C)
+                    : Z3_mk_solver_for_logic(
+                          C, Z3_mk_string_symbol(C, Logic.c_str()));
+  Z3_solver_inc_ref(C, S);
+  return S;
+}
+
+void setUintParam(Z3_context C, Z3_solver S, const char *Name, unsigned V) {
+  Z3_params Params = Z3_mk_params(C);
+  Z3_params_inc_ref(C, Params);
+  Z3_params_set_uint(C, Params, Z3_mk_string_symbol(C, Name), V);
+  Z3_solver_set_params(C, S, Params);
+  Z3_params_dec_ref(C, Params);
+}
+
+/// Z3's timeout default is UINT_MAX ("none"); 0 would mean "give up
+/// immediately", so map the documented 0 = no timeout onto the default.
+/// This lets sessions clear a timeout a previous query installed.
+void setTimeoutParam(Z3_context C, Z3_solver S, unsigned Ms) {
+  setUintParam(C, S, "timeout", Ms == 0 ? ~0u : Ms);
+}
+
+/// setOption()'s value sniffing, for the live solver or a fallback.
+void setSniffedParam(Z3_context C, Z3_solver S, const std::string &Name,
+                     const std::string &Value) {
+  Z3_params Params = Z3_mk_params(C);
+  Z3_params_inc_ref(C, Params);
+  Z3_symbol Sym = Z3_mk_string_symbol(C, Name.c_str());
+  bool AllDigits = !Value.empty();
+  for (char Ch : Value)
+    if (Ch < '0' || Ch > '9')
+      AllDigits = false;
+  if (AllDigits)
+    Z3_params_set_uint(C, Params, Sym,
+                       static_cast<unsigned>(std::strtoul(Value.c_str(),
+                                                          nullptr, 10)));
+  else if (Value == "true" || Value == "false")
+    Z3_params_set_bool(C, Params, Sym, Value == "true");
+  else
+    Z3_params_set_symbol(C, Params, Sym,
+                         Z3_mk_string_symbol(C, Value.c_str()));
+  Z3_solver_set_params(C, S, Params);
+  Z3_params_dec_ref(C, Params);
+}
+
+/// Growth of one of Z3's running counters over a check. A counter that
+/// went down was reset (Z3 switched engines), so all of it is new.
+uint64_t growth(uint64_t After, uint64_t Before) {
+  return After >= Before ? After - Before : After;
+}
+
 } // namespace
 
-SmtSolver::SmtSolver(SmtContext &Ctx, const char *Logic) : Parent(Ctx) {
-  Solver = Logic ? Z3_mk_solver_for_logic(
-                       Ctx.raw(), Z3_mk_string_symbol(Ctx.raw(), Logic))
-                 : Z3_mk_solver(Ctx.raw());
-  Z3_solver_inc_ref(Ctx.raw(), Solver);
+SmtSolver::SmtSolver(SmtContext &Ctx, const char *Logic)
+    : Parent(Ctx), Logic(Logic ? Logic : ""),
+      Solver(makeZ3Solver(Ctx.raw(), this->Logic)) {
   SolverRegistry &R = SolverRegistry::get();
   std::lock_guard<std::mutex> Lock(R.Mutex);
   R.Live.push_back(this);
@@ -309,6 +361,7 @@ void SmtSolver::add(SmtExpr E) {
   assert(E.valid() && "asserting invalid expr");
   releaseModel();
   Z3_solver_assert(Parent.raw(), Solver, E.Ast);
+  Asserted.push_back(E.Ast);
   Parent.AssertedLits += E.Lits;
 }
 
@@ -329,41 +382,18 @@ void SmtSolver::addAll(const std::vector<SmtExpr> &Es) {
   Z3_ast Conj =
       Z3_mk_and(Parent.raw(), static_cast<unsigned>(Asts.size()), Asts.data());
   Z3_solver_assert(Parent.raw(), Solver, Conj);
+  Asserted.push_back(Conj);
   Parent.AssertedLits += Lits;
 }
 
 void SmtSolver::setTimeoutMs(unsigned Ms) {
-  Z3_params Params = Z3_mk_params(Parent.raw());
-  Z3_params_inc_ref(Parent.raw(), Params);
-  Z3_symbol Sym = Z3_mk_string_symbol(Parent.raw(), "timeout");
-  // Z3's timeout default is UINT_MAX ("none"); 0 would mean "give up
-  // immediately", so map the documented 0 = no timeout onto the default.
-  // This lets sessions clear a timeout a previous query installed.
-  Z3_params_set_uint(Parent.raw(), Params, Sym,
-                     Ms == 0 ? ~0u : Ms);
-  Z3_solver_set_params(Parent.raw(), Solver, Params);
-  Z3_params_dec_ref(Parent.raw(), Params);
+  TimeoutMs = Ms;
+  setTimeoutParam(Parent.raw(), Solver, Ms);
 }
 
 void SmtSolver::setOption(const std::string &Name, const std::string &Value) {
-  Z3_params Params = Z3_mk_params(Parent.raw());
-  Z3_params_inc_ref(Parent.raw(), Params);
-  Z3_symbol Sym = Z3_mk_string_symbol(Parent.raw(), Name.c_str());
-  bool AllDigits = !Value.empty();
-  for (char C : Value)
-    if (C < '0' || C > '9')
-      AllDigits = false;
-  if (AllDigits)
-    Z3_params_set_uint(Parent.raw(), Params, Sym,
-                       static_cast<unsigned>(std::strtoul(Value.c_str(),
-                                                          nullptr, 10)));
-  else if (Value == "true" || Value == "false")
-    Z3_params_set_bool(Parent.raw(), Params, Sym, Value == "true");
-  else
-    Z3_params_set_symbol(Parent.raw(), Params, Sym,
-                         Z3_mk_string_symbol(Parent.raw(), Value.c_str()));
-  Z3_solver_set_params(Parent.raw(), Solver, Params);
-  Z3_params_dec_ref(Parent.raw(), Params);
+  setSniffedParam(Parent.raw(), Solver, Name, Value);
+  Options.emplace_back(Name, Value);
 }
 
 void SmtSolver::interrupt() {
@@ -372,22 +402,63 @@ void SmtSolver::interrupt() {
   // Only forward to Z3 while a check is actually running on the owner
   // thread (the documented safe use of Z3_solver_interrupt); outside
   // one, the sticky flag alone cancels the next check before it starts.
-  if (InCheck)
-    Z3_solver_interrupt(Parent.raw(), Solver);
+  if (Running)
+    Z3_solver_interrupt(Parent.raw(), Running);
 }
 
 void SmtSolver::push() {
   releaseModel();
-  ScopeLits.push_back(Parent.AssertedLits);
+  Scopes.push_back({Parent.AssertedLits, Asserted.size()});
   Z3_solver_push(Parent.raw(), Solver);
 }
 
 void SmtSolver::pop() {
-  assert(!ScopeLits.empty() && "pop without a matching push");
+  assert(!Scopes.empty() && "pop without a matching push");
   releaseModel();
   Z3_solver_pop(Parent.raw(), Solver, 1);
-  Parent.AssertedLits = ScopeLits.back();
-  ScopeLits.pop_back();
+  Parent.AssertedLits = Scopes.back().Lits;
+  Asserted.resize(Scopes.back().Asserts);
+  Scopes.pop_back();
+}
+
+SmtResult SmtSolver::guardedCheck(Z3_solver S) {
+  {
+    std::lock_guard<std::mutex> Lock(InterruptMutex);
+    if (Interrupted.load(std::memory_order_acquire)) {
+      // Canceled before the check started: don't enter Z3 at all
+      // (Z3_solver_interrupt outside a running check would be lost).
+      LastReasonUnknown = "canceled";
+      return SmtResult::Unknown;
+    }
+    Running = S;
+  }
+  obs::Span Sp("Z3_solver_check", obs::CatSolver);
+  Z3_lbool R = Z3_solver_check(Parent.raw(), S);
+  {
+    // Re-acquiring the mutex here means an interrupt() that saw Running
+    // finishes its Z3_solver_interrupt before we move on.
+    std::lock_guard<std::mutex> Lock(InterruptMutex);
+    Running = nullptr;
+  }
+  SmtResult Out = SmtResult::Unknown;
+  switch (R) {
+  case Z3_L_TRUE:
+    Model = Z3_solver_get_model(Parent.raw(), S);
+    if (Model)
+      Z3_model_inc_ref(Parent.raw(), Model);
+    Out = SmtResult::Sat;
+    break;
+  case Z3_L_FALSE:
+    Out = SmtResult::Unsat;
+    break;
+  case Z3_L_UNDEF:
+    // The returned string lives until the next Z3 call; copy it now.
+    if (Z3_string Reason = Z3_solver_get_reason_unknown(Parent.raw(), S))
+      LastReasonUnknown = Reason;
+    break;
+  }
+  Sp.arg("result", toString(Out));
+  return Out;
 }
 
 SmtResult SmtSolver::check() {
@@ -398,58 +469,70 @@ SmtResult SmtSolver::check() {
   static obs::Counter &Unsat = obs::Metrics::global().counter("solver.unsat");
   static obs::Counter &Unknown =
       obs::Metrics::global().counter("solver.unknown");
+  static obs::Counter &Fallbacks =
+      obs::Metrics::global().counter("solver.fallbacks");
   static obs::Histogram &CheckSeconds =
       obs::Metrics::global().histogram("solver.check_seconds");
   Checks.inc();
-  {
-    std::lock_guard<std::mutex> Lock(InterruptMutex);
-    if (Interrupted.load(std::memory_order_acquire)) {
-      // Canceled before the check started: don't enter Z3 at all
-      // (Z3_solver_interrupt outside a running check would be lost).
-      LastReasonUnknown = "canceled";
-      Unknown.inc();
-      return SmtResult::Unknown;
-    }
-    InCheck = true;
+  Timer Clock;
+
+  // Phase 1: the live solver; capped inside a scope (see Smt.h).
+  bool Scoped = !Scopes.empty();
+  unsigned Rlimit = 0;
+  if (Scoped)
+    Rlimit = static_cast<unsigned>(std::clamp<uint64_t>(
+        ScopedCheckRlimitPerLiteral * Parent.AssertedLits, 1, ~0u));
+  if (Rlimit != AppliedRlimit) {
+    setUintParam(Parent.raw(), Solver, "rlimit", Rlimit); // 0 = none
+    AppliedRlimit = Rlimit;
   }
-  obs::Span S("Z3_solver_check", obs::CatSolver);
-  Z3_lbool R = Z3_solver_check(Parent.raw(), Solver);
-  {
-    // Re-acquiring the mutex here means an interrupt() that saw InCheck
-    // finishes its Z3_solver_interrupt before we return to the owner.
-    std::lock_guard<std::mutex> Lock(InterruptMutex);
-    InCheck = false;
+  SmtResult Out = guardedCheck(Solver);
+  // Z3's counters run across a solver's checks: report this one's growth.
+  SolverStatistics After = readStatistics(Solver);
+  LastStats.Conflicts = growth(After.Conflicts, Baseline.Conflicts);
+  LastStats.Decisions = growth(After.Decisions, Baseline.Decisions);
+  LastStats.Restarts = growth(After.Restarts, Baseline.Restarts);
+  LastStats.Propagations = growth(After.Propagations, Baseline.Propagations);
+  LastStats.MaxMemoryMb = After.MaxMemoryMb;
+  LastStats.Collected = true;
+  Baseline = After;
+
+  // Phase 2: the one-shot fallback, with the wall budget phase 1 left.
+  double LeftMs = TimeoutMs - Clock.seconds() * 1000.0;
+  if (Out == SmtResult::Unknown && Scoped && !interrupted() &&
+      (TimeoutMs == 0 || LeftMs >= 1)) {
+    Fallbacks.inc();
+    LastReasonUnknown.clear();
+    Z3_solver F = makeZ3Solver(Parent.raw(), Logic);
+    for (const auto &[Name, Value] : Options)
+      setSniffedParam(Parent.raw(), F, Name, Value);
+    if (TimeoutMs)
+      setTimeoutParam(Parent.raw(), F, static_cast<unsigned>(LeftMs));
+    for (Z3_ast A : Asserted)
+      Z3_solver_assert(Parent.raw(), F, A);
+    Out = guardedCheck(F);
+    SolverStatistics FS = readStatistics(F);
+    LastStats.Conflicts += FS.Conflicts;
+    LastStats.Decisions += FS.Decisions;
+    LastStats.Restarts += FS.Restarts;
+    LastStats.Propagations += FS.Propagations;
+    LastStats.MaxMemoryMb = std::max(LastStats.MaxMemoryMb, FS.MaxMemoryMb);
+    Z3_solver_dec_ref(Parent.raw(), F); // The model holds its own ref.
   }
-  CheckSeconds.observe(S.seconds());
-  SmtResult Out = SmtResult::Unknown;
-  switch (R) {
-  case Z3_L_TRUE: {
-    Model = Z3_solver_get_model(Parent.raw(), Solver);
-    if (Model)
-      Z3_model_inc_ref(Parent.raw(), Model);
+
+  CheckSeconds.observe(Clock.seconds());
+  if (Out == SmtResult::Sat)
     Sat.inc();
-    Out = SmtResult::Sat;
-    break;
-  }
-  case Z3_L_FALSE:
+  else if (Out == SmtResult::Unsat)
     Unsat.inc();
-    Out = SmtResult::Unsat;
-    break;
-  case Z3_L_UNDEF:
+  else
     Unknown.inc();
-    // The returned string lives until the next Z3 call; copy it now.
-    if (Z3_string Reason = Z3_solver_get_reason_unknown(Parent.raw(), Solver))
-      LastReasonUnknown = Reason;
-    break;
-  }
-  S.arg("result", toString(Out));
-  S.finish();
   return Out;
 }
 
-SolverStatistics SmtSolver::statistics() const {
+SolverStatistics SmtSolver::readStatistics(Z3_solver S) const {
   SolverStatistics Out;
-  Z3_stats Stats = Z3_solver_get_statistics(Parent.raw(), Solver);
+  Z3_stats Stats = Z3_solver_get_statistics(Parent.raw(), S);
   Z3_stats_inc_ref(Parent.raw(), Stats);
   unsigned N = Z3_stats_size(Parent.raw(), Stats);
   auto Value = [&](unsigned I) -> double {
@@ -479,7 +562,6 @@ SolverStatistics SmtSolver::statistics() const {
       Out.MaxMemoryMb = Value(I);
   }
   Z3_stats_dec_ref(Parent.raw(), Stats);
-  Out.Collected = true;
   return Out;
 }
 

@@ -56,19 +56,20 @@ struct SmtExpr {
 /// Outcome of a solver query.
 enum class SmtResult { Sat, Unsat, Unknown };
 
-/// Search statistics for one solver, read from Z3 after a check()
-/// (SmtSolver::statistics()). Z3 reports per-engine key variants
-/// ("conflicts" vs "sat conflicts" depending on which engine ran);
-/// matching variants are summed into one field. These are the raw
-/// difficulty signal recorded per query into JobResult / `--timings`
-/// report JSON — values are run-dependent, never part of the default
-/// deterministic report surface.
+/// Search statistics of one check() (SmtSolver::statistics()): the
+/// growth of Z3's running counters over that check, so a session's
+/// queries do not inherit earlier checks' work. Z3 reports per-engine
+/// key variants ("conflicts" vs "sat conflicts" depending on which
+/// engine ran); matching variants are summed into one field. These are
+/// the raw difficulty signal recorded per query into JobResult /
+/// `--timings` report JSON — values are run-dependent, never part of
+/// the default deterministic report surface.
 struct SolverStatistics {
   uint64_t Conflicts = 0;
   uint64_t Decisions = 0;
   uint64_t Restarts = 0;
   uint64_t Propagations = 0;
-  double MaxMemoryMb = 0; ///< Peak Z3 allocation, megabytes.
+  double MaxMemoryMb = 0; ///< Peak Z3 allocation (process-wide), megabytes.
   bool Collected = false; ///< False until statistics() populated this.
 };
 
@@ -212,14 +213,16 @@ public:
   /// verdict-only serializability check batches).
   void addAll(const std::vector<SmtExpr> &Es);
 
-  /// Sets the per-check timeout. 0 means no timeout.
+  /// Sets the per-check timeout. 0 means no timeout. A scoped check's
+  /// fallback solve gets what the capped attempt left of it.
   void setTimeoutMs(unsigned Ms);
 
   /// Sets one solver parameter by name ("smt.arith.solver", "smt.random_seed",
   /// "smt.relevancy", ...). The value string is sniffed: all-digits becomes a
   /// uint, "true"/"false" a bool, anything else a symbol. Only
   /// sat/unsat-preserving heuristic knobs belong here (portfolio lane
-  /// presets); an unknown parameter name is a fatal Z3 error.
+  /// presets); an unknown parameter name is a fatal Z3 error. Options
+  /// also reach the fallback solver of a scoped check().
   void setOption(const std::string &Name, const std::string &Value);
 
   //===--------------------------------------------------------------------===
@@ -230,13 +233,14 @@ public:
   // only; interrupt() is the one call that may arrive from another
   // thread. Z3_solver_interrupt is only guaranteed safe against a
   // concurrently *running* Z3_solver_check, so the handshake below never
-  // issues it outside one: check() publishes an in-check flag under
-  // InterruptMutex, and interrupt() forwards to Z3 only while that flag
-  // is up (clearing the flag re-acquires the mutex, so a forwarding
-  // interrupt finishes before check() returns to the owner). An
-  // interrupt that lands outside a check is not lost — the sticky
-  // Interrupted flag makes the next check() return Unknown ("canceled")
-  // without entering Z3 at all.
+  // issues it outside one: check() publishes the Z3 solver it is running
+  // (the live one, or a scoped check's fallback) under InterruptMutex,
+  // and interrupt() forwards to Z3 only while one is published
+  // (unpublishing re-acquires the mutex, so a forwarding interrupt
+  // finishes before check() moves on). An interrupt that lands outside
+  // a Z3 call is not lost — the sticky Interrupted flag makes the next
+  // Z3 call of this check(), or of any later one, return Unknown
+  // ("canceled") without entering Z3 at all.
 
   /// Requests cancellation of the current (or next) check(). Sticky:
   /// once interrupted, every future check on this solver is canceled.
@@ -274,6 +278,34 @@ public:
   // "literals currently on the solver". This is what lets PredictSession
   // encode the base prefix once and answer many queries
   // by pushing a scope per query.
+  //
+  // The first push() switches Z3's combined solver to its incremental
+  // SMT kernel for good, and that kernel can stall on formulas the
+  // one-shot (non-incremental tactic) solver decides at once: an rc
+  // Exact-Strict window one-shot settles in a tenth of a second can run
+  // out a 5 s budget. So a check() with a scope open is two-phase:
+  //  1. an attempt on the live incremental solver, capped at
+  //     ScopedCheckRlimitPerLiteral units of Z3's deterministic resource
+  //     counter (`rlimit`) per literal on the solver. A wall-clock cap
+  //     would make which solver answers, and so the model, depend on
+  //     timing;
+  //  2. if that attempt comes back Unknown for any reason except our
+  //     own interrupt(), a re-solve of the same assertions (the solver
+  //     keeps them, per scope) on a fresh Z3 solver that is never
+  //     pushed, so Z3 uses the one-shot solver. It gets the same
+  //     setOption() parameters and the wall budget the attempt left.
+  // The model, reasonUnknown() and statistics() come from whichever
+  // solver answered (statistics add both phases). Checks with no scope
+  // open — every one-shot solve — run uncapped and never fall back.
+
+  /// The incremental attempt's rlimit cap per literal on the solver.
+  /// Z3's resource use grows with the formula, so the cap does too: the
+  /// stalled window above (1.3k literals) burns 4.5M units in 5 s, while
+  /// a 98k-literal causal query the incremental solver decides in half
+  /// a second (and one-shot in 17 s) needs 2.05M. Fixed caps of 100k,
+  /// 250k and 500k either lost such session answers or cost
+  /// `stream_window` latency; README "Long-lived sessions" has the sweep.
+  static constexpr unsigned ScopedCheckRlimitPerLiteral = 200;
 
   /// Opens a backtrackable assertion scope.
   void push();
@@ -283,24 +315,25 @@ public:
   void pop();
 
   /// Current scope depth (0 = root).
-  size_t scopeDepth() const { return ScopeLits.size(); }
+  size_t scopeDepth() const { return Scopes.size(); }
 
   /// True when no scope is open. Assertions made now persist across
   /// later push/pop cycles — the precondition for growing a streaming
   /// session's base prefix (PredictSession::extend asserts it: an
   /// extend inside a query scope would vanish at the pop).
-  bool atRootScope() const { return ScopeLits.empty(); }
+  bool atRootScope() const { return Scopes.empty(); }
 
+  /// Decides the asserted formula; with a scope open, see "Solver
+  /// scopes" for the capped attempt and its one-shot fallback.
   SmtResult check();
 
   /// Z3's explanation for the last Unknown check ("timeout", "canceled",
   /// "(incomplete ...)"); empty before any check or after a decided one.
   const std::string &reasonUnknown() const { return LastReasonUnknown; }
 
-  /// Reads the solver's cumulative search statistics
-  /// (Z3_solver_get_statistics). Valid any time; meaningful after a
-  /// check().
-  SolverStatistics statistics() const;
+  /// Search statistics of the last check() alone (attempt plus fallback
+  /// on the fallback path). Collected is false before the first check.
+  SolverStatistics statistics() const { return LastStats; }
 
   //===--------------------------------------------------------------------===
   // Model access (valid after check() == Sat until the next check/add)
@@ -314,19 +347,44 @@ public:
   bool modelBool(SmtExpr E);
 
 private:
+  /// What push() saved: the context's asserted-literal count and the
+  /// assertion-stack depth.
+  struct Scope {
+    uint64_t Lits;
+    size_t Asserts;
+  };
+
   SmtContext &Parent;
+  std::string Logic; ///< Empty: Z3's default solver.
   Z3_solver Solver;
   Z3_model Model = nullptr;
-  /// Asserted-literal count of the context at each open push().
-  std::vector<uint64_t> ScopeLits;
+  std::vector<Scope> Scopes;
+  /// Every AST asserted and not popped, in order (the fallback's input).
+  std::vector<Z3_ast> Asserted;
+  /// setOption() calls in order, replayed on the fallback solver.
+  std::vector<std::pair<std::string, std::string>> Options;
+  unsigned TimeoutMs = 0;
+  unsigned AppliedRlimit = 0; ///< The live solver's current cap, 0 = none.
+  SolverStatistics LastStats;
+  /// The live solver's running counters when its last check ended.
+  SolverStatistics Baseline;
   std::string LastReasonUnknown;
 
   /// Cross-thread cancellation handshake (see interrupt()).
   std::atomic<bool> Interrupted{false};
   std::mutex InterruptMutex;
-  bool InCheck = false; ///< Guarded by InterruptMutex.
+  /// The Z3 solver inside Z3_solver_check, if any. Guarded by
+  /// InterruptMutex.
+  Z3_solver Running = nullptr;
 
   void releaseModel();
+  void setRlimit(unsigned Rlimit);
+  /// Z3_solver_check on \p S under the interrupt handshake: the
+  /// outcome, with the model (sat) or reason (unknown) taken; Unknown
+  /// ("canceled") without entering Z3 when an interrupt is pending.
+  SmtResult guardedCheck(Z3_solver S);
+  /// Z3's running search counters of \p S.
+  SolverStatistics readStatistics(Z3_solver S) const;
 };
 
 } // namespace isopredict

@@ -2,12 +2,54 @@
 
 #include "smt/Smt.h"
 
+#include "obs/Metrics.h"
+
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
+#include <vector>
 
 using namespace isopredict;
+
+namespace {
+
+/// Boolean pigeonhole: \p Pigeons pigeons in \p Holes holes, each in
+/// some hole, no two sharing one. Unsat after search when Pigeons >
+/// Holes; CDCL needs exponentially many conflicts as the size grows.
+std::vector<SmtExpr> pigeonhole(SmtContext &Ctx, int Pigeons, int Holes) {
+  std::vector<std::vector<SmtExpr>> In(Pigeons);
+  std::vector<SmtExpr> Out;
+  for (int P = 0; P < Pigeons; ++P) {
+    for (int H = 0; H < Holes; ++H)
+      In[P].push_back(Ctx.boolVar("in" + std::to_string(P) + "_" +
+                                  std::to_string(H)));
+    Out.push_back(Ctx.mkOr(In[P]));
+  }
+  for (int H = 0; H < Holes; ++H)
+    for (int P = 0; P < Pigeons; ++P)
+      for (int Q = P + 1; Q < Pigeons; ++Q)
+        Out.push_back(Ctx.mkNot(Ctx.mkAnd(In[P][H], In[Q][H])));
+  return Out;
+}
+
+/// ∀x ∃z. x < z: true, and Z3's one-shot solver eliminates it at once,
+/// but the incremental solver's model-based instantiation spins on it
+/// until the scoped check's resource cap. Inside a scope it therefore
+/// always takes the fallback path.
+SmtExpr unboundedAbove(SmtContext &Ctx) {
+  SmtExpr X = Ctx.intVar("x"), Z = Ctx.intVar("z");
+  return Ctx.mkForall(
+      {X}, Ctx.mkNot(Ctx.mkForall({Z}, Ctx.mkNot(Ctx.mkLt(X, Z)))));
+}
+
+uint64_t fallbacks() {
+  return obs::Metrics::global().counter("solver.fallbacks").value();
+}
+
+} // namespace
 
 TEST(Smt, TrivialSatAndModel) {
   SmtContext Ctx;
@@ -321,4 +363,144 @@ TEST(Smt, SetOptionAcceptsLanePresetParameters) {
   EXPECT_EQ(Solver.modelInt(X), 41);
   Solver.add(Ctx.mkNot(Ctx.mkEq(X, Ctx.intVal(41))));
   EXPECT_EQ(Solver.check(), SmtResult::Unsat);
+}
+
+// Z3's search counters run across a solver's checks; a session solver
+// lives for many queries, so statistics() must report each check's own
+// work. The second check decides `false` without search.
+TEST(Smt, StatisticsArePerCheck) {
+  SmtContext Ctx;
+  SmtSolver Solver(Ctx);
+  Solver.push();
+  for (SmtExpr E : pigeonhole(Ctx, 6, 5))
+    Solver.add(E);
+  ASSERT_EQ(Solver.check(), SmtResult::Unsat);
+  SolverStatistics First = Solver.statistics();
+  EXPECT_TRUE(First.Collected);
+  EXPECT_GT(First.Conflicts, 0u);
+  Solver.pop();
+
+  Solver.push();
+  Solver.add(Ctx.boolVal(false));
+  ASSERT_EQ(Solver.check(), SmtResult::Unsat);
+  EXPECT_EQ(Solver.statistics().Conflicts, 0u)
+      << "the first check's " << First.Conflicts << " conflicts leaked";
+  Solver.pop();
+}
+
+// A scoped check whose capped incremental attempt gives up re-solves on
+// a fresh one-shot solver; the model is that solver's, and readable.
+TEST(Smt, ScopedCheckFallsBackAndKeepsTheModel) {
+  SmtContext Ctx;
+  SmtSolver Solver(Ctx);
+  SmtExpr Y = Ctx.intVar("y");
+  Solver.add(Ctx.mkLe(Ctx.intVal(0), Y));
+  uint64_t Before = fallbacks();
+  Solver.push();
+  Solver.add(unboundedAbove(Ctx));
+  Solver.add(Ctx.mkEq(Y, Ctx.intVal(7)));
+  ASSERT_EQ(Solver.check(), SmtResult::Sat) << Solver.reasonUnknown();
+  EXPECT_EQ(fallbacks(), Before + 1);
+  EXPECT_EQ(Solver.modelInt(Y), 7);
+  EXPECT_TRUE(Solver.reasonUnknown().empty());
+  EXPECT_TRUE(Solver.statistics().Collected);
+  Solver.pop();
+
+  // A solver that never opens a scope is one-shot: no cap, no fallback.
+  SmtSolver OneShot(Ctx);
+  OneShot.add(unboundedAbove(Ctx));
+  ASSERT_EQ(OneShot.check(), SmtResult::Sat);
+  EXPECT_EQ(fallbacks(), Before + 1);
+}
+
+// The fallback re-solves exactly the assertions on the solver: pop()
+// drops a scope's assertions from it and rewinds the literal count.
+TEST(Smt, PopAfterFallbackRewindsAssertionsAndLiterals) {
+  SmtContext Ctx;
+  SmtSolver Solver(Ctx);
+  SmtExpr Y = Ctx.intVar("y");
+  Solver.add(Ctx.mkLe(Ctx.intVal(0), Y));
+  uint64_t Root = Ctx.literalCount();
+  for (int64_t V : {7, 9}) {
+    Solver.push();
+    Solver.add(unboundedAbove(Ctx));
+    Solver.add(Ctx.mkEq(Y, Ctx.intVal(V)));
+    EXPECT_GT(Ctx.literalCount(), Root);
+    uint64_t Before = fallbacks();
+    // With y = 7 still asserted, y = 9 would be unsat.
+    ASSERT_EQ(Solver.check(), SmtResult::Sat) << "y=" << V;
+    EXPECT_EQ(fallbacks(), Before + 1);
+    EXPECT_EQ(Solver.modelInt(Y), V);
+    Solver.pop();
+    EXPECT_EQ(Ctx.literalCount(), Root);
+  }
+}
+
+// setOption() parameters reach the fallback solver too. Seeds and phase
+// heuristics leave this fallback's model unchanged (Z3 eliminates the
+// quantifier and the rest is fixed), so the observable parameter is a
+// resource limit: with it, the fallback gives up instead of answering.
+TEST(Smt, OptionsReachTheFallbackSolver) {
+  SmtContext Ctx;
+  SmtSolver Solver(Ctx);
+  Solver.setOption("rlimit", "1");
+  Solver.push();
+  Solver.add(unboundedAbove(Ctx));
+  uint64_t Before = fallbacks();
+  EXPECT_EQ(Solver.check(), SmtResult::Unknown);
+  EXPECT_EQ(fallbacks(), Before + 1);
+  EXPECT_FALSE(Solver.interrupted());
+  Solver.pop();
+}
+
+// An interrupt pending before a scoped check cancels it outright: no
+// attempt, no fallback.
+TEST(Smt, InterruptBeforeScopedCheckSkipsTheFallback) {
+  SmtContext Ctx;
+  SmtSolver Solver(Ctx);
+  uint64_t Before = fallbacks();
+  Solver.push();
+  Solver.add(unboundedAbove(Ctx));
+  Solver.interrupt();
+  EXPECT_EQ(Solver.check(), SmtResult::Unknown);
+  EXPECT_EQ(Solver.reasonUnknown(), "canceled");
+  EXPECT_EQ(fallbacks(), Before);
+  Solver.pop();
+}
+
+// interrupt() reaches the fallback solver while it runs: the check
+// comes back canceled long before its timeout. The attempt gives up at
+// its cap on the quantifier; the fallback then faces a pigeonhole CDCL
+// cannot finish.
+TEST(Smt, InterruptDuringFallbackCancels) {
+  SmtContext Ctx;
+  SmtSolver Solver(Ctx);
+  Solver.setTimeoutMs(120000);
+  Solver.push();
+  Solver.add(unboundedAbove(Ctx));
+  for (SmtExpr E : pigeonhole(Ctx, 13, 12))
+    Solver.add(E);
+  uint64_t Before = fallbacks();
+  std::atomic<bool> Done{false};
+  std::thread Killer([&] {
+    while (fallbacks() == Before && !Done)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    Solver.interrupt();
+  });
+  auto T0 = std::chrono::steady_clock::now();
+  SmtResult R = Solver.check();
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - T0)
+                       .count();
+  Done = true;
+  Killer.join();
+  EXPECT_EQ(R, SmtResult::Unknown);
+  EXPECT_EQ(fallbacks(), Before + 1);
+  EXPECT_TRUE(Solver.interrupted());
+  EXPECT_LT(Seconds, 60.0) << "the interrupt did not reach the fallback";
+  EXPECT_TRUE(Solver.reasonUnknown() == "canceled" ||
+              Solver.reasonUnknown() == "interrupted")
+      << Solver.reasonUnknown();
+  Solver.pop();
 }

@@ -16,7 +16,10 @@
 #include "predict/PredictSession.h"
 
 #include "apps/AppFramework.h"
+#include "checker/Checkers.h"
+#include "engine/Executor.h"
 #include "history/TraceIO.h"
+#include "obs/Metrics.h"
 #include "predict/Predict.h"
 
 #include "TestUtil.h"
@@ -213,6 +216,41 @@ TEST(Streaming, WindowBoundsEncodedTxns) {
   }
   EXPECT_TRUE(SawRebuild) << "window never evicted on a long trace";
   EXPECT_EQ(S.numExtends(), Full.numTxns() - 4);
+}
+
+// A window on which Z3's incremental solver stalls: the rc Exact-Strict
+// query over smallbank's 131-transaction prefix (the trace the
+// stream_window benchmark monitors, window 4) runs out a 5 s budget on
+// the session's push/pop solver, while the one-shot solver decides it
+// in a fraction of a second. The scoped check's capped attempt gives up
+// and the fallback answers, the same way in every fresh session.
+TEST(Streaming, IncrementalStallFallsBackToOneShot) {
+  auto App = makeApplication("smallbank");
+  ASSERT_NE(App, nullptr);
+  History Trace = engine::observe(*App, WorkloadConfig{3, 115, 11100}).Hist;
+  History Prefix = prefixOf(Trace, 131);
+  PredictSession::Options SO;
+  SO.Streaming = true;
+  SO.Window = 4;
+  PredictSession::QueryOptions Q;
+  Q.Level = IsolationLevel::ReadCommitted;
+  Q.Strat = Strategy::ExactStrict;
+  Q.TimeoutMs = 5000;
+
+  obs::Counter &Fallbacks = obs::Metrics::global().counter("solver.fallbacks");
+  std::vector<Prediction> Runs;
+  for (int Run = 0; Run < 2; ++Run) {
+    uint64_t Before = Fallbacks.value();
+    PredictSession S(Prefix, SO);
+    Prediction P = S.query(Q);
+    ASSERT_EQ(P.Result, SmtResult::Sat) << "run " << Run;
+    EXPECT_GE(Fallbacks.value() - Before, 1u) << "run " << Run;
+    EXPECT_TRUE(satisfiesLevel(P.Predicted, IsolationLevel::ReadCommitted));
+    EXPECT_EQ(checkSerializableSmt(P.Predicted), SerResult::Unserializable);
+    Runs.push_back(std::move(P));
+  }
+  EXPECT_EQ(writeTrace(Runs[0].Predicted), writeTrace(Runs[1].Predicted));
+  EXPECT_EQ(Runs[0].BoundaryPos, Runs[1].BoundaryPos);
 }
 
 // Extending flips a serializable observation into a predictable one:
