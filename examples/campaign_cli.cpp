@@ -7,7 +7,7 @@
 //   campaign_cli [--apps a,b] [--levels causal,rc,ra]
 //                [--strategies exact,strict,relaxed] [--sizes small,large]
 //                [--seeds N] [--jobs N] [--timeout-ms N]
-//                [--share-encodings] [--no-prune] [--portfolio[=N]]
+//                [--share-encodings] [--no-prune]
 //                [--stream[=CHUNK]] [--window N] [--stream-from-scratch]
 //                [--no-validate] [--timings] [--quiet]
 //                [--cache-dir DIR] [--shard K/N] [--write-shards N]
@@ -47,7 +47,6 @@
 #include "engine/JobIo.h"
 #include "obs/Log.h"
 #include "obs/Tracer.h"
-#include "portfolio/Portfolio.h"
 #include "smt/Smt.h"
 #include "support/Fs.h"
 #include "support/Signal.h"
@@ -56,6 +55,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <poll.h>
 #include <string>
 #include <thread>
@@ -86,13 +86,6 @@ int usage(const char *Msg = nullptr) {
       "  --no-prune            encode with the identity plan instead of\n"
       "                        the relevance plan (same sat/unsat\n"
       "                        outcomes; more literals, models may differ)\n"
-      "  --portfolio[=N]       race up to N solve lanes per predict query\n"
-      "                        (default 4, at most 5): encoding/Z3-preset\n"
-      "                        variants started at once on their own\n"
-      "                        threads, first decided answer wins,\n"
-      "                        losers interrupted (same sat/unsat outcomes;\n"
-      "                        models may differ). Excludes\n"
-      "                        --share-encodings\n"
       "  --stream[=CHUNK]      streaming jobs instead of one-shot predict:\n"
       "                        feed each observed execution to a windowed\n"
       "                        PredictSession CHUNK transactions at a time\n"
@@ -134,6 +127,16 @@ int usage(const char *Msg = nullptr) {
   return 2;
 }
 
+/// Parses a flag value for an `unsigned` setting: a decimal integer in
+/// [Min, UINT_MAX] (a larger one would wrap), else std::nullopt.
+std::optional<unsigned> parseUnsigned(std::string_view Text,
+                                      unsigned Min = 0) {
+  std::optional<int64_t> N = parseInt(Text);
+  if (!N || *N < Min || *N > std::numeric_limits<unsigned>::max())
+    return std::nullopt;
+  return static_cast<unsigned>(*N);
+}
+
 std::vector<std::string> splitList(const std::string &Arg) {
   std::vector<std::string> Out;
   for (std::string_view Part : splitString(Arg, ','))
@@ -150,7 +153,7 @@ std::vector<std::string> splitList(const std::string &Arg) {
 /// (Engine::planGroups), so a partially-cached group previews as all
 /// misses just like the run would recompute it.
 int dryRun(const Campaign &C, const std::string &CacheDir,
-           bool ShareEncodings, bool Portfolio) {
+           bool ShareEncodings) {
   std::optional<cache::ResultStore> Store;
   if (!CacheDir.empty())
     Store.emplace(CacheDir);
@@ -158,7 +161,7 @@ int dryRun(const Campaign &C, const std::string &CacheDir,
   if (Store)
     for (const std::vector<size_t> &Indices :
          Engine::planGroups(C, ShareEncodings))
-      if (Store->lookupGroup(C, Indices, ShareEncodings, Portfolio))
+      if (Store->lookupGroup(C, Indices, ShareEncodings))
         for (size_t I : Indices)
           Hit[I] = true;
 
@@ -217,7 +220,6 @@ int main(int argc, char **argv) {
   unsigned StreamChunk = 4;
   unsigned Window = 0;
   bool StreamFromScratch = false;
-  unsigned PortfolioLanes = 0;
   bool Validate = true;
   bool Timings = false;
   bool Quiet = false;
@@ -248,35 +250,24 @@ int main(int argc, char **argv) {
       GridFlagUsed = true;
     } else if (Flag == "--share-encodings") {
       ShareEncodings = true;
-    } else if (Flag == "--portfolio" || Flag.rfind("--portfolio=", 0) == 0) {
-      if (Flag == "--portfolio") {
-        PortfolioLanes = 4;
-      } else {
-        auto N = parseInt(Flag.substr(std::strlen("--portfolio=")));
-        if (!N || *N < 2)
-          return usage("--portfolio=N needs at least 2 lanes");
-        if (*N > portfolio::TaxonomySize)
-          return usage(formatString("--portfolio=N takes at most %u lanes",
-                                    portfolio::TaxonomySize)
-                           .c_str());
-        PortfolioLanes = static_cast<unsigned>(*N);
-      }
     } else if (Flag == "--stream" || Flag.rfind("--stream=", 0) == 0) {
       if (Flag != "--stream") {
-        auto N = parseInt(Flag.substr(std::strlen("--stream=")));
-        if (!N || *N < 1)
-          return usage("--stream=CHUNK needs a positive chunk size");
-        StreamChunk = static_cast<unsigned>(*N);
+        auto N = parseUnsigned(Flag.substr(std::strlen("--stream=")), 1);
+        if (!N)
+          return usage("--stream=CHUNK needs a positive chunk size "
+                       "(at most 4294967295)");
+        StreamChunk = *N;
       }
       // Changes every job's kind (and hash): a grid flag.
       Stream = true;
       GridFlagUsed = true;
     } else if (Flag == "--window") {
       const char *V = next();
-      auto N = V ? parseInt(V) : std::nullopt;
-      if (!N || *N < 0)
-        return usage("--window needs a non-negative integer");
-      Window = static_cast<unsigned>(*N);
+      auto N = V ? parseUnsigned(V) : std::nullopt;
+      if (!N)
+        return usage("--window needs a non-negative integer "
+                     "(at most 4294967295)");
+      Window = *N;
       GridFlagUsed = true;
     } else if (Flag == "--stream-from-scratch") {
       // Execution mode, not part of any job's spec: the baseline run
@@ -313,18 +304,19 @@ int main(int argc, char **argv) {
       if (!V)
         return usage("--shard needs a value (K/N)");
       std::vector<std::string_view> Parts = splitString(V, '/');
-      auto K = Parts.size() == 2 ? parseInt(Parts[0]) : std::nullopt;
-      auto N = Parts.size() == 2 ? parseInt(Parts[1]) : std::nullopt;
-      if (!K || !N || *K < 1 || *N < 1 || *K > *N)
-        return usage("--shard must be K/N with 1 <= K <= N");
-      ShardIndex = static_cast<unsigned>(*K);
-      ShardCount = static_cast<unsigned>(*N);
+      auto K = Parts.size() == 2 ? parseUnsigned(Parts[0], 1) : std::nullopt;
+      auto N = Parts.size() == 2 ? parseUnsigned(Parts[1], 1) : std::nullopt;
+      if (!K || !N || *K > *N)
+        return usage("--shard must be K/N with 1 <= K <= N <= 4294967295");
+      ShardIndex = *K;
+      ShardCount = *N;
     } else if (Flag == "--write-shards") {
       const char *V = next();
-      auto N = V ? parseInt(V) : std::nullopt;
-      if (!N || *N < 1)
-        return usage("--write-shards needs a positive shard count");
-      WriteShards = static_cast<unsigned>(*N);
+      auto N = V ? parseUnsigned(V, 1) : std::nullopt;
+      if (!N)
+        return usage("--write-shards needs a positive shard count "
+                     "(at most 4294967295)");
+      WriteShards = *N;
     } else if (Flag == "--apps") {
       const char *V = next();
       if (!V)
@@ -391,16 +383,18 @@ int main(int argc, char **argv) {
     } else if (Flag == "--seeds" || Flag == "--jobs" ||
                Flag == "--timeout-ms") {
       const char *V = next();
-      auto N = V ? parseInt(V) : std::nullopt;
-      if (!N || *N < 0)
-        return usage((Flag + " needs a non-negative integer").c_str());
+      auto N = V ? parseUnsigned(V) : std::nullopt;
+      if (!N)
+        return usage(
+            (Flag + " needs a non-negative integer (at most 4294967295)")
+                .c_str());
       if (Flag == "--seeds") {
-        Seeds = static_cast<unsigned>(*N);
+        Seeds = *N;
         GridFlagUsed = true;
       } else if (Flag == "--jobs") {
-        Jobs = static_cast<unsigned>(*N);
+        Jobs = *N;
       } else {
-        TimeoutMs = static_cast<unsigned>(*N);
+        TimeoutMs = *N;
         GridFlagUsed = true;
       }
     } else if (Flag == "--name") {
@@ -520,17 +514,10 @@ int main(int argc, char **argv) {
                  "(sat/unsat outcomes still agree; literal counts and "
                  "models may differ)\n");
 
-  // Racing a shared session's solver is not possible: a PredictSession
-  // multiplexes queries over one Z3 solver, while lanes need private
-  // solvers they can interrupt. Rejected rather than silently resolved.
-  if (PortfolioLanes && ShareEncodings)
-    return usage("--portfolio races private solvers per query; it cannot "
-                 "be combined with --share-encodings");
-
   // --dry-run only reads the cache, so it skips the write probe below
   // (a read-only shared cache directory is a fine thing to preview).
   if (DryRun)
-    return dryRun(C, CacheDir, ShareEncodings, PortfolioLanes >= 2);
+    return dryRun(C, CacheDir, ShareEncodings);
 
   // Surface a misconfigured cache directory before spending hours of
   // solver time whose results would silently fail to persist: create
@@ -561,7 +548,6 @@ int main(int argc, char **argv) {
   EO.NumWorkers = Jobs;
   EO.ShareEncodings = ShareEncodings;
   EO.CacheDir = CacheDir;
-  EO.PortfolioLanes = PortfolioLanes;
   EO.StreamFromScratch = StreamFromScratch;
   // Per-job structured events at debug ride alongside the human
   // progress lines (which --quiet still suppresses independently).

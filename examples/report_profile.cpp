@@ -351,47 +351,6 @@ int profileReport(const JsonValue &Doc, unsigned TopN) {
   }
   T.print(stdout);
 
-  // Portfolio lane roll-up (reports written with --portfolio and
-  // --timings carry a per-job `lanes` record): which lane wins how
-  // often, and how it spends its time across the campaign.
-  struct LaneAgg {
-    unsigned Races = 0, Wins = 0, Canceled = 0, Timeouts = 0;
-    double Seconds = 0;
-  };
-  std::vector<std::pair<std::string, LaneAgg>> LaneGroups;
-  std::map<std::string, size_t> LaneIndex;
-  unsigned RacedJobs = 0;
-  for (const JobResult &R : Results) {
-    if (R.Lanes.empty())
-      continue;
-    ++RacedJobs;
-    for (const LaneResult &L : R.Lanes) {
-      auto It = LaneIndex.find(L.Name);
-      if (It == LaneIndex.end()) {
-        It = LaneIndex.emplace(L.Name, LaneGroups.size()).first;
-        LaneGroups.emplace_back(L.Name, LaneAgg{});
-      }
-      LaneAgg &A = LaneGroups[It->second].second;
-      ++A.Races;
-      A.Wins += L.Name == R.WinningLane && !R.WinningLane.empty();
-      A.Canceled += L.Canceled;
-      A.Timeouts += L.TimedOut;
-      A.Seconds += L.Seconds;
-    }
-  }
-  if (RacedJobs) {
-    std::printf("\nportfolio lanes (%u raced job(s)):\n", RacedJobs);
-    TablePrinter LT;
-    LT.setHeader({"Lane", "Races", "Wins", "Canceled", "Timeout", "Seconds"});
-    for (const auto &KV : LaneGroups) {
-      const LaneAgg &A = KV.second;
-      LT.addRow({KV.first, formatString("%u", A.Races),
-                 formatString("%u", A.Wins), formatString("%u", A.Canceled),
-                 formatString("%u", A.Timeouts), secondsCell(A.Seconds)});
-    }
-    LT.print(stdout);
-  }
-
   // Slowest jobs by wall-clock, with the solver-difficulty signal.
   std::vector<const JobResult *> ByWall;
   for (const JobResult &R : Results)
@@ -408,22 +367,6 @@ int profileReport(const JsonValue &Doc, unsigned TopN) {
       Extra += " TIMEOUT";
     if (R.CacheHit)
       Extra += " (cached)";
-    if (!R.WinningLane.empty()) {
-      // Margin over the runner-up: the fastest other lane's wall-clock
-      // minus the winner's. Interrupted lanes stopped early, so their
-      // recorded time is a floor — the margin is a ">=".
-      double WinnerS = 0, RunnerUpS = -1;
-      for (const LaneResult &L : R.Lanes) {
-        if (L.Name == R.WinningLane)
-          WinnerS = L.Seconds;
-        else if (RunnerUpS < 0 || L.Seconds < RunnerUpS)
-          RunnerUpS = L.Seconds;
-      }
-      Extra += formatString(" [lane: %s", R.WinningLane.c_str());
-      if (RunnerUpS >= 0)
-        Extra += formatString(", margin >= %.3fs", RunnerUpS - WinnerS);
-      Extra += "]";
-    }
     if (R.SolverStats.Collected)
       Extra += formatString(
           " [%llu conflicts, %llu decisions, %.0f MB]",

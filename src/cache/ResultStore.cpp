@@ -20,8 +20,6 @@ const char *modeName(EncodingMode M) {
   switch (M) {
   case EncodingMode::Session:
     return "session";
-  case EncodingMode::Portfolio:
-    return "portfolio";
   case EncodingMode::OneShot:
     break;
   }
@@ -42,13 +40,9 @@ void countUnusableEntry() {
 } // namespace
 
 EncodingMode isopredict::cache::encodingModeFor(const JobSpec &S,
-                                                bool ShareEncodings,
-                                                bool Portfolio) {
-  if (S.Kind != JobKind::Predict)
-    return EncodingMode::OneShot;
-  if (ShareEncodings)
-    return EncodingMode::Session;
-  return Portfolio ? EncodingMode::Portfolio : EncodingMode::OneShot;
+                                                bool ShareEncodings) {
+  return S.Kind == JobKind::Predict && ShareEncodings ? EncodingMode::Session
+                                                      : EncodingMode::OneShot;
 }
 
 uint64_t isopredict::cache::shareGroupHash(const Campaign &C,
@@ -91,9 +85,7 @@ ResultStore::ResultStore(std::string RootDir) : Root(std::move(RootDir)) {}
 
 std::string ResultStore::entryPath(const JobSpec &S,
                                    EncodingMode Mode) const {
-  const char *Suffix = Mode == EncodingMode::Session     ? ".session"
-                       : Mode == EncodingMode::Portfolio ? ".portfolio"
-                                                         : "";
+  const char *Suffix = Mode == EncodingMode::Session ? ".session" : "";
   return pathJoin(
       pathJoin(Root, toolVersion()),
       formatString("%016llx%s.json",
@@ -173,7 +165,7 @@ std::optional<JobResult> ResultStore::lookup(const JobSpec &S,
 
 std::optional<std::vector<JobResult>>
 ResultStore::lookupGroup(const Campaign &C, const std::vector<size_t> &Indices,
-                         bool ShareEncodings, bool Portfolio) const {
+                         bool ShareEncodings) const {
   // Session entries only exist within their group constellation, so
   // encoding-share groups carry the fingerprint; singleton/one-shot
   // members ignore it (see encodingModeFor).
@@ -183,8 +175,7 @@ ResultStore::lookupGroup(const Campaign &C, const std::vector<size_t> &Indices,
   Hits.reserve(Indices.size());
   for (size_t I : Indices) {
     std::optional<JobResult> Hit =
-        lookup(C.Jobs[I],
-               encodingModeFor(C.Jobs[I], ShareEncodings, Portfolio),
+        lookup(C.Jobs[I], encodingModeFor(C.Jobs[I], ShareEncodings),
                GroupHash);
     if (!Hit)
       return std::nullopt;

@@ -60,21 +60,11 @@ bool cacheable(const engine::JobResult &R);
 /// mode and only ever answer lookups from the same mode — a cache
 /// shared between modes stays correct, each mode just fills its own
 /// entries. Non-Predict jobs are mode-independent (always OneShot).
-///
-/// Portfolio results (EngineOptions::PortfolioLanes) are their own
-/// mode for the same reason: their entries carry winning_lane / lanes
-/// timing fields and race-dependent sat witnesses that no single-lane
-/// run would emit, so they never answer single-lane lookups (and vice
-/// versa). Outcomes agree across all three modes by the portfolio's
-/// sat/unsat-equivalence contract.
-enum class EncodingMode : uint8_t { OneShot, Session, Portfolio };
+enum class EncodingMode : uint8_t { OneShot, Session };
 
 /// The mode a result for \p S has under an engine run with
-/// ShareEncodings = \p ShareEncodings and portfolio racing = \p
-/// Portfolio (ShareEncodings wins when both are requested — the engine
-/// never races shared-session queries).
-EncodingMode encodingModeFor(const engine::JobSpec &S, bool ShareEncodings,
-                             bool Portfolio = false);
+/// ShareEncodings = \p ShareEncodings.
+EncodingMode encodingModeFor(const engine::JobSpec &S, bool ShareEncodings);
 
 /// Fingerprint of one encoding-share group: FNV-1a over the canonical
 /// specs of its member jobs (\p Indices into \p C) in group order.
@@ -125,7 +115,7 @@ public:
   /// preview == run.
   std::optional<std::vector<engine::JobResult>>
   lookupGroup(const engine::Campaign &C, const std::vector<size_t> &Indices,
-              bool ShareEncodings, bool Portfolio = false) const;
+              bool ShareEncodings) const;
 
   /// Persists \p R (computed under \p Mode, in the share group
   /// fingerprinted by \p GroupHash when Mode is Session) at its

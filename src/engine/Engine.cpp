@@ -136,13 +136,8 @@ Report Engine::run(const Campaign &C) const {
 
   // Never spawn more threads than groups; one worker runs inline
   // (TaskPool with zero threads executes submits on this thread).
-  // Portfolio lanes multiply each job's thread use, so the pool shrinks
-  // to keep the total thread budget at the single-lane run's Workers
-  // (a --jobs 8 --portfolio 4 run drives 2 jobs × 4 lanes).
-  unsigned Lanes = Exec.portfolioLanes();
-  unsigned EffectiveWorkers = Lanes ? std::max(1u, Workers / Lanes) : Workers;
-  unsigned NumThreads = static_cast<unsigned>(
-      std::min<size_t>(EffectiveWorkers, Groups.size()));
+  unsigned NumThreads =
+      static_cast<unsigned>(std::min<size_t>(Workers, Groups.size()));
   TaskPool Pool(NumThreads <= 1 ? 0 : NumThreads);
   for (size_t G = 0; G < Groups.size(); ++G)
     Pool.submit([&RunGroup, G] { RunGroup(G); });

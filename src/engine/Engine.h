@@ -62,18 +62,6 @@ struct EngineOptions {
   /// cache never changes report bytes (cache_hit fields are
   /// timing-gated), so warm re-runs reproduce cold reports exactly.
   std::string CacheDir;
-  /// Race up to this many portfolio lanes per Predict query
-  /// (src/portfolio/): alternative encoding / Z3-preset recipes, all
-  /// started at once on their own threads, first decided answer wins,
-  /// losers interrupted. 0 or 1 = off; values
-  /// above portfolio::TaxonomySize are clamped to it. Mutually
-  /// exclusive with ShareEncodings (a shared session's solver cannot be
-  /// raced); when both are set, ShareEncodings wins and no racing
-  /// happens. Lanes multiply thread use, so the engine divides the
-  /// worker pool: with W workers and N lanes, at most max(1, W / N)
-  /// groups run concurrently — the total thread budget stays at the
-  /// single-lane run's W.
-  unsigned PortfolioLanes = 0;
   /// Called after each job completes, serialized under an internal
   /// mutex: (completed so far, total, result just finished).
   std::function<void(size_t, size_t, const JobResult &)> OnJobDone;

@@ -178,15 +178,7 @@ const char *isopredict::engine::toString(AnsweredBy A) {
 
 Executor::Executor(const EngineOptions &O, size_t SessionCapacity)
     : ShareEncodings(O.ShareEncodings),
-      StreamFromScratch(O.StreamFromScratch),
-      // ShareEncodings wins over racing (a shared session's solver
-      // cannot be raced); the CLI rejects the combination up front.
-      // Lanes beyond the taxonomy would never run, but Engine::run
-      // would still divide its pool by them.
-      Lanes(O.PortfolioLanes >= 2 && !O.ShareEncodings
-                ? std::min(O.PortfolioLanes, portfolio::TaxonomySize)
-                : 0),
-      Sessions(SessionCapacity) {
+      StreamFromScratch(O.StreamFromScratch), Sessions(SessionCapacity) {
   if (!O.CacheDir.empty())
     Store.emplace(O.CacheDir);
 }
@@ -215,7 +207,7 @@ void Executor::store(const JobResult &R, const JobSpec &CacheSpec,
 Executor::Answer Executor::answer(const Query &Q) {
   cache::EncodingMode Mode =
       Q.Hist ? cache::EncodingMode::Session
-             : cache::encodingModeFor(Q.Spec, ShareEncodings, Lanes != 0);
+             : cache::encodingModeFor(Q.Spec, ShareEncodings);
   Answer A;
   if (std::optional<JobResult> Hit = probe(Q.CacheSpec, Mode)) {
     A.R = std::move(*Hit);
@@ -313,74 +305,14 @@ void Executor::predictInto(JobResult &R, const JobSpec &Spec,
   PO.Pco = Spec.Pco;
   PO.TimeoutMs = Spec.TimeoutMs;
   PO.PruneFormula = Spec.Prune;
-  // Replays a Sat prediction against a fresh application instance (§5).
-  portfolio::Validator Validate;
-  if (Spec.Validate)
-    Validate = [&](const Prediction &P) {
-      auto Replay = makeApplication(Spec.App);
-      return validatePrediction(*Replay, Spec.Cfg, Observed, P, Spec.Level,
-                                Spec.TimeoutMs);
-    };
-
-  if (!Shared && Lanes) {
-    raceInto(R, Observed, PO, Validate);
-    return;
-  }
   Prediction P =
       Shared ? Shared->query(queryOptions(Spec)) : predict(Observed, PO);
   applyPrediction(R, P);
-  if (P.Result == SmtResult::Sat && Validate)
-    applyValidation(R, Validate(P));
-}
-
-/// Races up to Lanes recipes for the prediction query and commits the
-/// winner's answer — with the reference lane's generation stats, so
-/// literal counts stay the single-lane ones.
-void Executor::raceInto(JobResult &R, const History &Observed,
-                        const PredictOptions &PO,
-                        const portfolio::Validator &Validate) {
-  static obs::Counter &Rescues =
-      obs::Metrics::global().counter("portfolio.rescues");
-  portfolio::RaceResult Race = portfolio::race(
-      Observed, PO, portfolio::buildLanes(PO, Lanes), Validate);
-
-  // Generation stats always come from the reference lane — its encoding
-  // is never interrupted, so the job's literal count is the single-lane
-  // one whatever lane won the solve (an Approx query's rank-encoding
-  // fallback, which a canceled lane may skip, is counted apart in the
-  // timings-gated FallbackLiterals). With no winner the job's answer is the reference lane's unknown,
-  // timeout and cancel markers included.
-  const portfolio::LaneRun &Ref = Race.Lanes.front();
-  if (Race.Winner >= 0) {
-    const portfolio::LaneRun &W = Race.Lanes[Race.Winner];
-    applyPrediction(R, W.P);
-    R.Stats = Ref.P.Stats;
-    R.Stats.SolveSeconds = W.P.Stats.SolveSeconds;
-    R.WinningLane = W.Spec.Name;
-    // The winner's in-lane validation is the job's — never replayed
-    // twice.
-    if (W.Val)
-      applyValidation(R, *W.Val);
-    if (Ref.P.TimedOut)
-      Rescues.inc(); // Single-lane would have timed out; a lane decided.
-  } else {
-    applyPrediction(R, Ref.P);
-  }
-
-  R.Lanes.reserve(Race.Lanes.size());
-  for (const portfolio::LaneRun &LR : Race.Lanes) {
-    LaneResult L;
-    L.Name = LR.Spec.Name;
-    L.Prune = LR.Spec.Prune;
-    L.Outcome = LR.P.Result;
-    L.Canceled = LR.P.Canceled;
-    L.TimedOut = LR.P.TimedOut;
-    L.GenSeconds = LR.P.Stats.GenSeconds;
-    L.SolveSeconds = LR.P.Stats.SolveSeconds;
-    L.Literals = LR.P.Stats.NumLiterals;
-    L.Seconds = LR.Seconds;
-    L.Stats = LR.P.SolverStats;
-    R.Lanes.push_back(std::move(L));
+  if (P.Result == SmtResult::Sat && Spec.Validate) {
+    // Replays the prediction against a fresh application instance (§5).
+    auto Replay = makeApplication(Spec.App);
+    applyValidation(R, validatePrediction(*Replay, Spec.Cfg, Observed, P,
+                                          Spec.Level, Spec.TimeoutMs));
   }
 }
 

@@ -10,8 +10,7 @@
 ///
 ///   1. result-cache probe (cache.probe span, cache.hits/misses);
 ///   2. warm session from the SessionPool (history queries);
-///   3. compute: the observe → predict (or portfolio race when
-///      EngineOptions::PortfolioLanes >= 2) → validate pipeline of
+///   3. compute: the observe → predict → validate pipeline of
 ///      Figure 4, or a session query on a stored history;
 ///   4. store the result when cache::cacheable() allows.
 ///
@@ -31,7 +30,6 @@
 #include "cache/ResultStore.h"
 #include "engine/Engine.h"
 #include "engine/SessionPool.h"
-#include "portfolio/Portfolio.h"
 
 #include <atomic>
 #include <functional>
@@ -54,7 +52,7 @@ const char *toString(AnsweredBy A); // "cache", "warm_session", ...
 
 class Executor {
 public:
-  /// Cache, share, portfolio and stream settings come from \p O; \p
+  /// Cache, share and stream settings come from \p O; \p
   /// SessionCapacity bounds the warm-session pool (0 = no pooling, the
   /// batch engine's setting).
   explicit Executor(const EngineOptions &O, size_t SessionCapacity = 0);
@@ -97,9 +95,6 @@ public:
                           uint64_t NewHash);
 
   SessionPool &sessions() { return Sessions; }
-  /// Portfolio lanes per Predict job: EngineOptions::PortfolioLanes
-  /// clamped to portfolio::TaxonomySize (0 when racing is off).
-  unsigned portfolioLanes() const { return Lanes; }
   bool caching() const { return Store.has_value(); }
   unsigned cacheHits() const { return Hits.load(); }
   unsigned cacheMisses() const { return Misses.load(); }
@@ -114,16 +109,13 @@ private:
                      std::vector<JobResult> &Results,
                      const std::function<void(size_t)> &Finished);
   /// Predict (through \p Shared when an encoding-share group runs, else
-  /// one-shot or raced) and validate a Sat answer.
+  /// one-shot) and validate a Sat answer.
   void predictInto(JobResult &R, const JobSpec &Spec, const History &Observed,
                    PredictSession *Shared = nullptr);
-  void raceInto(JobResult &R, const History &Observed,
-                const PredictOptions &PO, const portfolio::Validator &Validate);
 
   std::optional<cache::ResultStore> Store;
   bool ShareEncodings;
   bool StreamFromScratch;
-  unsigned Lanes;
   SessionPool Sessions;
   std::atomic<unsigned> Hits{0}, Misses{0};
 };

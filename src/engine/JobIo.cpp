@@ -6,6 +6,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 using namespace isopredict;
 using namespace isopredict::engine;
@@ -66,7 +67,7 @@ void writeWitness(JsonWriter &J, const JobResult &R) {
   J.closeArray();
 }
 
-/// Z3 search statistics of one query or lane; absent when it never
+/// Z3 search statistics of one query; absent when it never
 /// reached the solver.
 void writeSolverStats(JsonWriter &J, const SolverStatistics &S) {
   if (!S.Collected)
@@ -111,8 +112,7 @@ void isopredict::engine::writeJobFields(JsonWriter &J, const JobResult &R,
       J.boolean("timeout", true);
     // Unknown-because-interrupted marker (SmtSolver::interruptAll on
     // SIGINT or a server drain), kept distinct from "timeout" with the
-    // same gating rationale. Only interrupted runs set it (a losing
-    // portfolio lane's interrupt is not the job's answer), so default
+    // same gating rationale. Only interrupted runs set it, so default
     // report bytes of completed runs are unaffected.
     if (R.Canceled)
       J.boolean("canceled", true);
@@ -182,9 +182,9 @@ void isopredict::engine::writeJobFields(JsonWriter &J, const JobResult &R,
     if (S.Kind == JobKind::Predict || S.Kind == JobKind::Stream) {
       J.num("gen_seconds", R.Stats.GenSeconds);
       J.num("solve_seconds", R.Stats.SolveSeconds);
-      // An Approx query's rank-encoding fallback, when it ran. Whether
-      // it runs in a portfolio race depends on when the reference lane
-      // was canceled, so unlike "literals" it is timings-gated.
+      // An Approx query's rank-encoding fallback, when it ran. A
+      // canceled query never learns whether it would have fallen back,
+      // so unlike "literals" it is timings-gated.
       if (R.Stats.FallbackLiterals)
         J.num("fallback_literals", R.Stats.FallbackLiterals);
       // Z3 search statistics for this query (SmtSolver::statistics()).
@@ -202,32 +202,6 @@ void isopredict::engine::writeJobFields(JsonWriter &J, const JobResult &R,
           J.str("name", P.Name);
           J.num("literals", P.Literals);
           J.num("seconds", P.Seconds);
-          J.closeObject();
-        }
-        J.closeArray();
-      }
-      // Portfolio race record (EngineOptions::PortfolioLanes). Which
-      // lane wins is run-dependent, so the whole block is
-      // timings-gated — single-lane and portfolio runs of the same
-      // campaign emit identical default reports.
-      if (!R.WinningLane.empty())
-        J.str("winning_lane", R.WinningLane);
-      if (!R.Lanes.empty()) {
-        J.openArray("lanes");
-        for (const LaneResult &L : R.Lanes) {
-          J.openElement();
-          J.str("lane", L.Name);
-          J.boolean("prune", L.Prune);
-          J.str("result", toString(L.Outcome));
-          if (L.Canceled)
-            J.boolean("canceled", true);
-          if (L.TimedOut)
-            J.boolean("timeout", true);
-          J.num("literals", L.Literals);
-          J.num("gen_seconds", L.GenSeconds);
-          J.num("solve_seconds", L.SolveSeconds);
-          J.num("seconds", L.Seconds);
-          writeSolverStats(J, L.Stats);
           J.closeObject();
         }
         J.closeArray();
@@ -282,6 +256,21 @@ std::optional<uint64_t> wantU64(const JsonValue &Obj, const char *Key,
     return std::nullopt;
   }
   return static_cast<uint64_t>(*V);
+}
+
+/// wantU64 for fields stored as `unsigned`: a larger value would wrap
+/// (a spec's timeout_ms 2^32 into 0, "no timeout": a different spec).
+std::optional<unsigned> wantUnsigned(const JsonValue &Obj, const char *Key,
+                                     std::string *Error) {
+  std::optional<uint64_t> V = wantU64(Obj, Key, Error);
+  if (!V)
+    return std::nullopt;
+  if (*V > std::numeric_limits<unsigned>::max()) {
+    setError(Error, formatString("job entry: '%s' is out of range (at most %u)",
+                                 Key, std::numeric_limits<unsigned>::max()));
+    return std::nullopt;
+  }
+  return static_cast<unsigned>(*V);
 }
 
 std::optional<bool> wantBool(const JsonValue &Obj, const char *Key,
@@ -392,13 +381,13 @@ isopredict::engine::jobSpecFromJson(const JsonValue &Obj, std::string *Error) {
     return std::nullopt;
   S.App = *App;
 
-  std::optional<uint64_t> Sessions = wantU64(Obj, "sessions", Error);
-  std::optional<uint64_t> Txns = wantU64(Obj, "txns_per_session", Error);
+  std::optional<unsigned> Sessions = wantUnsigned(Obj, "sessions", Error);
+  std::optional<unsigned> Txns = wantUnsigned(Obj, "txns_per_session", Error);
   std::optional<uint64_t> Seed = wantU64(Obj, "seed", Error);
   if (!Sessions || !Txns || !Seed)
     return std::nullopt;
-  S.Cfg.Sessions = static_cast<unsigned>(*Sessions);
-  S.Cfg.TxnsPerSession = static_cast<unsigned>(*Txns);
+  S.Cfg.Sessions = *Sessions;
+  S.Cfg.TxnsPerSession = *Txns;
   S.Cfg.Seed = *Seed;
 
   std::optional<std::string> Level = wantStr(Obj, "level", Error);
@@ -428,14 +417,14 @@ isopredict::engine::jobSpecFromJson(const JsonValue &Obj, std::string *Error) {
   S.Pco = *P;
 
   std::optional<uint64_t> StoreSeed = wantU64(Obj, "store_seed", Error);
-  std::optional<uint64_t> TimeoutMs = wantU64(Obj, "timeout_ms", Error);
+  std::optional<unsigned> TimeoutMs = wantUnsigned(Obj, "timeout_ms", Error);
   std::optional<bool> Validate = wantBool(Obj, "validate", Error);
   std::optional<bool> CheckSer =
       wantBool(Obj, "check_serializability", Error);
   if (!StoreSeed || !TimeoutMs || !Validate || !CheckSer)
     return std::nullopt;
   S.StoreSeed = *StoreSeed;
-  S.TimeoutMs = static_cast<unsigned>(*TimeoutMs);
+  S.TimeoutMs = *TimeoutMs;
   S.Validate = *Validate;
   S.CheckSerializability = *CheckSer;
   // Added with the prune field (tool version 5). A file that omits it
@@ -444,12 +433,12 @@ isopredict::engine::jobSpecFromJson(const JsonValue &Obj, std::string *Error) {
   // Stream entries always carry their window/chunk (they are part of
   // the canonical spec for this kind); other kinds never do.
   if (S.Kind == JobKind::Stream) {
-    std::optional<uint64_t> Window = wantU64(Obj, "window", Error);
-    std::optional<uint64_t> Chunk = wantU64(Obj, "chunk", Error);
+    std::optional<unsigned> Window = wantUnsigned(Obj, "window", Error);
+    std::optional<unsigned> Chunk = wantUnsigned(Obj, "chunk", Error);
     if (!Window || !Chunk)
       return std::nullopt;
-    S.Window = static_cast<unsigned>(*Window);
-    S.StreamChunk = static_cast<unsigned>(*Chunk);
+    S.Window = *Window;
+    S.StreamChunk = *Chunk;
   }
 
   // The recorded hash must re-derive from the reconstructed spec: a
@@ -492,18 +481,20 @@ isopredict::engine::jobResultFromJson(const JsonValue &Obj,
     return R;
   }
 
-  std::optional<uint64_t> Committed = wantU64(Obj, "committed_txns", Error);
-  std::optional<uint64_t> Reads = wantU64(Obj, "reads", Error);
-  std::optional<uint64_t> Writes = wantU64(Obj, "writes", Error);
-  std::optional<uint64_t> ReadOnly = wantU64(Obj, "read_only_txns", Error);
-  std::optional<uint64_t> Aborted = wantU64(Obj, "aborted_txns", Error);
+  std::optional<unsigned> Committed =
+      wantUnsigned(Obj, "committed_txns", Error);
+  std::optional<unsigned> Reads = wantUnsigned(Obj, "reads", Error);
+  std::optional<unsigned> Writes = wantUnsigned(Obj, "writes", Error);
+  std::optional<unsigned> ReadOnly =
+      wantUnsigned(Obj, "read_only_txns", Error);
+  std::optional<unsigned> Aborted = wantUnsigned(Obj, "aborted_txns", Error);
   if (!Committed || !Reads || !Writes || !ReadOnly || !Aborted)
     return std::nullopt;
-  R.CommittedTxns = static_cast<unsigned>(*Committed);
-  R.Reads = static_cast<unsigned>(*Reads);
-  R.Writes = static_cast<unsigned>(*Writes);
-  R.ReadOnlyTxns = static_cast<unsigned>(*ReadOnly);
-  R.AbortedTxns = static_cast<unsigned>(*Aborted);
+  R.CommittedTxns = *Committed;
+  R.Reads = *Reads;
+  R.Writes = *Writes;
+  R.ReadOnlyTxns = *ReadOnly;
+  R.AbortedTxns = *Aborted;
 
   if ((S.Kind == JobKind::Predict || S.Kind == JobKind::Stream) &&
       !readAnswer(Obj, R, Error))
@@ -540,8 +531,9 @@ isopredict::engine::jobResultFromJson(const JsonValue &Obj,
         return std::nullopt;
       }
       StreamStep St;
-      std::optional<uint64_t> Txns = wantU64(SV, "txns", Error);
-      std::optional<uint64_t> WinTxns = wantU64(SV, "window_txns", Error);
+      std::optional<unsigned> Txns = wantUnsigned(SV, "txns", Error);
+      std::optional<unsigned> WinTxns =
+          wantUnsigned(SV, "window_txns", Error);
       std::optional<std::string> StRes = wantStr(SV, "result", Error);
       if (!Txns || !WinTxns || !StRes)
         return std::nullopt;
@@ -550,8 +542,8 @@ isopredict::engine::jobResultFromJson(const JsonValue &Obj,
         setError(Error, "job entry: unknown step result '" + *StRes + "'");
         return std::nullopt;
       }
-      St.Txns = static_cast<unsigned>(*Txns);
-      St.WindowTxns = static_cast<unsigned>(*WinTxns);
+      St.Txns = *Txns;
+      St.WindowTxns = *WinTxns;
       St.Outcome = *SO;
       St.TimedOut = optBool(SV, "timeout");
       St.EpochRebuild = optBool(SV, "epoch_rebuild");
@@ -574,10 +566,11 @@ isopredict::engine::jobResultFromJson(const JsonValue &Obj,
     R.Serializability = *SR;
   }
   if (S.Kind == JobKind::LockingRc) {
-    std::optional<uint64_t> Deadlocks = wantU64(Obj, "deadlock_aborts", Error);
+    std::optional<unsigned> Deadlocks =
+        wantUnsigned(Obj, "deadlock_aborts", Error);
     if (!Deadlocks)
       return std::nullopt;
-    R.DeadlockAborts = static_cast<unsigned>(*Deadlocks);
+    R.DeadlockAborts = *Deadlocks;
   }
 
   if (const JsonValue *Failed = Obj.field("failed_assertions")) {
@@ -622,29 +615,6 @@ isopredict::engine::jobResultFromJson(const JsonValue &Obj,
         PS.Literals = optU64(P, "literals");
         PS.Seconds = optDouble(P, "seconds");
         R.Stats.Passes.push_back(std::move(PS));
-      }
-  R.WinningLane = optStr(Obj, "winning_lane");
-  if (const JsonValue *Lanes = Obj.field("lanes"))
-    if (Lanes->K == JsonValue::Kind::Array)
-      for (const JsonValue &L : Lanes->Items) {
-        if (L.K != JsonValue::Kind::Object) {
-          setError(Error, "job entry: ill-typed lanes element");
-          return std::nullopt;
-        }
-        LaneResult LR;
-        LR.Name = optStr(L, "lane");
-        LR.Prune = optBool(L, "prune");
-        if (std::optional<SmtResult> O =
-                smtResultFromString(optStr(L, "result")))
-          LR.Outcome = *O;
-        LR.Canceled = optBool(L, "canceled");
-        LR.TimedOut = optBool(L, "timeout");
-        LR.Literals = optU64(L, "literals");
-        LR.GenSeconds = optDouble(L, "gen_seconds");
-        LR.SolveSeconds = optDouble(L, "solve_seconds");
-        LR.Seconds = optDouble(L, "seconds");
-        readSolverStats(L, LR.Stats);
-        R.Lanes.push_back(std::move(LR));
       }
   return R;
 }

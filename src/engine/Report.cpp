@@ -269,22 +269,4 @@ void Report::printSummary(FILE *Out) const {
   if (CacheHits || CacheMisses)
     std::fprintf(Out, "cache: %u hit(s), %u miss(es)\n", CacheHits,
                  CacheMisses);
-  unsigned Raced = 0, LanesCanceled = 0, Rescued = 0;
-  for (const JobResult &R : Results) {
-    if (R.Lanes.empty())
-      continue;
-    ++Raced;
-    for (const LaneResult &L : R.Lanes)
-      LanesCanceled += L.Canceled;
-    // A rescue: the reference lane — the configuration a single-lane
-    // run would have been stuck with — timed out, but some lane still
-    // delivered the definitive answer this result carries.
-    if (!R.WinningLane.empty() && R.Lanes.front().TimedOut)
-      ++Rescued;
-  }
-  if (Raced)
-    std::fprintf(Out,
-                 "portfolio: %u raced job(s), %u canceled lane(s), "
-                 "%u rescued timeout(s)\n",
-                 Raced, LanesCanceled, Rescued);
 }

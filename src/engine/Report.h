@@ -42,32 +42,6 @@ namespace engine {
 /// any job's outcome for an unchanged JobSpec.
 const char *toolVersion();
 
-/// What one portfolio lane did within a Predict job (src/portfolio/).
-/// Present only on results produced under EngineOptions::PortfolioLanes;
-/// run-dependent (which lane wins is a race), so lanes are emitted only
-/// under ReportOptions::IncludeTimings.
-struct LaneResult {
-  /// portfolio::LaneSpec::Name ("reference", "pruned", ...).
-  std::string Name;
-  bool Prune = false;
-  /// The lane's own answer (Unknown for canceled lanes); the job's
-  /// Outcome comes from the winning lane only.
-  SmtResult Outcome = SmtResult::Unknown;
-  /// The lane was interrupted by the winner (or started after the race
-  /// was decided).
-  bool Canceled = false;
-  /// The lane's solver hit the job's timeout budget (a genuine
-  /// timeout, never an interrupt).
-  bool TimedOut = false;
-  double GenSeconds = 0;
-  double SolveSeconds = 0;
-  uint64_t Literals = 0;
-  /// Lane wall-clock from launch to completion.
-  double Seconds = 0;
-  /// The lane's Z3 search statistics.
-  SolverStatistics Stats;
-};
-
 /// One step of a Stream job: the query answered after the step's
 /// transaction slice was fed to the session. Outcome fields are
 /// deterministic and land in default report bytes (the kind is new, so
@@ -138,29 +112,18 @@ struct JobResult {
 
   /// An Unknown Outcome was caused by the solver hitting the job's
   /// timeout budget rather than genuine incompleteness. Emitted as
-  /// "timeout": true (only when set) so report consumers — and the
-  /// solve portfolio — can separate the two; an unchanged campaign
-  /// without timeouts emits unchanged bytes.
+  /// "timeout": true (only when set) so report consumers can separate
+  /// the two; an unchanged campaign without timeouts emits unchanged
+  /// bytes.
   bool TimedOut = false;
 
   /// The job was cut short deliberately rather than by a timeout or
   /// incompleteness: its solve was interrupted (SmtSolver::interruptAll
   /// on SIGINT or a server drain; Outcome is then Unknown), or a
-  /// stopped run skipped it (Ok false). A losing portfolio lane's
-  /// interrupt never surfaces here — it is not the job's answer.
-  /// Round-tripped like "timeout" so cache entries and lane records
-  /// keep the distinction.
+  /// stopped run skipped it (Ok false). Round-tripped like "timeout"
+  /// so reports and the server keep the distinction (cache::cacheable
+  /// refuses canceled results).
   bool Canceled = false;
-
-  //===-- Portfolio (EngineOptions::PortfolioLanes) -----------------------===
-  /// Name of the lane whose answer this result carries; empty for
-  /// single-lane runs and no-winner races. Informational (which lane
-  /// wins is a race): report_diff never treats it as a regression, and
-  /// it is emitted only under IncludeTimings.
-  std::string WinningLane;
-  /// Per-lane records of the race, in lane order (index 0 = the
-  /// reference lane). Emitted only under IncludeTimings.
-  std::vector<LaneResult> Lanes;
 
   /// Per-query Z3 search statistics (Predict jobs that reached the
   /// solver). Run-dependent magnitudes: emitted only under

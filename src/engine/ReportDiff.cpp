@@ -103,14 +103,6 @@ void compareJobs(const std::string &Key, const JsonValue &A,
               LitB = scalarField(B, "literals");
   if (LitA != LitB)
     emit("literals", LitA, LitB, /*informational*/ false);
-
-  // Which portfolio lane won is a race (and absent entirely from
-  // single-lane reports): a changed winner is never a regression, the
-  // delta only explains why run-dependent fields moved.
-  std::string LaneA = scalarField(A, "winning_lane"),
-              LaneB = scalarField(B, "winning_lane");
-  if (LaneA != LaneB)
-    emit("winning_lane", LaneA, LaneB, /*informational*/ false);
 }
 
 } // namespace

@@ -24,7 +24,7 @@
 ///
 /// This replaces ad-hoc fprintf(stderr) in the server and campaign
 /// CLIs — notably the slow-query log, which records every query over a
-/// configured threshold with its tenant, spec hash, winning lane, and
+/// configured threshold with its tenant, spec hash, outcome, and
 /// Z3 solver statistics.
 ///
 //===----------------------------------------------------------------------===//

@@ -57,7 +57,6 @@ constexpr const char *CatSolver = "solver";
 constexpr const char *CatCache = "cache";
 constexpr const char *CatValidate = "validate";
 constexpr const char *CatExtract = "extract";
-constexpr const char *CatPortfolio = "portfolio";
 
 class Tracer {
 public:

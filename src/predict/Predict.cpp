@@ -63,6 +63,12 @@ const char *isopredict::pcoEncodingValidNames() { return "rank"; }
 
 Prediction isopredict::predict(const History &Observed,
                                const PredictOptions &Opts) {
-  // A lane nobody races: the one-shot session path, history not copied.
-  return PredictSession::makeLane(Observed, Opts)->solveLane();
+  // The one-shot session path: root scope, history not copied.
+  PredictSession S(Observed, Opts, /*Shared=*/false);
+  PredictSession::QueryOptions Q;
+  Q.Level = Opts.Level;
+  Q.Strat = Opts.Strat;
+  Q.TimeoutMs = Opts.TimeoutMs;
+  Q.GenerateOnly = Opts.GenerateOnly;
+  return S.runQuery(Q);
 }

@@ -45,7 +45,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace isopredict {
@@ -106,12 +105,6 @@ struct PredictOptions {
   /// witnesses, and literal counts differ. Data, not a code path: the
   /// passes have one body either way.
   bool PruneFormula = true;
-  /// Extra Z3 solver parameters applied after solver creation
-  /// (name = value, via SmtSolver::setOption). Portfolio lanes use these
-  /// for sat/unsat-preserving heuristic presets ("smt.arith.solver",
-  /// "smt.random_seed", ...); they never change the encoded formula, so
-  /// they are not part of the canonical job spec.
-  std::vector<std::pair<std::string, std::string>> SolverParams;
 };
 
 /// Literals emitted and wall-clock spent by one encoding pass (the
@@ -127,9 +120,9 @@ struct PassStats {
 struct EncodingStats {
   /// Literals of the formula the query solves first (for an Approx
   /// query, its exact stage). Whether the rank-encoding fallback runs
-  /// depends on that stage's answer, which a canceled portfolio lane
-  /// never learns, so its literals are counted apart: NumLiterals is
-  /// the same however far a query got.
+  /// depends on that stage's answer, which a canceled query never
+  /// learns, so its literals are counted apart: NumLiterals is the
+  /// same however far a query got.
   uint64_t NumLiterals = 0;
   /// Literals of an Approx query's rank-encoding fallback; 0 when it
   /// did not run.
@@ -158,10 +151,10 @@ struct Prediction {
   /// genuine incompleteness unknown. Always false for decided results.
   bool TimedOut = false;
   /// True when Result == Unknown because *we* interrupted the solve
-  /// (SmtSolver::interrupt — a losing portfolio lane), never because of
-  /// a timeout or incompleteness. Mutually exclusive with TimedOut: a
-  /// canceled query does not count against solver.timeouts, and a
-  /// canceled lane must never surface as a job's outcome.
+  /// (SmtSolver::interruptAll on SIGINT or server shutdown), never
+  /// because of a timeout or incompleteness. Mutually exclusive with
+  /// TimedOut: a canceled query does not count against solver.timeouts,
+  /// and is never cached (cache::cacheable).
   bool Canceled = false;
   /// Z3 search statistics for this query's check() (Collected == false
   /// when the query skipped the solver, i.e. GenerateOnly).

@@ -7,12 +7,12 @@
 // non-streaming session adds the hb closure to that prefix
 // (EncoderPipeline::forClosure); every query then runs the per-query
 // passes (EncoderPipeline::forQuery) inside one solver push/pop scope.
-// One-shot predict() and portfolio lanes run the very same passes
-// through runQuery() at root scope, without the scope and without
-// session.* telemetry. An Approx query runs up to two stages (runStage):
-// the exact formula, then the rank encoding when the first stage
-// cannot settle the answer — in its own scope for sessions, on a fresh
-// solver for one-shot queries.
+// One-shot predict() runs the very same passes through runQuery() at
+// root scope, without the scope and without session.* telemetry. An
+// Approx query runs up to two stages (runStage): the exact formula,
+// then the rank encoding when the first stage cannot settle the answer
+// — in its own scope for sessions, on a fresh solver for one-shot
+// queries.
 //
 //===----------------------------------------------------------------------===//
 
@@ -120,10 +120,11 @@ void recordCheckOutcome(SmtSolver &Solver, unsigned TimeoutMs,
   if (Out.Result != SmtResult::Unknown)
     return;
   if (Solver.interrupted()) {
-    // We canceled this solve ourselves (a losing portfolio lane). Z3's
-    // reason string says "canceled" for interrupts and timeouts alike,
-    // so the solver-side flag is the discriminator: a canceled lane is
-    // not a timeout and must not poison the solver.timeouts metric.
+    // We canceled this solve ourselves (SmtSolver::interruptAll on
+    // SIGINT or server shutdown). Z3's reason string says "canceled"
+    // for interrupts and timeouts alike, so the solver-side flag is the
+    // discriminator: a canceled query is not a timeout and must not
+    // poison the solver.timeouts metric.
     Out.Canceled = true;
     static obs::Counter &Canceled =
         obs::Metrics::global().counter("solver.interrupts");
@@ -191,27 +192,17 @@ void PredictSession::ensureSolver() {
     return;
   Ctx = std::make_unique<SmtContext>();
   Solver = std::make_unique<SmtSolver>(*Ctx);
-  for (const auto &Param : Opts.SolverParams)
-    Solver->setOption(Param.first, Param.second);
   EC = std::make_unique<encode::EncodingContext>(
       Streaming ? SubH : H, Opts, *Ctx, *Solver, Streaming);
-  // Publish the solver for cross-thread interrupt(), and apply a sticky
-  // request that arrived before it existed.
-  std::lock_guard<std::mutex> Lock(PublishMu);
-  PublishedSolver = Solver.get();
   if (InterruptRequested)
     Solver->interrupt();
 }
 
 void PredictSession::dropSolver() {
-  {
-    std::lock_guard<std::mutex> Lock(PublishMu);
-    PublishedSolver = nullptr;
-    // An interrupt that reached only the old solver (SmtSolver::
-    // interruptAll) stays sticky for its successor.
-    if (Solver && Solver->interrupted())
-      InterruptRequested = true;
-  }
+  // An interrupt that reached only the old solver (SmtSolver::
+  // interruptAll) stays sticky for its successor.
+  if (Solver && Solver->interrupted())
+    InterruptRequested = true;
   EC.reset();
   Solver.reset();
   Ctx.reset();
@@ -388,7 +379,7 @@ PredictSession::ExtendStats PredictSession::extend(const History &Delta) {
     ES.EpochRebuild = true;
     rebuildSub();
     dropSolver();
-    ensureBase(); // Re-publishes the solver for interrupt().
+    ensureBase();
     ES.GenSeconds = BaseStats.GenSeconds;
     ES.NumLiterals = BaseStats.NumLiterals;
   } else {
@@ -412,30 +403,6 @@ PredictSession::ExtendStats PredictSession::extend(const History &Delta) {
   ++Extends;
   ES.WindowTxns = SubH.numTxns();
   return ES;
-}
-
-std::unique_ptr<PredictSession>
-PredictSession::makeLane(const History &Observed, const PredictOptions &O) {
-  // Not make_unique: the one-shot constructor is private.
-  return std::unique_ptr<PredictSession>(
-      new PredictSession(Observed, O, /*Shared=*/false));
-}
-
-Prediction PredictSession::solveLane() {
-  assert(!Shared && "lanes are one-shot sessions");
-  QueryOptions Q;
-  Q.Level = Opts.Level;
-  Q.Strat = Opts.Strat;
-  Q.TimeoutMs = Opts.TimeoutMs;
-  Q.GenerateOnly = Opts.GenerateOnly;
-  return runQuery(Q);
-}
-
-void PredictSession::interrupt() {
-  std::lock_guard<std::mutex> Lock(PublishMu);
-  InterruptRequested = true;
-  if (PublishedSolver)
-    PublishedSolver->interrupt();
 }
 
 Prediction PredictSession::runQuery(const QueryOptions &Q) {

@@ -29,13 +29,13 @@
 ///    counts per pass. A session asserts the hb closure at root scope
 ///    the first time a causal query needs it and reuses it after.
 ///    Only the solver scope differs: a session query asserts its
-///    passes inside a push/pop scope, while predict() (and a portfolio
-///    lane's solveLane()) asserts everything at root scope. Z3 switches
-///    to its incremental solver once push() is called (a capped attempt
-///    there, then a one-shot re-solve), so models — and therefore
-///    boundary/cut positions, witnesses, and validation outcomes — may
-///    legitimately differ between the two, and so may which queries a
-///    tight budget decides; sat/unsat never does.
+///    passes inside a push/pop scope, while predict() asserts
+///    everything at root scope. Z3 switches to its incremental solver
+///    once push() is called (a capped attempt there, then a one-shot
+///    re-solve), so models — and therefore boundary/cut positions,
+///    witnesses, and validation outcomes — may legitimately differ
+///    between the two, and so may which queries a tight budget decides;
+///    sat/unsat never does.
 ///    An Approx query that falls back to the rank encoding re-encodes
 ///    the base on a fresh solver when it is one-shot (its stats then
 ///    list the base passes twice) and reuses the base in a session.
@@ -59,7 +59,6 @@
 #include "predict/Predict.h"
 
 #include <memory>
-#include <mutex>
 
 namespace isopredict {
 
@@ -166,9 +165,7 @@ public:
   /// \p Delta is copied too (the caller's fragment is unchanged and
   /// may be discarded). observed() is the one view of the full
   /// extended history and is invalidated-by-growth only (ids and
-  /// indexes of existing transactions never change). Portfolio lanes
-  /// (makeLane) reference the *caller's* history and must not be mixed
-  /// with extend().
+  /// indexes of existing transactions never change).
   ExtendStats extend(const History &Delta);
 
   /// Extends answered so far.
@@ -216,44 +213,20 @@ public:
 
   const History &observed() const { return H; }
 
-  //===--------------------------------------------------------------------===
-  // Portfolio lanes (src/portfolio/)
-  //===--------------------------------------------------------------------===
-  //
-  // A lane is a caller-owned one-shot session: construction is cheap (no
-  // Z3 state until solveLane), solveLane() runs the root-scope query
-  // predict() runs — predict() is a lane nobody races, so a lane with the
-  // query's own options is bit-identical to single-lane mode — and
-  // interrupt() may cancel the solve from another thread. A lane does
-  // NOT copy the history: the caller's History must outlive the lane
-  // (all lanes of one race share one read-only observed history).
-
-  /// Creates a lane for \p Observed with the given effective options
-  /// (including PredictOptions::SolverParams presets).
-  static std::unique_ptr<PredictSession> makeLane(const History &Observed,
-                                                  const PredictOptions &Opts);
-
-  /// Runs the one root-scope query with the options given to makeLane().
-  /// Generation always runs to completion even when interrupted (the
-  /// literal count stays deterministic); only the solver check is
-  /// skipped or canceled. Call at most once, from the lane's own thread.
-  Prediction solveLane();
-
-  /// Requests cancellation of this lane's solve. Safe from any thread,
-  /// before or during solveLane(): the request is sticky, and the
-  /// underlying SmtSolver::interrupt is issued as soon as the solver
-  /// exists. The canceled query reports Prediction::Canceled.
-  void interrupt();
-
 private:
+  /// predict() is a one-shot session: it builds one with the private
+  /// constructor and answers its single query at root scope.
+  friend Prediction predict(const History &Observed,
+                            const PredictOptions &Opts);
+
   PredictSession(const History &Observed, const PredictOptions &Opts,
                  bool Shared, bool Streaming = false, unsigned Window = 0);
 
   /// Creates the Z3 context/solver/encoding context on first use.
   void ensureSolver();
 
-  /// Destroys the solver state (unpublishing it for interrupt() first);
-  /// the next ensureBase() re-encodes the base on a fresh solver.
+  /// Destroys the solver state; the next ensureBase() re-encodes the
+  /// base on a fresh solver.
   void dropSolver();
 
   /// Non-streaming, after ensureBase(): asserts the hb closure at root
@@ -309,8 +282,8 @@ private:
   PredictOptions Opts;
   /// True for sessions answering query(): each query runs inside a
   /// push/pop scope and is counted under session.* metrics and spans.
-  /// False for one-shot lanes (predict(), portfolio), which assert the
-  /// same passes at root scope and emit no session.* telemetry.
+  /// False for one-shot predict(), which asserts the same passes at
+  /// root scope and emits no session.* telemetry.
   const bool Shared;
   const bool Streaming;
   const unsigned Window;
@@ -337,14 +310,11 @@ private:
   std::unique_ptr<SmtSolver> Solver;
   std::unique_ptr<encode::EncodingContext> EC;
 
-  /// Cross-thread cancellation handshake, guarded by PublishMu:
-  /// interrupt() sets the sticky request and forwards to the published
-  /// solver; ensureSolver() publishes a new solver and applies a pending
-  /// request; dropSolver() unpublishes before destroying, so an
-  /// interrupt never reaches a dead solver and is never lost.
-  std::mutex PublishMu;
+  /// Set by dropSolver() when the solver it destroys was interrupted
+  /// (SmtSolver::interruptAll), and applied by ensureSolver() to the
+  /// next one: a one-shot Approx query drops its stage-1 solver before
+  /// the rank stage, and the cancel must not be lost across that gap.
   bool InterruptRequested = false;
-  SmtSolver *PublishedSolver = nullptr;
 
   EncodingStats BaseStats;
   bool BaseDone = false;

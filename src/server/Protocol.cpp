@@ -6,6 +6,8 @@
 #include "engine/JobIo.h"
 #include "support/StrUtil.h"
 
+#include <limits>
+
 using namespace isopredict;
 using namespace isopredict::server;
 using engine::JobSpec;
@@ -61,6 +63,23 @@ bool readUint(const JsonValue &Obj, const char *Name, uint64_t &Out,
     return false;
   }
   Out = static_cast<uint64_t>(*N);
+  return true;
+}
+
+/// readUint for spec fields stored as `unsigned`: a larger value would
+/// wrap ("timeout_ms": 2^32 into 0, "no timeout") into a different spec.
+bool readUnsigned(const JsonValue &Obj, const char *Name, unsigned &Out,
+                  std::string *Error) {
+  uint64_t V = Out;
+  if (!readUint(Obj, Name, V, Error))
+    return false;
+  if (V > std::numeric_limits<unsigned>::max()) {
+    if (Error)
+      *Error = formatString("field \"%s\" must be at most %u", Name,
+                            std::numeric_limits<unsigned>::max());
+    return false;
+  }
+  Out = static_cast<unsigned>(V);
   return true;
 }
 
@@ -125,7 +144,9 @@ std::optional<JobSpec> server::parseQuerySpec(const JsonValue &Spec,
         Sess = parseInt(Parts[0]);
         Txns = parseInt(Parts[1]);
       }
-      if (!Sess || !Txns || *Sess <= 0 || *Txns <= 0) {
+      constexpr int64_t Max = std::numeric_limits<unsigned>::max();
+      if (!Sess || !Txns || *Sess <= 0 || *Txns <= 0 || *Sess > Max ||
+          *Txns > Max) {
         if (Error)
           *Error = "field \"workload\" must be \"small\", \"large\" or "
                    "\"<sessions>x<txns>\"";
@@ -136,17 +157,11 @@ std::optional<JobSpec> server::parseQuerySpec(const JsonValue &Spec,
     }
   }
 
-  uint64_t Sessions = S.Cfg.Sessions, Txns = S.Cfg.TxnsPerSession,
-           Seed = S.Cfg.Seed, StoreSeed = S.StoreSeed;
-  if (!readUint(Spec, "sessions", Sessions, Error) ||
-      !readUint(Spec, "txns_per_session", Txns, Error) ||
-      !readUint(Spec, "seed", Seed, Error) ||
-      !readUint(Spec, "store_seed", StoreSeed, Error))
+  if (!readUnsigned(Spec, "sessions", S.Cfg.Sessions, Error) ||
+      !readUnsigned(Spec, "txns_per_session", S.Cfg.TxnsPerSession, Error) ||
+      !readUint(Spec, "seed", S.Cfg.Seed, Error) ||
+      !readUint(Spec, "store_seed", S.StoreSeed, Error))
     return std::nullopt;
-  S.Cfg.Sessions = static_cast<unsigned>(Sessions);
-  S.Cfg.TxnsPerSession = static_cast<unsigned>(Txns);
-  S.Cfg.Seed = Seed;
-  S.StoreSeed = StoreSeed;
 
   if (!parseQueryOptions(Spec, S, Error))
     return std::nullopt;
@@ -188,10 +203,8 @@ bool server::parseQueryOptions(const JsonValue &Obj, JobSpec &S,
     }
     S.Pco = *Pco;
   }
-  uint64_t TimeoutMs = S.TimeoutMs;
-  if (!readUint(Obj, "timeout_ms", TimeoutMs, Error))
+  if (!readUnsigned(Obj, "timeout_ms", S.TimeoutMs, Error))
     return false;
-  S.TimeoutMs = static_cast<unsigned>(TimeoutMs);
   return readBool(Obj, "prune", S.Prune, Error);
 }
 

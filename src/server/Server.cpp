@@ -55,7 +55,7 @@ void countRequest(const Tenant *T, const std::string &Verb, bool Ok) {
 }
 
 /// The executor's settings: the server shares the batch result cache
-/// and never shares encodings, races lanes or streams jobs.
+/// and never shares encodings or streams jobs.
 engine::EngineOptions executorOptions(const ServerOptions &O) {
   engine::EngineOptions E;
   E.CacheDir = O.CacheDir;
@@ -710,8 +710,6 @@ void Server::executeQuery(QueryJob &Job) {
         {"outcome", Outcome},
         {"answered_by", engine::toString(A.By)},
     };
-    if (!R.WinningLane.empty())
-      Fields.emplace_back("lane", R.WinningLane);
     Fields.emplace_back("solver_conflicts",
                         std::to_string(R.SolverStats.Conflicts));
     Fields.emplace_back("solver_decisions",

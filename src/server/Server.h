@@ -60,7 +60,7 @@ struct ServerOptions {
   /// Result-cache root shared with batch runs; empty = no cache.
   std::string CacheDir;
   /// Queries slower than this log a structured `slow_query` event (with
-  /// tenant, spec hash, winning lane and Z3 solver stats) and count in
+  /// tenant, spec hash, outcome and Z3 solver stats) and count in
   /// server.slow_queries{tenant}. Fractional values allow
   /// sub-millisecond thresholds; 0 disables.
   double SlowQueryMs = 1000;

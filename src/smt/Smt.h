@@ -220,13 +220,13 @@ public:
   /// Sets one solver parameter by name ("smt.arith.solver", "smt.random_seed",
   /// "smt.relevancy", ...). The value string is sniffed: all-digits becomes a
   /// uint, "true"/"false" a bool, anything else a symbol. Only
-  /// sat/unsat-preserving heuristic knobs belong here (portfolio lane
-  /// presets); an unknown parameter name is a fatal Z3 error. Options
-  /// also reach the fallback solver of a scoped check().
+  /// sat/unsat-preserving knobs belong here (heuristic presets, a
+  /// resource limit); an unknown parameter name is a fatal Z3 error.
+  /// Options also reach the fallback solver of a scoped check().
   void setOption(const std::string &Name, const std::string &Value);
 
   //===--------------------------------------------------------------------===
-  // Cross-thread cancellation (portfolio lanes)
+  // Cross-thread cancellation (SIGINT, server shutdown)
   //===--------------------------------------------------------------------===
   //
   // All other members of SmtSolver/SmtContext are single-owner-thread

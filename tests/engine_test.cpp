@@ -13,8 +13,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <set>
+#include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
 
@@ -632,26 +634,173 @@ TEST(Engine, InterruptedPredictJobIsCanceled) {
   EXPECT_FALSE(R.TimedOut);
 }
 
-// buildLanes never returns more than the lane taxonomy, so the executor
-// must not report more: Engine::run divides its worker pool by
-// portfolioLanes(), and an unclamped --jobs 12 --portfolio=12 would run
-// one job at a time on at most 5 lane threads.
-TEST(Executor, PortfolioLanesAreClampedToTheTaxonomy) {
-  auto lanesFor = [](unsigned Requested) {
-    EngineOptions O;
-    O.PortfolioLanes = Requested;
-    return Executor(O).portfolioLanes();
-  };
-  EXPECT_EQ(lanesFor(0), 0u);
-  EXPECT_EQ(lanesFor(1), 0u);
-  EXPECT_EQ(lanesFor(4), 4u);
-  EXPECT_EQ(lanesFor(portfolio::TaxonomySize), portfolio::TaxonomySize);
-  EXPECT_EQ(lanesFor(12), portfolio::TaxonomySize);
+namespace {
 
-  EngineOptions Shared;
-  Shared.PortfolioLanes = 12;
-  Shared.ShareEncodings = true;
-  EXPECT_EQ(Executor(Shared).portfolioLanes(), 0u);
+JobResult approxStrictResult() {
+  JobResult R;
+  R.Spec.Kind = JobKind::Predict;
+  R.Spec.App = "smallbank";
+  R.Spec.Cfg = WorkloadConfig::small(1);
+  R.Spec.Level = IsolationLevel::Causal;
+  R.Spec.Strat = Strategy::ApproxStrict;
+  R.Ok = true;
+  return R;
+}
+
+/// Writes \p R, parses it back, and returns the written JSON in \p Json.
+std::optional<JobResult> roundTrip(const JobResult &R, const ReportOptions &RO,
+                                   std::string &Json) {
+  JsonWriter J;
+  J.openObject();
+  writeJobFields(J, R, RO);
+  J.closeObject();
+  Json = J.take();
+  std::optional<JsonValue> Doc = parseJson(Json);
+  if (!Doc)
+    return std::nullopt;
+  return jobResultFromJson(*Doc);
+}
+
+} // namespace
+
+// "canceled" mirrors "timeout": outcome-shaped (not timing-gated),
+// emitted only when set, and round-trips exactly. interruptAll() is
+// the one source of it (see InterruptedPredictJobIsCanceled).
+TEST(JobIo, CanceledIsDistinctFromTimeout) {
+  JobResult R = approxStrictResult();
+  R.Outcome = SmtResult::Unknown;
+  R.Canceled = true;
+  std::string Json;
+  std::optional<JobResult> Back = roundTrip(R, ReportOptions{}, Json);
+  EXPECT_NE(Json.find("\"canceled\": true"), std::string::npos);
+  EXPECT_EQ(Json.find("\"timeout\""), std::string::npos);
+  ASSERT_TRUE(Back) << Json;
+  EXPECT_TRUE(Back->Canceled);
+  EXPECT_FALSE(Back->TimedOut);
+}
+
+// The timings-gated literal split and solver statistics round-trip
+// byte-exactly (the cache and shard merger re-emit parsed entries),
+// and the deterministic default format carries neither.
+TEST(JobIo, TimingFieldsRoundTrip) {
+  JobResult R = approxStrictResult();
+  R.Outcome = SmtResult::Sat;
+  R.Stats.NumLiterals = 1234;
+  R.Stats.FallbackLiterals = 567;
+  R.SolverStats.Collected = true;
+  R.SolverStats.Conflicts = 42;
+  ReportOptions Timed;
+  Timed.IncludeTimings = true;
+  std::string Json;
+  std::optional<JobResult> Back = roundTrip(R, Timed, Json);
+  ASSERT_TRUE(Back) << Json;
+  EXPECT_EQ(Back->Stats.NumLiterals, 1234u);
+  EXPECT_EQ(Back->Stats.FallbackLiterals, 567u);
+  EXPECT_TRUE(Back->SolverStats.Collected);
+  EXPECT_EQ(Back->SolverStats.Conflicts, 42u);
+  std::string Again;
+  roundTrip(*Back, Timed, Again);
+  EXPECT_EQ(Again, Json);
+
+  std::string Plain;
+  roundTrip(R, ReportOptions{}, Plain);
+  EXPECT_EQ(Plain.find("fallback_literals"), std::string::npos);
+  EXPECT_EQ(Plain.find("solver_stats"), std::string::npos);
+}
+
+// Campaign entries store sessions, txns_per_session, timeout_ms, window
+// and chunk in `unsigned` fields, and report entries their counters. A
+// value above UINT_MAX must be an error: wrapped, it would be a
+// different spec whose hash still matches the entry's (a timeout_ms of
+// 2^32 would be 0, "no timeout"), or a wrong count.
+TEST(JobIo, OutOfRangeUnsignedFieldsAreRejected) {
+  // Rewrites `"Field": Value` in \p Json to Value + 2^32 (which wraps
+  // back to Value) and expects \p Parse to reject it, naming the field.
+  auto rejectsWrapped = [](const std::string &Json, const char *Field,
+                           unsigned Value, auto Parse) {
+    SCOPED_TRACE(Field);
+    std::string Was = formatString("\"%s\": %u", Field, Value);
+    size_t Pos = Json.find(Was);
+    ASSERT_NE(Pos, std::string::npos) << Was << " in " << Json;
+    std::string Wrapped = Json;
+    Wrapped.replace(Pos, Was.size(),
+                    formatString("\"%s\": %llu", Field,
+                                 Value + (1ULL << 32)));
+    std::string Error;
+    std::optional<JsonValue> Doc = parseJson(Wrapped, &Error);
+    ASSERT_TRUE(Doc) << Error;
+    EXPECT_FALSE(Parse(*Doc, &Error));
+    EXPECT_NE(Error.find(formatString("'%s' is out of range", Field)),
+              std::string::npos)
+        << Error;
+  };
+
+  JobSpec S;
+  S.Kind = JobKind::Stream;
+  S.App = "smallbank";
+  S.Cfg = WorkloadConfig::small(1);
+  S.TimeoutMs = 0;
+  S.Window = 2;
+  S.StreamChunk = 3;
+  JsonWriter J;
+  J.openObject();
+  writeJobSpecFields(J, S);
+  J.closeObject();
+  const std::string Spec = J.take();
+  ASSERT_TRUE(jobSpecFromJson(*parseJson(Spec)));
+  const std::pair<const char *, unsigned> SpecFields[] = {
+      {"sessions", 3}, {"txns_per_session", 4}, {"timeout_ms", 0},
+      {"window", 2},   {"chunk", 3}};
+  for (const auto &[Field, Value] : SpecFields)
+    rejectsWrapped(Spec, Field, Value, [](const JsonValue &D, std::string *E) {
+      return jobSpecFromJson(D, E).has_value();
+    });
+
+  JobResult R;
+  R.Spec.Kind = JobKind::Observe;
+  R.Spec.App = "smallbank";
+  R.Ok = true;
+  R.CommittedTxns = 7;
+  JsonWriter JR;
+  JR.openObject();
+  writeJobFields(JR, R, ReportOptions{});
+  JR.closeObject();
+  rejectsWrapped(JR.take(), "committed_txns", 7,
+                 [](const JsonValue &D, std::string *E) {
+                   return jobResultFromJson(D, E).has_value();
+                 });
+}
+
+// campaign_cli's integer flags set `unsigned` options: a value above
+// UINT_MAX is a usage error (exit 2), not wrapped (a --timeout-ms of
+// 2^32 would run with no timeout at all).
+TEST(CampaignCli, OutOfRangeIntegersAreUsageErrors) {
+  const std::string Cli =
+      pathJoin(ISOPREDICT_EXAMPLES_DIR, "campaign_cli");
+  ASSERT_TRUE(pathExists(Cli)) << Cli;
+  auto run = [&](const std::string &Args, std::string &Out) {
+    Out.clear();
+    std::string Cmd =
+        Cli + " --apps voter --seeds 1 --dry-run " + Args + " 2>&1";
+    FILE *P = ::popen(Cmd.c_str(), "r");
+    if (!P)
+      return -1;
+    char Buf[512];
+    while (size_t N = std::fread(Buf, 1, sizeof(Buf), P))
+      Out.append(Buf, N);
+    int Status = ::pclose(P);
+    return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+  };
+  std::string Out;
+  EXPECT_EQ(run("--timeout-ms 4294967295", Out), 0) << Out;
+  for (const char *Args :
+       {"--seeds 4294967297", "--jobs 4294967296", "--timeout-ms 4294967296",
+        "--stream --window 4294967296", "--stream=4294967296",
+        "--write-shards 4294967296", "--shard 4294967297/4294967297"}) {
+    EXPECT_EQ(run(Args, Out), 2) << Args << "\n" << Out;
+    EXPECT_NE(Out.find("4294967295"), std::string::npos)
+        << Args << "\n" << Out;
+  }
 }
 
 namespace {

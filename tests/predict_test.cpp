@@ -566,7 +566,7 @@ TEST(StagedApprox, RwAblationFallsBackToTheRankEncoding) {
         EXPECT_EQ(Staged.Result, Alone);
         EXPECT_TRUE(ranPass(Staged, "exact-strict"));
         // NumLiterals is the exact stage's whether or not the fallback
-        // ran (a portfolio lane canceled in stage 1 reports it too);
+        // ran (a query canceled in stage 1 reports it too);
         // the fallback's literals are counted apart. Under the strict
         // boundary the exact stage is Exact-Strict's formula.
         if (S == Strategy::ApproxStrict) {

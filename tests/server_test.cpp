@@ -137,6 +137,50 @@ TEST(Protocol, LenientSpecFormFillsDefaults) {
   EXPECT_NE(Error.find("dirty"), std::string::npos);
 }
 
+// sessions, txns_per_session, timeout_ms and the "SxT" workload label
+// land in `unsigned` spec fields. A value above UINT_MAX must be
+// rejected: wrapped, "timeout_ms": 4294967296 would be 0 ("no
+// timeout"), and the query would be answered, hashed and cached as
+// that other spec.
+TEST(Protocol, OutOfRangeUnsignedFieldsAreRejected) {
+  std::string Error;
+  for (const char *Field : {"sessions", "txns_per_session", "timeout_ms"}) {
+    std::optional<JsonValue> Obj = parseJson(
+        formatString(R"({"app": "voter", "%s": 4294967296})", Field),
+        &Error);
+    ASSERT_TRUE(Obj.has_value()) << Error;
+    Error.clear();
+    EXPECT_FALSE(parseQuerySpec(*Obj, &Error).has_value()) << Field;
+    EXPECT_NE(Error.find(formatString("field \"%s\" must be at most "
+                                      "4294967295",
+                                      Field)),
+              std::string::npos)
+        << Error;
+  }
+  // History queries read timeout_ms through the query-options form.
+  std::optional<JsonValue> Obj =
+      parseJson(R"({"timeout_ms": 4294967296})", &Error);
+  ASSERT_TRUE(Obj.has_value()) << Error;
+  JobSpec S;
+  EXPECT_FALSE(parseQueryOptions(*Obj, S, &Error));
+  EXPECT_NE(Error.find("\"timeout_ms\""), std::string::npos) << Error;
+
+  for (const char *Label : {"4294967299x4", "3x4294967300"}) {
+    Obj = parseJson(
+        formatString(R"({"app": "voter", "workload": "%s"})", Label), &Error);
+    ASSERT_TRUE(Obj.has_value()) << Error;
+    EXPECT_FALSE(parseQuerySpec(*Obj, &Error).has_value()) << Label;
+    EXPECT_NE(Error.find("\"workload\""), std::string::npos) << Error;
+  }
+
+  // UINT_MAX itself is in range.
+  Obj = parseJson(R"({"app": "voter", "timeout_ms": 4294967295})", &Error);
+  ASSERT_TRUE(Obj.has_value()) << Error;
+  std::optional<JobSpec> Max = parseQuerySpec(*Obj, &Error);
+  ASSERT_TRUE(Max.has_value()) << Error;
+  EXPECT_EQ(Max->TimeoutMs, 4294967295u);
+}
+
 TEST(Protocol, OnlyRankPcoIsAccepted) {
   // "rank" is the only pco encoding; the removed "layered" one bounces
   // with an error naming the field and the accepted spelling.

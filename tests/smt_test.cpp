@@ -343,10 +343,12 @@ TEST(Smt, InterruptBeforeCheckCancelsWithoutEnteringZ3) {
   EXPECT_EQ(Solver.check(), SmtResult::Unknown);
 }
 
-TEST(Smt, SetOptionAcceptsLanePresetParameters) {
-  // The portfolio lane presets (src/portfolio/Portfolio.cpp) stand on
-  // these parameter names existing in Z3's solver descriptor set — an
-  // unknown name is a fatal Z3 error, so this would crash, not fail.
+TEST(Smt, SetOptionAcceptsSolverParameters) {
+  // setOption() sniffs each value's type (uint, bool, symbol) and hands
+  // the name to Z3's solver descriptor set, where an unknown name or a
+  // mistyped value is a fatal Z3 error — so a regression here crashes,
+  // not fails. The scoped check's fallback replays these same calls
+  // (OptionsReachTheFallbackSolver).
   SmtContext Ctx;
   SmtSolver Solver(Ctx);
   Solver.setOption("arith.solver", "2");
