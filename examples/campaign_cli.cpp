@@ -5,7 +5,7 @@
 //
 // Usage:
 //   campaign_cli [--apps a,b] [--levels causal,rc,ra]
-//                [--strategies exact,strict,relaxed] [--sizes small,large]
+//                [--strategies exact,strict,relaxed] [--sizes small,large,SxT]
 //                [--seeds N] [--jobs N] [--timeout-ms N]
 //                [--share-encodings] [--no-prune]
 //                [--stream[=CHUNK]] [--window N] [--stream-from-scratch]
@@ -55,7 +55,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <poll.h>
 #include <string>
 #include <thread>
@@ -75,7 +74,9 @@ int usage(const char *Msg = nullptr) {
       "  --apps a,b,...        applications (default: all bundled)\n"
       "  --levels l,...        causal | rc | ra (default: causal)\n"
       "  --strategies s,...    exact | strict | relaxed (default: relaxed)\n"
-      "  --sizes s,...         small | large (default: small)\n"
+      "  --sizes s,...         small | large | SxT: S sessions of T\n"
+      "                        transactions, e.g. 3x16 (default: small =\n"
+      "                        3x4; large = 3x8)\n"
       "  --seeds N             workload seeds 1..N (default: 5)\n"
       "  --jobs N              worker threads, 0 = all cores (default: 1)\n"
       "  --timeout-ms N        per-query solver timeout (default: 5000)\n"
@@ -125,16 +126,6 @@ int usage(const char *Msg = nullptr) {
       "                        debug adds a job.done event per job)\n"
       "  --log-json            NDJSON log lines instead of text\n");
   return 2;
-}
-
-/// Parses a flag value for an `unsigned` setting: a decimal integer in
-/// [Min, UINT_MAX] (a larger one would wrap), else std::nullopt.
-std::optional<unsigned> parseUnsigned(std::string_view Text,
-                                      unsigned Min = 0) {
-  std::optional<int64_t> N = parseInt(Text);
-  if (!N || *N < Min || *N > std::numeric_limits<unsigned>::max())
-    return std::nullopt;
-  return static_cast<unsigned>(*N);
 }
 
 std::vector<std::string> splitList(const std::string &Arg) {
@@ -210,7 +201,7 @@ int main(int argc, char **argv) {
   std::vector<std::string> Apps = applicationNames();
   std::vector<IsolationLevel> Levels = {IsolationLevel::Causal};
   std::vector<Strategy> Strategies = {Strategy::ApproxRelaxed};
-  std::vector<bool> Larges = {false};
+  std::vector<WorkloadConfig> Shapes = {WorkloadConfig::small(1)};
   unsigned Seeds = 5;
   unsigned Jobs = 1;
   unsigned TimeoutMs = 5000;
@@ -370,15 +361,14 @@ int main(int argc, char **argv) {
       if (!V)
         return usage("--sizes needs a value");
       GridFlagUsed = true;
-      Larges.clear();
+      Shapes.clear();
       for (const std::string &S : splitList(V)) {
-        if (S == "small")
-          Larges.push_back(false);
-        else if (S == "large")
-          Larges.push_back(true);
-        else
-          return usage(
-              ("unknown size '" + S + "' (valid: small, large)").c_str());
+        std::optional<WorkloadConfig> Shape = workloadFromLabel(S, 1);
+        if (!Shape)
+          return usage(("unknown size '" + S +
+                        "' (valid: small, large, SxT such as 3x16)")
+                           .c_str());
+        Shapes.push_back(*Shape);
       }
     } else if (Flag == "--seeds" || Flag == "--jobs" ||
                Flag == "--timeout-ms") {
@@ -457,8 +447,8 @@ int main(int argc, char **argv) {
       return usage("nothing to do (zero seeds or no apps)");
     if (Window && !Stream)
       return usage("--window only applies to --stream jobs");
-    C = Campaign::predictGrid(Name, Apps, Levels, Strategies, Larges, Seeds,
-                              TimeoutMs);
+    C = Campaign::predictShapeGrid(Name, Apps, Levels, Strategies, Shapes,
+                                   Seeds, TimeoutMs);
     for (JobSpec &J : C.Jobs) {
       J.Validate = Validate;
       J.Prune = Prune;

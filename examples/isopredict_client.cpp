@@ -287,10 +287,10 @@ int main(int argc, char **argv) {
       Host = *V;
     } else if (Flag == "--port") {
       auto V = value("--port");
-      auto N = V ? parseInt(*V) : std::nullopt;
-      if (!N || *N <= 0 || *N > 65535)
+      auto N = V ? parseUnsigned(*V, 1, 65535) : std::nullopt;
+      if (!N)
         return usage("--port needs a port number");
-      Port = static_cast<unsigned>(*N);
+      Port = *N;
     } else if (Flag == "--port-file") {
       auto V = value("--port-file");
       if (!V)
@@ -317,6 +317,8 @@ int main(int argc, char **argv) {
       auto V = value(Flag.c_str());
       if (!V)
         return 2;
+      if (Flag == "--burst" && !parseUnsigned(*V, 1))
+        return usage("--burst needs a positive integer (at most 4294967295)");
       Actions.emplace_back(Flag, *V);
     } else {
       return usage(("unknown option '" + Flag + "'").c_str());
@@ -332,10 +334,10 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 1;
     }
-    auto N = parseInt(trimString(Text));
-    if (!N || *N <= 0 || *N > 65535)
+    auto N = parseUnsigned(trimString(Text), 1, 65535);
+    if (!N)
       return usage("--port-file does not contain a port number");
-    Port = static_cast<unsigned>(*N);
+    Port = *N;
   }
   if (!Port)
     return usage("no port (--port or --port-file)");
@@ -520,10 +522,7 @@ int main(int argc, char **argv) {
       J.closeObject();
       C.roundTrip(J.take());
     } else if (Flag == "--burst") {
-      auto N = parseInt(Arg);
-      if (!N || *N < 1)
-        return usage("--burst needs a positive integer");
-      Burst = static_cast<unsigned>(*N);
+      Burst = *parseUnsigned(Arg, 1); // Checked while parsing flags.
     }
   }
 

@@ -97,10 +97,10 @@ int main(int argc, char **argv) {
     } else if (Flag == "--port") {
       if (!needValue("--port"))
         return 2;
-      auto N = parseInt(V);
-      if (!N || *N < 0 || *N > 65535)
+      auto N = parseUnsigned(V, 0, 65535);
+      if (!N)
         return usage("--port needs a port number");
-      Opts.Port = static_cast<unsigned>(*N);
+      Opts.Port = *N;
     } else if (Flag == "--port-file") {
       if (!needValue("--port-file"))
         return 2;
@@ -108,10 +108,11 @@ int main(int argc, char **argv) {
     } else if (Flag == "--workers" || Flag == "--jobs") {
       if (!needValue("--workers"))
         return 2;
-      auto N = parseInt(V);
-      if (!N || *N < 0)
-        return usage("--workers needs a non-negative integer");
-      Opts.Workers = static_cast<unsigned>(*N);
+      auto N = parseUnsigned(V);
+      if (!N)
+        return usage("--workers needs a non-negative integer "
+                     "(at most 4294967295)");
+      Opts.Workers = *N;
     } else if (Flag == "--sessions") {
       if (!needValue("--sessions"))
         return 2;
@@ -153,10 +154,11 @@ int main(int argc, char **argv) {
     } else if (Flag == "--trace-flush-sec") {
       if (!needValue("--trace-flush-sec"))
         return 2;
-      auto N = parseInt(V);
-      if (!N || *N <= 0)
-        return usage("--trace-flush-sec needs a positive integer");
-      Opts.TraceFlushSec = static_cast<unsigned>(*N);
+      auto N = parseUnsigned(V, 1);
+      if (!N)
+        return usage("--trace-flush-sec needs a positive integer "
+                     "(at most 4294967295)");
+      Opts.TraceFlushSec = *N;
     } else if (Flag == "--trace-ring") {
       if (!needValue("--trace-ring"))
         return 2;
@@ -167,10 +169,11 @@ int main(int argc, char **argv) {
     } else if (Flag == "--trace-keep") {
       if (!needValue("--trace-keep"))
         return 2;
-      auto N = parseInt(V);
-      if (!N || *N < 0)
-        return usage("--trace-keep needs a non-negative integer");
-      Opts.TraceKeepFiles = static_cast<unsigned>(*N);
+      auto N = parseUnsigned(V);
+      if (!N)
+        return usage("--trace-keep needs a non-negative integer "
+                     "(at most 4294967295)");
+      Opts.TraceKeepFiles = *N;
     } else {
       return usage(("unknown option '" + Flag + "'").c_str());
     }

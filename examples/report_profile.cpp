@@ -492,13 +492,13 @@ int followLoop(const std::string &HostPort, double IntervalSec,
                unsigned Count) {
   size_t Colon = HostPort.rfind(':');
   auto Port = Colon != std::string::npos
-                  ? parseInt(HostPort.substr(Colon + 1))
+                  ? parseUnsigned(HostPort.substr(Colon + 1), 1, 65535)
                   : std::nullopt;
-  if (!Port || *Port <= 0 || *Port > 65535)
+  if (!Port)
     return usage("--follow needs HOST:PORT");
   std::string Host = HostPort.substr(0, Colon);
 
-  int Fd = connectTo(Host, static_cast<unsigned>(*Port));
+  int Fd = connectTo(Host, *Port);
   if (Fd < 0)
     return 1;
   bool Tty = ::isatty(STDOUT_FILENO) == 1;
@@ -626,10 +626,10 @@ int main(int argc, char **argv) {
     std::string Flag = argv[I];
     if (Flag == "--top") {
       const char *V = I + 1 < argc ? argv[++I] : nullptr;
-      auto N = V ? parseInt(V) : std::nullopt;
-      if (!N || *N < 1)
-        return usage("--top needs a positive integer");
-      TopN = static_cast<unsigned>(*N);
+      auto N = V ? parseUnsigned(V, 1) : std::nullopt;
+      if (!N)
+        return usage("--top needs a positive integer (at most 4294967295)");
+      TopN = *N;
     } else if (Flag == "--follow") {
       const char *V = I + 1 < argc ? argv[++I] : nullptr;
       if (!V)
@@ -643,10 +643,11 @@ int main(int argc, char **argv) {
       IntervalSec = S;
     } else if (Flag == "--count") {
       const char *V = I + 1 < argc ? argv[++I] : nullptr;
-      auto N = V ? parseInt(V) : std::nullopt;
-      if (!N || *N < 0)
-        return usage("--count needs a non-negative integer");
-      Count = static_cast<unsigned>(*N);
+      auto N = V ? parseUnsigned(V) : std::nullopt;
+      if (!N)
+        return usage("--count needs a non-negative integer "
+                     "(at most 4294967295)");
+      Count = *N;
     } else if (!Flag.empty() && Flag[0] == '-') {
       return usage(("unknown option '" + Flag + "'").c_str());
     } else if (Path.empty()) {

@@ -79,18 +79,32 @@ Campaign Campaign::predictGrid(std::string Name,
                                const std::vector<Strategy> &Strategies,
                                const std::vector<bool> &Larges,
                                unsigned NumSeeds, unsigned TimeoutMs) {
+  std::vector<WorkloadConfig> Shapes;
+  for (bool Large : Larges)
+    Shapes.push_back(Large ? WorkloadConfig::large(1)
+                           : WorkloadConfig::small(1));
+  return predictShapeGrid(std::move(Name), Apps, Levels, Strategies, Shapes,
+                          NumSeeds, TimeoutMs);
+}
+
+Campaign Campaign::predictShapeGrid(std::string Name,
+                                    const std::vector<std::string> &Apps,
+                                    const std::vector<IsolationLevel> &Levels,
+                                    const std::vector<Strategy> &Strategies,
+                                    const std::vector<WorkloadConfig> &Shapes,
+                                    unsigned NumSeeds, unsigned TimeoutMs) {
   Campaign C;
   C.Name = std::move(Name);
   for (const std::string &App : Apps)
     for (IsolationLevel Level : Levels)
       for (Strategy S : Strategies)
-        for (bool Large : Larges)
+        for (const WorkloadConfig &Shape : Shapes)
           for (uint64_t Seed = 1; Seed <= NumSeeds; ++Seed) {
             JobSpec J;
             J.Kind = JobKind::Predict;
             J.App = App;
-            J.Cfg = Large ? WorkloadConfig::large(Seed)
-                          : WorkloadConfig::small(Seed);
+            J.Cfg = Shape;
+            J.Cfg.Seed = Seed;
             J.Level = Level;
             J.Strat = S;
             J.TimeoutMs = TimeoutMs;

@@ -137,6 +137,16 @@ struct Campaign {
                               const std::vector<Strategy> &Strategies,
                               const std::vector<bool> &Larges,
                               unsigned NumSeeds, unsigned TimeoutMs);
+
+  /// predictGrid over explicit workload shapes instead of small/large
+  /// (each shape's Seed is replaced by the job's): the same jobs, in the
+  /// same order, for the shapes small and large stand for.
+  static Campaign predictShapeGrid(std::string Name,
+                                   const std::vector<std::string> &Apps,
+                                   const std::vector<IsolationLevel> &Levels,
+                                   const std::vector<Strategy> &Strategies,
+                                   const std::vector<WorkloadConfig> &Shapes,
+                                   unsigned NumSeeds, unsigned TimeoutMs);
 };
 
 } // namespace engine

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 using namespace isopredict;
@@ -32,6 +33,19 @@ std::string shareKey(const JobSpec &S) {
                       S.Prune ? 1u : 0u);
 }
 
+/// Key of one strict pair: every outcome-determining field of an
+/// Exact-Strict or Approx-Strict Predict job except the strategy, so
+/// the two jobs of a pair solve the same Exact-Strict formula (the
+/// Approx-Strict job's exact stage). std::nullopt for every other job.
+std::optional<std::string> strictPairKey(const JobSpec &S) {
+  if (S.Kind != JobKind::Predict ||
+      (S.Strat != Strategy::ExactStrict && S.Strat != Strategy::ApproxStrict))
+    return std::nullopt;
+  JobSpec Key = S;
+  Key.Strat = Strategy::ExactStrict;
+  return canonicalSpec(Key);
+}
+
 } // namespace
 
 JobResult Engine::runJob(const JobSpec &Spec, bool StreamFromScratch) {
@@ -46,9 +60,26 @@ std::vector<std::vector<size_t>> Engine::planGroups(const Campaign &C,
                                                     bool ShareEncodings) {
   std::vector<std::vector<size_t>> Groups;
   if (!ShareEncodings) {
-    Groups.reserve(C.Jobs.size());
-    for (size_t I = 0; I < C.Jobs.size(); ++I)
+    // Strict pairs: each Exact-Strict job joins the first open
+    // Approx-Strict job of its key, or vice versa. A duplicate of the
+    // open member's strategy opens a group of its own.
+    std::map<std::string, size_t> Open;
+    for (size_t I = 0; I < C.Jobs.size(); ++I) {
+      std::optional<std::string> Key = strictPairKey(C.Jobs[I]);
+      if (!Key) {
+        Groups.push_back({I});
+        continue;
+      }
+      auto It = Open.find(*Key);
+      if (It != Open.end() &&
+          C.Jobs[Groups[It->second].front()].Strat != C.Jobs[I].Strat) {
+        Groups[It->second].push_back(I);
+        Open.erase(It);
+        continue;
+      }
+      Open[*Key] = Groups.size();
       Groups.push_back({I});
+    }
     return Groups;
   }
   std::map<std::string, size_t> GroupIndex;

@@ -6,13 +6,15 @@
 ///
 /// \file
 /// Executes a Campaign on a fixed-size worker pool. Scheduling groups
-/// (planGroups; without ShareEncodings every job is its own group) are
-/// submitted to a TaskPool and run FIFO, each end to end with private
-/// state: every job builds its own DataStore, applications, and —
-/// inside predict()/checkSerializableSmt() — its own Z3 SmtContext;
-/// with ShareEncodings, Predict jobs on the same observed execution
-/// share one PredictSession (and its Z3 context) but nothing crosses a
-/// group boundary. The only shared write is each worker storing results
+/// (planGroups) are submitted to a TaskPool and run FIFO, each end to
+/// end with private state: every job builds its own DataStore,
+/// applications, and — inside predict()/checkSerializableSmt() — its
+/// own Z3 SmtContext. Without ShareEncodings a group is one job or a
+/// strict pair, whose Approx-Strict job takes over the Exact-Strict
+/// job's answer as its exact stage; with ShareEncodings, Predict jobs
+/// on the same observed execution share one PredictSession (and its Z3
+/// context). Nothing crosses a group boundary, and groups run their
+/// jobs sequentially. The only shared write is each worker storing results
 /// into its jobs' pre-allocated slots, so reports are ordered by
 /// campaign position and byte-identical regardless of worker count.
 ///
@@ -104,10 +106,15 @@ public:
                           bool StreamFromScratch = false);
 
   /// The scheduling plan run() executes: job indices partitioned into
-  /// groups, in first-appearance order. Share-nothing (\p
-  /// ShareEncodings false): one singleton group per job. Shared:
-  /// Predict jobs on the same observed execution coalesce (within-
-  /// group order = campaign order); everything else stays singleton.
+  /// groups, in first-appearance order (within-group order = campaign
+  /// order). Share-nothing (\p ShareEncodings false): the Exact-Strict
+  /// and Approx-Strict Predict jobs that differ only in strategy form a
+  /// *strict pair* — the Approx-Strict query's exact stage is the
+  /// Exact-Strict formula, so the Executor solves it once for both (see
+  /// Executor::runGroup) — and every other job is a singleton. Shared:
+  /// Predict jobs on the same observed execution coalesce; everything
+  /// else stays singleton (the session attributes base literals per
+  /// query, so no stage crosses queries there).
   /// Exposed so tools that predict the engine's behavior — the
   /// campaign_cli --dry-run cache preview, group-scoped cache
   /// identities — agree with the real execution exactly.

@@ -74,6 +74,14 @@ void applyValidation(JobResult &R, const ValidationResult &V) {
   R.FailedAssertions = V.Run.FailedAssertions;
 }
 
+/// Takes over \p From's validation of the same predicted history.
+void copyValidation(JobResult &R, const JobResult &From) {
+  R.ValStatus = From.ValStatus;
+  R.Diverged = From.Diverged;
+  R.AssertionFailed = From.AssertionFailed;
+  R.FailedAssertions = From.FailedAssertions;
+}
+
 PredictSession::QueryOptions queryOptions(const JobSpec &Spec) {
   PredictSession::QueryOptions Q;
   Q.Level = Spec.Level;
@@ -162,6 +170,13 @@ RunResult isopredict::engine::observe(Application &App,
                      IsolationLevel::Serializable, Cfg.Seed);
 }
 
+/// Filled by the Exact-Strict job of a strict pair: its answer (unset
+/// until it ran, or when it could not run) and then its result slot.
+struct Executor::StrictStage {
+  std::optional<Prediction> Exact;
+  const JobResult *ExactResult = nullptr;
+};
+
 const char *isopredict::engine::toString(AnsweredBy A) {
   switch (A) {
   case AnsweredBy::Cache:
@@ -249,7 +264,7 @@ Executor::Answer Executor::queryHistory(const Query &Q) {
   return A;
 }
 
-JobResult Executor::compute(const JobSpec &Spec) {
+JobResult Executor::compute(const JobSpec &Spec, StrictStage *Stage) {
   JobResult R;
   R.Spec = Spec;
   obs::Span JobSpan("engine.job", obs::CatEngine);
@@ -268,7 +283,7 @@ JobResult Executor::compute(const JobSpec &Spec) {
     case JobKind::Predict: {
       RunResult Observed = observe(*App, Spec.Cfg);
       fillWorkloadStats(R, Observed);
-      predictInto(R, Spec, Observed.Hist);
+      predictInto(R, Spec, Observed.Hist, nullptr, Stage);
       break;
     }
     case JobKind::RandomWeak: {
@@ -298,22 +313,57 @@ JobResult Executor::compute(const JobSpec &Spec) {
 }
 
 void Executor::predictInto(JobResult &R, const JobSpec &Spec,
-                           const History &Observed, PredictSession *Shared) {
+                           const History &Observed, PredictSession *Shared,
+                           StrictStage *Stage) {
   PredictOptions PO;
   PO.Level = Spec.Level;
   PO.Strat = Spec.Strat;
   PO.Pco = Spec.Pco;
   PO.TimeoutMs = Spec.TimeoutMs;
   PO.PruneFormula = Spec.Prune;
-  Prediction P =
-      Shared ? Shared->query(queryOptions(Spec)) : predict(Observed, PO);
+  // A canceled exact stage says nothing about the formula: the
+  // Approx-Strict job then solves its own.
+  const Prediction *Exact = nullptr;
+  if (Stage && Spec.Strat == Strategy::ApproxStrict && Stage->Exact &&
+      !Stage->Exact->Canceled)
+    Exact = &*Stage->Exact;
+  Prediction P = Shared ? Shared->query(queryOptions(Spec))
+                        : predict(Observed, PO, Exact);
   applyPrediction(R, P);
   if (P.Result == SmtResult::Sat && Spec.Validate) {
-    // Replays the prediction against a fresh application instance (§5).
-    auto Replay = makeApplication(Spec.App);
-    applyValidation(R, validatePrediction(*Replay, Spec.Cfg, Observed, P,
-                                          Spec.Level, Spec.TimeoutMs));
+    if (Exact && !P.Stats.FallbackLiterals) {
+      // The exact stage's predicted history, which the Exact-Strict job
+      // has already replayed.
+      copyValidation(R, *Stage->ExactResult);
+    } else {
+      // Replays the prediction against a fresh application instance (§5).
+      auto Replay = makeApplication(Spec.App);
+      applyValidation(R, validatePrediction(*Replay, Spec.Cfg, Observed, P,
+                                            Spec.Level, Spec.TimeoutMs));
+    }
   }
+  if (Stage && Spec.Strat == Strategy::ExactStrict)
+    Stage->Exact = std::move(P);
+}
+
+bool Executor::deliverCachedGroup(const Campaign &C,
+                                  const std::vector<size_t> &Indices,
+                                  std::vector<JobResult> &Results,
+                                  const std::function<void(size_t)> &Finished) {
+  if (!Store)
+    return false;
+  obs::Span Probe("cache.probe_group", obs::CatCache);
+  std::optional<std::vector<JobResult>> Group =
+      Store->lookupGroup(C, Indices, ShareEncodings);
+  finishProbe(Probe, Group.has_value(), static_cast<unsigned>(Indices.size()),
+              Group ? Hits : Misses);
+  if (!Group)
+    return false;
+  for (size_t J = 0; J < Indices.size(); ++J) {
+    Results[Indices[J]] = std::move((*Group)[J]);
+    Finished(Indices[J]);
+  }
+  return true;
 }
 
 void Executor::runGroup(const Campaign &C, const std::vector<size_t> &Indices,
@@ -323,12 +373,46 @@ void Executor::runGroup(const Campaign &C, const std::vector<size_t> &Indices,
     runShareGroup(C, Indices, Results, Finished);
     return;
   }
+  if (Indices.size() == 2) {
+    runStrictPair(C, Indices, Results, Finished);
+    return;
+  }
   for (size_t I : Indices) {
     Query Q;
     Q.Spec = Q.CacheSpec = C.Jobs[I];
     Results[I] = answer(Q).R;
     Finished(I);
   }
+}
+
+/// Runs one strict pair: the Exact-Strict job first, then the
+/// Approx-Strict job, which takes over its answer as the exact stage
+/// (PredictSession::QueryOptions::ExactStage) instead of solving the
+/// same formula again. Default report bytes are those of the two jobs
+/// run alone; only the Approx-Strict job's timings-gated cost fields
+/// shrink.
+///
+/// Cache consumption is all-or-nothing per pair, as for share groups:
+/// both members hit, or both are computed (and tallied as misses). That
+/// is the policy ResultStore::lookupGroup implements, so campaign_cli
+/// --dry-run previews the run exactly.
+void Executor::runStrictPair(const Campaign &C,
+                             const std::vector<size_t> &Indices,
+                             std::vector<JobResult> &Results,
+                             const std::function<void(size_t)> &Finished) {
+  if (deliverCachedGroup(C, Indices, Results, Finished))
+    return;
+  bool ExactFirst = C.Jobs[Indices[0]].Strat == Strategy::ExactStrict;
+  size_t Exact = Indices[ExactFirst ? 0 : 1];
+  size_t Approx = Indices[ExactFirst ? 1 : 0];
+  StrictStage Stage;
+  Results[Exact] = compute(C.Jobs[Exact], &Stage);
+  store(Results[Exact], C.Jobs[Exact], cache::EncodingMode::OneShot);
+  Finished(Exact);
+  Stage.ExactResult = &Results[Exact];
+  Results[Approx] = compute(C.Jobs[Approx], &Stage);
+  store(Results[Approx], C.Jobs[Approx], cache::EncodingMode::OneShot);
+  Finished(Approx);
 }
 
 /// Runs one encoding-share group of Predict jobs through a single
@@ -352,21 +436,9 @@ void Executor::runShareGroup(const Campaign &C,
   GroupSpan.arg("app", C.Jobs[Indices.front()].App);
   GroupSpan.arg("jobs", formatString("%zu", Indices.size()));
 
+  if (deliverCachedGroup(C, Indices, Results, Finished))
+    return;
   uint64_t GroupHash = Store ? cache::shareGroupHash(C, Indices) : 0;
-  if (Store) {
-    obs::Span Probe("cache.probe_group", obs::CatCache);
-    std::optional<std::vector<JobResult>> Group =
-        Store->lookupGroup(C, Indices, /*ShareEncodings=*/true);
-    finishProbe(Probe, Group.has_value(),
-                static_cast<unsigned>(Indices.size()), Group ? Hits : Misses);
-    if (Group) {
-      for (size_t J = 0; J < Indices.size(); ++J) {
-        Results[Indices[J]] = std::move((*Group)[J]);
-        Finished(Indices[J]);
-      }
-      return;
-    }
-  }
 
   const JobSpec &First = C.Jobs[Indices.front()];
   auto App = makeApplication(First.App);

@@ -14,8 +14,12 @@
 ///      Figure 4, or a session query on a stored history;
 ///   4. store the result when cache::cacheable() allows.
 ///
-/// Encoding-share groups (EngineOptions::ShareEncodings) run the same
-/// steps per group: an all-or-nothing group probe, one plain
+/// Strict pairs (Engine::planGroups) run the same steps per pair: an
+/// all-or-nothing pair probe, the Exact-Strict job, then the
+/// Approx-Strict job with that job's answer as its solved exact stage
+/// (and, when that stage settles it, its validation too), per-member
+/// stores. Encoding-share groups (EngineOptions::ShareEncodings) run
+/// them per group: an all-or-nothing group probe, one plain
 /// PredictSession for the group, one query per member, per-member
 /// stores scoped by the group fingerprint.
 ///
@@ -100,18 +104,33 @@ public:
   unsigned cacheMisses() const { return Misses.load(); }
 
 private:
+  /// The Exact-Strict half of a strict pair, as its Approx-Strict half
+  /// takes it over (defined in Executor.cpp).
+  struct StrictStage;
+
   std::optional<JobResult> probe(const JobSpec &S, cache::EncodingMode Mode);
+  /// The all-or-nothing probe of a multi-job group: when every member
+  /// hits, delivers them all into \p Results and returns true.
+  bool deliverCachedGroup(const Campaign &C, const std::vector<size_t> &Indices,
+                          std::vector<JobResult> &Results,
+                          const std::function<void(size_t)> &Finished);
   void store(const JobResult &R, const JobSpec &CacheSpec,
              cache::EncodingMode Mode, uint64_t GroupHash = 0);
-  JobResult compute(const JobSpec &Spec);
+  JobResult compute(const JobSpec &Spec, StrictStage *Stage = nullptr);
   Answer queryHistory(const Query &Q);
+  void runStrictPair(const Campaign &C, const std::vector<size_t> &Indices,
+                     std::vector<JobResult> &Results,
+                     const std::function<void(size_t)> &Finished);
   void runShareGroup(const Campaign &C, const std::vector<size_t> &Indices,
                      std::vector<JobResult> &Results,
                      const std::function<void(size_t)> &Finished);
   /// Predict (through \p Shared when an encoding-share group runs, else
-  /// one-shot) and validate a Sat answer.
+  /// one-shot) and validate a Sat answer. In a strict pair (\p Stage),
+  /// the Exact-Strict job leaves its answer in \p Stage and the
+  /// Approx-Strict job takes it over as its exact stage.
   void predictInto(JobResult &R, const JobSpec &Spec, const History &Observed,
-                   PredictSession *Shared = nullptr);
+                   PredictSession *Shared = nullptr,
+                   StrictStage *Stage = nullptr);
 
   std::optional<cache::ResultStore> Store;
   bool ShareEncodings;

@@ -15,6 +15,24 @@ std::string isopredict::engine::workloadLabel(const WorkloadConfig &Cfg) {
   return formatString("%ux%u", Cfg.Sessions, Cfg.TxnsPerSession);
 }
 
+std::optional<WorkloadConfig>
+isopredict::engine::workloadFromLabel(std::string_view Label, uint64_t Seed) {
+  std::string L = toLowerAscii(Label);
+  if (L == "small")
+    return WorkloadConfig::small(Seed);
+  if (L == "large")
+    return WorkloadConfig::large(Seed);
+  std::vector<std::string_view> Parts = splitString(L, 'x');
+  std::optional<unsigned> Sessions, Txns;
+  if (Parts.size() == 2) {
+    Sessions = parseUnsigned(Parts[0], 1);
+    Txns = parseUnsigned(Parts[1], 1);
+  }
+  if (!Sessions || !Txns)
+    return std::nullopt;
+  return WorkloadConfig{*Sessions, *Txns, Seed};
+}
+
 //===----------------------------------------------------------------------===
 // Writing
 //===----------------------------------------------------------------------===

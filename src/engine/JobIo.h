@@ -29,11 +29,21 @@
 #include "engine/Report.h"
 #include "support/Json.h"
 
+#include <optional>
+#include <string_view>
+
 namespace isopredict {
 namespace engine {
 
 /// Human/JSON label for a workload shape ("3x4", "3x8", ...).
 std::string workloadLabel(const WorkloadConfig &Cfg);
+
+/// Inverse of workloadLabel, plus the named shapes: "small" (3x4),
+/// "large" (3x8) or "<sessions>x<txns>" with both in [1, UINT_MAX],
+/// ASCII case-insensitively, with workload seed \p Seed. std::nullopt
+/// on anything else.
+std::optional<WorkloadConfig> workloadFromLabel(std::string_view Label,
+                                                uint64_t Seed);
 
 /// Emits every JobSpec field (plus the derived spec_hash and workload
 /// label) into the currently open JSON object.

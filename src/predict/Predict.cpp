@@ -62,7 +62,8 @@ isopredict::pcoEncodingFromString(std::string_view Name) {
 const char *isopredict::pcoEncodingValidNames() { return "rank"; }
 
 Prediction isopredict::predict(const History &Observed,
-                               const PredictOptions &Opts) {
+                               const PredictOptions &Opts,
+                               const Prediction *ExactStage) {
   // The one-shot session path: root scope, history not copied.
   PredictSession S(Observed, Opts, /*Shared=*/false);
   PredictSession::QueryOptions Q;
@@ -70,5 +71,6 @@ Prediction isopredict::predict(const History &Observed,
   Q.Strat = Opts.Strat;
   Q.TimeoutMs = Opts.TimeoutMs;
   Q.GenerateOnly = Opts.GenerateOnly;
+  Q.ExactStage = ExactStage;
   return S.runQuery(Q);
 }

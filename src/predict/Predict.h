@@ -24,7 +24,11 @@
 /// cycle in the predicted history (the cycle is the witness); the rank
 /// encoding runs only when that stage cannot settle the answer (see
 /// PredictSession::runQuery). The answer is the rank encoding's; the
-/// model and witness are those of the stage that settled it.
+/// model and witness are those of the stage that settled it. Under the
+/// strict boundary that exact stage is the Exact-Strict formula itself,
+/// so a caller holding the Exact-Strict answer on the same history can
+/// hand it to the Approx-Strict query instead of solving it twice (see
+/// predict()'s \p ExactStage).
 ///
 /// The prediction boundary (§4.5): each session gets a boundary event —
 /// either a read observing a different writer than in the observed
@@ -137,7 +141,9 @@ struct EncodingStats {
   bool BasePrefixReused = false;
   /// Per-pass attribution, in pipeline order; literals sum to
   /// NumLiterals + FallbackLiterals and seconds sum to (just under)
-  /// GenSeconds.
+  /// GenSeconds. A query whose exact stage was supplied (predict()'s
+  /// \p ExactStage) lists only the passes it ran itself: none, or the
+  /// fallback's.
   std::vector<PassStats> Passes;
 };
 
@@ -186,7 +192,22 @@ struct Prediction {
 /// push/pop — Z3 keeps its non-incremental solver, which decides more
 /// one-shot queries within a budget). An Approx query whose exact stage
 /// cannot settle it solves the rank encoding on a fresh solver.
-Prediction predict(const History &Observed, const PredictOptions &Opts);
+///
+/// \p ExactStage, when non-null, says "this query's exact stage is
+/// already solved": it must be the Exact-Strict answer of predict() on
+/// the same \p Observed with the same Level, TimeoutMs and
+/// PruneFormula, and \p Opts must ask for Approx-Strict (whose stage 1
+/// is that formula). It must not be Canceled — a canceled stage says
+/// nothing about the formula. The query then skips stage 1: unsat stays
+/// unsat, a timeout stays a timeout, a sat is settled by pcoCycle, and
+/// a sat without a cycle (always, under the rw ablation) falls back to
+/// the rank encoding with the budget stage 1 left. The answer's default
+/// report fields (Result, NumLiterals, Witness, Predicted) equal those
+/// of the same query solved from scratch; GenSeconds, SolveSeconds,
+/// Passes and SolverStats cover only what this query ran (nothing when
+/// no fallback ran). Each use counts in predict.exact_stage_reuses.
+Prediction predict(const History &Observed, const PredictOptions &Opts,
+                   const Prediction *ExactStage = nullptr);
 
 } // namespace isopredict
 

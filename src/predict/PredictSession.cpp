@@ -433,6 +433,13 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
     QSpan->arg("strategy", toString(Q.Strat));
   }
 
+  // Only Approx-Strict's stage 1 is the Exact-Strict formula, and a
+  // canceled answer says nothing about it.
+  assert((!Q.ExactStage ||
+          (Q.Strat == Strategy::ApproxStrict && !Q.GenerateOnly &&
+           !Q.ExactStage->Canceled)) &&
+         "a supplied exact stage answers Approx-Strict's stage 1");
+
   if (Q.Strat == Strategy::ExactStrict || Q.GenerateOnly) {
     Out = runStage(Q, Q.Strat, Budget);
   } else {
@@ -449,7 +456,25 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
     // always uses rw edges, so the rw ablation always falls back.
     // Sessions get the whole budget for stage 1 too: a scoped check that
     // stalls in Z3's incremental solver re-solves one-shot (SmtSolver).
-    Out = runStage(Q, Strategy::ExactStrict, Budget);
+    // A supplied stage 1 (Q.ExactStage) is that same answer, solved by
+    // the caller: this query reports none of its encode or solve cost.
+    double Stage1Seconds;
+    if (Q.ExactStage) {
+      static obs::Counter &Reuses =
+          obs::Metrics::global().counter("predict.exact_stage_reuses");
+      Reuses.inc();
+      const Prediction &E = *Q.ExactStage;
+      Out.Result = E.Result;
+      Out.TimedOut = E.TimedOut;
+      Out.Stats.NumLiterals = E.Stats.NumLiterals;
+      Out.Predicted = E.Predicted;
+      Out.BoundaryPos = E.BoundaryPos;
+      Out.CutPos = E.CutPos;
+      Stage1Seconds = E.Stats.SolveSeconds;
+    } else {
+      Out = runStage(Q, Strategy::ExactStrict, Budget);
+      Stage1Seconds = Out.Stats.SolveSeconds;
+    }
     std::optional<std::vector<TxnId>> Cycle;
     if (Out.Result == SmtResult::Sat && Opts.EnableRw)
       Cycle = pcoCycle(Out.Predicted);
@@ -459,7 +484,7 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
                !Out.TimedOut) {
       unsigned Left = 0;
       if (Budget) {
-        double Spent = Out.Stats.SolveSeconds * 1000.0;
+        double Spent = Stage1Seconds * 1000.0;
         Left = Spent + 1 >= Budget ? 1 : static_cast<unsigned>(Budget - Spent);
       }
       // One-shot queries solve at root scope, so the rank encoding gets
@@ -485,7 +510,9 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
       Out = std::move(Rank);
     }
   }
-  if (Out.TimedOut) {
+  // A supplied stage's timeout was counted by the query that ran it;
+  // only a fallback's is this query's own.
+  if (Out.TimedOut && (!Q.ExactStage || Out.Stats.FallbackLiterals)) {
     static obs::Counter &Timeouts =
         obs::Metrics::global().counter("solver.timeouts");
     Timeouts.inc();

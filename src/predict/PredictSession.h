@@ -133,6 +133,14 @@ public:
     /// Encodes only the query's own formula (for Approx, the rank
     /// encoding), never the exact-first stage.
     bool GenerateOnly = false;
+    /// This query's stage 1 is already solved: an Approx-Strict query
+    /// takes this Exact-Strict answer on the same history, level and
+    /// budget as its exact stage instead of solving it (predict()'s
+    /// ExactStage states the contract). Never a Canceled answer. Only
+    /// one-shot queries (the engine's strict pairs) use it: a session
+    /// query attributes the base prefix to whichever query encodes it
+    /// first, and one that skipped stage 1 would shift that attribution.
+    const Prediction *ExactStage = nullptr;
   };
 
   /// Copies \p Observed (sessions outlive the structures campaigns
@@ -217,7 +225,8 @@ private:
   /// predict() is a one-shot session: it builds one with the private
   /// constructor and answers its single query at root scope.
   friend Prediction predict(const History &Observed,
-                            const PredictOptions &Opts);
+                            const PredictOptions &Opts,
+                            const Prediction *ExactStage);
 
   PredictSession(const History &Observed, const PredictOptions &Opts,
                  bool Shared, bool Streaming = false, unsigned Window = 0);
@@ -258,8 +267,8 @@ private:
   /// The one query path. \p Shared only decides the solver scope and the
   /// telemetry: the encoding is the same either way. Approx queries
   /// run two stages (see runQuery in PredictSession.cpp): the exact
-  /// formula first, the rank encoding only when stage 1 cannot settle
-  /// the answer.
+  /// formula first (or Q.ExactStage, already solved), the rank encoding
+  /// only when stage 1 cannot settle the answer.
   Prediction runQuery(const QueryOptions &Q);
 
   /// One encode-and-solve stage of a query: the base prefix (if not on

@@ -131,30 +131,15 @@ std::optional<JobSpec> server::parseQuerySpec(const JsonValue &Spec,
   }
 
   if (const JsonValue *W = Spec.field("workload")) {
-    std::string Label = toLowerAscii(W->Text);
-    if (Label == "small") {
-      S.Cfg = WorkloadConfig::small(S.Cfg.Seed);
-    } else if (Label == "large") {
-      S.Cfg = WorkloadConfig::large(S.Cfg.Seed);
-    } else {
-      // "SxT" — the label workloadLabel() emits.
-      std::vector<std::string_view> Parts = splitString(Label, 'x');
-      std::optional<int64_t> Sess, Txns;
-      if (Parts.size() == 2) {
-        Sess = parseInt(Parts[0]);
-        Txns = parseInt(Parts[1]);
-      }
-      constexpr int64_t Max = std::numeric_limits<unsigned>::max();
-      if (!Sess || !Txns || *Sess <= 0 || *Txns <= 0 || *Sess > Max ||
-          *Txns > Max) {
-        if (Error)
-          *Error = "field \"workload\" must be \"small\", \"large\" or "
-                   "\"<sessions>x<txns>\"";
-        return std::nullopt;
-      }
-      S.Cfg.Sessions = static_cast<unsigned>(*Sess);
-      S.Cfg.TxnsPerSession = static_cast<unsigned>(*Txns);
+    std::optional<WorkloadConfig> Cfg =
+        engine::workloadFromLabel(W->Text, S.Cfg.Seed);
+    if (!Cfg) {
+      if (Error)
+        *Error = "field \"workload\" must be \"small\", \"large\" or "
+                 "\"<sessions>x<txns>\"";
+      return std::nullopt;
     }
+    S.Cfg = *Cfg;
   }
 
   if (!readUnsigned(Spec, "sessions", S.Cfg.Sessions, Error) ||

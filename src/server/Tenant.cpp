@@ -6,6 +6,8 @@
 #include "support/Json.h"
 #include "support/StrUtil.h"
 
+#include <tuple>
+
 using namespace isopredict;
 using namespace isopredict::server;
 using engine::JobSpec;
@@ -163,15 +165,26 @@ TenantRegistry::fromJson(const std::string &Text, std::string *Error) {
       Cfg.AppId = F->Text;
     if (const JsonValue *F = Entry.field("api_key"))
       Cfg.ApiKey = F->Text;
-    if (const JsonValue *F = Entry.field("max_concurrent"))
-      if (std::optional<int64_t> N = parseInt(F->Text); N && *N > 0)
-        Cfg.MaxConcurrent = static_cast<unsigned>(*N);
-    if (const JsonValue *F = Entry.field("max_queued"))
-      if (std::optional<int64_t> N = parseInt(F->Text); N && *N >= 0)
-        Cfg.MaxQueued = static_cast<unsigned>(*N);
-    if (const JsonValue *F = Entry.field("max_histories"))
-      if (std::optional<int64_t> N = parseInt(F->Text); N && *N >= 0)
-        Cfg.MaxHistories = static_cast<unsigned>(*N);
+    // Quotas are `unsigned`: a value out of range is a config error,
+    // never wrapped (a max_concurrent of 2^32 would be 0, and that
+    // tenant could never run a query).
+    for (auto [Name, Min, Field] :
+         {std::tuple{"max_concurrent", 1u, &Cfg.MaxConcurrent},
+          std::tuple{"max_queued", 0u, &Cfg.MaxQueued},
+          std::tuple{"max_histories", 0u, &Cfg.MaxHistories}}) {
+      const JsonValue *F = Entry.field(Name);
+      if (!F)
+        continue;
+      std::optional<unsigned> N = parseUnsigned(F->Text, Min);
+      if (!N) {
+        if (Error)
+          *Error = formatString("tenant '%s': \"%s\" must be an integer in "
+                                "[%u, 4294967295], got '%s'",
+                                Cfg.Name.c_str(), Name, Min, F->Text.c_str());
+        return std::nullopt;
+      }
+      *Field = *N;
+    }
     if (const JsonValue *F = Entry.field("admin"))
       Cfg.Admin = F->K == JsonValue::Kind::Bool && F->B;
     R.Tenants.push_back(std::make_unique<Tenant>(std::move(Cfg)));

@@ -141,7 +141,8 @@ engine::JobSpec scopedHistorySpec(const Tenant &T, const StoredHistory &H,
 /// Loads every tenant from config JSON \p Text. On success the
 /// registry owns one Tenant per entry; std::nullopt + \p Error on
 /// malformed config (unknown fields are ignored; names must be
-/// non-empty and unique).
+/// non-empty and unique; quotas must be integers an `unsigned` holds,
+/// max_concurrent at least 1).
 class TenantRegistry {
 public:
   /// The open-mode registry: one implicit admin tenant ("default",

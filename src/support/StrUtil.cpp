@@ -48,6 +48,14 @@ std::optional<int64_t> isopredict::parseInt(std::string_view Text) {
   return static_cast<int64_t>(V);
 }
 
+std::optional<unsigned> isopredict::parseUnsigned(std::string_view Text,
+                                                  unsigned Min, unsigned Max) {
+  std::optional<int64_t> N = parseInt(Text);
+  if (!N || *N < Min || *N > Max)
+    return std::nullopt;
+  return static_cast<unsigned>(*N);
+}
+
 bool isopredict::startsWith(std::string_view Text, std::string_view Prefix) {
   return Text.size() >= Prefix.size() &&
          Text.substr(0, Prefix.size()) == Prefix;

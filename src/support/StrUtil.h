@@ -14,6 +14,7 @@
 #define ISOPREDICT_SUPPORT_STRUTIL_H
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -30,6 +31,13 @@ std::string_view trimString(std::string_view Text);
 /// Parses a signed decimal integer; returns std::nullopt on any deviation
 /// (trailing garbage, overflow, empty input).
 std::optional<int64_t> parseInt(std::string_view Text);
+
+/// Parses a decimal integer in [\p Min, \p Max] for an `unsigned`
+/// setting; std::nullopt on anything parseInt rejects or out of range
+/// (a value above UINT_MAX must not wrap into a small one).
+std::optional<unsigned>
+parseUnsigned(std::string_view Text, unsigned Min = 0,
+              unsigned Max = std::numeric_limits<unsigned>::max());
 
 /// Returns true if \p Text begins with \p Prefix.
 bool startsWith(std::string_view Text, std::string_view Prefix);

@@ -2,6 +2,7 @@
 
 #include "engine/Engine.h"
 
+#include "cache/ResultStore.h"
 #include "engine/Executor.h"
 #include "engine/JobIo.h"
 #include "server/Protocol.h"
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -223,6 +225,183 @@ TEST(Engine, SharedEncodingsPreserveOutcomes) {
         << "outcome changed under --share-encodings for "
         << canonicalSpec(A.Spec);
   }
+}
+
+//===----------------------------------------------------------------------===
+// Strict pairs: one Exact-Strict solve per strict formula
+//===----------------------------------------------------------------------===
+
+namespace {
+
+/// Exact-Strict, Approx-Strict and Approx-Relaxed on smallbank and voter
+/// (voter causal is the fast path: its pairs reuse nothing), in reverse
+/// grid order so an Approx-Strict job precedes its Exact-Strict partner.
+Campaign strictPairCampaign() {
+  Campaign C = Campaign::predictGrid(
+      "strict-pairs", {"smallbank", "voter"},
+      {IsolationLevel::Causal, IsolationLevel::ReadCommitted},
+      {Strategy::ExactStrict, Strategy::ApproxStrict,
+       Strategy::ApproxRelaxed},
+      {false}, 1, 60000);
+  std::reverse(C.Jobs.begin(), C.Jobs.end());
+  return C;
+}
+
+} // namespace
+
+TEST(Engine, StrictPairsGroupExactWithApproxStrict) {
+  Campaign C = strictPairCampaign();
+  // A second copy of the first pair member, while its pair is open.
+  auto First = std::find_if(C.Jobs.begin(), C.Jobs.end(), [](const JobSpec &J) {
+    return J.Strat != Strategy::ApproxRelaxed;
+  });
+  C.Jobs.insert(First + 1, JobSpec(*First));
+  std::vector<std::vector<size_t>> Groups = Engine::planGroups(C, false);
+  size_t Pairs = 0, Jobs = 0;
+  for (const std::vector<size_t> &G : Groups) {
+    Jobs += G.size();
+    ASSERT_LE(G.size(), 2u);
+    if (G.size() == 1)
+      continue;
+    ++Pairs;
+    const JobSpec &A = C.Jobs[G[0]], &B = C.Jobs[G[1]];
+    EXPECT_LT(G[0], G[1]);
+    EXPECT_NE(A.Strat, B.Strat);
+    EXPECT_NE(A.Strat, Strategy::ApproxRelaxed);
+    EXPECT_NE(B.Strat, Strategy::ApproxRelaxed);
+    JobSpec Key = B;
+    Key.Strat = A.Strat;
+    EXPECT_EQ(canonicalSpec(A), canonicalSpec(Key));
+  }
+  EXPECT_EQ(Jobs, C.size());
+  EXPECT_EQ(Pairs, 4u); // 2 apps x 2 levels; the copy is alone.
+  // Encoding-share groups are unchanged: one per observed execution.
+  EXPECT_EQ(Engine::planGroups(C, true).size(), 2u);
+}
+
+// The pair answers exactly what each job answers alone, across worker
+// counts, and it saves one solver check per pair whose exact stage the
+// Approx-Strict job took over.
+TEST(Engine, StrictPairReportMatchesJobsRunAlone) {
+  Campaign C = strictPairCampaign();
+  obs::Counter &Checks = obs::Metrics::global().counter("solver.checks");
+  uint64_t ChecksAlone = 0;
+  std::vector<JobResult> Alone;
+  for (const JobSpec &J : C.Jobs) {
+    uint64_t Before = Checks.value();
+    Alone.push_back(Engine::runJob(J));
+    ChecksAlone += Checks.value() - Before;
+  }
+  Report One = runWith(C, 1);
+  Report Four = runWith(C, 4);
+  EXPECT_EQ(One.toJson(), Report(C.Name, Alone, 1, 0).toJson());
+  EXPECT_EQ(One.toJson(), Four.toJson());
+  EXPECT_NE(One.toJson().find("\"validation\": \"validated-unserializable\""),
+            std::string::npos);
+
+  // Replay validation runs solver checks too; a taken-over stage also
+  // takes over its validation, so count without it.
+  for (JobSpec &J : C.Jobs)
+    J.Validate = false;
+  ChecksAlone = 0;
+  for (const JobSpec &J : C.Jobs) {
+    uint64_t Before = Checks.value();
+    Engine::runJob(J);
+    ChecksAlone += Checks.value() - Before;
+  }
+  Report Unvalidated = runWith(C, 2);
+  uint64_t Reuses = Unvalidated.metrics().counter("predict.exact_stage_reuses");
+  // Every pair but voter causal's (the fast path encodes nothing).
+  EXPECT_EQ(Reuses, 3u);
+  EXPECT_EQ(Unvalidated.metrics().counter("solver.checks"),
+            ChecksAlone - Reuses);
+}
+
+// Cache consumption is all-or-nothing per pair, and campaign_cli
+// --dry-run previews exactly what the run then consumes.
+TEST(Engine, PartiallyCachedStrictPairRecomputesBoth) {
+  const std::string Cli = pathJoin(ISOPREDICT_EXAMPLES_DIR, "campaign_cli");
+  ASSERT_TRUE(pathExists(Cli)) << Cli;
+  // The campaign the CLI flags below expand to.
+  Campaign C = Campaign::predictGrid(
+      "campaign", {"smallbank"}, {IsolationLevel::ReadCommitted},
+      {Strategy::ExactStrict, Strategy::ApproxStrict,
+       Strategy::ApproxRelaxed},
+      {false}, 1, 5000);
+  ASSERT_EQ(C.size(), 3u);
+  EngineOptions O;
+  O.CacheDir = pathJoin(testing::TempDir(),
+                        formatString("isopredict-pair-cache-%ld",
+                                     static_cast<long>(::getpid())));
+  std::filesystem::remove_all(O.CacheDir); // A recycled pid's leftovers.
+  Report Cold = Engine(O).run(C);
+  ASSERT_EQ(Cold.cacheMisses(), 3u);
+  cache::ResultStore Store(O.CacheDir);
+  ASSERT_TRUE(std::filesystem::remove(Store.entryPath(C.Jobs[0])));
+
+  std::string Cmd = Cli + " --apps smallbank --levels rc --strategies " +
+                    "exact,strict,relaxed --seeds 1 --dry-run --cache-dir " +
+                    O.CacheDir + " 2>/dev/null";
+  FILE *P = ::popen(Cmd.c_str(), "r");
+  ASSERT_NE(P, nullptr);
+  std::string Preview;
+  char Buf[512];
+  while (size_t N = std::fread(Buf, 1, sizeof(Buf), P))
+    Preview.append(Buf, N);
+  ASSERT_EQ(::pclose(P), 0) << Preview;
+  std::vector<std::string_view> Lines = splitString(Preview, '\n');
+  ASSERT_GE(Lines.size(), 3u) << Preview;
+
+  Report Warm = Engine(O).run(C);
+  EXPECT_EQ(Warm.cacheHits(), 1u);
+  EXPECT_EQ(Warm.cacheMisses(), 2u);
+  for (size_t I = 0; I < C.size(); ++I) {
+    const JobResult &R = Warm.results()[I];
+    bool Hit = C.Jobs[I].Strat == Strategy::ApproxRelaxed;
+    EXPECT_EQ(R.CacheHit, Hit) << toString(C.Jobs[I].Strat);
+    EXPECT_EQ(formatString("%016llx", static_cast<unsigned long long>(
+                                          specHash(C.Jobs[I]))),
+              Lines[I].substr(0, 16));
+    EXPECT_NE(Lines[I].find(Hit ? "  hit" : "  miss"), std::string::npos)
+        << Lines[I];
+  }
+  EXPECT_EQ(Warm.toJson(), Cold.toJson());
+  std::filesystem::remove_all(O.CacheDir);
+}
+
+// A canceled exact stage says nothing about the formula: the
+// Approx-Strict job of the pair solves its own.
+TEST(Engine, CanceledExactStageIsNotReused) {
+  Campaign C;
+  C.Name = "canceled-pair";
+  for (Strategy S : {Strategy::ExactStrict, Strategy::ApproxStrict}) {
+    JobSpec J;
+    J.Kind = JobKind::Predict;
+    J.App = "tpcc";
+    J.Cfg = WorkloadConfig::small(1);
+    J.Level = IsolationLevel::Causal;
+    J.Strat = S;
+    J.TimeoutMs = 0; // Seconds of solving: only the interrupt ends it early.
+    C.Jobs.push_back(J);
+  }
+  ASSERT_EQ(Engine::planGroups(C, false).size(), 1u);
+  std::atomic<bool> Done{false};
+  Report R;
+  std::thread Worker([&] {
+    R = runWith(C, 1);
+    Done.store(true);
+  });
+  while (!Done.load()) {
+    SmtSolver::interruptAll();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  Worker.join();
+  ASSERT_EQ(R.size(), 2u);
+  EXPECT_TRUE(R.results()[0].Canceled);
+  EXPECT_EQ(R.metrics().counter("predict.exact_stage_reuses"), 0u);
+  // The Approx-Strict job ran its own exact stage (and was interrupted
+  // in it too).
+  EXPECT_TRUE(R.results()[1].Canceled);
 }
 
 TEST(Campaign, SpecHashIsStableAndDiscriminating) {
@@ -801,6 +980,38 @@ TEST(CampaignCli, OutOfRangeIntegersAreUsageErrors) {
     EXPECT_NE(Out.find("4294967295"), std::string::npos)
         << Args << "\n" << Out;
   }
+}
+
+// --sizes takes SxT shapes next to the named ones; a named shape and
+// its SxT spelling expand to the same jobs, hashes included.
+TEST(CampaignCli, SizesAcceptSessionsByTxnsShapes) {
+  const std::string Cli = pathJoin(ISOPREDICT_EXAMPLES_DIR, "campaign_cli");
+  ASSERT_TRUE(pathExists(Cli)) << Cli;
+  auto dryRun = [&](const std::string &Sizes, std::string &Out) {
+    Out.clear();
+    std::string Cmd = Cli + " --apps smallbank,voter --seeds 2 --strategies " +
+                      "exact,relaxed --dry-run --sizes " + Sizes + " 2>&1";
+    FILE *P = ::popen(Cmd.c_str(), "r");
+    if (!P)
+      return -1;
+    char Buf[512];
+    while (size_t N = std::fread(Buf, 1, sizeof(Buf), P))
+      Out.append(Buf, N);
+    int Status = ::pclose(P);
+    return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+  };
+  std::string Named, Shaped;
+  ASSERT_EQ(dryRun("small,large", Named), 0) << Named;
+  ASSERT_EQ(dryRun("3x4,3X8", Shaped), 0) << Shaped;
+  EXPECT_EQ(Shaped, Named);
+  size_t Jobs = 0;
+  for (std::string_view Line : splitString(Named, '\n'))
+    Jobs += Line.find(" predict ") != std::string_view::npos;
+  EXPECT_EQ(Jobs, 2u * 2 * 2 * 2);
+  ASSERT_EQ(dryRun("3x16", Shaped), 0) << Shaped;
+  EXPECT_NE(Shaped.find(" 3x16 "), std::string::npos) << Shaped;
+  for (const char *Bad : {"0x4", "3x", "3x4x2", "4294967296x4", "medium"})
+    EXPECT_EQ(dryRun(Bad, Shaped), 2) << Bad << "\n" << Shaped;
 }
 
 namespace {

@@ -4,6 +4,8 @@
 
 #include "apps/AppFramework.h"
 #include "encode/Pipeline.h"
+#include "history/TraceIO.h"
+#include "obs/Metrics.h"
 #include "predict/PredictSession.h"
 #include "support/StrUtil.h"
 
@@ -592,4 +594,86 @@ TEST(StagedApprox, RwAblationFallsBackToTheRankEncoding) {
   // Figure 5's deposit prediction is a pure rw cycle: the exact stage
   // finds it, the rw-less rank encoding refutes it.
   EXPECT_GT(BothStages, 0u);
+}
+
+// An Approx-Strict query's exact stage is the Exact-Strict formula, so
+// a campaign hands it the Exact-Strict answer on the same history
+// instead of solving it twice (predict()'s ExactStage). Everything
+// reports carry must equal the query solved from scratch.
+TEST(StagedApprox, SuppliedExactStageMatchesTheSolvedOne) {
+  obs::Counter &Reuses =
+      obs::Metrics::global().counter("predict.exact_stage_reuses");
+  unsigned Settled = 0;
+  for (const auto &[App, Seed] : FixtureHistories) {
+    History H = fixtureHistory(App, Seed);
+    for (IsolationLevel L :
+         {IsolationLevel::Causal, IsolationLevel::ReadCommitted}) {
+      SCOPED_TRACE(formatString("%s seed=%llu %s", App,
+                                static_cast<unsigned long long>(Seed),
+                                toString(L)));
+      Prediction Exact = predict(H, opts(L, Strategy::ExactStrict));
+      ASSERT_NE(Exact.Result, SmtResult::Unknown);
+      PredictOptions O = opts(L, Strategy::ApproxStrict);
+      Prediction Solved = predict(H, O);
+      uint64_t Before = Reuses.value();
+      Prediction Taken = predict(H, O, &Exact);
+      EXPECT_EQ(Taken.Result, Solved.Result);
+      EXPECT_EQ(Taken.Witness, Solved.Witness);
+      EXPECT_EQ(writeTrace(Taken.Predicted), writeTrace(Solved.Predicted));
+      EXPECT_EQ(Taken.BoundaryPos, Solved.BoundaryPos);
+      EXPECT_EQ(Taken.CutPos, Solved.CutPos);
+      EXPECT_EQ(Taken.Stats.NumLiterals, Solved.Stats.NumLiterals);
+      EXPECT_EQ(Taken.Stats.FallbackLiterals, Solved.Stats.FallbackLiterals);
+      if (Solved.Stats.Passes.empty()) {
+        // The causal fast path answers before any stage.
+        EXPECT_EQ(Reuses.value(), Before);
+        continue;
+      }
+      EXPECT_EQ(Reuses.value(), Before + 1);
+      if (Taken.Stats.FallbackLiterals)
+        continue;
+      // Settled by the supplied stage: this query encoded and solved
+      // nothing.
+      ++Settled;
+      EXPECT_TRUE(Taken.Stats.Passes.empty());
+      EXPECT_EQ(Taken.Stats.GenSeconds, 0);
+      EXPECT_EQ(Taken.Stats.SolveSeconds, 0);
+      EXPECT_FALSE(Taken.SolverStats.Collected);
+    }
+  }
+  EXPECT_GE(Settled, 6u);
+}
+
+// Under the rw ablation a supplied sat is never accepted (pcoCycle
+// always uses rw edges): the query still falls back, and the rank
+// encoding decides as if stage 1 had been solved here.
+TEST(StagedApprox, SuppliedSatStageStillFallsBackWithoutRw) {
+  std::vector<History> Histories = {depositObserved(), crossReadObserved(),
+                                    bankDivergenceObserved(),
+                                    depositUnserializable()};
+  unsigned FellBack = 0;
+  for (size_t I = 0; I < Histories.size(); ++I)
+    for (IsolationLevel L :
+         {IsolationLevel::Causal, IsolationLevel::ReadCommitted}) {
+      SCOPED_TRACE(formatString("history %zu %s", I, toString(L)));
+      PredictOptions O = opts(L, Strategy::ExactStrict);
+      O.EnableRw = false;
+      Prediction Exact = predict(Histories[I], O);
+      ASSERT_NE(Exact.Result, SmtResult::Unknown);
+      O.Strat = Strategy::ApproxStrict;
+      Prediction Solved = predict(Histories[I], O);
+      Prediction Taken = predict(Histories[I], O, &Exact);
+      EXPECT_EQ(Taken.Result, RankEncoding(Histories[I], O).Solver.check());
+      EXPECT_EQ(Taken.Result, Solved.Result);
+      EXPECT_EQ(Taken.Stats.NumLiterals, Solved.Stats.NumLiterals);
+      EXPECT_EQ(Taken.Stats.FallbackLiterals, Solved.Stats.FallbackLiterals);
+      EXPECT_FALSE(ranPass(Taken, "exact-strict"));
+      if (Exact.Result != SmtResult::Sat)
+        continue;
+      ++FellBack;
+      EXPECT_TRUE(ranPass(Taken, "approx-rank"));
+      EXPECT_GT(Taken.Stats.FallbackLiterals, 0u);
+      EXPECT_TRUE(Taken.SolverStats.Collected);
+    }
+  EXPECT_GT(FellBack, 0u);
 }

@@ -384,6 +384,27 @@ TEST(TenantRegistry, ConfigFileLocksDownAuth) {
                    .has_value());
 }
 
+// Quotas are `unsigned`: 2^32 must be rejected, not wrapped to 0 (a
+// max_concurrent of 0 admits no query at all).
+TEST(TenantRegistry, OutOfRangeQuotasAreConfigErrors) {
+  for (const char *Field : {"max_concurrent", "max_queued", "max_histories"}) {
+    SCOPED_TRACE(Field);
+    std::string Error;
+    std::string Ok = formatString(
+        R"({"tenants": [{"name": "acme", "%s": 4294967295}]})", Field);
+    EXPECT_TRUE(TenantRegistry::fromJson(Ok, &Error).has_value()) << Error;
+    std::string Wrapped = formatString(
+        R"({"tenants": [{"name": "acme", "%s": 4294967296}]})", Field);
+    EXPECT_FALSE(TenantRegistry::fromJson(Wrapped, &Error).has_value());
+    EXPECT_NE(Error.find(Field), std::string::npos) << Error;
+  }
+  std::string Error;
+  EXPECT_FALSE(TenantRegistry::fromJson(
+                   R"({"tenants": [{"name": "a", "max_concurrent": 0}]})",
+                   &Error)
+                   .has_value());
+}
+
 //===----------------------------------------------------------------------===
 // End-to-end over loopback
 //===----------------------------------------------------------------------===

@@ -89,6 +89,21 @@ TEST(StrUtil, ParseInt) {
   EXPECT_FALSE(parseInt("999999999999999999999999").has_value());
 }
 
+// `unsigned` settings (CLI flags, tenant quotas) must reject values
+// above UINT_MAX instead of wrapping them: 2^32 would become 0.
+TEST(StrUtil, ParseUnsignedRejectsWhatWouldWrap) {
+  EXPECT_EQ(parseUnsigned("0"), std::optional<unsigned>(0));
+  EXPECT_EQ(parseUnsigned("4294967295"), std::optional<unsigned>(4294967295u));
+  EXPECT_FALSE(parseUnsigned("4294967296").has_value());
+  EXPECT_FALSE(parseUnsigned("8589934593").has_value());
+  EXPECT_FALSE(parseUnsigned("-1").has_value());
+  EXPECT_FALSE(parseUnsigned("7x").has_value());
+  EXPECT_FALSE(parseUnsigned("0", 1).has_value());
+  EXPECT_EQ(parseUnsigned("1", 1), std::optional<unsigned>(1));
+  EXPECT_EQ(parseUnsigned("65535", 1, 65535), std::optional<unsigned>(65535));
+  EXPECT_FALSE(parseUnsigned("65536", 1, 65535).has_value());
+}
+
 TEST(StrUtil, StartsWith) {
   EXPECT_TRUE(startsWith("history 3", "history"));
   EXPECT_FALSE(startsWith("his", "history"));
