@@ -65,11 +65,13 @@ using namespace isopredict::engine;
 
 namespace {
 
-int usage(const char *Msg = nullptr) {
+/// Prints the usage text: to stdout for --help (exit 0), otherwise to
+/// stderr after \p Msg (exit 2).
+int usage(const char *Msg = nullptr, std::FILE *Out = stderr) {
   if (Msg)
     std::fprintf(stderr, "error: %s\n", Msg);
   std::fprintf(
-      stderr,
+      Out,
       "usage: campaign_cli [options]\n"
       "  --apps a,b,...        applications (default: all bundled)\n"
       "  --levels l,...        causal | rc | ra (default: causal)\n"
@@ -125,7 +127,7 @@ int usage(const char *Msg = nullptr) {
       "  --log-level L         debug|info|warn|error|off (default: info;\n"
       "                        debug adds a job.done event per job)\n"
       "  --log-json            NDJSON log lines instead of text\n");
-  return 2;
+  return Out == stdout ? 0 : 2;
 }
 
 std::vector<std::string> splitList(const std::string &Arg) {
@@ -236,6 +238,8 @@ int main(int argc, char **argv) {
     auto next = [&]() -> const char * {
       return I + 1 < argc ? argv[++I] : nullptr;
     };
+    if (Flag == "--help" || Flag == "-h")
+      return usage(nullptr, stdout);
     if (Flag == "--no-validate") {
       Validate = false;
       GridFlagUsed = true;

@@ -27,13 +27,15 @@
 
 using namespace isopredict;
 
-static int usage() {
-  std::fprintf(stderr,
+/// Prints the usage text: to stdout for --help (exit 0), otherwise to
+/// stderr (exit 2).
+static int usage(std::FILE *Out = stderr) {
+  std::fprintf(Out,
                "usage: isopredict_cli check   <trace>\n"
                "       isopredict_cli predict <trace> [causal|ra|rc] "
                "[exact|strict|relaxed]\n"
                "       isopredict_cli dot     <trace>\n");
-  return 2;
+  return Out == stdout ? 0 : 2;
 }
 
 static std::optional<History> load(const char *Path) {
@@ -106,6 +108,9 @@ static int runPredict(const History &H, IsolationLevel Level, Strategy S) {
 }
 
 int main(int argc, char **argv) {
+  if (argc == 2 &&
+      (std::strcmp(argv[1], "--help") == 0 || std::strcmp(argv[1], "-h") == 0))
+    return usage(stdout);
   if (argc < 3)
     return usage();
   auto H = load(argv[2]);

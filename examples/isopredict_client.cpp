@@ -70,11 +70,13 @@ using namespace isopredict::engine;
 
 namespace {
 
-int usage(const char *Msg = nullptr) {
+/// Prints the usage text: to stdout for --help (exit 0), otherwise to
+/// stderr after \p Msg (exit 2).
+int usage(const char *Msg = nullptr, std::FILE *Out = stderr) {
   if (Msg)
     std::fprintf(stderr, "error: %s\n", Msg);
   std::fprintf(
-      stderr,
+      Out,
       "usage: isopredict_client [--host ADDR] [--port N | --port-file FILE]\n"
       "                         [--name NAME] actions...\n"
       "actions: --ping | --auth T[:KEY] | --upload NAME:FILE\n"
@@ -84,7 +86,7 @@ int usage(const char *Msg = nullptr) {
       "         --collect FILE\n"
       "query keys: prune=1 (default) encodes with the relevance plan,\n"
       "            prune=0 with the identity plan\n");
-  return 2;
+  return Out == stdout ? 0 : 2;
 }
 
 /// Buffered newline-framed reads off the connection.
@@ -280,6 +282,8 @@ int main(int argc, char **argv) {
       }
       return std::string(argv[++I]);
     };
+    if (Flag == "--help" || Flag == "-h")
+      return usage(nullptr, stdout);
     if (Flag == "--host") {
       auto V = value("--host");
       if (!V)

@@ -47,11 +47,13 @@ using namespace isopredict::server;
 
 namespace {
 
-int usage(const char *Msg = nullptr) {
+/// Prints the usage text: to stdout for --help (exit 0), otherwise to
+/// stderr after \p Msg (exit 2).
+int usage(const char *Msg = nullptr, std::FILE *Out = stderr) {
   if (Msg)
     std::fprintf(stderr, "error: %s\n", Msg);
   std::fprintf(
-      stderr,
+      Out,
       "usage: isopredict_server [options]\n"
       "  --host ADDR      listen address (default: 127.0.0.1)\n"
       "  --port N         TCP port, 0 = ephemeral (default: 0)\n"
@@ -71,7 +73,7 @@ int usage(const char *Msg = nullptr) {
       "  --trace-flush-sec N  trace flush/rotate period (default: 10)\n"
       "  --trace-ring N   ring capacity in spans (default: 16384)\n"
       "  --trace-keep N   rotated trace files kept (default: 8)\n");
-  return 2;
+  return Out == stdout ? 0 : 2;
 }
 
 } // namespace
@@ -90,6 +92,8 @@ int main(int argc, char **argv) {
         ++I;
       return V;
     };
+    if (Flag == "--help" || Flag == "-h")
+      return usage(nullptr, stdout);
     if (Flag == "--host") {
       if (!needValue("--host"))
         return 2;

@@ -34,10 +34,12 @@ using namespace isopredict::engine;
 
 namespace {
 
-int usage(const char *Msg = nullptr) {
+/// Prints the usage text: to stdout for --help (exit 0), otherwise to
+/// stderr after \p Msg (exit 2).
+int usage(const char *Msg = nullptr, std::FILE *Out = stderr) {
   if (Msg)
     std::fprintf(stderr, "error: %s\n", Msg);
-  std::fprintf(stderr,
+  std::fprintf(Out,
                "usage: report_diff [--regressions-only] [--outcomes-only] "
                "[--match-by-key] [--quiet] before.json after.json\n"
                "  exit 0: no outcome regressions\n"
@@ -53,7 +55,7 @@ int usage(const char *Msg = nullptr) {
                "    carry spec hashes (for diffs across spec knobs like "
                "--prune, whose\n"
                "    hashes differ by design)\n");
-  return 2;
+  return Out == stdout ? 0 : 2;
 }
 
 } // namespace
@@ -65,6 +67,9 @@ int main(int argc, char **argv) {
   bool Quiet = false;
   std::vector<std::string> Paths;
   for (int I = 1; I < argc; ++I) {
+    if (std::strcmp(argv[I], "--help") == 0 ||
+        std::strcmp(argv[I], "-h") == 0)
+      return usage(nullptr, stdout);
     if (std::strcmp(argv[I], "--regressions-only") == 0)
       RegressionsOnly = true;
     else if (std::strcmp(argv[I], "--outcomes-only") == 0)

@@ -34,17 +34,19 @@ using namespace isopredict::engine;
 
 namespace {
 
-int usage(const char *Msg = nullptr) {
+/// Prints the usage text: to stdout for --help (exit 0), otherwise to
+/// stderr after \p Msg (exit 2).
+int usage(const char *Msg = nullptr, std::FILE *Out = stderr) {
   if (Msg)
     std::fprintf(stderr, "error: %s\n", Msg);
-  std::fprintf(stderr,
+  std::fprintf(Out,
                "usage: report_merge [--out FILE] [--quiet] "
                "shard1.json ... shardN.json\n"
                "  merges the N shard reports of one campaign "
                "(campaign_cli --shard K/N)\n"
                "  into the report an unsharded run would have written "
                "(byte-identical)\n");
-  return 2;
+  return Out == stdout ? 0 : 2;
 }
 
 } // namespace
@@ -54,6 +56,9 @@ int main(int argc, char **argv) {
   bool Quiet = false;
   std::vector<std::string> Paths;
   for (int I = 1; I < argc; ++I) {
+    if (std::strcmp(argv[I], "--help") == 0 ||
+        std::strcmp(argv[I], "-h") == 0)
+      return usage(nullptr, stdout);
     if (std::strcmp(argv[I], "--out") == 0) {
       if (I + 1 >= argc)
         return usage("--out needs a value");

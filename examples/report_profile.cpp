@@ -57,10 +57,12 @@ using namespace isopredict::engine;
 
 namespace {
 
-int usage(const char *Msg = nullptr) {
+/// Prints the usage text: to stdout for --help (exit 0), otherwise to
+/// stderr after \p Msg (exit 2).
+int usage(const char *Msg = nullptr, std::FILE *Out = stderr) {
   if (Msg)
     std::fprintf(stderr, "error: %s\n", Msg);
-  std::fprintf(stderr,
+  std::fprintf(Out,
                "usage: report_profile [--top N] FILE\n"
                "       report_profile --follow HOST:PORT [--interval SEC]"
                " [--count N]\n"
@@ -74,7 +76,7 @@ int usage(const char *Msg = nullptr) {
                "  --interval  seconds between polls (default: 2)\n"
                "  --count     stop after N polls, 0 = forever (default: "
                "0)\n");
-  return 2;
+  return Out == stdout ? 0 : 2;
 }
 
 double numberOf(const JsonValue *V) {
@@ -624,6 +626,8 @@ int main(int argc, char **argv) {
   unsigned Count = 0;
   for (int I = 1; I < argc; ++I) {
     std::string Flag = argv[I];
+    if (Flag == "--help" || Flag == "-h")
+      return usage(nullptr, stdout);
     if (Flag == "--top") {
       const char *V = I + 1 < argc ? argv[++I] : nullptr;
       auto N = V ? parseUnsigned(V, 1) : std::nullopt;

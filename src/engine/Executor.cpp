@@ -110,8 +110,8 @@ void finishProbe(obs::Span &S, bool Hit, unsigned N,
 /// StreamChunk-sized transaction slice, with the job's query after
 /// every step. \p FromScratch selects the equivalence baseline — a
 /// fresh windowed session per prefix instead of extend() — which must
-/// produce the same per-step outcomes (the CI streaming gate compares
-/// the two with report_diff --outcomes-only).
+/// produce the same per-step outcomes (the Engine.Stream* tests compare
+/// the two step by step).
 void runStreamJob(JobResult &R, const JobSpec &Spec, const History &Full,
                   bool FromScratch) {
   unsigned Chunk = std::max(1u, Spec.StreamChunk);

@@ -159,7 +159,7 @@ void isopredict::engine::writeJobFields(JsonWriter &J, const JobResult &R,
     // Per-step outcomes, in feed order. Outcome fields are default
     // bytes; literals and seconds are timings-gated because they
     // depend on the execution mode (extend vs from-scratch baseline),
-    // and the streaming CI gate compares the two modes' reports.
+    // and the stream tests compare the two modes' reports.
     J.openArray("steps");
     for (const StreamStep &St : R.Steps) {
       J.openElement();

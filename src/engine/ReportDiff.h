@@ -8,7 +8,7 @@
 /// Compares two campaign JSON reports (Report::toJson documents) job by
 /// job and classifies the differences, flagging *outcome regressions* —
 /// a prediction lost (sat → unsat/unknown), a validation downgraded
-/// (validated → diverged/failed), a job that stopped running — so CI
+/// (validated → diverged/failed), a job that stopped running — so tests
 /// and incremental re-runs can gate on them (ROADMAP "report diffing").
 ///
 /// Jobs are matched on the stable `spec_hash` (engine::specHash's
@@ -76,7 +76,7 @@ struct ReportDiffResult {
 /// \p MatchByKey forces the reconstructed identity-key matching even
 /// when both reports carry spec hashes. That is the right mode for
 /// comparing the same grid run under different *spec* knobs — e.g. the
-/// CI prune gate diffs --prune against default runs, whose hashes
+/// identity plan (--no-prune) against default runs, whose hashes
 /// differ by design (prune is part of the canonical spec) while their
 /// identity keys, which deliberately omit encoding knobs, coincide.
 std::optional<ReportDiffResult> diffReports(const std::string &JsonA,

@@ -97,7 +97,7 @@ public:
     ///   E_s = count_s <= W ? 0 : floor((count_s - W) / H) * H
     /// transactions, with hysteresis H = max(1, W/2), so extending by
     /// deltas and re-observing from scratch encode the *same* window —
-    /// the streaming CI gate pins that equivalence. A change in any E_s
+    /// tier-1's stream-grid test pins that equivalence. A change in any E_s
     /// triggers an epoch rebuild (fresh solver over the new window);
     /// the hysteresis makes rebuilds amortized O(1/H) per extend.
     unsigned Window = 0;

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Canned execution histories used across the test binaries: the paper's
-/// running examples (Figures 1-3, 5/8, 9) plus helpers for generating
-/// random histories through the store.
+/// running examples (Figures 1-3, 5/8, 9); fresh scratch directories;
+/// and running the built command-line tools.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +15,17 @@
 #define ISOPREDICT_TESTS_TESTUTIL_H
 
 #include "history/History.h"
+#include "support/Fs.h"
+#include "support/StrUtil.h"
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdio>
+#include <filesystem>
+#include <string>
+#include <sys/wait.h>
+#include <unistd.h>
 
 namespace isopredict {
 namespace testutil {
@@ -113,6 +124,46 @@ inline History selfJustifyTrap() {
   B.commit();
   return B.finish();
 }
+
+/// Runs \p Cmd through the shell and returns its exit status (-1 when it
+/// did not exit normally). Its stdout replaces \p Out when given.
+inline int runCommand(const std::string &Cmd, std::string *Out = nullptr) {
+  std::FILE *P = ::popen(Cmd.c_str(), "r");
+  if (!P)
+    return -1;
+  if (Out)
+    Out->clear();
+  char Buf[4096];
+  while (size_t N = std::fread(Buf, 1, sizeof(Buf), P))
+    if (Out)
+      Out->append(Buf, N);
+  int Status = ::pclose(P);
+  return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+}
+
+/// A fresh, empty directory under gtest's temp root, unique to this
+/// process, \p Tag and call. What a recycled pid's earlier run left at
+/// the path is deleted first, so no test reads a stale file.
+inline std::string scratchDir(const char *Tag) {
+  static std::atomic<unsigned> Counter{0};
+  std::string Dir = pathJoin(
+      testing::TempDir(),
+      formatString("isopredict-%s-%ld-%u", Tag, static_cast<long>(::getpid()),
+                   Counter.fetch_add(1)));
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  return Dir;
+}
+
+/// A scratchDir() removed again when the test ends.
+struct ScratchDir {
+  std::string Path;
+  explicit ScratchDir(const char *Tag) : Path(scratchDir(Tag)) {}
+  ~ScratchDir() { std::filesystem::remove_all(Path); }
+  std::string operator/(const std::string &Name) const {
+    return pathJoin(Path, Name);
+  }
+};
 
 } // namespace testutil
 } // namespace isopredict

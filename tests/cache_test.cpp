@@ -1,5 +1,6 @@
 //===- cache_test.cpp - Result cache, sharding, and merge tests -*- C++ -*-===//
 
+#include "TestUtil.h"
 #include "cache/Merge.h"
 #include "cache/ResultStore.h"
 #include "cache/Shard.h"
@@ -14,25 +15,13 @@
 #include <atomic>
 #include <cstdio>
 #include <thread>
-#include <unistd.h>
 
 using namespace isopredict;
 using namespace isopredict::engine;
 using namespace isopredict::cache;
+using testutil::scratchDir;
 
 namespace {
-
-/// Fresh per-test scratch directory under gtest's temp root.
-std::string scratchDir(const char *Tag) {
-  static std::atomic<unsigned> Counter{0};
-  std::string Dir =
-      pathJoin(testing::TempDir(),
-               formatString("isopredict-%s-%ld-%u", Tag,
-                            static_cast<long>(::getpid()),
-                            Counter.fetch_add(1)));
-  EXPECT_TRUE(createDirectories(Dir));
-  return Dir;
-}
 
 /// A fast mixed campaign: every job kind, decided well within timeout.
 Campaign mixedCampaign() {
@@ -253,8 +242,8 @@ TEST(ResultStore, ConcurrentWritersAndReadersNeverSeeTornEntries) {
   // Two writer threads hammer the same spec_hash while two readers
   // loop lookups: atomic tmp+rename writes mean every lookup is either
   // a miss or a fully valid entry — never a torn read. This is the
-  // same contract two processes sharing --cache-dir rely on (the CI
-  // server gate runs that variant).
+  // same contract two processes sharing --cache-dir rely on
+  // (CampaignCli.TwoProcessesShareOneCacheDir runs that variant).
   std::string Dir = scratchDir("race");
   ResultStore Store(Dir);
 

@@ -320,7 +320,7 @@ TEST(ReportDiff, MatchByKeyOverridesHashMatching) {
   };
   // Same identity key, different hashes (a spec knob like prune
   // changed): hash matching finds nothing, key matching pairs them —
-  // the CI prune gate depends on this.
+  // Engine.RelevancePlanPreservesGridOutcomes depends on this.
   std::string A = reportJson({hashed("00000000000000aa", "1", "sat")});
   std::string B = reportJson({hashed("00000000000000cc", "1", "unsat")});
   auto ByHash = diffReports(A, B);

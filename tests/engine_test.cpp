@@ -2,12 +2,12 @@
 
 #include "engine/Engine.h"
 
-#include "cache/ResultStore.h"
+#include "TestUtil.h"
 #include "engine/Executor.h"
 #include "engine/JobIo.h"
+#include "engine/ReportDiff.h"
 #include "server/Protocol.h"
 #include "smt/Smt.h"
-#include "support/Fs.h"
 #include "support/StrUtil.h"
 
 #include <gtest/gtest.h>
@@ -15,12 +15,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
 #include <set>
-#include <sys/wait.h>
 #include <thread>
-#include <unistd.h>
 
 using namespace isopredict;
 using namespace isopredict::engine;
@@ -75,6 +71,16 @@ Report runWith(const Campaign &C, unsigned Workers) {
   EngineOptions O;
   O.NumWorkers = Workers;
   return Engine(O).run(C);
+}
+
+/// smallbank and voter x causal, rc x \p Strategies x seeds 1-2: the
+/// grid that shared encodings, the identity plan and streaming must
+/// answer as the default one-shot jobs do.
+Campaign twoAppGrid(const char *Name, std::vector<Strategy> Strategies) {
+  return Campaign::predictGrid(
+      Name, {"smallbank", "voter"},
+      {IsolationLevel::Causal, IsolationLevel::ReadCommitted}, Strategies,
+      {false}, 2, 60000);
 }
 
 } // namespace
@@ -176,13 +182,11 @@ TEST(Engine, PredictGridCrossProduct) {
 }
 
 TEST(Engine, SharedEncodingsDeterministicAcrossWorkerCounts) {
-  // Two share-groups (one per seed), each spanning levels × strategies:
+  // One share-group per (app, seed), each spanning levels × strategies:
   // the group is the scheduling unit, so shared-mode reports must stay
   // byte-identical no matter how many workers execute the groups.
-  Campaign C = Campaign::predictGrid(
-      "shared", {"smallbank"},
-      {IsolationLevel::Causal, IsolationLevel::ReadCommitted},
-      {Strategy::ApproxStrict, Strategy::ApproxRelaxed}, {false}, 2, 60000);
+  Campaign C =
+      twoAppGrid("shared", {Strategy::ApproxStrict, Strategy::ApproxRelaxed});
 
   auto runShared = [&](unsigned Workers) {
     EngineOptions O;
@@ -203,10 +207,8 @@ TEST(Engine, SharedEncodingsPreserveOutcomes) {
   // Sat/unsat outcomes are part of the session sat-equivalence
   // contract; models (witnesses, validation) may differ, so only the
   // outcome fields are compared against the share-nothing engine.
-  Campaign C = Campaign::predictGrid(
-      "shared-vs-oneshot", {"smallbank", "voter"},
-      {IsolationLevel::Causal, IsolationLevel::ReadCommitted},
-      {Strategy::ApproxStrict, Strategy::ApproxRelaxed}, {false}, 2, 60000);
+  Campaign C = twoAppGrid("shared-vs-oneshot",
+                          {Strategy::ApproxStrict, Strategy::ApproxRelaxed});
 
   EngineOptions Off;
   Off.NumWorkers = 2;
@@ -225,6 +227,33 @@ TEST(Engine, SharedEncodingsPreserveOutcomes) {
         << "outcome changed under --share-encodings for "
         << canonicalSpec(A.Spec);
   }
+}
+
+// The relevance plan answers the grid as the identity plan does. Spec
+// hashes differ by design (prune is part of the canonical spec), so
+// report diffing pairs the jobs by identity key.
+TEST(Engine, RelevancePlanPreservesGridOutcomes) {
+  Campaign On =
+      twoAppGrid("prune", {Strategy::ApproxStrict, Strategy::ApproxRelaxed});
+  Campaign Off = On;
+  for (JobSpec &J : Off.Jobs)
+    J.Prune = false;
+  Report Identity = runWith(Off, 2), Relevance = runWith(On, 2);
+  ASSERT_EQ(Relevance.size(), 16u);
+  for (size_t I = 0; I < Relevance.size(); ++I) {
+    const JobResult &A = Identity.results()[I], &B = Relevance.results()[I];
+    EXPECT_NE(specHash(A.Spec), specHash(B.Spec));
+    EXPECT_TRUE(B.Ok);
+    EXPECT_EQ(A.Outcome, B.Outcome) << canonicalSpec(B.Spec);
+  }
+  std::optional<ReportDiffResult> D =
+      diffReports(Identity.toJson(), Relevance.toJson(), nullptr,
+                  /*MatchByKey=*/true);
+  ASSERT_TRUE(D.has_value());
+  EXPECT_EQ(D->MatchedJobs, 16u);
+  // The plan is a pure function of the history: default reports are
+  // deterministic across worker counts.
+  EXPECT_EQ(runWith(On, 1).toJson(), Relevance.toJson());
 }
 
 //===----------------------------------------------------------------------===
@@ -315,58 +344,6 @@ TEST(Engine, StrictPairReportMatchesJobsRunAlone) {
   EXPECT_EQ(Reuses, 3u);
   EXPECT_EQ(Unvalidated.metrics().counter("solver.checks"),
             ChecksAlone - Reuses);
-}
-
-// Cache consumption is all-or-nothing per pair, and campaign_cli
-// --dry-run previews exactly what the run then consumes.
-TEST(Engine, PartiallyCachedStrictPairRecomputesBoth) {
-  const std::string Cli = pathJoin(ISOPREDICT_EXAMPLES_DIR, "campaign_cli");
-  ASSERT_TRUE(pathExists(Cli)) << Cli;
-  // The campaign the CLI flags below expand to.
-  Campaign C = Campaign::predictGrid(
-      "campaign", {"smallbank"}, {IsolationLevel::ReadCommitted},
-      {Strategy::ExactStrict, Strategy::ApproxStrict,
-       Strategy::ApproxRelaxed},
-      {false}, 1, 5000);
-  ASSERT_EQ(C.size(), 3u);
-  EngineOptions O;
-  O.CacheDir = pathJoin(testing::TempDir(),
-                        formatString("isopredict-pair-cache-%ld",
-                                     static_cast<long>(::getpid())));
-  std::filesystem::remove_all(O.CacheDir); // A recycled pid's leftovers.
-  Report Cold = Engine(O).run(C);
-  ASSERT_EQ(Cold.cacheMisses(), 3u);
-  cache::ResultStore Store(O.CacheDir);
-  ASSERT_TRUE(std::filesystem::remove(Store.entryPath(C.Jobs[0])));
-
-  std::string Cmd = Cli + " --apps smallbank --levels rc --strategies " +
-                    "exact,strict,relaxed --seeds 1 --dry-run --cache-dir " +
-                    O.CacheDir + " 2>/dev/null";
-  FILE *P = ::popen(Cmd.c_str(), "r");
-  ASSERT_NE(P, nullptr);
-  std::string Preview;
-  char Buf[512];
-  while (size_t N = std::fread(Buf, 1, sizeof(Buf), P))
-    Preview.append(Buf, N);
-  ASSERT_EQ(::pclose(P), 0) << Preview;
-  std::vector<std::string_view> Lines = splitString(Preview, '\n');
-  ASSERT_GE(Lines.size(), 3u) << Preview;
-
-  Report Warm = Engine(O).run(C);
-  EXPECT_EQ(Warm.cacheHits(), 1u);
-  EXPECT_EQ(Warm.cacheMisses(), 2u);
-  for (size_t I = 0; I < C.size(); ++I) {
-    const JobResult &R = Warm.results()[I];
-    bool Hit = C.Jobs[I].Strat == Strategy::ApproxRelaxed;
-    EXPECT_EQ(R.CacheHit, Hit) << toString(C.Jobs[I].Strat);
-    EXPECT_EQ(formatString("%016llx", static_cast<unsigned long long>(
-                                          specHash(C.Jobs[I]))),
-              Lines[I].substr(0, 16));
-    EXPECT_NE(Lines[I].find(Hit ? "  hit" : "  miss"), std::string::npos)
-        << Lines[I];
-  }
-  EXPECT_EQ(Warm.toJson(), Cold.toJson());
-  std::filesystem::remove_all(O.CacheDir);
 }
 
 // A canceled exact stage says nothing about the formula: the
@@ -678,8 +655,8 @@ TEST(Campaign, StreamSpecFieldsAreConditional) {
 }
 
 // The incremental extend path and the from-scratch baseline must agree
-// on every step's outcome and on the encoded window size — the
-// equivalence the CI streaming gate checks at campaign scale.
+// on every step's outcome and on the encoded window size (see below
+// for the same at campaign scale).
 TEST(Engine, StreamJobMatchesFromScratchBaseline) {
   JobSpec J;
   J.Kind = JobKind::Stream;
@@ -704,6 +681,57 @@ TEST(Engine, StreamJobMatchesFromScratchBaseline) {
   EXPECT_EQ(Ext.Steps.back().Outcome, Ext.Outcome);
 }
 
+// The same at campaign scale, over causal (hb closure inside the
+// window) and rc (so ∪ wr) queries; stream reports are deterministic
+// across worker counts; and a single chunk covering the whole trace
+// answers what the plain Predict job answers (the W >= trace contract).
+TEST(Engine, StreamGridMatchesFromScratchAndPredict) {
+  Campaign C =
+      twoAppGrid("stream", {Strategy::ExactStrict, Strategy::ApproxRelaxed});
+  for (JobSpec &J : C.Jobs) {
+    J.Kind = JobKind::Stream;
+    J.Window = 4;
+    J.StreamChunk = 3;
+  }
+  EngineOptions O;
+  O.NumWorkers = 2;
+  Report Ext = Engine(O).run(C);
+  O.StreamFromScratch = true;
+  Report Scr = Engine(O).run(C);
+  ASSERT_EQ(Ext.size(), 16u);
+  ASSERT_EQ(Scr.size(), Ext.size());
+  for (size_t I = 0; I < Ext.size(); ++I) {
+    const JobResult &A = Ext.results()[I], &B = Scr.results()[I];
+    SCOPED_TRACE(canonicalSpec(A.Spec));
+    EXPECT_EQ(specHash(A.Spec), specHash(B.Spec));
+    EXPECT_EQ(A.Outcome, B.Outcome);
+    ASSERT_EQ(A.Steps.size(), B.Steps.size());
+    for (size_t S = 0; S < A.Steps.size(); ++S) {
+      EXPECT_EQ(A.Steps[S].Txns, B.Steps[S].Txns) << "step " << S;
+      EXPECT_EQ(A.Steps[S].WindowTxns, B.Steps[S].WindowTxns) << "step " << S;
+      EXPECT_EQ(A.Steps[S].Outcome, B.Steps[S].Outcome) << "step " << S;
+    }
+  }
+  EXPECT_EQ(runWith(C, 1).toJson(), Ext.toJson());
+
+  Campaign Predict = Campaign::predictGrid(
+      "full", {"smallbank", "voter"}, {IsolationLevel::Causal},
+      {Strategy::ApproxRelaxed}, {false}, 2, 60000);
+  Campaign Full = Predict;
+  for (JobSpec &J : Full.Jobs) {
+    J.Kind = JobKind::Stream;
+    J.StreamChunk = 1000;
+  }
+  Report P = runWith(Predict, 2), F = runWith(Full, 2);
+  ASSERT_EQ(F.size(), 4u);
+  for (size_t I = 0; I < F.size(); ++I) {
+    const JobResult &R = F.results()[I];
+    EXPECT_EQ(R.Outcome, P.results()[I].Outcome) << canonicalSpec(R.Spec);
+    ASSERT_EQ(R.Steps.size(), 1u);
+    EXPECT_EQ(R.Steps.back().Outcome, R.Outcome);
+  }
+}
+
 // A cache-answered stream campaign writes its cold run's report bytes,
 // summary included: stream entries persist no literal count, so the
 // summary "literals" sums Predict jobs only.
@@ -721,19 +749,15 @@ TEST(Engine, StreamCampaignWarmReportMatchesCold) {
   J.StreamChunk = 3;
   C.Jobs.push_back(J);
 
+  testutil::ScratchDir Cache("stream-cache");
   EngineOptions O;
   O.NumWorkers = 1;
-  O.CacheDir = pathJoin(testing::TempDir(),
-                        formatString("isopredict-stream-cache-%ld",
-                                     static_cast<long>(::getpid())));
-  std::filesystem::remove_all(O.CacheDir); // A recycled pid's leftovers.
-  ASSERT_TRUE(createDirectories(O.CacheDir));
+  O.CacheDir = Cache.Path;
   Report Cold = Engine(O).run(C);
   Report Warm = Engine(O).run(C);
   ASSERT_EQ(Cold.cacheMisses(), 1u);
   ASSERT_EQ(Warm.cacheHits(), 1u);
   EXPECT_EQ(Warm.toJson(), Cold.toJson());
-  std::filesystem::remove_all(O.CacheDir);
 }
 
 // Stream job entries round-trip through the JSON wire format exactly,
@@ -948,70 +972,6 @@ TEST(JobIo, OutOfRangeUnsignedFieldsAreRejected) {
                  [](const JsonValue &D, std::string *E) {
                    return jobResultFromJson(D, E).has_value();
                  });
-}
-
-// campaign_cli's integer flags set `unsigned` options: a value above
-// UINT_MAX is a usage error (exit 2), not wrapped (a --timeout-ms of
-// 2^32 would run with no timeout at all).
-TEST(CampaignCli, OutOfRangeIntegersAreUsageErrors) {
-  const std::string Cli =
-      pathJoin(ISOPREDICT_EXAMPLES_DIR, "campaign_cli");
-  ASSERT_TRUE(pathExists(Cli)) << Cli;
-  auto run = [&](const std::string &Args, std::string &Out) {
-    Out.clear();
-    std::string Cmd =
-        Cli + " --apps voter --seeds 1 --dry-run " + Args + " 2>&1";
-    FILE *P = ::popen(Cmd.c_str(), "r");
-    if (!P)
-      return -1;
-    char Buf[512];
-    while (size_t N = std::fread(Buf, 1, sizeof(Buf), P))
-      Out.append(Buf, N);
-    int Status = ::pclose(P);
-    return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
-  };
-  std::string Out;
-  EXPECT_EQ(run("--timeout-ms 4294967295", Out), 0) << Out;
-  for (const char *Args :
-       {"--seeds 4294967297", "--jobs 4294967296", "--timeout-ms 4294967296",
-        "--stream --window 4294967296", "--stream=4294967296",
-        "--write-shards 4294967296", "--shard 4294967297/4294967297"}) {
-    EXPECT_EQ(run(Args, Out), 2) << Args << "\n" << Out;
-    EXPECT_NE(Out.find("4294967295"), std::string::npos)
-        << Args << "\n" << Out;
-  }
-}
-
-// --sizes takes SxT shapes next to the named ones; a named shape and
-// its SxT spelling expand to the same jobs, hashes included.
-TEST(CampaignCli, SizesAcceptSessionsByTxnsShapes) {
-  const std::string Cli = pathJoin(ISOPREDICT_EXAMPLES_DIR, "campaign_cli");
-  ASSERT_TRUE(pathExists(Cli)) << Cli;
-  auto dryRun = [&](const std::string &Sizes, std::string &Out) {
-    Out.clear();
-    std::string Cmd = Cli + " --apps smallbank,voter --seeds 2 --strategies " +
-                      "exact,relaxed --dry-run --sizes " + Sizes + " 2>&1";
-    FILE *P = ::popen(Cmd.c_str(), "r");
-    if (!P)
-      return -1;
-    char Buf[512];
-    while (size_t N = std::fread(Buf, 1, sizeof(Buf), P))
-      Out.append(Buf, N);
-    int Status = ::pclose(P);
-    return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
-  };
-  std::string Named, Shaped;
-  ASSERT_EQ(dryRun("small,large", Named), 0) << Named;
-  ASSERT_EQ(dryRun("3x4,3X8", Shaped), 0) << Shaped;
-  EXPECT_EQ(Shaped, Named);
-  size_t Jobs = 0;
-  for (std::string_view Line : splitString(Named, '\n'))
-    Jobs += Line.find(" predict ") != std::string_view::npos;
-  EXPECT_EQ(Jobs, 2u * 2 * 2 * 2);
-  ASSERT_EQ(dryRun("3x16", Shaped), 0) << Shaped;
-  EXPECT_NE(Shaped.find(" 3x16 "), std::string::npos) << Shaped;
-  for (const char *Bad : {"0x4", "3x", "3x4x2", "4294967296x4", "medium"})
-    EXPECT_EQ(dryRun(Bad, Shaped), 2) << Bad << "\n" << Shaped;
 }
 
 namespace {

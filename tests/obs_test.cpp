@@ -1,6 +1,8 @@
 //===- obs_test.cpp - Tracer, metrics, and exporter tests ------*- C++ -*-===//
 
 #include "engine/Engine.h"
+
+#include "TestUtil.h"
 #include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "obs/Prometheus.h"
@@ -12,10 +14,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <map>
 #include <thread>
-#include <unistd.h>
 
 using namespace isopredict;
 using namespace isopredict::engine;
@@ -72,12 +72,8 @@ struct LogSession {
   }
 };
 
-std::string scratchFile(const char *Tag) {
-  static std::atomic<unsigned> Counter{0};
-  return pathJoin(testing::TempDir(),
-                  formatString("isopredict-obs-%s-%ld-%u", Tag,
-                               static_cast<long>(::getpid()),
-                               Counter.fetch_add(1)));
+std::string scratchFile(const char *Name) {
+  return pathJoin(testutil::scratchDir("obs"), Name);
 }
 
 } // namespace

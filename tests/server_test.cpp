@@ -8,6 +8,7 @@
 
 #include "server/Server.h"
 
+#include "TestUtil.h"
 #include "cache/ResultStore.h"
 #include "engine/Engine.h"
 #include "engine/JobIo.h"
@@ -21,10 +22,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <atomic>
 #include <cstring>
 #include <netinet/in.h>
+#include <regex>
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
@@ -32,19 +35,9 @@
 using namespace isopredict;
 using namespace isopredict::server;
 using engine::JobSpec;
+using testutil::scratchDir;
 
 namespace {
-
-std::string scratchDir(const char *Tag) {
-  static std::atomic<unsigned> Counter{0};
-  std::string Dir =
-      pathJoin(testing::TempDir(),
-               formatString("isopredict-server-%s-%ld-%u", Tag,
-                            static_cast<long>(::getpid()),
-                            Counter.fetch_add(1)));
-  EXPECT_TRUE(createDirectories(Dir));
-  return Dir;
-}
 
 /// A small observed history for upload/session tests.
 History observedHistory(uint64_t Seed) {
@@ -647,7 +640,8 @@ TEST(ServerE2E, SpecQueryMatchesBatchEngine) {
   TestServer TS(std::move(O), TenantRegistry());
   ASSERT_TRUE(TS.start());
 
-  // The CI server gate's grid: one code path answers both sides.
+  // One code path answers both sides (ServerCli.* in cli_test drives
+  // the same grid through the client binary).
   engine::Campaign Grid = engine::Campaign::predictGrid(
       "server-grid", {"smallbank", "voter"},
       {IsolationLevel::Causal, IsolationLevel::ReadCommitted},
@@ -911,6 +905,24 @@ TEST(ServerE2E, MetricsVerbServesPrometheusAndJson) {
             std::string::npos);
   EXPECT_NE(Text.find("server_query_seconds_bucket{tenant=\"acme\",le="),
             std::string::npos);
+  EXPECT_TRUE(std::regex_search(
+      Text, std::regex(R"(server_requests\{tenant="acme",verb="query",)"
+                       R"(outcome="ok"\} [1-9])")));
+  EXPECT_NE(Text.find("server_queries{tenant=\"bravo\""), std::string::npos);
+  // acme's latency buckets are cumulative and end at its query count.
+  std::regex Bucket(
+      R"(server_query_seconds_bucket\{tenant="acme",le="[^"]*"\} (\d+))");
+  std::vector<double> Buckets;
+  for (std::sregex_iterator It(Text.begin(), Text.end(), Bucket), End;
+       It != End; ++It)
+    Buckets.push_back(std::stod((*It)[1]));
+  ASSERT_FALSE(Buckets.empty());
+  EXPECT_TRUE(std::is_sorted(Buckets.begin(), Buckets.end()));
+  std::smatch Count;
+  ASSERT_TRUE(std::regex_search(
+      Text, Count,
+      std::regex(R"(server_query_seconds_count\{tenant="acme"\} (\d+))")));
+  EXPECT_EQ(Buckets.back(), std::stod(Count[1]));
 
   // JSON variant carries the status-style metrics block.
   R = A.request(R"("verb": "metrics", "format": "json")");
@@ -964,6 +976,16 @@ TEST(ServerE2E, StatusReportsRollingLatencyPercentiles) {
   const JsonValue *Tenants = Latency->field("tenants");
   ASSERT_NE(Tenants, nullptr);
   ASSERT_NE(Tenants->field("default"), nullptr);
+  for (const JsonValue *Section : {Verbs, Tenants})
+    for (const auto &[Name, Windows] : Section->Fields)
+      for (const char *Win : {"1m", "5m"}) {
+        const JsonValue *W = Windows.field(Win);
+        ASSERT_NE(W, nullptr) << Name << " " << Win;
+        EXPECT_LE(std::stod(W->field("p50")->Text),
+                  std::stod(W->field("p95")->Text));
+        EXPECT_LE(std::stod(W->field("p95")->Text),
+                  std::stod(W->field("p99")->Text));
+      }
 }
 
 TEST(ServerE2E, SlowQueryLogCapturesTenantAndSpec) {
@@ -1020,9 +1042,9 @@ TEST(ServerE2E, SlowQueryLogCapturesTenantAndSpec) {
   ASSERT_TRUE(M.connect(TS.S.port()));
   std::optional<JsonValue> R = M.request(R"("verb": "metrics")");
   ASSERT_TRUE(isOk(R)) << errorCode(R);
-  EXPECT_NE(R->field("exposition")
-                ->Text.find("server_slow_queries{tenant=\"default\"}"),
-            std::string::npos);
+  EXPECT_TRUE(std::regex_search(
+      R->field("exposition")->Text,
+      std::regex(R"(server_slow_queries\{tenant="default"\} [1-9])")));
 }
 
 TEST(ServerE2E, TraceDirRotatesRingFlushes) {

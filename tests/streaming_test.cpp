@@ -2,8 +2,8 @@
 //
 // The streaming contract (PredictSession::Options::Streaming):
 //  - with a window covering the whole trace, streaming query outcomes
-//    equal one-shot predict() on the full history (the CI-gated
-//    soundness anchor);
+//    equal one-shot predict() on the full history (the soundness
+//    anchor);
 //  - extending by deltas and re-observing from scratch encode the same
 //    window and produce the same outcomes, eviction included;
 //  - the window sub-history is a deterministic function of the final
