@@ -6,8 +6,7 @@
 ///
 /// \file
 /// Canned execution histories used across the test binaries: the paper's
-/// running examples (Figures 1-3, 5/8, 9); fresh scratch directories;
-/// and running the built command-line tools.
+/// running examples (Figures 1-3, 5/8, 9); and fresh scratch directories.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,10 +20,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <string>
-#include <sys/wait.h>
 #include <unistd.h>
 
 namespace isopredict {
@@ -123,22 +120,6 @@ inline History selfJustifyTrap() {
   B.read("k", 2, 2);
   B.commit();
   return B.finish();
-}
-
-/// Runs \p Cmd through the shell and returns its exit status (-1 when it
-/// did not exit normally). Its stdout replaces \p Out when given.
-inline int runCommand(const std::string &Cmd, std::string *Out = nullptr) {
-  std::FILE *P = ::popen(Cmd.c_str(), "r");
-  if (!P)
-    return -1;
-  if (Out)
-    Out->clear();
-  char Buf[4096];
-  while (size_t N = std::fread(Buf, 1, sizeof(Buf), P))
-    if (Out)
-      Out->append(Buf, N);
-  int Status = ::pclose(P);
-  return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
 }
 
 /// A fresh, empty directory under gtest's temp root, unique to this

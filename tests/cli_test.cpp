@@ -19,14 +19,15 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <regex>
 #include <set>
+#include <sys/wait.h>
 #include <thread>
 #include <utility>
 
 using namespace isopredict;
 using namespace isopredict::engine;
-using testutil::runCommand;
 using testutil::ScratchDir;
 
 namespace {
@@ -59,6 +60,21 @@ std::string at(const JsonValue &V, std::initializer_list<const char *> Path) {
 
 bool contains(const std::string &Text, const std::string &Needle) {
   return Text.find(Needle) != std::string::npos;
+}
+
+/// Runs \p Cmd through the shell and returns its exit status (-1 when it
+/// did not exit normally). Its stdout replaces \p Out when given.
+int runCommand(const std::string &Cmd, std::string *Out = nullptr) {
+  std::string Sink, &Text = Out ? *Out : Sink;
+  Text.clear();
+  std::FILE *P = ::popen(Cmd.c_str(), "r");
+  if (!P)
+    return -1;
+  char Buf[4096];
+  while (size_t N = std::fread(Buf, 1, sizeof(Buf), P))
+    Text.append(Buf, N);
+  int Status = ::pclose(P);
+  return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
 }
 
 /// Runs \p Cmd and returns its stdout and stderr; an exit status other
@@ -507,6 +523,16 @@ TEST(ServerCli, TenantErrorsAndSigtermDrain) {
   ASSERT_FALSE(S.Port.empty()) << slurp(S.LogPath);
   const std::string Voter = "app=voter,workload=small,seed=";
   std::string Out;
+  // Four clients at once across both tenants, tiny's two at exactly its
+  // 1-running + 1-queued quota: all are answered ok and exit 0 (the
+  // shell exits with the number that did not).
+  std::string Clients;
+  for (const char *Auth : {"ops", "ops", "tiny:k2", "tiny:k2"})
+    Clients += tool("isopredict_client") + " --port " + S.Port + " --auth " +
+               Auth + " --ping --query " + Voter +
+               "1,level=causal & P=\"$P $!\";";
+  Clients += " F=0; for I in $P; do wait $I || F=$((F + 1)); done; exit $F";
+  EXPECT_EQ(runCommand(Clients, &Out), 0) << Out;
   EXPECT_NE(S.client("--query " + Voter + "1", &Out), 0);
   EXPECT_TRUE(contains(Out, "auth_required")) << Out;
   EXPECT_EQ(S.client("--auth ops --observe " + Voter + "2,name=secret"), 0);

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 #include <thread>
 
@@ -72,8 +73,12 @@ struct LogSession {
   }
 };
 
+/// \p Name in this process's obs scratch directory, with no file there.
 std::string scratchFile(const char *Name) {
-  return pathJoin(testutil::scratchDir("obs"), Name);
+  static const std::string Dir = testutil::scratchDir("obs");
+  std::string Path = pathJoin(Dir, Name);
+  std::filesystem::remove(Path);
+  return Path;
 }
 
 } // namespace
