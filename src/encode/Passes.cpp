@@ -35,7 +35,7 @@
 //    (pcoCycle saturates the same least fixpoint wwJust/rwJust encode,
 //    over the same predicted prefix). Only a sat without a cycle, or
 //    an unknown that is not a timeout, solves B.2.2's rank encoding.
-//    Sessions and one-shot queries give stage 1 the whole budget.
+//    Stage 1 gets the whole budget.
 //
 //  - φso is never declared: the observed session order is substituted
 //    as constants, and every pass folds them (and the other constants

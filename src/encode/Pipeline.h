@@ -10,10 +10,10 @@
 /// (EncodingStats::Passes — the breakdown bench/micro_encoding reports).
 ///
 /// Every prediction — a one-shot predict() or a session query — runs
-/// forSessionBase() once and then forQuery() (forStreamQuery() for
-/// streaming sessions); a non-streaming causal query first runs
-/// forClosure() once per session. Nothing stops callers from composing
-/// their own pass sequence for experiments.
+/// forSessionBase() once at root scope, then forQuery() (forStreamQuery()
+/// when streaming) in a push/pop scope; a non-streaming causal query
+/// first runs forClosure() at root scope, once per session. Callers may
+/// compose their own pass sequence for experiments.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,8 +55,8 @@ public:
   static EncoderPipeline forClosure();
 
   /// The per-query suffix: boundary-link → strategy (B.2) → isolation
-  /// (B.3), on top of the forSessionBase prefix — inside one push/pop
-  /// scope for session queries, at root scope for one-shot ones.
+  /// (B.3), on top of the forSessionBase prefix, inside one push/pop
+  /// scope.
   static EncoderPipeline forQuery(const PredictOptions &Opts);
 
   /// The per-query suffix of a *streaming* PredictSession: window →

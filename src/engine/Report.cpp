@@ -33,7 +33,10 @@ using namespace isopredict::engine;
 // 11: a session's scoped check that stalls in Z3's incremental solver
 // re-solves one-shot, and session stage 1 gets the whole budget, so
 // cached Session models and witnesses may move; spec hashes did not.
-const char *isopredict::engine::toolVersion() { return "isopredict-11"; }
+// 12: one-shot predict() solves in a push/pop scope like a session query
+// (and its rank fallback reuses the base), so cached one-shot models and
+// witnesses moved; spec hashes did not.
+const char *isopredict::engine::toolVersion() { return "isopredict-12"; }
 
 namespace {
 

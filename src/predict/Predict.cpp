@@ -2,9 +2,8 @@
 //
 // The constraint system lives in the src/encode/ pass pipeline
 // (EncodingContext + passes; see Passes.cpp for the Appendix-B clause
-// map) and the query machinery in PredictSession. predict() is one
-// root-scope query on a fresh session — the same encoding a session
-// query builds, without the push/pop scope.
+// map) and the query machinery in PredictSession. predict() is the
+// first query of a fresh session.
 //
 //===----------------------------------------------------------------------===//
 
@@ -64,7 +63,7 @@ const char *isopredict::pcoEncodingValidNames() { return "rank"; }
 Prediction isopredict::predict(const History &Observed,
                                const PredictOptions &Opts,
                                const Prediction *ExactStage) {
-  // The one-shot session path: root scope, history not copied.
+  // The one-shot session: history borrowed, no session.* telemetry.
   PredictSession S(Observed, Opts, /*Shared=*/false);
   PredictSession::QueryOptions Q;
   Q.Level = Opts.Level;

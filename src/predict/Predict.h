@@ -128,8 +128,8 @@ struct EncodingStats {
   /// learns, so its literals are counted apart: NumLiterals is the
   /// same however far a query got.
   uint64_t NumLiterals = 0;
-  /// Literals of an Approx query's rank-encoding fallback; 0 when it
-  /// did not run.
+  /// Literals of an Approx query's rank-encoding fallback scope (never
+  /// the base prefix); 0 when it did not run.
   uint64_t FallbackLiterals = 0;
   double GenSeconds = 0;
   double SolveSeconds = 0;
@@ -143,7 +143,8 @@ struct EncodingStats {
   /// NumLiterals + FallbackLiterals and seconds sum to (just under)
   /// GenSeconds. A query whose exact stage was supplied (predict()'s
   /// \p ExactStage) lists only the passes it ran itself: none, or the
-  /// fallback's.
+  /// base prefix and the fallback's scope (then they sum to the base
+  /// plus FallbackLiterals).
   std::vector<PassStats> Passes;
 };
 
@@ -186,12 +187,10 @@ struct Prediction {
   std::vector<TxnId> Witness;
 };
 
-/// Runs IsoPredict's predictive analysis on \p Observed: one query on a
-/// fresh PredictSession, encoding the same constraint system as
-/// PredictSession::query() but asserting it at root solver scope (no
-/// push/pop — Z3 keeps its non-incremental solver, which decides more
-/// one-shot queries within a budget). An Approx query whose exact stage
-/// cannot settle it solves the rank encoding on a fresh solver.
+/// Runs IsoPredict's predictive analysis on \p Observed: the first
+/// query of a fresh PredictSession, answered exactly as
+/// PredictSession::query() answers it (same encoding, same solver
+/// scopes, same model).
 ///
 /// \p ExactStage, when non-null, says "this query's exact stage is
 /// already solved": it must be the Exact-Strict answer of predict() on

@@ -7,12 +7,11 @@
 // non-streaming session adds the hb closure to that prefix
 // (EncoderPipeline::forClosure); every query then runs the per-query
 // passes (EncoderPipeline::forQuery) inside one solver push/pop scope.
-// One-shot predict() runs the very same passes through runQuery() at
-// root scope, without the scope and without session.* telemetry. An
-// Approx query runs up to two stages (runStage): the exact formula,
-// then the rank encoding when the first stage cannot settle the answer
-// — in its own scope for sessions, on a fresh solver for one-shot
-// queries.
+// One-shot predict() is a fresh session's first query: the very same
+// passes and scopes, only without session.* telemetry. An Approx query
+// runs up to two stages (runStage): the exact formula, then the rank
+// encoding in a scope of its own over the same base when the first
+// stage cannot settle the answer.
 //
 //===----------------------------------------------------------------------===//
 
@@ -454,8 +453,8 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
     // without a cycle, or an unknown that is not a timeout, falls back
     // to the rank encoding with the budget stage 1 left. pcoCycle
     // always uses rw edges, so the rw ablation always falls back.
-    // Sessions get the whole budget for stage 1 too: a scoped check that
-    // stalls in Z3's incremental solver re-solves one-shot (SmtSolver).
+    // Stage 1 gets the whole budget: a scoped check that stalls in Z3's
+    // incremental solver re-solves one-shot (SmtSolver).
     // A supplied stage 1 (Q.ExactStage) is that same answer, solved by
     // the caller: this query reports none of its encode or solve cost.
     double Stage1Seconds;
@@ -487,13 +486,13 @@ Prediction PredictSession::runQuery(const QueryOptions &Q) {
         double Spent = Stage1Seconds * 1000.0;
         Left = Spent + 1 >= Budget ? 1 : static_cast<unsigned>(Budget - Spent);
       }
-      // One-shot queries solve at root scope, so the rank encoding gets
-      // a fresh solver (re-encoding the base costs milliseconds);
-      // sessions popped stage 1's scope and reuse their base.
-      if (!Shared)
-        dropSolver();
+      // Stage 1's scope is popped: the rank encoding reuses the base.
+      // After a supplied stage 1 this stage encodes the base itself;
+      // the fallback's literals are its own scope's either way.
+      uint64_t PrefixLiterals = BaseStats.NumLiterals;
       Prediction Rank = runStage(Q, Q.Strat, Left);
-      Rank.Stats.FallbackLiterals = Rank.Stats.NumLiterals;
+      Rank.Stats.FallbackLiterals = Rank.Stats.NumLiterals -
+                                    (BaseStats.NumLiterals - PrefixLiterals);
       Rank.Stats.NumLiterals = Out.Stats.NumLiterals;
       Rank.Stats.GenSeconds += Out.Stats.GenSeconds;
       Rank.Stats.SolveSeconds += Out.Stats.SolveSeconds;
@@ -537,11 +536,8 @@ Prediction PredictSession::runStage(const QueryOptions &Q, Strategy Formula,
   // Root-scope prefix first: the base once per session and, for a
   // non-streaming causal query, the hb closure once per session (a
   // streaming causal query builds it in its own scope instead). Then
-  // the per-query passes. Sessions wrap those in a push/pop scope so
-  // the next stage starts from the bare prefix; one-shot queries
-  // assert them at root scope — push() would switch Z3 to its
-  // incremental solver, which decides fewer one-shot queries within a
-  // budget.
+  // the per-query passes, in a push/pop scope so the next stage starts
+  // from the bare prefix.
   Prediction Out;
   bool ReusedBase = BaseDone;
   EncodingStats Prefix = BaseStats;
@@ -551,8 +547,7 @@ Prediction PredictSession::runStage(const QueryOptions &Q, Strategy Formula,
   // The boundary mode is the query's, whichever formula this stage
   // solves.
   EC->beginQuery(Q.Strat);
-  if (Shared)
-    Solver->push();
+  Solver->push();
   uint64_t Before = Ctx->literalCount();
   Timer Gen;
   (Streaming ? encode::EncoderPipeline::forStreamQuery(Opts)
@@ -579,7 +574,6 @@ Prediction PredictSession::runStage(const QueryOptions &Q, Strategy Formula,
     if (Out.Result == SmtResult::Sat)
       extract(*EC, *Solver, Out); // before pop: the model reads scoped vars
   }
-  if (Shared)
-    Solver->pop();
+  Solver->pop();
   return Out;
 }

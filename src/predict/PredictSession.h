@@ -23,22 +23,18 @@
 /// SmtSolver::check() (Smt.h "Solver scopes").
 ///
 /// Compatibility contract:
-///  - `query()` and one-shot `predict()` encode the *same* constraint
-///    system: declare → feasibility → window → (causal only: hb) →
-///    boundary-link → strategy → isolation, with identical literal
-///    counts per pass. A session asserts the hb closure at root scope
-///    the first time a causal query needs it and reuses it after.
-///    Only the solver scope differs: a session query asserts its
-///    passes inside a push/pop scope, while predict() asserts
-///    everything at root scope. Z3 switches to its incremental solver
-///    once push() is called (a capped attempt there, then a one-shot
-///    re-solve), so models — and therefore boundary/cut positions,
-///    witnesses, and validation outcomes — may legitimately differ
-///    between the two, and so may which queries a tight budget decides;
-///    sat/unsat never does.
-///    An Approx query that falls back to the rank encoding re-encodes
-///    the base on a fresh solver when it is one-shot (its stats then
-///    list the base passes twice) and reuses the base in a session.
+///  - One-shot `predict()` is a fresh session's first `query()`: the
+///    same constraint system (declare → feasibility → window → (causal
+///    only: hb) → boundary-link → strategy → isolation, with identical
+///    literal counts per pass), asserted through the same solver
+///    scopes, so the same answer, boundary/cut positions and witness.
+///    A session asserts the hb closure at root scope the first time a
+///    causal query needs it and reuses it after. Later queries reuse
+///    the base, so their models may differ from predict()'s on the same
+///    history (the solver has answered earlier scopes), and so may which
+///    queries a tight budget decides; sat/unsat never does.
+///  - An Approx query that falls back to the rank encoding solves it in
+///    a scope of its own over the base stage 1 left on the solver.
 ///
 /// Lifecycle:
 ///
@@ -223,7 +219,7 @@ public:
 
 private:
   /// predict() is a one-shot session: it builds one with the private
-  /// constructor and answers its single query at root scope.
+  /// constructor and answers its single query.
   friend Prediction predict(const History &Observed,
                             const PredictOptions &Opts,
                             const Prediction *ExactStage);
@@ -235,7 +231,7 @@ private:
   void ensureSolver();
 
   /// Destroys the solver state; the next ensureBase() re-encodes the
-  /// base on a fresh solver.
+  /// base on a fresh solver (extend()'s epoch rebuild).
   void dropSolver();
 
   /// Non-streaming, after ensureBase(): asserts the hb closure at root
@@ -264,8 +260,8 @@ private:
   /// timeout currently installed on the solver.
   void applyTimeout(unsigned TimeoutMs);
 
-  /// The one query path. \p Shared only decides the solver scope and the
-  /// telemetry: the encoding is the same either way. Approx queries
+  /// The one query path, for sessions and predict() alike (\p Shared
+  /// only adds the session.* telemetry). Approx queries
   /// run two stages (see runQuery in PredictSession.cpp): the exact
   /// formula first (or Q.ExactStage, already solved), the rank encoding
   /// only when stage 1 cannot settle the answer.
@@ -274,8 +270,8 @@ private:
   /// One encode-and-solve stage of a query: the base prefix (if not on
   /// the solver yet), then boundary-link under \p Q's boundary mode,
   /// \p Formula's strategy pass and \p Q's isolation pass, solved
-  /// within \p TimeoutMs (0 = none). Sessions run it in its own push/pop
-  /// scope, one-shot queries at root scope.
+  /// within \p TimeoutMs (0 = none). The per-query passes run in a
+  /// push/pop scope of their own.
   Prediction runStage(const QueryOptions &Q, Strategy Formula,
                       unsigned TimeoutMs);
 
@@ -289,10 +285,10 @@ private:
   /// Effective options handed to the encoding passes; the query-varying
   /// fields (Level/Strat/TimeoutMs) are rewritten per query.
   PredictOptions Opts;
-  /// True for sessions answering query(): each query runs inside a
-  /// push/pop scope and is counted under session.* metrics and spans.
-  /// False for one-shot predict(), which asserts the same passes at
-  /// root scope and emits no session.* telemetry.
+  /// True for sessions answering query(): they own their history and
+  /// count their queries under session.* metrics and spans. False for
+  /// one-shot predict(), which borrows the caller's history and emits
+  /// no session.* telemetry. The solver work is the same either way.
   const bool Shared;
   const bool Streaming;
   const unsigned Window;
@@ -321,8 +317,8 @@ private:
 
   /// Set by dropSolver() when the solver it destroys was interrupted
   /// (SmtSolver::interruptAll), and applied by ensureSolver() to the
-  /// next one: a one-shot Approx query drops its stage-1 solver before
-  /// the rank stage, and the cancel must not be lost across that gap.
+  /// next one: an epoch rebuild (extend()) replaces the solver, and a
+  /// cancel that reached the old one must not be lost across that gap.
   bool InterruptRequested = false;
 
   EncodingStats BaseStats;

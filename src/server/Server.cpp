@@ -145,9 +145,12 @@ bool Server::start(std::string *Error) {
 void Server::requestStop() {
   // No StopSignal::request() here: that flag is process-global and
   // sticky, and would stop every later Server in this process (tests
-  // run several). The accept loop's 200ms poll timeout bounds the
-  // wake-up latency instead.
+  // run several). Shutting the listening socket down wakes the accept
+  // loop's poll() now (POLLHUP on Linux), not at its 200ms timeout.
   Stopping.store(true, std::memory_order_release);
+  std::lock_guard<std::mutex> Lock(ListenMutex);
+  if (ListenFd >= 0)
+    ::shutdown(ListenFd, SHUT_RD);
 }
 
 void Server::serve() {
@@ -238,8 +241,10 @@ void Server::drainAndClose() {
     Pool.drain();
   }
   Pool.shutdown();
-  if (ListenFd >= 0) {
-    ::close(ListenFd);
+  {
+    std::lock_guard<std::mutex> Lock(ListenMutex);
+    if (ListenFd >= 0)
+      ::close(ListenFd);
     ListenFd = -1;
   }
   {

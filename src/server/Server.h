@@ -156,6 +156,8 @@ private:
   engine::TaskPool Pool;
   engine::Executor Exec;
 
+  /// Guards ListenFd between requestStop() and its close.
+  std::mutex ListenMutex;
   int ListenFd = -1;
   unsigned BoundPort = 0;
   std::atomic<bool> Stopping{false};

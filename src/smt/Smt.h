@@ -295,8 +295,9 @@ public:
   //     pushed, so Z3 uses the one-shot solver. It gets the same
   //     setOption() parameters and the wall budget the attempt left.
   // The model, reasonUnknown() and statistics() come from whichever
-  // solver answered (statistics add both phases). Checks with no scope
-  // open — every one-shot solve — run uncapped and never fall back.
+  // solver answered (statistics add both phases). A check with no scope
+  // open runs uncapped and never falls back; the ∃co serializability
+  // check (checkSerializableSmt) is the one solve that never pushes.
 
   /// The incremental attempt's rlimit cap per literal on the solver.
   /// Z3's resource use grows with the formula, so the cap does too: the

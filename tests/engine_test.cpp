@@ -209,6 +209,19 @@ TEST(Engine, SharedEncodingsPreserveOutcomes) {
   // outcome fields are compared against the share-nothing engine.
   Campaign C = twoAppGrid("shared-vs-oneshot",
                           {Strategy::ApproxStrict, Strategy::ApproxRelaxed});
+  // On smallbank and voter every Approx-Strict and Approx-Relaxed
+  // outcome coincides; wikipedia small seed 3, causal, is Approx-Strict
+  // unsat but Approx-Relaxed sat, so a shared session that answered one
+  // strategy with the other's formula changes an outcome here.
+  size_t Split = C.size();
+  for (Strategy S : {Strategy::ApproxStrict, Strategy::ApproxRelaxed}) {
+    JobSpec J = C.Jobs.front();
+    J.App = "wikipedia";
+    J.Cfg = WorkloadConfig::small(3);
+    J.Level = IsolationLevel::Causal;
+    J.Strat = S;
+    C.Jobs.push_back(J);
+  }
 
   EngineOptions Off;
   Off.NumWorkers = 2;
@@ -218,6 +231,8 @@ TEST(Engine, SharedEncodingsPreserveOutcomes) {
   Report Shared = Engine(On).run(C);
 
   ASSERT_EQ(Baseline.size(), Shared.size());
+  EXPECT_EQ(Baseline.results()[Split].Outcome, SmtResult::Unsat);
+  EXPECT_EQ(Baseline.results()[Split + 1].Outcome, SmtResult::Sat);
   for (size_t I = 0; I < Baseline.size(); ++I) {
     const JobResult &A = Baseline.results()[I];
     const JobResult &B = Shared.results()[I];

@@ -204,7 +204,7 @@ TEST_P(Golden, PredictionMatchesFixture) {
 
 // One encoding per query: predict() and a fresh session's first query()
 // build the same constraint system — same passes, same literals per
-// pass — and differ only in solver scope (root vs push/pop).
+// pass.
 TEST_P(Golden, OneShotEncodingMatchesFirstSessionQuery) {
   const GoldenCase &C = GoldenCases[GetParam()];
   History H = observedHistory(C.App, C.Seed);
@@ -232,6 +232,27 @@ TEST_P(Golden, OneShotEncodingMatchesFirstSessionQuery) {
   }
 }
 
+// One solver discipline: predict() is a fresh session's first query(),
+// scopes included, so the two return the same answer and the same model.
+TEST_P(Golden, OneShotAnswerMatchesFirstSessionQuery) {
+  const GoldenCase &C = GoldenCases[GetParam()];
+  History H = observedHistory(C.App, C.Seed);
+  Prediction OneShot = runCase(C.App, C.Level, C.Strat, C.Seed);
+
+  PredictSession Session(H);
+  PredictSession::QueryOptions Q;
+  Q.Level = C.Level;
+  Q.Strat = C.Strat;
+  Q.TimeoutMs = GoldenTimeoutMs;
+  Prediction First = Session.query(Q);
+
+  EXPECT_EQ(OneShot.Result, First.Result);
+  EXPECT_EQ(joinPositions(OneShot.BoundaryPos),
+            joinPositions(First.BoundaryPos));
+  EXPECT_EQ(joinPositions(OneShot.CutPos), joinPositions(First.CutPos));
+  EXPECT_EQ(joinTxns(OneShot.Witness), joinTxns(First.Witness));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, Golden,
     ::testing::Range<size_t>(0, std::size(GoldenCases)),
@@ -248,11 +269,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Session sweep over the same fixture grid: one PredictSession per
-// observed history answers every (level × strategy) fixture on it.
-// Incremental solving (push/pop scopes) legitimately produces different
-// *models* than the root-scope one-shot path, so only Result is pinned
-// against the fixtures — and every Sat prediction must still
-// replay-validate.
+// observed history answers every (level × strategy) fixture on it. A
+// session's first query is predict() and matches its whole fixture row.
+// Later queries reuse a solver that answered earlier scopes, which
+// legitimately moves *models*, so only their Result is pinned — and
+// every Sat prediction must still replay-validate.
 TEST(SessionEquivalence, ResultsMatchFixturesAcrossSharedSessions) {
   // Group fixtures by observed history, preserving fixture order.
   std::vector<std::pair<std::pair<std::string, uint64_t>,
@@ -287,6 +308,11 @@ TEST(SessionEquivalence, ResultsMatchFixturesAcrossSharedSessions) {
       Q.TimeoutMs = GoldenTimeoutMs;
       Prediction P = Session.query(Q);
       EXPECT_STREQ(toString(P.Result), C->Result);
+      if (Session.numQueries() == 1) {
+        EXPECT_EQ(joinPositions(P.BoundaryPos), C->Boundary);
+        EXPECT_EQ(joinPositions(P.CutPos), C->Cut);
+        EXPECT_EQ(joinTxns(P.Witness), C->Witness);
+      }
 
       // The shared prefix is encoded at most once per session: every
       // encoded query after the first reuses it.

@@ -122,8 +122,10 @@ TEST(Metrics, RegistryHandlesAreStable) {
   obs::Counter &A = obs::Metrics::global().counter("obs-test.stable");
   obs::Counter &B = obs::Metrics::global().counter("obs-test.stable");
   EXPECT_EQ(&A, &B); // same name, same instrument — call-site caching is safe
+  // The registry is process-global: assert deltas, so repeats pass too.
+  uint64_t Before = B.value();
   A.inc(3);
-  EXPECT_EQ(B.value(), 3u);
+  EXPECT_EQ(B.value() - Before, 3u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -318,10 +320,14 @@ TEST(Metrics, LabeledFamilyCellsAreIsolated) {
   obs::Counter &B = F.at({"beta", "query"});
   EXPECT_NE(&A, &B); // different label tuples never share a cell
   EXPECT_EQ(&A, &F.at({"acme", "query"})); // same tuple, same cell
+  // The registry is process-global: assert deltas, so repeats pass too.
+  obs::Counter &Plain =
+      obs::Metrics::global().counter("obs-test.fam.requests");
+  uint64_t A0 = A.value(), B0 = B.value(), Plain0 = Plain.value();
   A.inc(3);
   B.inc(7);
-  EXPECT_EQ(A.value(), 3u);
-  EXPECT_EQ(B.value(), 7u);
+  EXPECT_EQ(A.value() - A0, 3u);
+  EXPECT_EQ(B.value() - B0, 7u);
 
   // The same name resolves to the same family object (call-site caching
   // with a static reference is safe, exactly like unlabeled metrics).
@@ -330,20 +336,20 @@ TEST(Metrics, LabeledFamilyCellsAreIsolated) {
   EXPECT_EQ(&F, &F2);
 
   obs::MetricsSnapshot S = obs::Metrics::global().snapshot();
-  EXPECT_EQ(S.familyCounter("obs-test.fam.requests", {"acme", "query"}), 3u);
-  EXPECT_EQ(S.familyCounter("obs-test.fam.requests", {"beta", "query"}), 7u);
+  EXPECT_EQ(S.familyCounter("obs-test.fam.requests", {"acme", "query"}),
+            A0 + 3);
+  EXPECT_EQ(S.familyCounter("obs-test.fam.requests", {"beta", "query"}),
+            B0 + 7);
   EXPECT_EQ(S.familyCounter("obs-test.fam.requests", {"nobody", "query"}),
             0u);
 
   // A family never collides with an unlabeled metric of the same name:
   // the unlabeled counter keeps its own value.
-  obs::Counter &Plain =
-      obs::Metrics::global().counter("obs-test.fam.requests");
   Plain.inc(100);
   obs::MetricsSnapshot S2 = obs::Metrics::global().snapshot();
-  EXPECT_EQ(S2.counter("obs-test.fam.requests"), 100u);
+  EXPECT_EQ(S2.counter("obs-test.fam.requests"), Plain0 + 100);
   EXPECT_EQ(S2.familyCounter("obs-test.fam.requests", {"acme", "query"}),
-            3u);
+            A0 + 3);
 }
 
 TEST(Metrics, FamilyDeltaSubtractsCellWise) {
