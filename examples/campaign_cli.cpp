@@ -7,7 +7,7 @@
 //   campaign_cli [--apps a,b] [--levels causal,rc,ra]
 //                [--strategies exact,strict,relaxed] [--sizes small,large,SxT]
 //                [--seeds N] [--jobs N] [--timeout-ms N]
-//                [--share-encodings] [--no-prune]
+//                [--no-prune]
 //                [--stream[=CHUNK]] [--window N] [--stream-from-scratch]
 //                [--no-validate] [--timings] [--quiet]
 //                [--cache-dir DIR] [--shard K/N] [--write-shards N]
@@ -82,10 +82,6 @@ int usage(const char *Msg = nullptr, std::FILE *Out = stderr) {
       "  --seeds N             workload seeds 1..N (default: 5)\n"
       "  --jobs N              worker threads, 0 = all cores (default: 1)\n"
       "  --timeout-ms N        per-query solver timeout (default: 5000)\n"
-      "  --share-encodings     one PredictSession per observed execution:\n"
-      "                        reuse the base encoding across\n"
-      "                        that execution's queries (same sat/unsat\n"
-      "                        outcomes; witnesses/validation may differ)\n"
       "  --no-prune            encode with the identity plan instead of\n"
       "                        the relevance plan (same sat/unsat\n"
       "                        outcomes; more literals, models may differ)\n"
@@ -140,21 +136,18 @@ std::vector<std::string> splitList(const std::string &Arg) {
 
 /// Lists the expanded jobs (spec hash, identity, cache status) without
 /// running anything. stdout, one line per job, machine-greppable.
-/// \p ShareEncodings must match the intended run: the preview
-/// replicates the engine's consumption exactly — same per-entry
-/// encoding mode, and all-or-nothing within encoding-share groups
-/// (Engine::planGroups), so a partially-cached group previews as all
-/// misses just like the run would recompute it.
-int dryRun(const Campaign &C, const std::string &CacheDir,
-           bool ShareEncodings) {
+/// The preview replicates the engine's consumption exactly —
+/// all-or-nothing within strict pairs (Engine::planGroups), so a
+/// half-cached pair previews as two misses just like the run would
+/// recompute it.
+int dryRun(const Campaign &C, const std::string &CacheDir) {
   std::optional<cache::ResultStore> Store;
   if (!CacheDir.empty())
     Store.emplace(CacheDir);
   std::vector<bool> Hit(C.size(), false);
   if (Store)
-    for (const std::vector<size_t> &Indices :
-         Engine::planGroups(C, ShareEncodings))
-      if (Store->lookupGroup(C, Indices, ShareEncodings))
+    for (const std::vector<size_t> &Indices : Engine::planGroups(C))
+      if (Store->lookupGroup(C, Indices))
         for (size_t I : Indices)
           Hit[I] = true;
 
@@ -207,7 +200,6 @@ int main(int argc, char **argv) {
   unsigned Seeds = 5;
   unsigned Jobs = 1;
   unsigned TimeoutMs = 5000;
-  bool ShareEncodings = false;
   bool Prune = true;
   bool Stream = false;
   unsigned StreamChunk = 4;
@@ -243,8 +235,6 @@ int main(int argc, char **argv) {
     if (Flag == "--no-validate") {
       Validate = false;
       GridFlagUsed = true;
-    } else if (Flag == "--share-encodings") {
-      ShareEncodings = true;
     } else if (Flag == "--stream" || Flag.rfind("--stream=", 0) == 0) {
       if (Flag != "--stream") {
         auto N = parseUnsigned(Flag.substr(std::strlen("--stream=")), 1);
@@ -500,18 +490,11 @@ int main(int argc, char **argv) {
     ReportShardIndex = ShardIndex;
     ReportShardCount = ShardCount;
   }
-  if (ReportShardCount > 1 && ShareEncodings)
-    std::fprintf(stderr,
-                 "note: sharding splits encoding-share groups, so the "
-                 "merged report will match the concatenation of the "
-                 "shard runs, not an unsharded --share-encodings run "
-                 "(sat/unsat outcomes still agree; literal counts and "
-                 "models may differ)\n");
 
   // --dry-run only reads the cache, so it skips the write probe below
   // (a read-only shared cache directory is a fine thing to preview).
   if (DryRun)
-    return dryRun(C, CacheDir, ShareEncodings);
+    return dryRun(C, CacheDir);
 
   // Surface a misconfigured cache directory before spending hours of
   // solver time whose results would silently fail to persist: create
@@ -540,7 +523,6 @@ int main(int argc, char **argv) {
 
   EngineOptions EO;
   EO.NumWorkers = Jobs;
-  EO.ShareEncodings = ShareEncodings;
   EO.CacheDir = CacheDir;
   EO.StreamFromScratch = StreamFromScratch;
   // Per-job structured events at debug ride alongside the human

@@ -14,8 +14,8 @@
 // parse error. Neutral changes (new predictions, literal-count shifts)
 // are listed but do not affect the exit code. --outcomes-only stops
 // validation-replay differences on Predict jobs from gating — the
-// comparison for reports produced under different engine modes (e.g.
-// --share-encodings on/off), where sat/unsat outcomes are
+// comparison for reports produced under different execution modes
+// (e.g. --stream-from-scratch on/off), where sat/unsat outcomes are
 // contractually identical but models, and therefore validation
 // replays, may legitimately differ; every other job kind's fields
 // still gate.
@@ -102,11 +102,11 @@ int main(int argc, char **argv) {
 
   if (OutcomesOnly) {
     // Demote regressions on exactly the fields that may legitimately
-    // differ across engine modes to neutral changes (listed, but not
+    // differ across execution modes to neutral changes (listed, but not
     // gating): validation and — for Predict jobs, where it comes from
     // the model-dependent validation replay — assertion_failed. Other
-    // job kinds never run through shared sessions, so their fields
-    // (serializability, assertion_failed) keep gating.
+    // job kinds replay no model, so their fields (serializability,
+    // assertion_failed) keep gating.
     for (JobDelta &D : Diff->Deltas) {
       bool PredictJob = D.Job.rfind("predict|", 0) == 0; // jobKey prefix
       if (D.Field == "validation" ||

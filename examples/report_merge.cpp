@@ -3,13 +3,9 @@
 // Reassembles the single-campaign report from the K shard reports of a
 // distributed run (campaign_cli --shard K/N, or --write-shards +
 // --campaign on separate machines). Shards are deterministic
-// round-robin slices and job entries round-trip losslessly, so for
-// share-nothing runs the merged report is byte-identical to what one
-// unsharded run would have produced — verify with cmp, gate
-// regressions with report_diff. (Shards run with --share-encodings
-// merge fine too, but match the concatenation of the shard runs
-// rather than an unsharded shared run: the shard boundary splits
-// encoding-share groups, so literal counts and models may differ.)
+// round-robin slices and job entries round-trip losslessly, so the
+// merged report is byte-identical to what one unsharded run would have
+// produced — verify with cmp, gate regressions with report_diff.
 //
 // Usage:
 //   report_merge [--out FILE] [--quiet] shard1.json ... shardN.json

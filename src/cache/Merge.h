@@ -9,18 +9,12 @@
 /// distributed run. Because shards are deterministic round-robin
 /// slices (Shard.h) and job entries round-trip losslessly (JobIo.h),
 /// the merge is exact: parse every shard's results, interleave them
-/// back to campaign order, and re-emit through Report::toJson — for
-/// share-nothing runs (the default engine mode) the output is
-/// byte-identical to what a single unsharded run would have written.
-/// (Under --share-encodings the shard boundary itself splits
-/// encoding-share groups, so the merged report matches the
-/// concatenation of the shard runs — same sat/unsat outcomes, but
-/// literal attribution and models may differ from an unsharded shared
-/// run; campaign_cli prints a note for that combination.) A report
-/// with no shard coordinates is a complete campaign (shard 1 of 1),
-/// so merging a single unsharded report is the identity — which is
-/// also the cheapest end-to-end check that a report survives the
-/// parse/re-emit round-trip.
+/// back to campaign order, and re-emit through Report::toJson — the
+/// output is byte-identical to what a single unsharded run would have
+/// written. A report with no shard coordinates is a complete campaign
+/// (shard 1 of 1), so merging a single unsharded report is the
+/// identity — which is also the cheapest end-to-end check that a
+/// report survives the parse/re-emit round-trip.
 ///
 //===----------------------------------------------------------------------===//
 

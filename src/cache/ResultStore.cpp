@@ -27,8 +27,8 @@ const char *modeName(EncodingMode M) {
 }
 
 /// Tallies entries that existed on disk but could not be served —
-/// damaged JSON, wrong schema/version, mode or share-group mismatch,
-/// spec-hash collision. Distinct from a plain miss (no file): a rising
+/// damaged JSON, wrong schema/version, mode mismatch, spec-hash
+/// collision. Distinct from a plain miss (no file): a rising
 /// corrupt count on a warm cache points at a damaged or cross-version
 /// cache directory.
 void countUnusableEntry() {
@@ -40,26 +40,9 @@ void countUnusableEntry() {
 } // namespace
 
 EncodingMode isopredict::cache::encodingModeFor(const JobSpec &S,
-                                                bool ShareEncodings) {
-  return S.Kind == JobKind::Predict && ShareEncodings ? EncodingMode::Session
-                                                      : EncodingMode::OneShot;
-}
-
-uint64_t isopredict::cache::shareGroupHash(const Campaign &C,
-                                           const std::vector<size_t> &Indices) {
-  // FNV-1a over the members' canonical specs, separator-delimited
-  // (0x1f never occurs in a canonical spec) so no two member lists
-  // can serialize identically.
-  uint64_t Hash = 0xcbf29ce484222325ULL;
-  for (size_t I : Indices) {
-    for (unsigned char Ch : canonicalSpec(C.Jobs[I])) {
-      Hash ^= Ch;
-      Hash *= 0x100000001b3ULL;
-    }
-    Hash ^= 0x1f;
-    Hash *= 0x100000001b3ULL;
-  }
-  return Hash;
+                                                bool BySession) {
+  return S.Kind == JobKind::Predict && BySession ? EncodingMode::Session
+                                                 : EncodingMode::OneShot;
 }
 
 bool isopredict::cache::cacheable(const JobResult &R) {
@@ -97,7 +80,7 @@ namespace {
 /// The integrity gauntlet over one entry's raw bytes; std::nullopt on
 /// any rejection (the caller has already established the file exists).
 std::optional<JobResult> parseEntry(const std::string &Raw, const JobSpec &S,
-                                    EncodingMode Mode, uint64_t GroupHash) {
+                                    EncodingMode Mode) {
   std::optional<JsonValue> Doc = parseJson(Raw);
   if (!Doc || Doc->K != JsonValue::Kind::Object)
     return std::nullopt;
@@ -114,23 +97,11 @@ std::optional<JobResult> parseEntry(const std::string &Raw, const JobSpec &S,
   // Same-mode only: a session-encoded Predict result has different
   // default-report bytes (literals, base_prefix_reused) than a
   // one-shot one, so serving it into the other mode would fabricate
-  // reports no cache-off run of that mode could write.
+  // reports no cache-off run of that mode could write. Fields this
+  // reader does not know are ignored.
   const JsonValue *Encoding = Doc->field("encoding_mode");
   if (!Encoding || Encoding->Text != modeName(Mode))
     return std::nullopt;
-
-  // Session entries are valid only within the exact group
-  // constellation that produced them: which member paid the shared
-  // prefix decides every member's literal attribution, and those are
-  // default-report bytes (see shareGroupHash).
-  if (Mode == EncodingMode::Session) {
-    const JsonValue *Group = Doc->field("share_group");
-    if (!Group ||
-        Group->Text !=
-            formatString("%016llx",
-                         static_cast<unsigned long long>(GroupHash)))
-      return std::nullopt;
-  }
 
   // The entry must be *for this spec*, not merely for this hash:
   // canonicalSpec comparison rejects FNV-1a collisions and corrupt
@@ -152,31 +123,23 @@ std::optional<JobResult> parseEntry(const std::string &Raw, const JobSpec &S,
 } // namespace
 
 std::optional<JobResult> ResultStore::lookup(const JobSpec &S,
-                                             EncodingMode Mode,
-                                             uint64_t GroupHash) const {
+                                             EncodingMode Mode) const {
   std::string Raw;
   if (!readFile(entryPath(S, Mode), Raw))
     return std::nullopt; // Plain miss: nothing on disk for this spec.
-  std::optional<JobResult> R = parseEntry(Raw, S, Mode, GroupHash);
+  std::optional<JobResult> R = parseEntry(Raw, S, Mode);
   if (!R)
     countUnusableEntry();
   return R;
 }
 
 std::optional<std::vector<JobResult>>
-ResultStore::lookupGroup(const Campaign &C, const std::vector<size_t> &Indices,
-                         bool ShareEncodings) const {
-  // Session entries only exist within their group constellation, so
-  // encoding-share groups carry the fingerprint; singleton/one-shot
-  // members ignore it (see encodingModeFor).
-  uint64_t GroupHash =
-      ShareEncodings ? shareGroupHash(C, Indices) : 0;
+ResultStore::lookupGroup(const Campaign &C,
+                         const std::vector<size_t> &Indices) const {
   std::vector<JobResult> Hits;
   Hits.reserve(Indices.size());
   for (size_t I : Indices) {
-    std::optional<JobResult> Hit =
-        lookup(C.Jobs[I], encodingModeFor(C.Jobs[I], ShareEncodings),
-               GroupHash);
+    std::optional<JobResult> Hit = lookup(C.Jobs[I]);
     if (!Hit)
       return std::nullopt;
     Hits.push_back(std::move(*Hit));
@@ -185,7 +148,7 @@ ResultStore::lookupGroup(const Campaign &C, const std::vector<size_t> &Indices,
 }
 
 bool ResultStore::store(const JobResult &R, EncodingMode Mode,
-                        uint64_t GroupHash, std::string *Error) const {
+                        std::string *Error) const {
   if (!createDirectories(pathJoin(Root, toolVersion()), Error))
     return false;
 
@@ -194,10 +157,6 @@ bool ResultStore::store(const JobResult &R, EncodingMode Mode,
   J.str("schema", EntrySchema);
   J.str("tool_version", toolVersion());
   J.str("encoding_mode", modeName(Mode));
-  if (Mode == EncodingMode::Session)
-    J.str("share_group",
-          formatString("%016llx",
-                       static_cast<unsigned long long>(GroupHash)));
   J.str("canonical_spec", canonicalSpec(R.Spec));
   J.openObjectIn("job");
   ReportOptions Opts;

@@ -52,32 +52,19 @@ namespace cache {
 /// every future run.
 bool cacheable(const engine::JobResult &R);
 
-/// How a Predict result's constraint system was encoded. Sat/unsat
-/// outcomes agree across modes, but default-report bytes do not:
-/// session-encoded queries (EngineOptions::ShareEncodings) carry
-/// per-query literal counts and base_prefix_reused markers that no
-/// one-shot run emits, and vice versa. Entries therefore record their
-/// mode and only ever answer lookups from the same mode — a cache
-/// shared between modes stays correct, each mode just fills its own
-/// entries. Non-Predict jobs are mode-independent (always OneShot).
+/// How a Predict result's constraint system was encoded: one-shot
+/// (campaign jobs, the server's spec queries) or by a server history
+/// session. Sat/unsat outcomes agree across modes, but default-report
+/// bytes do not: a session query on a warm session carries a
+/// base_prefix_reused marker and per-query literal counts that no
+/// one-shot run emits. Entries therefore record their mode and only
+/// ever answer lookups from the same mode — a cache shared between
+/// modes stays correct, each mode just fills its own entries.
 enum class EncodingMode : uint8_t { OneShot, Session };
 
-/// The mode a result for \p S has under an engine run with
-/// ShareEncodings = \p ShareEncodings.
-EncodingMode encodingModeFor(const engine::JobSpec &S, bool ShareEncodings);
-
-/// Fingerprint of one encoding-share group: FNV-1a over the canonical
-/// specs of its member jobs (\p Indices into \p C) in group order.
-/// Session-mode stats are functions of the *group constellation*, not
-/// just the spec — which member pays the shared prefix decides every
-/// member's literal attribution — so Session entries record this hash
-/// and only answer lookups from an identical group. Any composition
-/// change (a strategy added, a different campaign slicing the grid
-/// differently, a shard boundary through the group) misses and the
-/// group recomputes, keeping warm reports byte-identical to what a
-/// cache-off run of the *current* campaign would write.
-uint64_t shareGroupHash(const engine::Campaign &C,
-                        const std::vector<size_t> &Indices);
+/// The mode of a result for \p S: Session when a history session
+/// answered it (\p BySession), OneShot otherwise.
+EncodingMode encodingModeFor(const engine::JobSpec &S, bool BySession);
 
 class ResultStore {
 public:
@@ -96,35 +83,30 @@ public:
   /// Returns the cached result for \p S, with CacheHit set, or
   /// std::nullopt on miss. Every integrity failure — unreadable file,
   /// malformed JSON, schema/version drift, an entry recorded under a
-  /// different encoding mode than \p Mode or (Session mode) a
-  /// different share-group fingerprint than \p GroupHash, an entry
-  /// whose recorded spec does not re-derive \p S's canonical spec
-  /// (hash collision or tampering) — degrades to a miss.
+  /// different encoding mode than \p Mode, an entry whose recorded
+  /// spec does not re-derive \p S's canonical spec (hash collision or
+  /// tampering) — degrades to a miss.
   std::optional<engine::JobResult>
   lookup(const engine::JobSpec &S,
-         EncodingMode Mode = EncodingMode::OneShot,
-         uint64_t GroupHash = 0) const;
+         EncodingMode Mode = EncodingMode::OneShot) const;
 
-  /// All-or-nothing lookup for one scheduling group (job \p Indices
-  /// into \p C, as planned by Engine::planGroups under
-  /// \p ShareEncodings): the cached results of every member — session
-  /// mode with the group's fingerprint for encoding-share groups,
-  /// one-shot otherwise — or std::nullopt if any member misses. This
-  /// is THE cache-consumption policy: the engine executes it and
-  /// campaign_cli --dry-run previews it, so sharing it is what keeps
-  /// preview == run.
+  /// All-or-nothing one-shot lookup for one scheduling group (job
+  /// \p Indices into \p C, as planned by Engine::planGroups): the
+  /// cached results of every member, or std::nullopt if any member
+  /// misses. This is THE cache-consumption policy: the engine executes
+  /// it and campaign_cli --dry-run previews it, so sharing it is what
+  /// keeps preview == run.
   std::optional<std::vector<engine::JobResult>>
-  lookupGroup(const engine::Campaign &C, const std::vector<size_t> &Indices,
-              bool ShareEncodings) const;
+  lookupGroup(const engine::Campaign &C,
+              const std::vector<size_t> &Indices) const;
 
-  /// Persists \p R (computed under \p Mode, in the share group
-  /// fingerprinted by \p GroupHash when Mode is Session) at its
-  /// spec's entry path (atomic write; creates directories on demand).
-  /// The caller gates on cacheable(). Returns false (and sets
-  /// \p Error when non-null) on I/O failure.
+  /// Persists \p R (computed under \p Mode) at its spec's entry path
+  /// (atomic write; creates directories on demand). The caller gates
+  /// on cacheable(). Returns false (and sets \p Error when non-null)
+  /// on I/O failure.
   bool store(const engine::JobResult &R,
              EncodingMode Mode = EncodingMode::OneShot,
-             uint64_t GroupHash = 0, std::string *Error = nullptr) const;
+             std::string *Error = nullptr) const;
 
 private:
   std::string Root;

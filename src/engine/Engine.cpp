@@ -6,7 +6,6 @@
 #include "engine/TaskPool.h"
 #include "obs/Metrics.h"
 #include "support/Env.h"
-#include "support/StrUtil.h"
 
 #include <algorithm>
 #include <atomic>
@@ -19,19 +18,6 @@ using namespace isopredict;
 using namespace isopredict::engine;
 
 namespace {
-
-/// Key of one encoding-share group: the fields that determine the
-/// observed execution a Predict job encodes against — plus the prune
-/// flag, because the plan shapes the session's shared base prefix
-/// (jobs under the relevance and identity plans must not share a
-/// PredictSession).
-std::string shareKey(const JobSpec &S) {
-  return formatString("%s|%u|%u|%llu|%llu|%u", S.App.c_str(),
-                      S.Cfg.Sessions, S.Cfg.TxnsPerSession,
-                      static_cast<unsigned long long>(S.Cfg.Seed),
-                      static_cast<unsigned long long>(S.StoreSeed),
-                      S.Prune ? 1u : 0u);
-}
 
 /// Key of one strict pair: every outcome-determining field of an
 /// Exact-Strict or Approx-Strict Predict job except the strategy, so
@@ -56,42 +42,27 @@ JobResult Engine::runJob(const JobSpec &Spec, bool StreamFromScratch) {
   return Executor(O).answer(Q).R;
 }
 
-std::vector<std::vector<size_t>> Engine::planGroups(const Campaign &C,
-                                                    bool ShareEncodings) {
+std::vector<std::vector<size_t>> Engine::planGroups(const Campaign &C) {
+  // Strict pairs: each Exact-Strict job joins the first open
+  // Approx-Strict job of its key, or vice versa. A duplicate of the
+  // open member's strategy opens a group of its own.
   std::vector<std::vector<size_t>> Groups;
-  if (!ShareEncodings) {
-    // Strict pairs: each Exact-Strict job joins the first open
-    // Approx-Strict job of its key, or vice versa. A duplicate of the
-    // open member's strategy opens a group of its own.
-    std::map<std::string, size_t> Open;
-    for (size_t I = 0; I < C.Jobs.size(); ++I) {
-      std::optional<std::string> Key = strictPairKey(C.Jobs[I]);
-      if (!Key) {
-        Groups.push_back({I});
-        continue;
-      }
-      auto It = Open.find(*Key);
-      if (It != Open.end() &&
-          C.Jobs[Groups[It->second].front()].Strat != C.Jobs[I].Strat) {
-        Groups[It->second].push_back(I);
-        Open.erase(It);
-        continue;
-      }
-      Open[*Key] = Groups.size();
-      Groups.push_back({I});
-    }
-    return Groups;
-  }
-  std::map<std::string, size_t> GroupIndex;
+  std::map<std::string, size_t> Open;
   for (size_t I = 0; I < C.Jobs.size(); ++I) {
-    if (C.Jobs[I].Kind != JobKind::Predict) {
+    std::optional<std::string> Key = strictPairKey(C.Jobs[I]);
+    if (!Key) {
       Groups.push_back({I});
       continue;
     }
-    auto [It, New] = GroupIndex.emplace(shareKey(C.Jobs[I]), Groups.size());
-    if (New)
-      Groups.emplace_back();
-    Groups[It->second].push_back(I);
+    auto It = Open.find(*Key);
+    if (It != Open.end() &&
+        C.Jobs[Groups[It->second].front()].Strat != C.Jobs[I].Strat) {
+      Groups[It->second].push_back(I);
+      Open.erase(It);
+      continue;
+    }
+    Open[*Key] = Groups.size();
+    Groups.push_back({I});
   }
   return Groups;
 }
@@ -117,10 +88,7 @@ Report Engine::run(const Campaign &C) const {
   Executor Exec(Opts);
 
   // The scheduling unit is a *group* of job indices (planGroups).
-  // Grouping is deterministic, and group execution is sequential, so
-  // reports remain byte-identical across worker counts in both modes.
-  std::vector<std::vector<size_t>> Groups =
-      planGroups(C, Opts.ShareEncodings);
+  std::vector<std::vector<size_t>> Groups = planGroups(C);
 
   std::atomic<size_t> Done{0};
   std::mutex ProgressMutex;
@@ -142,9 +110,10 @@ Report Engine::run(const Campaign &C) const {
     }
   };
 
-  // One pool task per scheduling group. Group execution is sequential
-  // and every result lands in its pre-allocated slot, so reports remain
-  // byte-identical across worker counts in both modes.
+  // One pool task per scheduling group. Grouping is deterministic,
+  // group execution is sequential and every result lands in its
+  // pre-allocated slot, so reports are byte-identical across worker
+  // counts.
   auto RunGroup = [&](size_t G) {
     const std::vector<size_t> &Indices = Groups[G];
     // Cooperative stop: once the flag is up, not-yet-started groups

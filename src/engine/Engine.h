@@ -9,11 +9,9 @@
 /// (planGroups) are submitted to a TaskPool and run FIFO, each end to
 /// end with private state: every job builds its own DataStore,
 /// applications, and — inside predict()/checkSerializableSmt() — its
-/// own Z3 SmtContext. Without ShareEncodings a group is one job or a
-/// strict pair, whose Approx-Strict job takes over the Exact-Strict
-/// job's answer as its exact stage; with ShareEncodings, Predict jobs
-/// on the same observed execution share one PredictSession (and its Z3
-/// context). Nothing crosses a group boundary, and groups run their
+/// own Z3 SmtContext. A group is one job or a strict pair, whose
+/// Approx-Strict job takes over the Exact-Strict job's answer as its
+/// exact stage. Nothing crosses a group boundary, and a pair runs its
 /// jobs sequentially. The only shared write is each worker storing results
 /// into its jobs' pre-allocated slots, so reports are ordered by
 /// campaign position and byte-identical regardless of worker count.
@@ -41,28 +39,16 @@ struct EngineOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency(). 1 runs
   /// everything inline on the calling thread (no threads spawned).
   unsigned NumWorkers = 1;
-  /// Share constraint encodings across Predict jobs on the same
-  /// observed execution (same App, workload Cfg, StoreSeed): each such
-  /// group runs through one PredictSession, which encodes the
-  /// base prefix once and answers every (level ×
-  /// strategy) query in a solver scope. Groups become the
-  /// scheduling unit — jobs within a group run sequentially in
-  /// campaign order — so reports stay deterministic across worker
-  /// counts. Outcomes (sat/unsat) match the share-nothing mode;
-  /// extracted models (witnesses, boundaries, validation) may
-  /// legitimately differ, which is why this is opt-in.
-  bool ShareEncodings = false;
   /// Root directory of the persistent result cache (src/cache/
   /// ResultStore); empty = no caching. Workers consult the store
   /// before running a job — a hit skips the whole pipeline (no store
   /// build, no solver call) and is delivered with JobResult::CacheHit
-  /// set — and persist every cacheable() result they compute. Under
-  /// ShareEncodings a group consumes the cache all-or-nothing: stats
-  /// attribution depends on which member paid the shared prefix, so a
-  /// partially-cached group recomputes wholesale (every member counts
-  /// as a miss) rather than skew recomputed jobs' literal counts. The
-  /// cache never changes report bytes (cache_hit fields are
-  /// timing-gated), so warm re-runs reproduce cold reports exactly.
+  /// set — and persist every cacheable() result they compute. A strict
+  /// pair consumes the cache all-or-nothing: a half-cached pair
+  /// recomputes both members (both count as misses), so the
+  /// Approx-Strict job always has its exact stage. The cache never
+  /// changes report bytes (cache_hit fields are timing-gated), so warm
+  /// re-runs reproduce cold reports exactly.
   std::string CacheDir;
   /// Called after each job completes, serialized under an internal
   /// mutex: (completed so far, total, result just finished).
@@ -107,19 +93,13 @@ public:
 
   /// The scheduling plan run() executes: job indices partitioned into
   /// groups, in first-appearance order (within-group order = campaign
-  /// order). Share-nothing (\p ShareEncodings false): the Exact-Strict
-  /// and Approx-Strict Predict jobs that differ only in strategy form a
-  /// *strict pair* — the Approx-Strict query's exact stage is the
-  /// Exact-Strict formula, so the Executor solves it once for both (see
-  /// Executor::runGroup) — and every other job is a singleton. Shared:
-  /// Predict jobs on the same observed execution coalesce; everything
-  /// else stays singleton (the session attributes base literals per
-  /// query, so no stage crosses queries there).
-  /// Exposed so tools that predict the engine's behavior — the
-  /// campaign_cli --dry-run cache preview, group-scoped cache
-  /// identities — agree with the real execution exactly.
-  static std::vector<std::vector<size_t>> planGroups(const Campaign &C,
-                                                     bool ShareEncodings);
+  /// order). The Exact-Strict and Approx-Strict Predict jobs that
+  /// differ only in strategy form a *strict pair* — the Approx-Strict
+  /// query's exact stage is the Exact-Strict formula, so the Executor
+  /// solves it once for both (see Executor::runGroup) — and every other
+  /// job is a singleton. Exposed so the campaign_cli --dry-run cache
+  /// preview agrees with the real execution exactly.
+  static std::vector<std::vector<size_t>> planGroups(const Campaign &C);
 
 private:
   EngineOptions Opts;

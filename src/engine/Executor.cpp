@@ -6,7 +6,6 @@
 #include "obs/Metrics.h"
 #include "obs/Tracer.h"
 #include "predict/PredictSession.h"
-#include "support/StrUtil.h"
 
 #include <algorithm>
 
@@ -192,8 +191,7 @@ const char *isopredict::engine::toString(AnsweredBy A) {
 }
 
 Executor::Executor(const EngineOptions &O, size_t SessionCapacity)
-    : ShareEncodings(O.ShareEncodings),
-      StreamFromScratch(O.StreamFromScratch), Sessions(SessionCapacity) {
+    : StreamFromScratch(O.StreamFromScratch), Sessions(SessionCapacity) {
   if (!O.CacheDir.empty())
     Store.emplace(O.CacheDir);
 }
@@ -209,20 +207,19 @@ std::optional<JobResult> Executor::probe(const JobSpec &S,
 }
 
 void Executor::store(const JobResult &R, const JobSpec &CacheSpec,
-                     cache::EncodingMode Mode, uint64_t GroupHash) {
+                     cache::EncodingMode Mode) {
   // Write failures are deliberately swallowed: a broken cache degrades
   // to recomputation, never to a failed campaign or query.
   if (!Store || !cache::cacheable(R))
     return;
   JobResult Entry = R;
   Entry.Spec = CacheSpec; // The store verifies spec identity.
-  Store->store(Entry, Mode, GroupHash);
+  Store->store(Entry, Mode);
 }
 
 Executor::Answer Executor::answer(const Query &Q) {
   cache::EncodingMode Mode =
-      Q.Hist ? cache::EncodingMode::Session
-             : cache::encodingModeFor(Q.Spec, ShareEncodings);
+      cache::encodingModeFor(Q.Spec, Q.Hist != nullptr);
   Answer A;
   if (std::optional<JobResult> Hit = probe(Q.CacheSpec, Mode)) {
     A.R = std::move(*Hit);
@@ -283,7 +280,7 @@ JobResult Executor::compute(const JobSpec &Spec, StrictStage *Stage) {
     case JobKind::Predict: {
       RunResult Observed = observe(*App, Spec.Cfg);
       fillWorkloadStats(R, Observed);
-      predictInto(R, Spec, Observed.Hist, nullptr, Stage);
+      predictInto(R, Spec, Observed.Hist, Stage);
       break;
     }
     case JobKind::RandomWeak: {
@@ -313,8 +310,7 @@ JobResult Executor::compute(const JobSpec &Spec, StrictStage *Stage) {
 }
 
 void Executor::predictInto(JobResult &R, const JobSpec &Spec,
-                           const History &Observed, PredictSession *Shared,
-                           StrictStage *Stage) {
+                           const History &Observed, StrictStage *Stage) {
   PredictOptions PO;
   PO.Level = Spec.Level;
   PO.Strat = Spec.Strat;
@@ -327,8 +323,7 @@ void Executor::predictInto(JobResult &R, const JobSpec &Spec,
   if (Stage && Spec.Strat == Strategy::ApproxStrict && Stage->Exact &&
       !Stage->Exact->Canceled)
     Exact = &*Stage->Exact;
-  Prediction P = Shared ? Shared->query(queryOptions(Spec))
-                        : predict(Observed, PO, Exact);
+  Prediction P = predict(Observed, PO, Exact);
   applyPrediction(R, P);
   if (P.Result == SmtResult::Sat && Spec.Validate) {
     if (Exact && !P.Stats.FallbackLiterals) {
@@ -354,7 +349,7 @@ bool Executor::deliverCachedGroup(const Campaign &C,
     return false;
   obs::Span Probe("cache.probe_group", obs::CatCache);
   std::optional<std::vector<JobResult>> Group =
-      Store->lookupGroup(C, Indices, ShareEncodings);
+      Store->lookupGroup(C, Indices);
   finishProbe(Probe, Group.has_value(), static_cast<unsigned>(Indices.size()),
               Group ? Hits : Misses);
   if (!Group)
@@ -369,20 +364,15 @@ bool Executor::deliverCachedGroup(const Campaign &C,
 void Executor::runGroup(const Campaign &C, const std::vector<size_t> &Indices,
                         std::vector<JobResult> &Results,
                         const std::function<void(size_t)> &Finished) {
-  if (ShareEncodings && C.Jobs[Indices.front()].Kind == JobKind::Predict) {
-    runShareGroup(C, Indices, Results, Finished);
-    return;
-  }
   if (Indices.size() == 2) {
     runStrictPair(C, Indices, Results, Finished);
     return;
   }
-  for (size_t I : Indices) {
-    Query Q;
-    Q.Spec = Q.CacheSpec = C.Jobs[I];
-    Results[I] = answer(Q).R;
-    Finished(I);
-  }
+  size_t I = Indices.front();
+  Query Q;
+  Q.Spec = Q.CacheSpec = C.Jobs[I];
+  Results[I] = answer(Q).R;
+  Finished(I);
 }
 
 /// Runs one strict pair: the Exact-Strict job first, then the
@@ -392,10 +382,10 @@ void Executor::runGroup(const Campaign &C, const std::vector<size_t> &Indices,
 /// run alone; only the Approx-Strict job's timings-gated cost fields
 /// shrink.
 ///
-/// Cache consumption is all-or-nothing per pair, as for share groups:
-/// both members hit, or both are computed (and tallied as misses). That
-/// is the policy ResultStore::lookupGroup implements, so campaign_cli
-/// --dry-run previews the run exactly.
+/// Cache consumption is all-or-nothing per pair: both members hit, or
+/// both are computed (and tallied as misses). That is the policy
+/// ResultStore::lookupGroup implements, so campaign_cli --dry-run
+/// previews the run exactly.
 void Executor::runStrictPair(const Campaign &C,
                              const std::vector<size_t> &Indices,
                              std::vector<JobResult> &Results,
@@ -413,66 +403,6 @@ void Executor::runStrictPair(const Campaign &C,
   Results[Approx] = compute(C.Jobs[Approx], &Stage);
   store(Results[Approx], C.Jobs[Approx], cache::EncodingMode::OneShot);
   Finished(Approx);
-}
-
-/// Runs one encoding-share group of Predict jobs through a single
-/// PredictSession, in campaign order.
-///
-/// Cache consumption is all-or-nothing per group: a job's default-
-/// report bytes under shared encodings depend on *which* group member
-/// paid the base prefix (literals / base_prefix_reused attribution in
-/// PredictSession::query), so answering some members from the cache
-/// and recomputing others would shift that attribution and break the
-/// cold/warm byte-identity contract. Either every member hits — the
-/// group is skipped wholesale, no session, no Z3 — or the group runs
-/// exactly as a cache-off run would (every member tallied as a miss,
-/// computed results stored back). Entries are scoped to this exact
-/// group constellation (cache::shareGroupHash).
-void Executor::runShareGroup(const Campaign &C,
-                             const std::vector<size_t> &Indices,
-                             std::vector<JobResult> &Results,
-                             const std::function<void(size_t)> &Finished) {
-  obs::Span GroupSpan("engine.group", obs::CatEngine);
-  GroupSpan.arg("app", C.Jobs[Indices.front()].App);
-  GroupSpan.arg("jobs", formatString("%zu", Indices.size()));
-
-  if (deliverCachedGroup(C, Indices, Results, Finished))
-    return;
-  uint64_t GroupHash = Store ? cache::shareGroupHash(C, Indices) : 0;
-
-  const JobSpec &First = C.Jobs[Indices.front()];
-  auto App = makeApplication(First.App);
-  if (!App) { // Every member fails the same way compute() does.
-    for (size_t I : Indices) {
-      Results[I] = compute(C.Jobs[I]);
-      Finished(I);
-    }
-    return;
-  }
-
-  RunResult Observed = observe(*App, First.Cfg);
-  PredictSession::Options SO;
-  SO.PruneFormula = First.Prune;
-  PredictSession Session(Observed.Hist, SO);
-
-  for (size_t I : Indices) {
-    const JobSpec &Spec = C.Jobs[I];
-    JobResult R;
-    R.Spec = Spec;
-    obs::Span JobSpan("engine.job", obs::CatEngine);
-    JobSpan.arg("kind", toString(Spec.Kind));
-    JobSpan.arg("app", Spec.App);
-    JobSpan.arg("level", toString(Spec.Level));
-    JobSpan.arg("strategy", toString(Spec.Strat));
-    R.Ok = true;
-    fillWorkloadStats(R, Observed);
-    predictInto(R, Spec, Observed.Hist, &Session);
-    JobSpan.finish();
-    R.WallSeconds = JobSpan.seconds();
-    store(R, Spec, cache::EncodingMode::Session, GroupHash);
-    Results[I] = std::move(R);
-    Finished(I);
-  }
 }
 
 unsigned Executor::extendSessions(const std::string &Owner, uint64_t OldHash,

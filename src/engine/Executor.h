@@ -18,10 +18,7 @@
 /// all-or-nothing pair probe, the Exact-Strict job, then the
 /// Approx-Strict job with that job's answer as its solved exact stage
 /// (and, when that stage settles it, its validation too), per-member
-/// stores. Encoding-share groups (EngineOptions::ShareEncodings) run
-/// them per group: an all-or-nothing group probe, one plain
-/// PredictSession for the group, one query per member, per-member
-/// stores scoped by the group fingerprint.
+/// stores.
 ///
 /// The executor owns the result store and the warm-session pool; every
 /// method is safe to call concurrently.
@@ -56,7 +53,7 @@ const char *toString(AnsweredBy A); // "cache", "warm_session", ...
 
 class Executor {
 public:
-  /// Cache, share and stream settings come from \p O; \p
+  /// Cache and stream settings come from \p O; \p
   /// SessionCapacity bounds the warm-session pool (0 = no pooling, the
   /// batch engine's setting).
   explicit Executor(const EngineOptions &O, size_t SessionCapacity = 0);
@@ -109,31 +106,25 @@ private:
   struct StrictStage;
 
   std::optional<JobResult> probe(const JobSpec &S, cache::EncodingMode Mode);
-  /// The all-or-nothing probe of a multi-job group: when every member
-  /// hits, delivers them all into \p Results and returns true.
+  /// The all-or-nothing probe of a strict pair: when both members hit,
+  /// delivers them into \p Results and returns true.
   bool deliverCachedGroup(const Campaign &C, const std::vector<size_t> &Indices,
                           std::vector<JobResult> &Results,
                           const std::function<void(size_t)> &Finished);
   void store(const JobResult &R, const JobSpec &CacheSpec,
-             cache::EncodingMode Mode, uint64_t GroupHash = 0);
+             cache::EncodingMode Mode);
   JobResult compute(const JobSpec &Spec, StrictStage *Stage = nullptr);
   Answer queryHistory(const Query &Q);
   void runStrictPair(const Campaign &C, const std::vector<size_t> &Indices,
                      std::vector<JobResult> &Results,
                      const std::function<void(size_t)> &Finished);
-  void runShareGroup(const Campaign &C, const std::vector<size_t> &Indices,
-                     std::vector<JobResult> &Results,
-                     const std::function<void(size_t)> &Finished);
-  /// Predict (through \p Shared when an encoding-share group runs, else
-  /// one-shot) and validate a Sat answer. In a strict pair (\p Stage),
-  /// the Exact-Strict job leaves its answer in \p Stage and the
-  /// Approx-Strict job takes it over as its exact stage.
+  /// One-shot predict() and validate a Sat answer. In a strict pair
+  /// (\p Stage), the Exact-Strict job leaves its answer in \p Stage and
+  /// the Approx-Strict job takes it over as its exact stage.
   void predictInto(JobResult &R, const JobSpec &Spec, const History &Observed,
-                   PredictSession *Shared = nullptr,
-                   StrictStage *Stage = nullptr);
+                   StrictStage *Stage);
 
   std::optional<cache::ResultStore> Store;
-  bool ShareEncodings;
   bool StreamFromScratch;
   SessionPool Sessions;
   std::atomic<unsigned> Hits{0}, Misses{0};

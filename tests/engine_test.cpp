@@ -74,8 +74,8 @@ Report runWith(const Campaign &C, unsigned Workers) {
 }
 
 /// smallbank and voter x causal, rc x \p Strategies x seeds 1-2: the
-/// grid that shared encodings, the identity plan and streaming must
-/// answer as the default one-shot jobs do.
+/// grid that the identity plan and streaming must answer as the
+/// default one-shot jobs do.
 Campaign twoAppGrid(const char *Name, std::vector<Strategy> Strategies) {
   return Campaign::predictGrid(
       Name, {"smallbank", "voter"},
@@ -181,69 +181,6 @@ TEST(Engine, PredictGridCrossProduct) {
   }
 }
 
-TEST(Engine, SharedEncodingsDeterministicAcrossWorkerCounts) {
-  // One share-group per (app, seed), each spanning levels × strategies:
-  // the group is the scheduling unit, so shared-mode reports must stay
-  // byte-identical no matter how many workers execute the groups.
-  Campaign C =
-      twoAppGrid("shared", {Strategy::ApproxStrict, Strategy::ApproxRelaxed});
-
-  auto runShared = [&](unsigned Workers) {
-    EngineOptions O;
-    O.NumWorkers = Workers;
-    O.ShareEncodings = true;
-    return Engine(O).run(C);
-  };
-  std::string Json1 = runShared(1).toJson();
-  std::string Json2 = runShared(2).toJson();
-  std::string Json4 = runShared(4).toJson();
-  EXPECT_EQ(Json1, Json2);
-  EXPECT_EQ(Json1, Json4);
-  // At least one query per group reused the shared prefix.
-  EXPECT_NE(Json1.find("\"base_prefix_reused\": true"), std::string::npos);
-}
-
-TEST(Engine, SharedEncodingsPreserveOutcomes) {
-  // Sat/unsat outcomes are part of the session sat-equivalence
-  // contract; models (witnesses, validation) may differ, so only the
-  // outcome fields are compared against the share-nothing engine.
-  Campaign C = twoAppGrid("shared-vs-oneshot",
-                          {Strategy::ApproxStrict, Strategy::ApproxRelaxed});
-  // On smallbank and voter every Approx-Strict and Approx-Relaxed
-  // outcome coincides; wikipedia small seed 3, causal, is Approx-Strict
-  // unsat but Approx-Relaxed sat, so a shared session that answered one
-  // strategy with the other's formula changes an outcome here.
-  size_t Split = C.size();
-  for (Strategy S : {Strategy::ApproxStrict, Strategy::ApproxRelaxed}) {
-    JobSpec J = C.Jobs.front();
-    J.App = "wikipedia";
-    J.Cfg = WorkloadConfig::small(3);
-    J.Level = IsolationLevel::Causal;
-    J.Strat = S;
-    C.Jobs.push_back(J);
-  }
-
-  EngineOptions Off;
-  Off.NumWorkers = 2;
-  Report Baseline = Engine(Off).run(C);
-  EngineOptions On = Off;
-  On.ShareEncodings = true;
-  Report Shared = Engine(On).run(C);
-
-  ASSERT_EQ(Baseline.size(), Shared.size());
-  EXPECT_EQ(Baseline.results()[Split].Outcome, SmtResult::Unsat);
-  EXPECT_EQ(Baseline.results()[Split + 1].Outcome, SmtResult::Sat);
-  for (size_t I = 0; I < Baseline.size(); ++I) {
-    const JobResult &A = Baseline.results()[I];
-    const JobResult &B = Shared.results()[I];
-    EXPECT_EQ(specHash(A.Spec), specHash(B.Spec));
-    EXPECT_TRUE(B.Ok);
-    EXPECT_EQ(A.Outcome, B.Outcome)
-        << "outcome changed under --share-encodings for "
-        << canonicalSpec(A.Spec);
-  }
-}
-
 // The relevance plan answers the grid as the identity plan does. Spec
 // hashes differ by design (prune is part of the canonical spec), so
 // report diffing pairs the jobs by identity key.
@@ -300,7 +237,7 @@ TEST(Engine, StrictPairsGroupExactWithApproxStrict) {
     return J.Strat != Strategy::ApproxRelaxed;
   });
   C.Jobs.insert(First + 1, JobSpec(*First));
-  std::vector<std::vector<size_t>> Groups = Engine::planGroups(C, false);
+  std::vector<std::vector<size_t>> Groups = Engine::planGroups(C);
   size_t Pairs = 0, Jobs = 0;
   for (const std::vector<size_t> &G : Groups) {
     Jobs += G.size();
@@ -319,8 +256,6 @@ TEST(Engine, StrictPairsGroupExactWithApproxStrict) {
   }
   EXPECT_EQ(Jobs, C.size());
   EXPECT_EQ(Pairs, 4u); // 2 apps x 2 levels; the copy is alone.
-  // Encoding-share groups are unchanged: one per observed execution.
-  EXPECT_EQ(Engine::planGroups(C, true).size(), 2u);
 }
 
 // The pair answers exactly what each job answers alone, across worker
@@ -376,7 +311,7 @@ TEST(Engine, CanceledExactStageIsNotReused) {
     J.TimeoutMs = 0; // Seconds of solving: only the interrupt ends it early.
     C.Jobs.push_back(J);
   }
-  ASSERT_EQ(Engine::planGroups(C, false).size(), 1u);
+  ASSERT_EQ(Engine::planGroups(C).size(), 1u);
   std::atomic<bool> Done{false};
   Report R;
   std::thread Worker([&] {
@@ -729,16 +664,32 @@ TEST(Engine, StreamGridMatchesFromScratchAndPredict) {
   }
   EXPECT_EQ(runWith(C, 1).toJson(), Ext.toJson());
 
+  // One unbounded chunk is one full-history session query, answered as
+  // the one-shot Predict job answers it. On smallbank and voter every
+  // Approx-Strict and Approx-Relaxed outcome coincides; wikipedia small
+  // seed 3, causal, is Approx-Strict unsat but Approx-Relaxed sat, so a
+  // session query that solved one strategy's formula for the other
+  // changes an outcome here.
   Campaign Predict = Campaign::predictGrid(
       "full", {"smallbank", "voter"}, {IsolationLevel::Causal},
       {Strategy::ApproxRelaxed}, {false}, 2, 60000);
+  size_t Split = Predict.size();
+  for (Strategy S : {Strategy::ApproxStrict, Strategy::ApproxRelaxed}) {
+    JobSpec J = Predict.Jobs.front();
+    J.App = "wikipedia";
+    J.Cfg = WorkloadConfig::small(3);
+    J.Strat = S;
+    Predict.Jobs.push_back(J);
+  }
   Campaign Full = Predict;
   for (JobSpec &J : Full.Jobs) {
     J.Kind = JobKind::Stream;
     J.StreamChunk = 1000;
   }
   Report P = runWith(Predict, 2), F = runWith(Full, 2);
-  ASSERT_EQ(F.size(), 4u);
+  ASSERT_EQ(F.size(), 6u);
+  EXPECT_EQ(P.results()[Split].Outcome, SmtResult::Unsat);
+  EXPECT_EQ(P.results()[Split + 1].Outcome, SmtResult::Sat);
   for (size_t I = 0; I < F.size(); ++I) {
     const JobResult &R = F.results()[I];
     EXPECT_EQ(R.Outcome, P.results()[I].Outcome) << canonicalSpec(R.Spec);

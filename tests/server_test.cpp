@@ -583,12 +583,17 @@ TEST(ServerE2E, ExtendGrowsHistoryAndWarmSessions) {
       "\"verb\": \"upload\", \"name\": \"h\", \"trace\": \"%s\"",
       jsonEscape(BaseText).c_str()));
   ASSERT_TRUE(isOk(R)) << errorCode(R);
+  // Read committed: on this trace (at most one writing transaction) a
+  // causal query short-circuits without encoding anything, so the
+  // extended session would have no base prefix to grow.
   const char *Query = R"("verb": "query", "history": "h", )"
-                      R"("level": "causal", "strategy": "relaxed", )"
+                      R"("level": "rc", "strategy": "relaxed", )"
                       R"("timeout_ms": 30000)";
   R = C.request(Query);
   ASSERT_TRUE(isOk(R)) << errorCode(R);
   EXPECT_FALSE(R->field("warm_session")->B);
+  // A cold session encodes its base prefix in this query.
+  EXPECT_EQ(R->field("job")->field("base_prefix_reused"), nullptr);
 
   // Extend: the stored history grows to the full trace and the pooled
   // warm session is grown in place and re-keyed.
@@ -617,9 +622,13 @@ TEST(ServerE2E, ExtendGrowsHistoryAndWarmSessions) {
   ASSERT_TRUE(isOk(R)) << errorCode(R);
   EXPECT_TRUE(R->field("warm_session")->B);
   EXPECT_EQ(R->field("answered_by")->Text, "warm_session");
+  // The grown session's base prefix was already on its solver.
+  const JsonValue *Reused = R->field("job")->field("base_prefix_reused");
+  ASSERT_NE(Reused, nullptr);
+  EXPECT_TRUE(Reused->B);
   std::string WarmOutcome = R->field("job")->field("result")->Text;
   R = C.request(R"("verb": "query", "history": "full", )"
-                R"("level": "causal", "strategy": "relaxed", )"
+                R"("level": "rc", "strategy": "relaxed", )"
                 R"("timeout_ms": 30000)");
   ASSERT_TRUE(isOk(R)) << errorCode(R);
   EXPECT_EQ(R->field("job")->field("result")->Text, WarmOutcome);
