@@ -207,11 +207,13 @@ bool isopredict::isReadCommitted(const History &H) {
 SerResult isopredict::checkSerializableSmt(const History &H,
                                            unsigned TimeoutMs) {
   // The constraint system lives in src/encode/Serializable.cpp, on the
-  // same interning/batching utilities as the prediction pipeline.
+  // same interning/batching utilities as the prediction pipeline. The
+  // query is small and quantifier-free, so it runs on the plain SMT
+  // kernel: the combined solver's tactic set-up would cost more than
+  // the search.
   SmtContext Ctx;
-  SmtSolver Solver(Ctx);
-  if (TimeoutMs)
-    Solver.setTimeoutMs(TimeoutMs);
+  SmtSolver Solver(Ctx, SolverKind::Kernel);
+  Solver.setTimeoutMs(TimeoutMs);
   encode::encodeSerializableCo(H, Ctx, Solver);
 
   switch (Solver.check()) {

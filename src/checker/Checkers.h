@@ -98,8 +98,9 @@ std::optional<SerResult> serResultFromString(std::string_view Name);
 
 /// Decides serializability with an ∃co SMT query (§5 "Checking
 /// serializability"): an integer commit position per transaction,
-/// Distinct, hb ⊆ co, and the Eq. 1 arbitration implications. A solver
-/// timeout yields Unknown.
+/// Distinct, hb ⊆ co, and the Eq. 1 arbitration implications, solved
+/// on Z3's plain SMT kernel (SolverKind::Kernel). A solver timeout
+/// yields Unknown.
 SerResult checkSerializableSmt(const History &H, unsigned TimeoutMs = 0);
 
 /// Sound, polynomial unserializability witness via pco saturation

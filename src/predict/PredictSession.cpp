@@ -208,7 +208,6 @@ void PredictSession::dropSolver() {
   BaseDone = false;
   ClosureDone = false;
   BaseStats = EncodingStats();
-  AppliedTimeoutMs = 0;
 }
 
 void PredictSession::ensureBase() {
@@ -240,13 +239,6 @@ void PredictSession::ensureClosure() {
   BaseStats.GenSeconds += Gen.seconds();
   BaseStats.NumLiterals += Ctx->literalCount() - Before;
   ClosureDone = true;
-}
-
-void PredictSession::applyTimeout(unsigned TimeoutMs) {
-  if (TimeoutMs == AppliedTimeoutMs)
-    return;
-  Solver->setTimeoutMs(TimeoutMs); // 0 restores "no timeout"
-  AppliedTimeoutMs = TimeoutMs;
 }
 
 Prediction PredictSession::query(const QueryOptions &Q) {
@@ -566,7 +558,7 @@ Prediction PredictSession::runStage(const QueryOptions &Q, Strategy Formula,
                           BaseStats.Passes.end());
 
   if (!Q.GenerateOnly) {
-    applyTimeout(TimeoutMs);
+    Solver->setTimeoutMs(TimeoutMs); // 0 = none
     Timer Solve;
     Out.Result = Solver->check();
     Out.Stats.SolveSeconds = Solve.seconds();

@@ -256,10 +256,6 @@ private:
   /// O(delta).
   void appendSubDelta(size_t FullFrom);
 
-  /// Applies \p TimeoutMs (0 = none) only when it differs from the
-  /// timeout currently installed on the solver.
-  void applyTimeout(unsigned TimeoutMs);
-
   /// The one query path, for sessions and predict() alike (\p Shared
   /// only adds the session.* telemetry). Approx queries
   /// run two stages (see runQuery in PredictSession.cpp): the exact
@@ -325,7 +321,6 @@ private:
   bool BaseDone = false;
   bool ClosureDone = false;
   size_t Queries = 0;
-  unsigned AppliedTimeoutMs = 0;
 };
 
 } // namespace isopredict

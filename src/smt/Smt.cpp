@@ -15,8 +15,6 @@
 
 using namespace isopredict;
 
-
-
 const char *isopredict::toString(SmtResult R) {
   switch (R) {
   case SmtResult::Sat:
@@ -269,51 +267,18 @@ struct SolverRegistry {
   }
 };
 
-Z3_solver makeZ3Solver(Z3_context C, const std::string &Logic) {
-  Z3_solver S = Logic.empty()
-                    ? Z3_mk_solver(C)
-                    : Z3_mk_solver_for_logic(
-                          C, Z3_mk_string_symbol(C, Logic.c_str()));
+Z3_solver makeZ3Solver(Z3_context C, SolverKind Kind) {
+  Z3_solver S = Kind == SolverKind::Kernel ? Z3_mk_simple_solver(C)
+                                           : Z3_mk_solver(C);
   Z3_solver_inc_ref(C, S);
   return S;
 }
 
-void setUintParam(Z3_context C, Z3_solver S, const char *Name, unsigned V) {
-  Z3_params Params = Z3_mk_params(C);
-  Z3_params_inc_ref(C, Params);
-  Z3_params_set_uint(C, Params, Z3_mk_string_symbol(C, Name), V);
-  Z3_solver_set_params(C, S, Params);
-  Z3_params_dec_ref(C, Params);
-}
-
-/// Z3's timeout default is UINT_MAX ("none"); 0 would mean "give up
-/// immediately", so map the documented 0 = no timeout onto the default.
-/// This lets sessions clear a timeout a previous query installed.
-void setTimeoutParam(Z3_context C, Z3_solver S, unsigned Ms) {
-  setUintParam(C, S, "timeout", Ms == 0 ? ~0u : Ms);
-}
-
-/// setOption()'s value sniffing, for the live solver or a fallback.
-void setSniffedParam(Z3_context C, Z3_solver S, const std::string &Name,
-                     const std::string &Value) {
-  Z3_params Params = Z3_mk_params(C);
-  Z3_params_inc_ref(C, Params);
-  Z3_symbol Sym = Z3_mk_string_symbol(C, Name.c_str());
-  bool AllDigits = !Value.empty();
-  for (char Ch : Value)
-    if (Ch < '0' || Ch > '9')
-      AllDigits = false;
-  if (AllDigits)
-    Z3_params_set_uint(C, Params, Sym,
-                       static_cast<unsigned>(std::strtoul(Value.c_str(),
-                                                          nullptr, 10)));
-  else if (Value == "true" || Value == "false")
-    Z3_params_set_bool(C, Params, Sym, Value == "true");
-  else
-    Z3_params_set_symbol(C, Params, Sym,
-                         Z3_mk_string_symbol(C, Value.c_str()));
-  Z3_solver_set_params(C, S, Params);
-  Z3_params_dec_ref(C, Params);
+/// Installs \p Value as the context's value of the uint parameter
+/// \p Name ("timeout", "rlimit"), which the next Z3_solver_check on the
+/// context reads.
+void setContextUint(Z3_context C, const char *Name, unsigned Value) {
+  Z3_update_param_value(C, Name, std::to_string(Value).c_str());
 }
 
 /// Growth of one of Z3's running counters over a check. A counter that
@@ -324,9 +289,8 @@ uint64_t growth(uint64_t After, uint64_t Before) {
 
 } // namespace
 
-SmtSolver::SmtSolver(SmtContext &Ctx, const char *Logic)
-    : Parent(Ctx), Logic(Logic ? Logic : ""),
-      Solver(makeZ3Solver(Ctx.raw(), this->Logic)) {
+SmtSolver::SmtSolver(SmtContext &Ctx, SolverKind Kind)
+    : Parent(Ctx), Solver(makeZ3Solver(Ctx.raw(), Kind)) {
   SolverRegistry &R = SolverRegistry::get();
   std::lock_guard<std::mutex> Lock(R.Mutex);
   R.Live.push_back(this);
@@ -386,16 +350,6 @@ void SmtSolver::addAll(const std::vector<SmtExpr> &Es) {
   Parent.AssertedLits += Lits;
 }
 
-void SmtSolver::setTimeoutMs(unsigned Ms) {
-  TimeoutMs = Ms;
-  setTimeoutParam(Parent.raw(), Solver, Ms);
-}
-
-void SmtSolver::setOption(const std::string &Name, const std::string &Value) {
-  setSniffedParam(Parent.raw(), Solver, Name, Value);
-  Options.emplace_back(Name, Value);
-}
-
 void SmtSolver::interrupt() {
   Interrupted.store(true, std::memory_order_release);
   std::lock_guard<std::mutex> Lock(InterruptMutex);
@@ -421,7 +375,12 @@ void SmtSolver::pop() {
   Scopes.pop_back();
 }
 
-SmtResult SmtSolver::guardedCheck(Z3_solver S) {
+SmtResult SmtSolver::guardedCheck(Z3_solver S, unsigned WallMs,
+                                  unsigned Rlimit) {
+  // Z3's timeout default is UINT_MAX ("none"); 0 would mean "give up
+  // immediately", so map the documented 0 = no timeout onto the default.
+  setContextUint(Parent.raw(), "timeout", WallMs == 0 ? ~0u : WallMs);
+  setContextUint(Parent.raw(), "rlimit", Rlimit); // 0 = none
   {
     std::lock_guard<std::mutex> Lock(InterruptMutex);
     if (Interrupted.load(std::memory_order_acquire)) {
@@ -482,11 +441,7 @@ SmtResult SmtSolver::check() {
   if (Scoped)
     Rlimit = static_cast<unsigned>(std::clamp<uint64_t>(
         ScopedCheckRlimitPerLiteral * Parent.AssertedLits, 1, ~0u));
-  if (Rlimit != AppliedRlimit) {
-    setUintParam(Parent.raw(), Solver, "rlimit", Rlimit); // 0 = none
-    AppliedRlimit = Rlimit;
-  }
-  SmtResult Out = guardedCheck(Solver);
+  SmtResult Out = guardedCheck(Solver, TimeoutMs, Rlimit);
   // Z3's counters run across a solver's checks: report this one's growth.
   SolverStatistics After = readStatistics(Solver);
   LastStats.Conflicts = growth(After.Conflicts, Baseline.Conflicts);
@@ -503,14 +458,11 @@ SmtResult SmtSolver::check() {
       (TimeoutMs == 0 || LeftMs >= 1)) {
     Fallbacks.inc();
     LastReasonUnknown.clear();
-    Z3_solver F = makeZ3Solver(Parent.raw(), Logic);
-    for (const auto &[Name, Value] : Options)
-      setSniffedParam(Parent.raw(), F, Name, Value);
-    if (TimeoutMs)
-      setTimeoutParam(Parent.raw(), F, static_cast<unsigned>(LeftMs));
+    Z3_solver F = makeZ3Solver(Parent.raw(), SolverKind::Combined);
     for (Z3_ast A : Asserted)
       Z3_solver_assert(Parent.raw(), F, A);
-    Out = guardedCheck(F);
+    Out = guardedCheck(F, TimeoutMs ? static_cast<unsigned>(LeftMs) : 0,
+                       /*Rlimit=*/0);
     SolverStatistics FS = readStatistics(F);
     LastStats.Conflicts += FS.Conflicts;
     LastStats.Decisions += FS.Decisions;

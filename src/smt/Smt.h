@@ -191,12 +191,26 @@ private:
   uint64_t InternHits = 0;
 };
 
+/// Which Z3 solver an SmtSolver wraps.
+enum class SolverKind {
+  /// Z3's combined solver (Z3_mk_solver): its one-shot tactic solver
+  /// until the first push(), its incremental SMT kernel after. The
+  /// prediction encodings need the tactics (quantifier elimination,
+  /// preprocessing), and their search depends on them.
+  Combined,
+  /// Z3's plain SMT kernel (Z3_mk_simple_solver): no tactic layer, so
+  /// none of its set-up. For a small quantifier-free query (the ∃co
+  /// serializability check) that set-up is most of the cost: creating
+  /// a combined solver and asserting `x < 3` takes 2.4 ms and checking
+  /// it 2.3 ms, against 0.08 and 0.11 ms on the kernel (Z3 4.8.12, one
+  /// thread).
+  Kernel,
+};
+
 /// A satisfiability query; owns a Z3 solver object.
 class SmtSolver {
 public:
-  /// \p Logic optionally names an SMT-LIB logic (e.g. "QF_LIA") to get a
-  /// specialized solver; quantified encodings must leave it null.
-  explicit SmtSolver(SmtContext &Ctx, const char *Logic = nullptr);
+  explicit SmtSolver(SmtContext &Ctx, SolverKind Kind = SolverKind::Combined);
   ~SmtSolver();
   SmtSolver(const SmtSolver &) = delete;
   SmtSolver &operator=(const SmtSolver &) = delete;
@@ -213,17 +227,11 @@ public:
   /// verdict-only serializability check batches).
   void addAll(const std::vector<SmtExpr> &Es);
 
-  /// Sets the per-check timeout. 0 means no timeout. A scoped check's
-  /// fallback solve gets what the capped attempt left of it.
-  void setTimeoutMs(unsigned Ms);
-
-  /// Sets one solver parameter by name ("smt.arith.solver", "smt.random_seed",
-  /// "smt.relevancy", ...). The value string is sniffed: all-digits becomes a
-  /// uint, "true"/"false" a bool, anything else a symbol. Only
-  /// sat/unsat-preserving knobs belong here (heuristic presets, a
-  /// resource limit); an unknown parameter name is a fatal Z3 error.
-  /// Options also reach the fallback solver of a scoped check().
-  void setOption(const std::string &Name, const std::string &Value);
+  /// Sets the wall-clock budget of every later check(); 0 means none.
+  /// A plain store: check() hands it to Z3 per check (see "Solver
+  /// scopes"). A scoped check's fallback solve gets what the capped
+  /// attempt left of it.
+  void setTimeoutMs(unsigned Ms) { TimeoutMs = Ms; }
 
   //===--------------------------------------------------------------------===
   // Cross-thread cancellation (SIGINT, server shutdown)
@@ -291,13 +299,22 @@ public:
   //     timing;
   //  2. if that attempt comes back Unknown for any reason except our
   //     own interrupt(), a re-solve of the same assertions (the solver
-  //     keeps them, per scope) on a fresh Z3 solver that is never
-  //     pushed, so Z3 uses the one-shot solver. It gets the same
-  //     setOption() parameters and the wall budget the attempt left.
+  //     keeps them, per scope) on a fresh combined solver that is never
+  //     pushed, so Z3 uses the one-shot solver. It runs uncapped, with
+  //     the wall budget the attempt left.
   // The model, reasonUnknown() and statistics() come from whichever
   // solver answered (statistics add both phases). A check with no scope
-  // open runs uncapped and never falls back; the ∃co serializability
-  // check (checkSerializableSmt) is the one solve that never pushes.
+  // open runs uncapped and never falls back.
+  //
+  // Both budgets are per check: each Z3_solver_check runs under the
+  // timeout and rlimit that check() installs on the context right
+  // before it (Z3_update_param_value; Z3_solver_check reads them from
+  // the context because no solver here sets them as its own params),
+  // so a budget never outlives its check or reaches another solver on
+  // the same context.
+  // Setting them as solver params instead (Z3_solver_set_params)
+  // re-configures the combined solver's layers: 0.75 ms a call, against
+  // about a microsecond for the two context updates.
 
   /// The incremental attempt's rlimit cap per literal on the solver.
   /// Z3's resource use grows with the formula, so the cap does too: the
@@ -356,16 +373,12 @@ private:
   };
 
   SmtContext &Parent;
-  std::string Logic; ///< Empty: Z3's default solver.
   Z3_solver Solver;
   Z3_model Model = nullptr;
   std::vector<Scope> Scopes;
   /// Every AST asserted and not popped, in order (the fallback's input).
   std::vector<Z3_ast> Asserted;
-  /// setOption() calls in order, replayed on the fallback solver.
-  std::vector<std::pair<std::string, std::string>> Options;
   unsigned TimeoutMs = 0;
-  unsigned AppliedRlimit = 0; ///< The live solver's current cap, 0 = none.
   SolverStatistics LastStats;
   /// The live solver's running counters when its last check ended.
   SolverStatistics Baseline;
@@ -379,11 +392,11 @@ private:
   Z3_solver Running = nullptr;
 
   void releaseModel();
-  void setRlimit(unsigned Rlimit);
-  /// Z3_solver_check on \p S under the interrupt handshake: the
+  /// Z3_solver_check on \p S under a timeout of \p WallMs and a cap of
+  /// \p Rlimit (0 = none for both) and the interrupt handshake: the
   /// outcome, with the model (sat) or reason (unknown) taken; Unknown
   /// ("canceled") without entering Z3 when an interrupt is pending.
-  SmtResult guardedCheck(Z3_solver S);
+  SmtResult guardedCheck(Z3_solver S, unsigned WallMs, unsigned Rlimit);
   /// Z3's running search counters of \p S.
   SolverStatistics readStatistics(Z3_solver S) const;
 };

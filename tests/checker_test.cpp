@@ -315,3 +315,37 @@ TEST(Checkers, ObservedEdgesFollowTxnIdOrder) {
       }
   EXPECT_GT(ForwardArbitrations, 0u);
 }
+
+// checkSerializableSmt runs on Z3's plain SMT kernel; on histories of
+// the shape validation and RandomWeak jobs give it (application runs
+// on a random weak store), its verdict must match the exhaustive
+// permutation check. Both verdicts must occur, or the comparison would
+// prove nothing.
+TEST(Checkers, KernelSerializabilityAgreesWithBruteForceOnStoreRuns) {
+  unsigned Serializable = 0, Unserializable = 0;
+  for (const std::string &App : applicationNames())
+    for (IsolationLevel L :
+         {IsolationLevel::Causal, IsolationLevel::ReadCommitted})
+      for (uint64_t Seed = 1; Seed <= 4; ++Seed) {
+        SCOPED_TRACE(formatString("%s %s seed=%llu", App.c_str(),
+                                  toString(L),
+                                  static_cast<unsigned long long>(Seed)));
+        auto Application = makeApplication(App);
+        DataStore::Options O;
+        O.Mode = StoreMode::RandomWeak;
+        O.Level = L;
+        O.Seed = Seed;
+        DataStore Store(O);
+        History H =
+            WorkloadRunner::run(*Application, Store, WorkloadConfig{3, 3, Seed})
+                .Hist;
+        std::optional<bool> Brute = bruteForceSerializable(H);
+        ASSERT_TRUE(Brute.has_value());
+        SerResult Smt = checkSerializableSmt(H);
+        ASSERT_NE(Smt, SerResult::Unknown);
+        EXPECT_EQ(*Brute, Smt == SerResult::Serializable);
+        ++(*Brute ? Serializable : Unserializable);
+      }
+  EXPECT_GT(Serializable, 0u);
+  EXPECT_GT(Unserializable, 0u);
+}

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <regex>
 #include <set>
+#include <sstream>
 #include <sys/wait.h>
 #include <thread>
 #include <utility>
@@ -184,6 +185,36 @@ TEST(BenchCli, Table3ReportParsesAndSelfDiffsClean) {
   std::string Report = D / "BENCH_table3.json";
   parsed(slurp(Report));
   run(tool("report_diff") + " " + Report + " " + Report);
+}
+
+// Tables 6 and 7 run the MonkeyDB-style random weak store, whose
+// serializability column is the ∃co check. Each workload section has a
+// row per application, and a run that fails an application assertion
+// is unserializable, so Fail <= Unser in every row.
+TEST(BenchCli, MonkeyDbTablesHaveARowPerAppWithFailAtMostUnser) {
+  for (const char *Table : {"table6_monkeydb_causal", "table7_rc"}) {
+    SCOPED_TRACE(Table);
+    std::string Out;
+    ASSERT_EQ(runCommand("ISOPREDICT_SEEDS=1 ISOPREDICT_RUNS=3 "
+                         "ISOPREDICT_JSON_DIR= " +
+                             pathJoin(ISOPREDICT_BENCH_DIR, Table),
+                         &Out),
+              0)
+        << Out;
+    for (const std::string &App : applicationNames()) {
+      unsigned Rows = 0;
+      for (std::string_view Line : splitString(Out, '\n')) {
+        std::istringstream Cells{std::string(Line)};
+        std::string Name, Fail, Unser;
+        if (!(Cells >> Name >> Fail >> Unser) || Name != App)
+          continue;
+        ++Rows;
+        ASSERT_TRUE(Fail.back() == '%' && Unser.back() == '%') << Line;
+        EXPECT_LE(std::stoi(Fail), std::stoi(Unser)) << Line;
+      }
+      EXPECT_EQ(Rows, 2u) << App << " (small and large)\n" << Out;
+    }
+  }
 }
 
 TEST(CampaignCli, WarmCacheRunIsAllHitsAndByteIdentical) {

@@ -3,6 +3,7 @@
 #include "smt/Smt.h"
 
 #include "obs/Metrics.h"
+#include "support/Env.h"
 
 #include <gtest/gtest.h>
 
@@ -343,30 +344,6 @@ TEST(Smt, InterruptBeforeCheckCancelsWithoutEnteringZ3) {
   EXPECT_EQ(Solver.check(), SmtResult::Unknown);
 }
 
-TEST(Smt, SetOptionAcceptsSolverParameters) {
-  // setOption() sniffs each value's type (uint, bool, symbol) and hands
-  // the name to Z3's solver descriptor set, where an unknown name or a
-  // mistyped value is a fatal Z3 error — so a regression here crashes,
-  // not fails. The scoped check's fallback replays these same calls
-  // (OptionsReachTheFallbackSolver).
-  SmtContext Ctx;
-  SmtSolver Solver(Ctx);
-  Solver.setOption("arith.solver", "2");
-  Solver.setOption("random_seed", "7");
-  Solver.setOption("sat.random_seed", "7");
-  Solver.setOption("relevancy", "0");
-  Solver.setOption("phase_selection", "5");
-  Solver.setOption("restart_strategy", "1");
-
-  // The knobs are heuristic only: outcomes are unchanged.
-  SmtExpr X = Ctx.intVar("x");
-  Solver.add(Ctx.mkEq(X, Ctx.intVal(41)));
-  ASSERT_EQ(Solver.check(), SmtResult::Sat);
-  EXPECT_EQ(Solver.modelInt(X), 41);
-  Solver.add(Ctx.mkNot(Ctx.mkEq(X, Ctx.intVal(41))));
-  EXPECT_EQ(Solver.check(), SmtResult::Unsat);
-}
-
 // Z3's search counters run across a solver's checks; a session solver
 // lives for many queries, so statistics() must report each check's own
 // work. The second check decides `false` without search.
@@ -438,21 +415,40 @@ TEST(Smt, PopAfterFallbackRewindsAssertionsAndLiterals) {
   }
 }
 
-// setOption() parameters reach the fallback solver too. Seeds and phase
-// heuristics leave this fallback's model unchanged (Z3 eliminates the
-// quantifier and the rest is fixed), so the observable parameter is a
-// resource limit: with it, the fallback gives up instead of answering.
-TEST(Smt, OptionsReachTheFallbackSolver) {
+// Budgets are per check, not per context: check() installs its own
+// timeout and rlimit on the shared Z3 context right before each
+// Z3_solver_check, so neither a scoped check's cap nor another
+// solver's timeout reaches a later check.
+TEST(Smt, BudgetsArePerCheckNotPerContext) {
   SmtContext Ctx;
-  SmtSolver Solver(Ctx);
-  Solver.setOption("rlimit", "1");
-  Solver.push();
-  Solver.add(unboundedAbove(Ctx));
+  SmtSolver Capped(Ctx);
   uint64_t Before = fallbacks();
-  EXPECT_EQ(Solver.check(), SmtResult::Unknown);
+  Capped.push();
+  Capped.add(unboundedAbove(Ctx));
+  ASSERT_EQ(Capped.check(), SmtResult::Sat) << Capped.reasonUnknown();
   EXPECT_EQ(fallbacks(), Before + 1);
-  EXPECT_FALSE(Solver.interrupted());
-  Solver.pop();
+  Capped.pop();
+  // A scoped check with no fallback leaves its budget on the context:
+  // a cap of ScopedCheckRlimitPerLiteral units (one literal) and a 1 ms
+  // timeout, whether or not it decides.
+  Capped.setTimeoutMs(1);
+  Capped.push();
+  Capped.add(Ctx.boolVar("b"));
+  Capped.check();
+  Capped.pop();
+
+  // A pigeonhole needs far more resource units than that cap and more
+  // than a millisecond of search; on a second solver it is decided.
+  SmtSolver Root(Ctx);
+  for (SmtExpr E : pigeonhole(Ctx, 8, 7))
+    Root.add(E);
+  uint64_t BeforeRoot = fallbacks();
+  Timer Clock;
+  EXPECT_EQ(Root.check(), SmtResult::Unsat) << Root.reasonUnknown();
+  EXPECT_GT(Clock.seconds(), 0.001)
+      << "too easy to show that the 1 ms timeout stayed with its solver";
+  EXPECT_GT(Root.statistics().Conflicts, 1000u);
+  EXPECT_EQ(fallbacks(), BeforeRoot);
 }
 
 // An interrupt pending before a scoped check cancels it outright: no
