@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Common plumbing for the table-regeneration harnesses (Tables 3-7).
+/// Common plumbing for the table-regeneration harnesses (Tables 3, 6
+/// and 7) and the micro benchmarks.
 /// Defaults keep a full `for b in build/bench/*; do $b; done` sweep to a
 /// few minutes; environment variables scale a run up to the paper's
 /// configuration:
@@ -106,30 +107,10 @@ inline RunResult randomWeakRun(const std::string &AppName,
   return WorkloadRunner::run(*App, Store, Cfg);
 }
 
-/// Runs one execution on the locking read-committed store (the MySQL
-/// substitute of Table 7).
-inline RunResult lockingRcRun(const std::string &AppName,
-                              const WorkloadConfig &Cfg,
-                              uint64_t StoreSeed) {
-  auto App = makeApplication(AppName);
-  DataStore::Options O;
-  O.Mode = StoreMode::LockingRc;
-  O.Level = IsolationLevel::ReadCommitted;
-  O.Seed = StoreSeed;
-  DataStore Store(O);
-  return WorkloadRunner::run(*App, Store, Cfg);
-}
-
 inline std::string pct(unsigned Num, unsigned Den) {
   if (Den == 0)
     return "-";
   return formatString("%.0f%%", 100.0 * Num / Den);
-}
-
-inline std::string secs(double Total, unsigned Count) {
-  if (Count == 0)
-    return "-";
-  return formatString("%.2f s", Total / Count);
 }
 
 inline void banner(const char *Table, const char *What) {

@@ -3,8 +3,9 @@
 // Reads a campaign report (campaign_cli --out, ideally with --timings),
 // a Chrome trace (campaign_cli --trace-out), or a server status dump
 // (isopredict_client --status-out) and prints where the wall-clock
-// went: a per-phase breakdown, a per-(app x level x strategy) table,
-// and the top-N slowest jobs.
+// went: a per-phase breakdown, a per-configuration table (the report's
+// summary groups, with the columns of the paper's Tables 4/5), and the
+// top-N slowest jobs.
 //
 // Usage:
 //   report_profile [--top N] FILE
@@ -307,50 +308,31 @@ int profileReport(const JsonValue &Doc, unsigned TopN) {
                 "/ cache %.3fs / validate %.3fs\n",
                 Encode, Solve, Cache, Validate);
 
-  // Per-configuration aggregation (app x level x strategy).
-  struct Agg {
-    unsigned Jobs = 0;
-    double Wall = 0, Gen = 0, Solve = 0;
-    unsigned Sat = 0, Timeouts = 0;
+  // Per-configuration rows: the report's own summary groups (one per
+  // app x workload x level x strategy), with the columns of the paper's
+  // Tables 4/5 plus the false predictions of the boundary ablation.
+  // Averages are per job (literals, gen) or per answer (solve).
+  auto avgCell = [&](double Total, unsigned Count) {
+    return HasTimings && Count ? secondsCell(Total / Count)
+                               : std::string("-");
   };
-  std::vector<std::pair<std::string, Agg>> Groups;
-  std::map<std::string, size_t> Index;
-  for (const JobResult &R : Results) {
-    std::string Key = R.Spec.Kind == JobKind::Predict
-                          ? formatString("%s %s %s", R.Spec.App.c_str(),
-                                         toString(R.Spec.Level),
-                                         toString(R.Spec.Strat))
-                          : formatString("%s %s", toString(R.Spec.Kind),
-                                         R.Spec.App.c_str());
-    auto It = Index.find(Key);
-    if (It == Index.end()) {
-      It = Index.emplace(Key, Groups.size()).first;
-      Groups.emplace_back(Key, Agg{});
-    }
-    Agg &A = Groups[It->second].second;
-    ++A.Jobs;
-    A.Wall += R.WallSeconds;
-    A.Gen += R.Stats.GenSeconds;
-    A.Solve += R.Stats.SolveSeconds;
-    A.Sat += R.Outcome == SmtResult::Sat && R.Spec.Kind == JobKind::Predict;
-    A.Timeouts += R.TimedOut;
-  }
-  std::sort(Groups.begin(), Groups.end(),
-            [](const auto &A, const auto &B) {
-              return A.second.Wall > B.second.Wall;
-            });
-
   std::printf("\n");
   TablePrinter T;
-  T.setHeader({"Config", "Jobs", "Sat", "Timeout", "Gen", "Solve", "Wall",
-               "Share"});
-  for (const auto &KV : Groups) {
-    const Agg &A = KV.second;
-    T.addRow({KV.first, formatString("%u", A.Jobs),
-              formatString("%u", A.Sat), formatString("%u", A.Timeouts),
-              secondsCell(A.Gen), secondsCell(A.Solve), secondsCell(A.Wall),
-              shareCell(A.Wall, TotalWall)});
-  }
+  T.setHeader({"Config", "Jobs", "T/O+Unk", "Unsat", "Sat", "Validated",
+               "(Diverged)", "False preds", "Avg literals", "Gen",
+               "Solve Sat", "Solve Unsat", "Wall", "Share"});
+  for (const auto &[Key, G] : groupResults(Results))
+    T.addRow({Key, formatString("%u", G.Jobs), formatString("%u", G.Unknown),
+              formatString("%u", G.Unsat), formatString("%u", G.Sat),
+              formatString("%u", G.Validated),
+              formatString("(%u)", G.Diverged),
+              formatString("%u", G.FalsePredictions),
+              formatString("%llu", static_cast<unsigned long long>(
+                                       G.Jobs ? G.Literals / G.Jobs : 0)),
+              avgCell(G.GenSeconds, G.Jobs),
+              avgCell(G.SatSolveSeconds, G.Sat),
+              avgCell(G.UnsatSolveSeconds, G.Unsat),
+              secondsCell(G.WallSeconds), shareCell(G.WallSeconds, TotalWall)});
   T.print(stdout);
 
   // Slowest jobs by wall-clock, with the solver-difficulty signal.

@@ -40,32 +40,6 @@ const char *isopredict::engine::toolVersion() { return "isopredict-12"; }
 
 namespace {
 
-/// Per-configuration aggregate for the summary section and table.
-struct Group {
-  unsigned Jobs = 0;
-  unsigned Failed = 0; ///< Jobs with Ok == false.
-  unsigned Sat = 0, Unsat = 0, Unknown = 0;
-  unsigned Validated = 0, Diverged = 0;
-  unsigned AssertionFailed = 0, Unserializable = 0;
-  unsigned CommittedTxns = 0, Reads = 0, Writes = 0, ReadOnlyTxns = 0,
-           AbortedTxns = 0, DeadlockAborts = 0;
-  uint64_t Literals = 0;
-  double GenSeconds = 0, SolveSeconds = 0, WallSeconds = 0;
-};
-
-/// Jobs group by everything that identifies a configuration except the
-/// seeds (workload seed and store seed vary within a group).
-std::string groupKey(const JobSpec &S) {
-  std::string Key = formatString("%s|%s|%s", toString(S.Kind), S.App.c_str(),
-                                 workloadLabel(S.Cfg).c_str());
-  if (S.Kind == JobKind::Predict || S.Kind == JobKind::Stream ||
-      S.Kind == JobKind::RandomWeak)
-    Key += formatString("|%s", toString(S.Level));
-  if (S.Kind == JobKind::Predict || S.Kind == JobKind::Stream)
-    Key += formatString("|%s|%s", toString(S.Strat), toString(S.Pco));
-  return Key;
-}
-
 void accumulate(Group &G, const JobResult &R) {
   ++G.Jobs;
   G.Failed += !R.Ok;
@@ -81,15 +55,20 @@ void accumulate(Group &G, const JobResult &R) {
     switch (R.Outcome) {
     case SmtResult::Sat:
       ++G.Sat;
+      G.SatSolveSeconds += R.Stats.SolveSeconds;
       break;
     case SmtResult::Unsat:
       ++G.Unsat;
+      G.UnsatSolveSeconds += R.Stats.SolveSeconds;
       break;
     case SmtResult::Unknown:
       ++G.Unknown;
       break;
     }
     G.Validated += R.validatedUnserializable();
+    G.FalsePredictions +=
+        R.Outcome == SmtResult::Sat &&
+        R.ValStatus == ValidationResult::Status::Serializable;
     G.Diverged += R.Diverged;
     // Stream jobs persist no literal count (it depends on the execution
     // mode, so it lives in the timings-gated steps), and a cache-answered
@@ -101,23 +80,6 @@ void accumulate(Group &G, const JobResult &R) {
   }
   G.AssertionFailed += R.AssertionFailed;
   G.Unserializable += R.Serializability == SerResult::Unserializable;
-}
-
-/// Group results by configuration, preserving first-appearance order.
-std::vector<std::pair<std::string, Group>>
-groupResults(const std::vector<JobResult> &Results) {
-  std::vector<std::pair<std::string, Group>> Groups;
-  std::map<std::string, size_t> Index;
-  for (const JobResult &R : Results) {
-    std::string Key = groupKey(R.Spec);
-    auto It = Index.find(Key);
-    if (It == Index.end()) {
-      It = Index.emplace(Key, Groups.size()).first;
-      Groups.emplace_back(Key, Group{});
-    }
-    accumulate(Groups[It->second].second, R);
-  }
-  return Groups;
 }
 
 void emitGroup(JsonWriter &J, const std::string &Key, const Group &G,
@@ -150,6 +112,33 @@ void emitGroup(JsonWriter &J, const std::string &Key, const Group &G,
 }
 
 } // namespace
+
+std::string isopredict::engine::groupKey(const JobSpec &S) {
+  std::string Key = formatString("%s|%s|%s", toString(S.Kind), S.App.c_str(),
+                                 workloadLabel(S.Cfg).c_str());
+  if (S.Kind == JobKind::Predict || S.Kind == JobKind::Stream ||
+      S.Kind == JobKind::RandomWeak)
+    Key += formatString("|%s", toString(S.Level));
+  if (S.Kind == JobKind::Predict || S.Kind == JobKind::Stream)
+    Key += formatString("|%s|%s", toString(S.Strat), toString(S.Pco));
+  return Key;
+}
+
+std::vector<std::pair<std::string, Group>>
+isopredict::engine::groupResults(const std::vector<JobResult> &Results) {
+  std::vector<std::pair<std::string, Group>> Groups;
+  std::map<std::string, size_t> Index;
+  for (const JobResult &R : Results) {
+    std::string Key = groupKey(R.Spec);
+    auto It = Index.find(Key);
+    if (It == Index.end()) {
+      It = Index.emplace(Key, Groups.size()).first;
+      Groups.emplace_back(Key, Group{});
+    }
+    accumulate(Groups[It->second].second, R);
+  }
+  return Groups;
+}
 
 std::string Report::toJson(const ReportOptions &Opts) const {
   JsonWriter J(Opts.Indent);

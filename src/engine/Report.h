@@ -29,6 +29,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace isopredict {
@@ -145,6 +146,33 @@ struct JobResult {
     return ValStatus == ValidationResult::Status::ValidatedUnserializable;
   }
 };
+
+/// Per-configuration aggregate: one entry of a report's "summary" array
+/// and one row of its summary tables (printSummary, report_profile).
+struct Group {
+  unsigned Jobs = 0;
+  unsigned Failed = 0; ///< Jobs with Ok == false.
+  unsigned Sat = 0, Unsat = 0, Unknown = 0;
+  unsigned Validated = 0, Diverged = 0;
+  unsigned AssertionFailed = 0, Unserializable = 0;
+  unsigned CommittedTxns = 0, Reads = 0, Writes = 0, ReadOnlyTxns = 0,
+           AbortedTxns = 0, DeadlockAborts = 0;
+  uint64_t Literals = 0;
+  double GenSeconds = 0, SolveSeconds = 0, WallSeconds = 0;
+  /// Not in the JSON summary (default report bytes predate them): the
+  /// solve seconds split by answer, and Sat predictions whose validating
+  /// execution came out serializable (the paper's false predictions).
+  double SatSolveSeconds = 0, UnsatSolveSeconds = 0;
+  unsigned FalsePredictions = 0;
+};
+
+/// The configuration a job belongs to: everything that identifies it
+/// except the seeds (workload seed and store seed vary within a group).
+std::string groupKey(const JobSpec &S);
+
+/// Groups \p Results by groupKey, in order of first appearance.
+std::vector<std::pair<std::string, Group>>
+groupResults(const std::vector<JobResult> &Results);
 
 struct ReportOptions {
   /// Emit wall-clock / generation / solving seconds. Off by default so

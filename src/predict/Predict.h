@@ -90,7 +90,8 @@ struct PredictOptions {
   /// Per-query solver timeout; 0 = none (the paper used 24 hours).
   unsigned TimeoutMs = 0;
   /// Ablation knob: include anti-dependency (rw) edges in pco (§4.2.2,
-  /// Fig. 5). Disabling loses predictions; used by bench/ablation_rw.
+  /// Fig. 5). Disabling loses predictions (the rw ablation,
+  /// end2end_test `Headline.DisablingRwOnlyLosesPredictions`).
   bool EnableRw = true;
   /// pco realization for the approximate strategies; see PcoEncoding.
   PcoEncoding Pco = PcoEncoding::Rank;

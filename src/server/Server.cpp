@@ -14,6 +14,7 @@
 #include "support/Signal.h"
 #include "support/StrUtil.h"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
 #include <chrono>
@@ -21,6 +22,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <system_error>
 #include <unistd.h>
 
 using namespace isopredict;
@@ -190,6 +192,7 @@ void Server::serve() {
     int Ready = ::poll(P, N, 200);
     if (StopSignal::requested() || Stopping.load(std::memory_order_acquire))
       break;
+    reapReaders();
     if (Ready <= 0 || !(P[0].revents & POLLIN))
       continue;
     int Fd = ::accept(ListenFd, nullptr, nullptr);
@@ -201,11 +204,31 @@ void Server::serve() {
     Connections.inc();
     Active.add(1);
     std::lock_guard<std::mutex> Lock(ConnMutex);
-    Conns.push_back(C);
-    Readers.emplace_back([this, C] { connectionLoop(C); });
+    try {
+      std::thread Thread([this, C] { connectionLoop(C); });
+      Readers.push_back({std::move(C), std::move(Thread)});
+    } catch (const std::system_error &E) {
+      // No thread for this client: drop it (the Conn closes its socket)
+      // and keep serving the others.
+      errorsCounter().inc();
+      Active.add(-1);
+      obs::Log::global().error("server.reader_failed", {{"error", E.what()}});
+    }
   }
   Stopping.store(true, std::memory_order_release);
   drainAndClose();
+}
+
+void Server::reapReaders() {
+  std::lock_guard<std::mutex> Lock(ConnMutex);
+  auto Done = std::partition(Readers.begin(), Readers.end(),
+                             [](const Reader &R) {
+                               return !R.C->ReaderDone.load(
+                                   std::memory_order_acquire);
+                             });
+  for (auto It = Done; It != Readers.end(); ++It)
+    It->Thread.join();
+  Readers.erase(Done, Readers.end());
 }
 
 void Server::drainAndClose() {
@@ -247,16 +270,15 @@ void Server::drainAndClose() {
       ::close(ListenFd);
     ListenFd = -1;
   }
+  std::vector<Reader> Open;
   {
     std::lock_guard<std::mutex> Lock(ConnMutex);
-    for (auto &W : Conns)
-      if (std::shared_ptr<Conn> C = W.lock())
-        ::shutdown(C->Fd, SHUT_RDWR); // Unblocks the reader thread.
+    Open.swap(Readers);
   }
-  for (std::thread &T : Readers)
-    if (T.joinable())
-      T.join();
-  Readers.clear();
+  for (Reader &R : Open)
+    ::shutdown(R.C->Fd, SHUT_RDWR); // Unblocks the reader thread.
+  for (Reader &R : Open)
+    R.Thread.join();
   Exec.sessions().clear();
 }
 
@@ -315,6 +337,7 @@ void Server::connectionLoop(std::shared_ptr<Conn> C) {
   }
   C->Closed.store(true, std::memory_order_release);
   Active.add(-1);
+  C->ReaderDone.store(true, std::memory_order_release);
 }
 
 void Server::handleRequest(const std::shared_ptr<Conn> &C, Request Req) {

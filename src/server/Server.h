@@ -102,6 +102,9 @@ private:
     int Fd = -1;
     std::mutex WriteMutex;
     std::atomic<bool> Closed{false};
+    /// Set by the reader thread as its last act, so the accept loop can
+    /// join it without blocking.
+    std::atomic<bool> ReaderDone{false};
     std::atomic<Tenant *> T{nullptr};
     ~Conn();
     void send(const std::string &Line);
@@ -149,6 +152,8 @@ private:
                                      const std::string &Key);
   void writeLatencyJson(JsonWriter &J);
   void traceFlushLoop();
+  /// Joins and drops the readers whose connection has ended.
+  void reapReaders();
   void drainAndClose();
 
   ServerOptions Opts;
@@ -163,9 +168,17 @@ private:
   std::atomic<bool> Stopping{false};
   Timer Uptime;
 
+  /// One accepted connection and the thread reading it. serve() joins
+  /// and drops the entries whose reader has finished, at its next poll
+  /// wake-up (at most 200 ms later); the socket closes once that entry
+  /// and every in-flight answer have let go of the Conn. drainAndClose()
+  /// unblocks and joins the rest.
+  struct Reader {
+    std::shared_ptr<Conn> C;
+    std::thread Thread;
+  };
   std::mutex ConnMutex;
-  std::vector<std::weak_ptr<Conn>> Conns;
-  std::vector<std::thread> Readers;
+  std::vector<Reader> Readers;
 
   /// Per-tenant FIFO of admitted-but-not-running queries.
   std::mutex PendingMutex;

@@ -20,6 +20,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <map>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -174,6 +175,64 @@ TEST(ReportDiffCli, ExitStatusGatesOnAnInjectedRegression) {
   Doctored.replace(Pos, 10, "\"ok\": false, \"error\": \"injected\"");
   ASSERT_TRUE(writeFileAtomic(Bad, Doctored));
   run(tool("report_diff") + " --quiet " + Good + " " + Bad, 1);
+}
+
+// The API walk-through prints the paper's running example: the
+// observed deposits are serializable, and the prediction is Figure 3a,
+// where both deposits read the initial balance.
+TEST(Examples, QuickstartPredictsFigure3a) {
+  std::string Out = run(tool("quickstart"));
+  EXPECT_TRUE(contains(Out, "result: sat")) << Out;
+  size_t Pred = Out.find("=== Predicted unserializable execution ===");
+  ASSERT_NE(Pred, std::string::npos) << Out;
+  EXPECT_TRUE(contains(Out.substr(Pred), "txn 1 0\nread acct 0 0\n")) << Out;
+  EXPECT_TRUE(
+      contains(Out, "pco cycle witnessing unserializability: t1 -> t2 -> t1"))
+      << Out;
+}
+
+// Table 4 is a campaign_cli grid plus report_profile (README, "Reproducing
+// the paper's tables"); here at 2 apps x 1 seed. report_profile prints
+// one row per app x workload x strategy, with the paper's columns, and
+// its counts are the report's own summary groups.
+TEST(ReportProfileCli, Table4GridHasARowPerConfigurationWithThePaperColumns) {
+  ScratchDir D("cli-table4");
+  run(tool("campaign_cli") + " --apps tpcc,voter --levels causal " +
+      "--strategies exact,strict,relaxed --sizes small,large --seeds 1 " +
+      "--jobs 0 --timings --quiet --out " + D / "t4.json");
+  std::string Out = run(tool("report_profile") + " " + D / "t4.json");
+  for (const char *Column :
+       {"T/O+Unk", "Unsat", "Sat", "Validated", "(Diverged)", "False preds",
+        "Avg literals", "Gen", "Solve Sat", "Solve Unsat"})
+    EXPECT_TRUE(contains(Out, Column)) << Column << "\n" << Out;
+
+  std::map<std::string, std::vector<std::string>> Rows;
+  for (std::string_view Line : splitString(Out, '\n')) {
+    std::istringstream Cells{std::string(Line)};
+    std::vector<std::string> Row;
+    for (std::string Cell; Cells >> Cell;)
+      Row.push_back(Cell);
+    if (!Row.empty() && Row[0].rfind("predict|", 0) == 0)
+      EXPECT_TRUE(Rows.emplace(Row[0], Row).second) << Line;
+  }
+  EXPECT_EQ(Rows.size(), 2u * 2 * 3) << Out;
+  JsonValue Report = parsed(slurp(D / "t4.json"));
+  const JsonValue *Summary = Report.field("summary");
+  ASSERT_NE(Summary, nullptr);
+  EXPECT_EQ(Summary->Items.size(), Rows.size());
+  for (const JsonValue &G : Summary->Items) {
+    const std::vector<std::string> &Row = Rows[at(G, {"config"})];
+    ASSERT_EQ(Row.size(), 14u) << at(G, {"config"}) << "\n" << Out;
+    EXPECT_EQ(Row[2], at(G, {"unknown"}));
+    EXPECT_EQ(Row[3], at(G, {"unsat"}));
+    EXPECT_EQ(Row[4], at(G, {"sat"}));
+    EXPECT_EQ(Row[5], at(G, {"validated"}));
+    EXPECT_EQ(Row[6], "(" + at(G, {"diverged"}) + ")");
+    // Footnote 5: voter has one writing transaction, so no causal
+    // prediction.
+    if (contains(Row[0], "|voter|"))
+      EXPECT_EQ(Row[4], "0") << Row[0];
+  }
 }
 
 // Table 3 on the engine: the bench writes a parseable report that

@@ -154,3 +154,25 @@ TEST(Headline, RelaxedPredictsAtLeastAsOftenAsStrict) {
     EXPECT_LE(Strict, Relaxed) << Name;
   }
 }
+
+TEST(Headline, DisablingRwOnlyLosesPredictions) {
+  // The rw ablation (§4.2.2, Fig. 5): without anti-dependency edges pco
+  // has fewer edges, so no seed gains a prediction, and Sat without rw
+  // <= Sat with rw per app. Only the seeds that have no prediction with
+  // rw can break that, so only they are solved again without it. (The
+  // seeds that lose their prediction at this scale lose it to the
+  // timeout: without rw the rank encoding runs past 15 s on tpcc and
+  // wikipedia, so a decided loss is asserted on the deposit example
+  // instead, predict_test `Predict.DisablingRwLosesTheFigure5Prediction`.)
+  for (const std::string &Name : applicationNames())
+    for (uint64_t Seed = 1; Seed <= 3; ++Seed) {
+      auto App = makeApplication(Name);
+      History Observed = observedRun(*App, WorkloadConfig::small(Seed));
+      PredictOptions O = opts(IsolationLevel::Causal, Strategy::ApproxRelaxed);
+      if (predict(Observed, O).Result == SmtResult::Sat)
+        continue;
+      O.EnableRw = false;
+      EXPECT_NE(predict(Observed, O).Result, SmtResult::Sat)
+          << Name << " seed " << Seed;
+    }
+}

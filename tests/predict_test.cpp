@@ -68,6 +68,67 @@ void expectWellFormedPrediction(const History &Observed, const Prediction &P,
   }
 }
 
+/// Figure 7a (Wikipedia shape): t1 writes x and y; a second session
+/// reads y; a third reads and writes x. Flipping the third session's
+/// read of x to t0 gives the rw cycle of Figure 7b.
+History wikipediaParallelReader() {
+  HistoryBuilder B(3);
+  TxnId T1 = B.beginTxn(0);
+  B.read("x", InitTxn, 0);
+  B.write("x", 1);
+  B.write("y", 1);
+  B.commit();
+  B.beginTxn(1);
+  B.read("y", T1, 1);
+  B.commit();
+  B.beginTxn(2);
+  B.read("x", T1, 1);
+  B.write("x", 2);
+  B.commit();
+  return B.finish();
+}
+
+/// Figure 7c: as above, but the x reader follows the y reader in one
+/// session, so it happens after t1. Reading the initial x would break
+/// causal consistency (Figure 7d).
+History wikipediaChainedReader() {
+  HistoryBuilder B(2);
+  TxnId T1 = B.beginTxn(0);
+  B.read("x", InitTxn, 0);
+  B.write("x", 1);
+  B.write("y", 1);
+  B.commit();
+  B.beginTxn(1);
+  B.read("y", T1, 1);
+  B.commit();
+  B.beginTxn(1);
+  B.read("x", T1, 1);
+  B.write("x", 2);
+  B.commit();
+  return B.finish();
+}
+
+/// Figure 10 (lost-update family): a read of k chained through two
+/// writers across three sessions; the prediction flips the chained read
+/// to the other branch, a mixed wr/rw cycle.
+History chainedLostUpdate() {
+  HistoryBuilder B(3);
+  TxnId T1 = B.beginTxn(0);
+  B.read("k", InitTxn, 0);
+  B.write("k", 1);
+  B.write("x", 1);
+  B.commit();
+  TxnId T2 = B.beginTxn(1);
+  B.read("k", T1, 1);
+  B.write("k", 2);
+  B.commit();
+  B.beginTxn(2);
+  B.read("k", T2, 2);
+  B.read("x", T1, 1);
+  B.commit();
+  return B.finish();
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===
@@ -83,6 +144,15 @@ TEST(Predict, DepositRelaxedFindsFigure3a) {
                                  Strategy::ApproxRelaxed));
   expectWellFormedPrediction(H, P, IsolationLevel::Causal);
   EXPECT_FALSE(P.Witness.empty()) << "approx predictions carry a pco cycle";
+}
+
+TEST(Predict, DepositRcRelaxedPredicts) {
+  // Figures 1-3 under rc, which is weaker than causal: the same lost
+  // deposit is predicted.
+  History H = depositObserved();
+  Prediction P = predict(H, opts(IsolationLevel::ReadCommitted,
+                                 Strategy::ApproxRelaxed));
+  expectWellFormedPrediction(H, P, IsolationLevel::ReadCommitted);
 }
 
 TEST(Predict, DepositStrictHasNoPrediction) {
@@ -128,6 +198,30 @@ TEST(Predict, BankDivergenceRelaxedOnly) {
   Prediction P =
       predict(H, opts(IsolationLevel::Causal, Strategy::ApproxRelaxed));
   expectWellFormedPrediction(H, P, IsolationLevel::Causal);
+}
+
+TEST(Predict, WikipediaParallelReaderPredictsFigure7b) {
+  History H = wikipediaParallelReader();
+  Prediction P =
+      predict(H, opts(IsolationLevel::Causal, Strategy::ApproxRelaxed));
+  expectWellFormedPrediction(H, P, IsolationLevel::Causal);
+}
+
+TEST(Predict, WikipediaChainedReaderHasNoCausalPrediction) {
+  // Figure 7d, the only candidate divergence, is not causal.
+  EXPECT_EQ(predict(wikipediaChainedReader(),
+                    opts(IsolationLevel::Causal, Strategy::ApproxRelaxed))
+                .Result,
+            SmtResult::Unsat);
+}
+
+TEST(Predict, ChainedLostUpdatePredictsFigure10) {
+  History H = chainedLostUpdate();
+  for (IsolationLevel L :
+       {IsolationLevel::Causal, IsolationLevel::ReadCommitted}) {
+    Prediction P = predict(H, opts(L, Strategy::ApproxRelaxed));
+    expectWellFormedPrediction(H, P, L);
+  }
 }
 
 TEST(Predict, RankPreventsSelfJustifyingCycles) {

@@ -784,6 +784,42 @@ TEST(ServerE2E, ConcurrentConnectionsAllAnswer) {
   EXPECT_EQ(OkCount.load(), NumClients * 5 + 2);
 }
 
+/// The process's virtual size in KiB, from /proc/self/status (0 when
+/// unreadable).
+uint64_t vmSizeKib() {
+  std::string Status;
+  if (!readFile("/proc/self/status", Status))
+    return 0;
+  size_t Pos = Status.find("VmSize:");
+  return Pos == std::string::npos
+             ? 0
+             : std::strtoull(Status.c_str() + Pos + 7, nullptr, 10);
+}
+
+// Each connection gets a reader thread. The daemon joins it once the
+// client hangs up, not only at shutdown: an exited but unjoined thread
+// keeps its stack mapped (8 MiB by default), which VmSize shows and the
+// thread count in /proc/self/task does not.
+TEST(ServerE2E, SequentialConnectionsDoNotAccumulateReaderThreads) {
+  ServerOptions O;
+  O.Workers = 1;
+  TestServer TS(std::move(O), TenantRegistry());
+  ASSERT_TRUE(TS.start());
+  auto Cycle = [&] {
+    TestClient C;
+    return C.connect(TS.S.port()) && isOk(C.request(R"("verb": "ping")"));
+  };
+  for (int I = 0; I < 10; ++I) // Warm up allocator arenas and pools.
+    ASSERT_TRUE(Cycle());
+  uint64_t Before = vmSizeKib();
+  ASSERT_GT(Before, 0u);
+  for (int I = 0; I < 200; ++I)
+    ASSERT_TRUE(Cycle()) << "cycle " << I;
+  uint64_t After = vmSizeKib();
+  EXPECT_LT(After, Before + 256u * 1024)
+      << "VmSize grew from " << Before << " to " << After << " KiB";
+}
+
 TEST(ServerE2E, QuotaRejectionsAreWellFormedErrors) {
   std::string Error;
   std::optional<TenantRegistry> Reg = TenantRegistry::fromJson(
