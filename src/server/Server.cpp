@@ -22,8 +22,8 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <system_error>
 #include <unistd.h>
+#include <utility>
 
 using namespace isopredict;
 using namespace isopredict::server;
@@ -64,6 +64,13 @@ engine::EngineOptions executorOptions(const ServerOptions &O) {
   return E;
 }
 
+/// How long an answer may wait for its client's socket to drain. The
+/// serve loop writes the sync verbs' answers itself, so a client that
+/// stops reading may stall every other client for this long, once: the
+/// failed send closes its connection. (SO_SNDTIMEO would not bound it:
+/// every trickle of window a stalled peer reopens restarts its wait.)
+constexpr int SendTimeoutMs = 1000;
+
 } // namespace
 
 //===----------------------------------------------------------------------===
@@ -81,15 +88,22 @@ void Server::Conn::send(const std::string &Line) {
   std::lock_guard<std::mutex> Lock(WriteMutex);
   size_t Off = 0;
   while (Off < Line.size()) {
-    ssize_t N = ::write(Fd, Line.data() + Off, Line.size() - Off);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      // Client went away; late job completions become no-ops.
-      Closed.store(true, std::memory_order_release);
-      return;
+    ssize_t N = ::send(Fd, Line.data() + Off, Line.size() - Off, MSG_DONTWAIT);
+    if (N >= 0) {
+      Off += static_cast<size_t>(N);
+      continue;
     }
-    Off += static_cast<size_t>(N);
+    // Wait for room; a signal restarts the wait.
+    pollfd P = {Fd, POLLOUT, 0};
+    if (errno == EINTR ||
+        (errno == EAGAIN &&
+         (::poll(&P, 1, SendTimeoutMs) > 0 || errno == EINTR)))
+      continue;
+    // The client went away or stopped reading: late answers become
+    // no-ops, and the serve loop drops the connection.
+    Closed.store(true, std::memory_order_release);
+    ::shutdown(Fd, SHUT_RDWR);
+    return;
   }
 }
 
@@ -147,7 +161,7 @@ bool Server::start(std::string *Error) {
 void Server::requestStop() {
   // No StopSignal::request() here: that flag is process-global and
   // sticky, and would stop every later Server in this process (tests
-  // run several). Shutting the listening socket down wakes the accept
+  // run several). Shutting the listening socket down wakes the serve
   // loop's poll() now (POLLHUP on Linux), not at its 200ms timeout.
   Stopping.store(true, std::memory_order_release);
   std::lock_guard<std::mutex> Lock(ListenMutex);
@@ -177,58 +191,56 @@ void Server::serve() {
     }
   }
 
+  // Owned by this loop alone; pollfd slot I + 2 watches Conns[I].
+  std::vector<std::shared_ptr<Conn>> Conns;
+  std::vector<pollfd> P;
   while (!Stopping.load(std::memory_order_acquire)) {
-    pollfd P[2];
-    P[0].fd = ListenFd;
-    P[0].events = POLLIN;
-    P[0].revents = 0;
-    nfds_t N = 1;
-    if (StopSignal::fd() >= 0) {
-      P[1].fd = StopSignal::fd();
-      P[1].events = POLLIN;
-      P[1].revents = 0;
-      N = 2;
-    }
-    int Ready = ::poll(P, N, 200);
+    // A negative fd (no stop pipe) is skipped by poll().
+    P.assign({{ListenFd, POLLIN, 0}, {StopSignal::fd(), POLLIN, 0}});
+    for (const std::shared_ptr<Conn> &C : Conns)
+      P.push_back({C->Fd, POLLIN, 0});
+    ::poll(P.data(), P.size(), 200);
     if (StopSignal::requested() || Stopping.load(std::memory_order_acquire))
       break;
-    reapReaders();
-    if (Ready <= 0 || !(P[0].revents & POLLIN))
+    // Hung-up and failed connections leave the poll set; their late
+    // answers become no-ops.
+    std::vector<std::shared_ptr<Conn>> Open, Fresh;
+    for (size_t I = 0; I < Conns.size(); ++I) {
+      bool Readable = P[I + 2].revents & (POLLIN | POLLHUP | POLLERR);
+      if (!Conns[I]->Closed.load(std::memory_order_acquire) &&
+          (!Readable || readFrom(*Conns[I]))) {
+        if (Readable)
+          Fresh.push_back(Conns[I]);
+        Open.push_back(std::move(Conns[I]));
+      } else {
+        Conns[I]->Closed.store(true, std::memory_order_release);
+        Active.add(-1);
+      }
+    }
+    Conns.swap(Open);
+    // One line per connection per pass: a batch pipelined on one
+    // connection does not hold back the lines others sent meanwhile.
+    for (bool More = true; More;) {
+      More = false;
+      for (const std::shared_ptr<Conn> &C : Fresh)
+        More |= handleLine(C);
+    }
+    if (!(P[0].revents & POLLIN))
       continue;
     int Fd = ::accept(ListenFd, nullptr, nullptr);
     if (Fd < 0)
       continue;
     auto C = std::make_shared<Conn>();
     C->Fd = Fd;
-    C->T.store(Registry.defaultTenant(), std::memory_order_release);
+    C->T = Registry.defaultTenant();
     Connections.inc();
     Active.add(1);
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    try {
-      std::thread Thread([this, C] { connectionLoop(C); });
-      Readers.push_back({std::move(C), std::move(Thread)});
-    } catch (const std::system_error &E) {
-      // No thread for this client: drop it (the Conn closes its socket)
-      // and keep serving the others.
-      errorsCounter().inc();
-      Active.add(-1);
-      obs::Log::global().error("server.reader_failed", {{"error", E.what()}});
-    }
+    Conns.push_back(std::move(C));
   }
   Stopping.store(true, std::memory_order_release);
   drainAndClose();
-}
-
-void Server::reapReaders() {
-  std::lock_guard<std::mutex> Lock(ConnMutex);
-  auto Done = std::partition(Readers.begin(), Readers.end(),
-                             [](const Reader &R) {
-                               return !R.C->ReaderDone.load(
-                                   std::memory_order_acquire);
-                             });
-  for (auto It = Done; It != Readers.end(); ++It)
-    It->Thread.join();
-  Readers.erase(Done, Readers.end());
+  // Every answer is written: the sockets close with the list.
+  Active.add(-static_cast<int64_t>(Conns.size()));
 }
 
 void Server::drainAndClose() {
@@ -270,74 +282,55 @@ void Server::drainAndClose() {
       ::close(ListenFd);
     ListenFd = -1;
   }
-  std::vector<Reader> Open;
-  {
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    Open.swap(Readers);
-  }
-  for (Reader &R : Open)
-    ::shutdown(R.C->Fd, SHUT_RDWR); // Unblocks the reader thread.
-  for (Reader &R : Open)
-    R.Thread.join();
   Exec.sessions().clear();
 }
 
 //===----------------------------------------------------------------------===
-// Request handling (reader threads)
+// Request handling (the serve loop)
 //===----------------------------------------------------------------------===
 
-void Server::connectionLoop(std::shared_ptr<Conn> C) {
-  static obs::Gauge &Active =
-      obs::Metrics::global().gauge("server.active_connections");
-  std::string Buf;
+bool Server::readFrom(Conn &C) {
   char Chunk[64 * 1024];
-  bool Discarding = false;
-  for (;;) {
-    ssize_t N = ::read(C->Fd, Chunk, sizeof(Chunk));
-    if (N == 0)
-      break;
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    Buf.append(Chunk, static_cast<size_t>(N));
-    size_t Start = 0;
-    for (size_t Nl; (Nl = Buf.find('\n', Start)) != std::string::npos;
-         Start = Nl + 1) {
-      if (Discarding) { // Tail of an oversized frame: swallow it.
-        Discarding = false;
-        continue;
-      }
-      std::string Line = Buf.substr(Start, Nl - Start);
-      if (trimString(Line).empty())
-        continue;
-      requestsCounter().inc();
-      std::string Error;
-      std::optional<Request> Req = parseRequest(Line, &Error);
-      if (!Req) {
-        errorsCounter().inc();
-        C->send(errorResponseNoId(errc::BadRequest, Error));
-        continue;
-      }
-      handleRequest(C, std::move(*Req));
-    }
-    Buf.erase(0, Start);
+  ssize_t N = ::read(C.Fd, Chunk, sizeof(Chunk));
+  if (N > 0)
+    C.Buf.append(Chunk, static_cast<size_t>(N));
+  return N > 0 || (N < 0 && errno == EINTR);
+}
+
+bool Server::handleLine(const std::shared_ptr<Conn> &C) {
+  std::string &Buf = C->Buf;
+  size_t Nl = C->Closed.load(std::memory_order_acquire)
+                  ? std::string::npos
+                  : Buf.find('\n', C->Head);
+  if (Nl == std::string::npos) {
+    Buf.erase(0, std::exchange(C->Head, 0));
     if (Buf.size() > MaxRequestBytes) {
-      if (!Discarding) {
+      if (!C->Discarding) {
         errorsCounter().inc();
         C->send(errorResponseNoId(
             errc::TooLarge,
-            formatString("request frame exceeds %zu bytes",
-                         MaxRequestBytes)));
-        Discarding = true;
+            formatString("request frame exceeds %zu bytes", MaxRequestBytes)));
+        C->Discarding = true;
       }
       Buf.clear();
     }
+    return false;
   }
-  C->Closed.store(true, std::memory_order_release);
-  Active.add(-1);
-  C->ReaderDone.store(true, std::memory_order_release);
+  std::string Line = Buf.substr(C->Head, Nl - C->Head);
+  C->Head = Nl + 1;
+  // The tail of an oversized frame is swallowed, like a blank line.
+  if (std::exchange(C->Discarding, false) || trimString(Line).empty())
+    return true;
+  requestsCounter().inc();
+  std::string Error;
+  std::optional<Request> Req = parseRequest(Line, &Error);
+  if (!Req) {
+    errorsCounter().inc();
+    C->send(errorResponseNoId(errc::BadRequest, Error));
+  } else {
+    handleRequest(C, std::move(*Req));
+  }
+  return true;
 }
 
 void Server::handleRequest(const std::shared_ptr<Conn> &C, Request Req) {
@@ -363,7 +356,7 @@ void Server::handleRequest(const std::shared_ptr<Conn> &C, Request Req) {
   } else if (Req.Verb == "upload" || Req.Verb == "observe" ||
              Req.Verb == "extend" || Req.Verb == "query" ||
              Req.Verb == "shutdown") {
-    Tenant *T = C->T.load(std::memory_order_acquire);
+    Tenant *T = C->T;
     if (!T) {
       Ok = sendError(*C, Req, errc::AuthRequired,
                      "authenticate first (auth verb)");
@@ -398,7 +391,7 @@ void Server::handleRequest(const std::shared_ptr<Conn> &C, Request Req) {
   }
 
   if (!Counted)
-    countRequest(C->T.load(std::memory_order_acquire), Verb, Ok);
+    countRequest(C->T, Verb, Ok);
   Span.finish();
   double Secs = Span.seconds();
   ReqSeconds.observe(Secs);
@@ -418,7 +411,7 @@ bool Server::handleAuth(const std::shared_ptr<Conn> &C, const Request &Req) {
   if (!T)
     return sendError(*C, Req, errc::AuthFailed,
                      "unknown tenant or wrong api key");
-  C->T.store(T, std::memory_order_release);
+  C->T = T;
   JsonWriter J(JsonWriter::Style::Compact);
   beginResponse(J, Req, true);
   J.str("tenant", T->name());

@@ -6,10 +6,13 @@
 ///
 /// \file
 /// The long-lived TCP daemon behind examples/isopredict_server. One
-/// accept loop (poll()-driven so a stop request wakes it), one reader
-/// thread per connection, and the engine TaskPool executing prediction
-/// jobs — the same share-nothing workers a batch campaign uses, fed by
-/// the network instead of a campaign vector.
+/// poll() loop on the serving thread watches the listening socket, the
+/// stop signal and every client socket: it accepts, reads, frames
+/// request lines and answers the sync verbs inline, in arrival order
+/// per connection. Queries go to the engine TaskPool — the same
+/// share-nothing workers a batch campaign uses, fed by the network
+/// instead of a campaign vector — whose workers write their own
+/// answers. The thread count does not grow with the connections.
 ///
 /// Queries are answered by one engine::Executor, the same answer path
 /// batch campaigns use: result-cache hit (tenant-scoped spec) → warm
@@ -21,10 +24,10 @@
 /// admission, telemetry and response writing.
 ///
 /// Lifecycle: SIGINT/SIGTERM (support/Signal) or the shutdown verb stop
-/// the accept loop, flush queued-but-unstarted queries as well-formed
+/// the serve loop, flush queued-but-unstarted queries as well-formed
 /// shutting_down errors, interrupt in-flight solvers
 /// (SmtSolver::interruptAll), drain the pool — every started job still
-/// gets its response — then close connections and join every thread.
+/// gets its response — then close the connections.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -96,16 +99,22 @@ public:
 
 private:
   /// One client connection. send() is the only writer and serializes
-  /// frames under WriteMutex, so responses from reader threads and pool
-  /// workers interleave at line granularity only.
+  /// frames under WriteMutex, so responses from the serve loop and pool
+  /// workers interleave at line granularity only. A send whose socket
+  /// does not drain within the send timeout (1 s) marks the Conn Closed
+  /// and shuts the socket down; the serve loop then drops it. The socket
+  /// closes once the loop and every in-flight answer have let go.
   struct Conn {
     int Fd = -1;
     std::mutex WriteMutex;
     std::atomic<bool> Closed{false};
-    /// Set by the reader thread as its last act, so the accept loop can
-    /// join it without blocking.
-    std::atomic<bool> ReaderDone{false};
-    std::atomic<Tenant *> T{nullptr};
+    /// Read side, touched only by the serve loop: the bytes read and not
+    /// yet handled (from Head on), the bound tenant, and whether the rest
+    /// of an oversized frame is being swallowed.
+    std::string Buf;
+    size_t Head = 0;
+    bool Discarding = false;
+    Tenant *T = nullptr;
     ~Conn();
     void send(const std::string &Line);
   };
@@ -124,7 +133,12 @@ private:
   /// Returns false, the error outcome of the verb handlers below.
   static bool sendError(Conn &C, const Request &Req, const char *Code,
                         const std::string &Message);
-  void connectionLoop(std::shared_ptr<Conn> C);
+  /// One read() from \p C into its buffer. False once the client hung
+  /// up or the read failed.
+  static bool readFrom(Conn &C);
+  /// Frames the next complete line in \p C's buffer and hands it to
+  /// handleRequest. False when no line is left or \p C is closed.
+  bool handleLine(const std::shared_ptr<Conn> &C);
   void handleRequest(const std::shared_ptr<Conn> &C, Request Req);
   /// Sync verb handlers return false when they answered with an error
   /// (feeds the server.requests{tenant,verb,outcome} family).
@@ -152,8 +166,6 @@ private:
                                      const std::string &Key);
   void writeLatencyJson(JsonWriter &J);
   void traceFlushLoop();
-  /// Joins and drops the readers whose connection has ended.
-  void reapReaders();
   void drainAndClose();
 
   ServerOptions Opts;
@@ -167,18 +179,6 @@ private:
   unsigned BoundPort = 0;
   std::atomic<bool> Stopping{false};
   Timer Uptime;
-
-  /// One accepted connection and the thread reading it. serve() joins
-  /// and drops the entries whose reader has finished, at its next poll
-  /// wake-up (at most 200 ms later); the socket closes once that entry
-  /// and every in-flight answer have let go of the Conn. drainAndClose()
-  /// unblocks and joins the rest.
-  struct Reader {
-    std::shared_ptr<Conn> C;
-    std::thread Thread;
-  };
-  std::mutex ConnMutex;
-  std::vector<Reader> Readers;
 
   /// Per-tenant FIFO of admitted-but-not-running queries.
   std::mutex PendingMutex;
