@@ -17,7 +17,8 @@
 ///   upload    name, trace                    register a history (TraceIO text)
 ///   observe   app, workload|sessions/txns,   run a serializable observed
 ///             seed [, name]                  execution server-side; "name"
-///                                            registers the history
+///                                            registers the history; at most
+///                                            MaxObserveTxns transactions
 ///   extend    name, trace                    append a headerless trace delta
 ///                                            (TraceIO parseTraceDelta) to a
 ///                                            registered history; warm pooled
@@ -72,6 +73,14 @@ namespace server {
 /// hostile payloads bounce with too_large / bad_request.
 constexpr size_t MaxRequestBytes = 8u << 20;
 constexpr unsigned MaxRequestDepth = 32;
+/// Ceiling on an observe request's sessions × txns_per_session (larger
+/// shapes answer too_large without running). The daemon runs observe
+/// inline and answers with the whole trace, which grows faster than the
+/// shape: voter 16×256 took 5.5 s and answered 385 MB. At 512 the
+/// largest trace of any bundled app is voter's 1×512 (512×1 alike):
+/// 5.73 MB, a 5.99 MB response, under MaxRequestBytes, so the trace can
+/// be uploaded back.
+constexpr uint64_t MaxObserveTxns = 512;
 
 //===----------------------------------------------------------------------===
 // Error codes

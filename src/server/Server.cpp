@@ -194,9 +194,12 @@ void Server::serve() {
   // Owned by this loop alone; pollfd slot I + 2 watches Conns[I].
   std::vector<std::shared_ptr<Conn>> Conns;
   std::vector<pollfd> P;
+  bool SkipListen = false;
   while (!Stopping.load(std::memory_order_acquire)) {
-    // A negative fd (no stop pipe) is skipped by poll().
-    P.assign({{ListenFd, POLLIN, 0}, {StopSignal::fd(), POLLIN, 0}});
+    // poll() skips a negative fd: no stop pipe, or accepting is paused.
+    P.assign({{SkipListen ? -1 : ListenFd, POLLIN, 0},
+              {StopSignal::fd(), POLLIN, 0}});
+    SkipListen = false;
     for (const std::shared_ptr<Conn> &C : Conns)
       P.push_back({C->Fd, POLLIN, 0});
     ::poll(P.data(), P.size(), 200);
@@ -228,8 +231,19 @@ void Server::serve() {
     if (!(P[0].revents & POLLIN))
       continue;
     int Fd = ::accept(ListenFd, nullptr, nullptr);
-    if (Fd < 0)
+    if (Fd < 0) {
+      int Err = errno;
+      if (Err != EINTR && Err != ECONNABORTED) {
+        // Out of fds or memory. The pending connection keeps the
+        // listening socket readable, so polling it again at once would
+        // spin: sit out one poll round.
+        errorsCounter().inc();
+        obs::Log::global().error("server.accept_failed",
+                                 {{"error", std::strerror(Err)}});
+        SkipListen = true;
+      }
       continue;
+    }
     auto C = std::make_shared<Conn>();
     C->Fd = Fd;
     C->T = Registry.defaultTenant();
@@ -461,6 +475,15 @@ bool Server::handleObserve(const std::shared_ptr<Conn> &C, const Request &Req,
   std::optional<JobSpec> S = parseQuerySpec(Req.Body, &Error);
   if (!S)
     return sendError(*C, Req, errc::BadRequest, Error);
+  uint64_t Txns = static_cast<uint64_t>(S->Cfg.Sessions) *
+                  S->Cfg.TxnsPerSession;
+  if (Txns > MaxObserveTxns)
+    return sendError(
+        *C, Req, errc::TooLarge,
+        formatString("observe of %llu transactions (sessions x "
+                     "txns_per_session) exceeds %llu",
+                     static_cast<unsigned long long>(Txns),
+                     static_cast<unsigned long long>(MaxObserveTxns)));
   auto App = makeApplication(S->App);
   if (!App)
     return sendError(*C, Req, errc::UnknownApplication,

@@ -17,15 +17,20 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <regex>
 #include <set>
 #include <sstream>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <thread>
+#include <unistd.h>
 #include <utility>
 
 using namespace isopredict;
@@ -233,6 +238,21 @@ TEST(ReportProfileCli, Table4GridHasARowPerConfigurationWithThePaperColumns) {
     if (contains(Row[0], "|voter|"))
       EXPECT_EQ(Row[4], "0") << Row[0];
   }
+  // Approx-Strict reuses its strict pair's Exact-Strict answer; its Gen
+  // charges that pair's encoding, so it is never below Exact-Strict's.
+  bool SomeApproxGen = false;
+  for (const auto &[Config, Row] : Rows) {
+    size_t At = Config.find("|Approx-Strict|");
+    if (At == std::string::npos)
+      continue;
+    std::string ExactConfig = Config;
+    ExactConfig.replace(At, 15, "|Exact-Strict|");
+    ASSERT_EQ(Rows.count(ExactConfig), 1u) << ExactConfig;
+    double Gen = std::stod(Row[9]), ExactGen = std::stod(Rows[ExactConfig][9]);
+    EXPECT_GE(Gen, ExactGen) << Config << "\n" << Out;
+    SomeApproxGen |= Gen > 0;
+  }
+  EXPECT_TRUE(SomeApproxGen) << Out;
 }
 
 // Table 3 on the engine: the bench writes a parseable report that
@@ -453,9 +473,11 @@ struct Daemon {
   pid_t Pid = -1;
   std::string Port, LogPath;
 
-  Daemon(const ScratchDir &D, const std::string &Args)
+  /// \p Shell runs first in the daemon's shell (say, a ulimit).
+  Daemon(const ScratchDir &D, const std::string &Args,
+         const std::string &Shell = "")
       : LogPath(D / "server.log") {
-    std::string Cmd = "exec " + tool("isopredict_server") +
+    std::string Cmd = Shell + "exec " + tool("isopredict_server") +
                       " --port 0 --log-file " + LogPath + " " + Args;
     Pid = ::fork();
     if (Pid == 0) {
@@ -493,7 +515,86 @@ struct Daemon {
   }
 };
 
+/// One raw loopback connection whose reads give up after 5 s.
+struct Socket {
+  int Fd = -1;
+
+  explicit Socket(const std::string &Port) {
+    Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    timeval TV = {5, 0};
+    ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &TV, sizeof(TV));
+    sockaddr_in Addr;
+    std::memset(&Addr, 0, sizeof(Addr));
+    Addr.sin_family = AF_INET;
+    Addr.sin_port = htons(static_cast<uint16_t>(std::stoul(Port)));
+    ::inet_pton(AF_INET, "127.0.0.1", &Addr.sin_addr);
+    if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0)
+      ADD_FAILURE() << "connect: " << std::strerror(errno);
+  }
+  Socket(Socket &&O) noexcept : Fd(std::exchange(O.Fd, -1)) {}
+  ~Socket() {
+    if (Fd >= 0)
+      ::close(Fd);
+  }
+
+  /// Sends a ping and reads its answer line.
+  bool ping() {
+    const std::string Line = "{\"id\": 1, \"verb\": \"ping\"}\n";
+    if (::write(Fd, Line.data(), Line.size()) !=
+        static_cast<ssize_t>(Line.size()))
+      return false;
+    std::string Got;
+    char C;
+    while (::read(Fd, &C, 1) == 1 && C != '\n')
+      Got += C;
+    return contains(Got, "\"ok\": true");
+  }
+};
+
+/// The user plus system CPU seconds of process \p Pid so far.
+double cpuSeconds(pid_t Pid) {
+  std::string Stat;
+  if (!readFile(formatString("/proc/%d/stat", static_cast<int>(Pid)), Stat))
+    return 0;
+  // Fields after the parenthesized command name; utime and stime are
+  // the 14th and 15th fields of the line.
+  std::istringstream Fields(Stat.substr(Stat.rfind(')') + 2));
+  std::string Field;
+  unsigned long long Utime = 0, Stime = 0;
+  for (int I = 3; I <= 15 && Fields >> Field; ++I) {
+    if (I == 14)
+      Utime = std::stoull(Field);
+    if (I == 15)
+      Stime = std::stoull(Field);
+  }
+  return static_cast<double>(Utime + Stime) / ::sysconf(_SC_CLK_TCK);
+}
+
 } // namespace
+
+// At its fd limit the daemon cannot accept, and the pending connections
+// keep the listening socket readable. It pauses accepting for one poll
+// round instead of spinning, keeps serving the clients it has, and
+// accepts again once descriptors free up.
+TEST(ServerCli, AcceptAtTheFdLimitDoesNotSpin) {
+  ScratchDir D("cli-fdlimit");
+  Daemon S(D, "--workers 1", "ulimit -n 32; ");
+  ASSERT_FALSE(S.Port.empty()) << slurp(S.LogPath);
+  Socket First(S.Port);
+  ASSERT_TRUE(First.ping());
+  std::vector<Socket> Extra;
+  for (int I = 0; I < 64; ++I)
+    Extra.emplace_back(S.Port);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  double Before = cpuSeconds(S.Pid);
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  EXPECT_LT(cpuSeconds(S.Pid) - Before, 0.2);
+  EXPECT_TRUE(First.ping());
+  Extra.clear();
+  Socket Late(S.Port);
+  EXPECT_TRUE(Late.ping());
+  EXPECT_TRUE(contains(slurp(S.LogPath), "server.accept_failed"));
+}
 
 // The client's actions against an open-mode daemon: observe, upload,
 // extend and history queries, a spec grid collected as a report that

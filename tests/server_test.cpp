@@ -25,7 +25,9 @@
 #include <algorithm>
 #include <arpa/inet.h>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <netinet/in.h>
 #include <regex>
 #include <sys/socket.h>
@@ -424,6 +426,15 @@ struct TestClient {
                      sizeof(Addr)) == 0;
   }
 
+  /// Bounds every later read: a read that times out ends readLine()
+  /// with std::nullopt instead of blocking the test.
+  void setReadTimeout(double Seconds) {
+    timeval TV;
+    TV.tv_sec = static_cast<time_t>(Seconds);
+    TV.tv_usec = static_cast<suseconds_t>((Seconds - TV.tv_sec) * 1e6);
+    ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &TV, sizeof(TV));
+  }
+
   bool sendLine(const std::string &Line) {
     size_t Off = 0;
     while (Off < Line.size()) {
@@ -818,6 +829,235 @@ TEST(ServerE2E, SequentialConnectionsDoNotAccumulateReaderThreads) {
   uint64_t After = vmSizeKib();
   EXPECT_LT(After, Before + 256u * 1024)
       << "VmSize grew from " << Before << " to " << After << " KiB";
+}
+
+/// Threads of this process, from /proc/self/task.
+size_t taskCount() {
+  std::error_code EC;
+  std::filesystem::directory_iterator It("/proc/self/task", EC), End;
+  return EC ? 0 : static_cast<size_t>(std::distance(It, End));
+}
+
+/// Seconds since \p Start.
+double since(std::chrono::steady_clock::time_point Start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       Start)
+      .count();
+}
+
+// One poll() loop serves every connection: open connections cost no
+// thread of their own.
+TEST(ServerE2E, IdleConnectionsAddNoThreads) {
+  ServerOptions O;
+  O.Workers = 2;
+  TestServer TS(std::move(O), TenantRegistry());
+  ASSERT_TRUE(TS.start());
+  {
+    TestClient C;
+    ASSERT_TRUE(C.connect(TS.S.port()));
+    ASSERT_TRUE(isOk(C.request(R"("verb": "ping")")));
+  }
+  size_t Before = taskCount();
+  ASSERT_GT(Before, 0u);
+  std::vector<TestClient> Idle(50);
+  for (TestClient &C : Idle) {
+    ASSERT_TRUE(C.connect(TS.S.port()));
+    C.setReadTimeout(5);
+    ASSERT_TRUE(isOk(C.request(R"("verb": "ping")"))); // Accepted.
+  }
+  EXPECT_EQ(taskCount(), Before);
+}
+
+// A client holding half a request line stalls nobody: the loop keeps
+// the bytes and serves the others; the line is answered once complete.
+TEST(ServerE2E, HalfSentLineDoesNotDelayOtherClients) {
+  ServerOptions O;
+  O.Workers = 1;
+  TestServer TS(std::move(O), TenantRegistry());
+  ASSERT_TRUE(TS.start());
+  TestClient A, B;
+  ASSERT_TRUE(A.connect(TS.S.port()) && B.connect(TS.S.port()));
+  A.setReadTimeout(5);
+  B.setReadTimeout(5);
+  ASSERT_TRUE(A.sendLine(R"({"id": 7, "verb": "pi)"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  auto Start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(isOk(B.request(R"("verb": "ping")")));
+  EXPECT_LT(since(Start), 1.0);
+  ASSERT_TRUE(A.sendLine("ng\"}\n"));
+  std::optional<std::string> Line = A.readLine();
+  ASSERT_TRUE(Line.has_value());
+  std::optional<JsonValue> R = parseJson(*Line, nullptr);
+  ASSERT_TRUE(isOk(R)) << *Line;
+  EXPECT_EQ(R->field("id")->Text, "7");
+}
+
+// A client that pipelines requests and never reads its answers fills
+// its socket. The blocked answer gives up after the send timeout, the
+// server closes that connection, and the other clients are served.
+TEST(ServerE2E, ClientThatStopsReadingIsDisconnected) {
+  ServerOptions O;
+  O.Workers = 1;
+  TestServer TS(std::move(O), TenantRegistry());
+  ASSERT_TRUE(TS.start());
+  TestClient A, B;
+  ASSERT_TRUE(A.connect(TS.S.port()) && B.connect(TS.S.port()));
+  B.setReadTimeout(5);
+  const std::string Status = "{\"verb\": \"status\"}\n";
+  // Write without blocking until the socket stays full for 200 ms: the
+  // server has stopped reading A.
+  auto LastProgress = std::chrono::steady_clock::now();
+  size_t Sent = 0;
+  while (since(LastProgress) < 0.2) {
+    ssize_t N = ::send(A.Fd, Status.data(), Status.size(), MSG_DONTWAIT);
+    if (N > 0) {
+      Sent += static_cast<size_t>(N);
+      LastProgress = std::chrono::steady_clock::now();
+    } else if (N < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+               errno != EINTR) {
+      break; // Already closed by the server.
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_LT(Sent, 256u << 20) << "the server never stopped reading";
+  }
+  auto Start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(isOk(B.request(R"("verb": "ping")")));
+  EXPECT_LT(since(Start), 2.5);
+  // A's queued answers end in EOF or a reset, not in a hang.
+  A.setReadTimeout(5);
+  char Chunk[64 * 1024];
+  ssize_t N;
+  while ((N = ::read(A.Fd, Chunk, sizeof(Chunk))) > 0 ||
+         (N < 0 && errno == EINTR)) {
+  }
+  EXPECT_TRUE(N == 0 || errno == ECONNRESET) << std::strerror(errno);
+}
+
+// A frame over MaxRequestBytes is answered with too_large and skipped
+// up to its newline, even when that arrives reads later; the
+// connection keeps serving.
+TEST(ServerE2E, OversizedFrameIsSkippedToItsNewline) {
+  ServerOptions O;
+  O.Workers = 1;
+  TestServer TS(std::move(O), TenantRegistry());
+  ASSERT_TRUE(TS.start());
+  TestClient C;
+  ASSERT_TRUE(C.connect(TS.S.port()));
+  C.setReadTimeout(30);
+  std::string Frames(MaxRequestBytes + (1u << 20), 'x');
+  Frames += "\n{\"id\": 2, \"verb\": \"ping\"}\n";
+  ASSERT_TRUE(C.sendLine(Frames));
+  std::optional<std::string> Line = C.readLine();
+  ASSERT_TRUE(Line.has_value());
+  EXPECT_EQ(errorCode(parseJson(*Line, nullptr)), "too_large") << *Line;
+  Line = C.readLine();
+  ASSERT_TRUE(Line.has_value());
+  std::optional<JsonValue> Pong = parseJson(*Line, nullptr);
+  ASSERT_TRUE(isOk(Pong)) << *Line;
+  EXPECT_EQ(Pong->field("id")->Text, "2");
+}
+
+// Requests on one connection are handled in arrival order: a query
+// pipelined right behind an extend, without waiting for its answer,
+// runs on the extended trace.
+TEST(ServerE2E, PipelinedQueryAfterExtendSeesTheExtendedTrace) {
+  ServerOptions O;
+  O.Workers = 1;
+  O.CacheDir = scratchDir("e2e-pipelined-extend");
+  TestServer TS(std::move(O), TenantRegistry());
+  ASSERT_TRUE(TS.start());
+  TestClient C;
+  ASSERT_TRUE(C.connect(TS.S.port()));
+  C.setReadTimeout(60);
+
+  std::string Text = writeTrace(observedHistory(5));
+  size_t Cut = Text.find("\ncommit\n", Text.size() / 2);
+  ASSERT_LT(Cut + 8, Text.size()); // Found, and not the last commit.
+  Cut += 8;
+  std::optional<JsonValue> R = C.request(formatString(
+      "\"verb\": \"upload\", \"name\": \"h\", \"trace\": \"%s\"",
+      jsonEscape(Text.substr(0, Cut)).c_str()));
+  ASSERT_TRUE(isOk(R)) << errorCode(R);
+  std::string BaseHash = R->field("content_hash")->Text;
+
+  const std::string QueryFields = R"("level": "rc", "strategy": "relaxed", )"
+                                  R"("timeout_ms": 30000)";
+  ASSERT_TRUE(C.sendLine(
+      formatString("{\"id\": 10, \"verb\": \"extend\", \"name\": \"h\", "
+                   "\"trace\": \"%s\"}\n"
+                   "{\"id\": 11, \"verb\": \"query\", \"history\": \"h\", "
+                   "%s}\n",
+                   jsonEscape(Text.substr(Cut)).c_str(),
+                   QueryFields.c_str())));
+  std::optional<std::string> ExtendLine = C.readLine();
+  std::optional<std::string> QueryLine = C.readLine();
+  ASSERT_TRUE(ExtendLine && QueryLine);
+  std::optional<JsonValue> Extended = parseJson(*ExtendLine, nullptr);
+  std::optional<JsonValue> Query = parseJson(*QueryLine, nullptr);
+  ASSERT_TRUE(isOk(Extended)) << *ExtendLine;
+  ASSERT_TRUE(isOk(Query)) << *QueryLine;
+  EXPECT_EQ(Extended->field("id")->Text, "10");
+  EXPECT_EQ(Query->field("id")->Text, "11");
+  std::string GrownHash = Extended->field("content_hash")->Text;
+  EXPECT_NE(GrownHash, BaseHash);
+  EXPECT_EQ(Query->field("job")->field("committed_txns")->Text,
+            Extended->field("txns")->Text);
+
+  // The whole trace uploaded under another name has the grown hash,
+  // and its query is the pipelined query's cached answer: the cache key
+  // carries the content hash the pipelined query ran on.
+  R = C.request(formatString(
+      "\"verb\": \"upload\", \"name\": \"full\", \"trace\": \"%s\"",
+      jsonEscape(Text).c_str()));
+  ASSERT_TRUE(isOk(R)) << errorCode(R);
+  EXPECT_EQ(R->field("content_hash")->Text, GrownHash);
+  R = C.request(R"("verb": "query", "history": "full", )" + QueryFields);
+  ASSERT_TRUE(isOk(R)) << errorCode(R);
+  EXPECT_EQ(R->field("answered_by")->Text, "cache");
+  EXPECT_EQ(R->field("job")->field("result")->Text,
+            Query->field("job")->field("result")->Text);
+}
+
+// A shutdown while another client is mid-frame: the daemon exits, and
+// the unfinished frame gets no answer.
+TEST(ServerE2E, ShutdownDiscardsAHalfWrittenFrame) {
+  ServerOptions O;
+  O.Workers = 1;
+  TestServer TS(std::move(O), TenantRegistry());
+  ASSERT_TRUE(TS.start());
+  TestClient Admin, Half;
+  ASSERT_TRUE(Admin.connect(TS.S.port()) && Half.connect(TS.S.port()));
+  Admin.setReadTimeout(5);
+  Half.setReadTimeout(5);
+  // The ping's answer shows the server has read this connection.
+  ASSERT_TRUE(Half.sendLine("{\"id\": 1, \"verb\": \"ping\"}\n"
+                            "{\"id\": 2, \"verb\": \"st"));
+  std::optional<std::string> Pong = Half.readLine();
+  ASSERT_TRUE(Pong.has_value());
+  EXPECT_TRUE(isOk(parseJson(*Pong, nullptr))) << *Pong;
+  ASSERT_TRUE(isOk(Admin.request(R"("verb": "shutdown")")));
+  TS.Thread.join();
+  EXPECT_EQ(Half.readLine(), std::nullopt);
+}
+
+// Observe runs on the serve loop, so its workload is capped: a larger
+// shape bounces without running, and the connection stays usable.
+TEST(ServerE2E, ObserveOverTheCapIsTooLargeWithoutRunning) {
+  ServerOptions O;
+  O.Workers = 1;
+  TestServer TS(std::move(O), TenantRegistry());
+  ASSERT_TRUE(TS.start());
+  TestClient C;
+  ASSERT_TRUE(C.connect(TS.S.port()));
+  C.setReadTimeout(30);
+  auto Start = std::chrono::steady_clock::now();
+  std::optional<JsonValue> R = C.request(
+      R"("verb": "observe", "app": "wikipedia", "workload": "16x256")");
+  EXPECT_LT(since(Start), 1.0);
+  EXPECT_EQ(errorCode(R), "too_large");
+  EXPECT_TRUE(isOk(C.request(R"("verb": "ping")")));
+  EXPECT_GT(16u * 256, MaxObserveTxns); // The shape above is over the cap.
 }
 
 TEST(ServerE2E, QuotaRejectionsAreWellFormedErrors) {
