@@ -309,10 +309,12 @@ int profileReport(const JsonValue &Doc, unsigned TopN) {
                 "/ cache %.3fs / validate %.3fs\n",
                 Encode, Solve, Cache, Validate);
 
-  // A strict pair's Approx-Strict job takes the Exact-Strict answer as
-  // its exact stage (Engine::planGroups pairs them) and records none of
-  // that encode or solve time. Its row charges the pair's Exact-Strict
-  // seconds to it, as if it had solved alone, like the paper's columns.
+  // A strict pair's Approx-Strict job that took the Exact-Strict answer
+  // as its exact stage (exact_stage_reused; Engine::planGroups pairs
+  // them) recorded none of that encode or solve time. Its row charges
+  // the pair's Exact-Strict seconds to it, as if it had solved alone,
+  // like the paper's columns. A job that solved its own exact stage (a
+  // daemon answers each query alone) keeps its own seconds.
   engine::Campaign Specs;
   for (const JobResult &R : Results)
     Specs.Jobs.push_back(R.Spec);
@@ -323,6 +325,8 @@ int profileReport(const JsonValue &Doc, unsigned TopN) {
     bool ExactFirst = Results[G[0]].Spec.Strat == Strategy::ExactStrict;
     const JobResult &Exact = Results[G[ExactFirst ? 0 : 1]];
     JobResult &Approx = Results[G[ExactFirst ? 1 : 0]];
+    if (!Approx.ExactStageReused)
+      continue;
     Approx.Stats.GenSeconds += Exact.Stats.GenSeconds;
     Approx.Stats.SolveSeconds += Exact.Stats.SolveSeconds;
     ++Pairs;

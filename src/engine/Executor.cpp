@@ -325,6 +325,7 @@ void Executor::predictInto(JobResult &R, const JobSpec &Spec,
     Exact = &*Stage->Exact;
   Prediction P = predict(Observed, PO, Exact);
   applyPrediction(R, P);
+  R.ExactStageReused = Exact != nullptr;
   if (P.Result == SmtResult::Sat && Spec.Validate) {
     if (Exact && !P.Stats.FallbackLiterals) {
       // The exact stage's predicted history, which the Exact-Strict job

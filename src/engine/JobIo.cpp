@@ -199,6 +199,8 @@ void isopredict::engine::writeJobFields(JsonWriter &J, const JobResult &R,
     if (S.Kind == JobKind::Predict || S.Kind == JobKind::Stream) {
       J.num("gen_seconds", R.Stats.GenSeconds);
       J.num("solve_seconds", R.Stats.SolveSeconds);
+      if (R.ExactStageReused)
+        J.boolean("exact_stage_reused", true);
       // An Approx query's rank-encoding fallback, when it ran. A
       // canceled query never learns whether it would have fallen back,
       // so unlike "literals" it is timings-gated.
@@ -616,6 +618,7 @@ isopredict::engine::jobResultFromJson(const JsonValue &Obj,
   // report can still attribute the original compute cost).
   R.Stats.GenSeconds = optDouble(Obj, "gen_seconds");
   R.Stats.SolveSeconds = optDouble(Obj, "solve_seconds");
+  R.ExactStageReused = optBool(Obj, "exact_stage_reused");
   R.Stats.FallbackLiterals = optU64(Obj, "fallback_literals");
   R.WallSeconds = optDouble(Obj, "wall_seconds");
   R.CacheHit = optBool(Obj, "cache_hit");

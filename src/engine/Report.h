@@ -142,6 +142,11 @@ struct JobResult {
   /// byte-identical across cold and warm runs.
   bool CacheHit = false;
 
+  /// An Approx-Strict job that took its strict pair's Exact-Strict
+  /// answer as its exact stage (Executor::runStrictPair): its gen and
+  /// solve seconds leave out that stage. Timings-gated like them.
+  bool ExactStageReused = false;
+
   bool validatedUnserializable() const {
     return ValStatus == ValidationResult::Status::ValidatedUnserializable;
   }

@@ -64,12 +64,10 @@ engine::EngineOptions executorOptions(const ServerOptions &O) {
   return E;
 }
 
-/// How long an answer may wait for its client's socket to drain. The
-/// serve loop writes the sync verbs' answers itself, so a client that
-/// stops reading may stall every other client for this long, once: the
-/// failed send closes its connection. (SO_SNDTIMEO would not bound it:
-/// every trickle of window a stalled peer reopens restarts its wait.)
-constexpr int SendTimeoutMs = 1000;
+/// How long a client may leave answers queued. Nobody waits on it:
+/// the serve loop writes only what the socket takes and moves on, and
+/// the connection is dropped once some answer has waited this long.
+constexpr std::chrono::milliseconds SendTimeout{1000};
 
 } // namespace
 
@@ -83,27 +81,55 @@ Server::Conn::~Conn() {
 }
 
 void Server::Conn::send(const std::string &Line) {
+  std::lock_guard<std::mutex> Lock(WriteMutex);
   if (Closed.load(std::memory_order_acquire))
     return;
+  if (Out.empty())
+    Queued = std::chrono::steady_clock::now();
+  Out += Line;
+  flushLocked();
+}
+
+bool Server::Conn::flush() {
   std::lock_guard<std::mutex> Lock(WriteMutex);
-  size_t Off = 0;
-  while (Off < Line.size()) {
-    ssize_t N = ::send(Fd, Line.data() + Off, Line.size() - Off, MSG_DONTWAIT);
+  flushLocked();
+  return !Out.empty();
+}
+
+void Server::Conn::drain() {
+  std::unique_lock<std::mutex> Lock(WriteMutex);
+  while (!Out.empty()) {
+    auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Queued + SendTimeout - std::chrono::steady_clock::now());
+    Lock.unlock();
+    pollfd P = {Fd, POLLOUT, 0};
+    ::poll(&P, 1, static_cast<int>(std::max<int64_t>(Left.count(), 0)) + 1);
+    Lock.lock();
+    flushLocked();
+  }
+}
+
+void Server::Conn::close() {
+  Closed.store(true, std::memory_order_release);
+  ::shutdown(Fd, SHUT_RDWR);
+}
+
+void Server::Conn::flushLocked() {
+  while (!Out.empty()) {
+    ssize_t N = ::send(Fd, Out.data(), Out.size(), MSG_DONTWAIT);
     if (N >= 0) {
-      Off += static_cast<size_t>(N);
+      Out.erase(0, static_cast<size_t>(N));
       continue;
     }
-    // Wait for room; a signal restarts the wait.
-    pollfd P = {Fd, POLLOUT, 0};
-    if (errno == EINTR ||
-        (errno == EAGAIN &&
-         (::poll(&P, 1, SendTimeoutMs) > 0 || errno == EINTR)))
+    if (errno == EINTR)
       continue;
-    // The client went away or stopped reading: late answers become
+    if ((errno == EAGAIN || errno == EWOULDBLOCK) &&
+        std::chrono::steady_clock::now() - Queued < SendTimeout)
+      return;
+    // The client went away or has not kept up: late answers become
     // no-ops, and the serve loop drops the connection.
-    Closed.store(true, std::memory_order_release);
-    ::shutdown(Fd, SHUT_RDWR);
-    return;
+    Out.clear();
+    close();
   }
 }
 
@@ -194,40 +220,47 @@ void Server::serve() {
   // Owned by this loop alone; pollfd slot I + 2 watches Conns[I].
   std::vector<std::shared_ptr<Conn>> Conns;
   std::vector<pollfd> P;
-  bool SkipListen = false;
+  auto AcceptAgain = std::chrono::steady_clock::now();
+  bool AcceptFailing = false;
   while (!Stopping.load(std::memory_order_acquire)) {
     // poll() skips a negative fd: no stop pipe, or accepting is paused.
-    P.assign({{SkipListen ? -1 : ListenFd, POLLIN, 0},
+    P.assign({{std::chrono::steady_clock::now() < AcceptAgain ? -1 : ListenFd,
+               POLLIN, 0},
               {StopSignal::fd(), POLLIN, 0}});
-    SkipListen = false;
-    for (const std::shared_ptr<Conn> &C : Conns)
-      P.push_back({C->Fd, POLLIN, 0});
-    ::poll(P.data(), P.size(), 200);
+    int TimeoutMs = 200;
+    for (const std::shared_ptr<Conn> &C : Conns) {
+      // A client with answers queued is only written to; one with a
+      // line buffered is not read until that line is handled. Either
+      // way its socket pushes back on its requests.
+      short Events = C->flush() ? POLLOUT : C->Ready ? 0 : POLLIN;
+      if (!Events)
+        TimeoutMs = 0;
+      P.push_back({C->Fd, Events, 0});
+    }
+    ::poll(P.data(), P.size(), TimeoutMs);
     if (StopSignal::requested() || Stopping.load(std::memory_order_acquire))
       break;
-    // Hung-up and failed connections leave the poll set; their late
-    // answers become no-ops.
-    std::vector<std::shared_ptr<Conn>> Open, Fresh;
+    // One line per connection per round, so a batch pipelined on one
+    // connection does not hold back the others. Hung-up, failed and
+    // stalled connections leave the poll set; their late answers become
+    // no-ops.
+    std::vector<std::shared_ptr<Conn>> Open;
     for (size_t I = 0; I < Conns.size(); ++I) {
-      bool Readable = P[I + 2].revents & (POLLIN | POLLHUP | POLLERR);
-      if (!Conns[I]->Closed.load(std::memory_order_acquire) &&
-          (!Readable || readFrom(*Conns[I]))) {
-        if (Readable)
-          Fresh.push_back(Conns[I]);
-        Open.push_back(std::move(Conns[I]));
-      } else {
-        Conns[I]->Closed.store(true, std::memory_order_release);
-        Active.add(-1);
+      Conn &C = *Conns[I];
+      if (P[I + 2].events == POLLOUT) {
+        C.flush();
+      } else if (C.Ready || (P[I + 2].revents & (POLLIN | POLLHUP | POLLERR))) {
+        if (C.Ready || readFrom(C))
+          C.Ready = handleLine(Conns[I]);
+        else
+          C.close();
       }
+      if (C.Closed.load(std::memory_order_acquire))
+        Active.add(-1);
+      else
+        Open.push_back(std::move(Conns[I]));
     }
     Conns.swap(Open);
-    // One line per connection per pass: a batch pipelined on one
-    // connection does not hold back the lines others sent meanwhile.
-    for (bool More = true; More;) {
-      More = false;
-      for (const std::shared_ptr<Conn> &C : Fresh)
-        More |= handleLine(C);
-    }
     if (!(P[0].revents & POLLIN))
       continue;
     int Fd = ::accept(ListenFd, nullptr, nullptr);
@@ -236,14 +269,18 @@ void Server::serve() {
       if (Err != EINTR && Err != ECONNABORTED) {
         // Out of fds or memory. The pending connection keeps the
         // listening socket readable, so polling it again at once would
-        // spin: sit out one poll round.
+        // spin: sit out one poll period. Logged once per episode.
         errorsCounter().inc();
-        obs::Log::global().error("server.accept_failed",
-                                 {{"error", std::strerror(Err)}});
-        SkipListen = true;
+        if (!std::exchange(AcceptFailing, true))
+          obs::Log::global().error("server.accept_failed",
+                                   {{"error", std::strerror(Err)}});
+        AcceptAgain = std::chrono::steady_clock::now() +
+                      std::chrono::milliseconds(200);
       }
       continue;
     }
+    if (std::exchange(AcceptFailing, false))
+      obs::Log::global().info("server.accept_recovered", {});
     auto C = std::make_shared<Conn>();
     C->Fd = Fd;
     C->T = Registry.defaultTenant();
@@ -253,7 +290,9 @@ void Server::serve() {
   }
   Stopping.store(true, std::memory_order_release);
   drainAndClose();
-  // Every answer is written: the sockets close with the list.
+  // The loop's own answers go out too; the sockets close with the list.
+  for (const std::shared_ptr<Conn> &C : Conns)
+    C->drain();
   Active.add(-static_cast<int64_t>(Conns.size()));
 }
 
@@ -313,11 +352,8 @@ bool Server::readFrom(Conn &C) {
 
 bool Server::handleLine(const std::shared_ptr<Conn> &C) {
   std::string &Buf = C->Buf;
-  size_t Nl = C->Closed.load(std::memory_order_acquire)
-                  ? std::string::npos
-                  : Buf.find('\n', C->Head);
+  size_t Nl = Buf.find('\n');
   if (Nl == std::string::npos) {
-    Buf.erase(0, std::exchange(C->Head, 0));
     if (Buf.size() > MaxRequestBytes) {
       if (!C->Discarding) {
         errorsCounter().inc();
@@ -330,8 +366,8 @@ bool Server::handleLine(const std::shared_ptr<Conn> &C) {
     }
     return false;
   }
-  std::string Line = Buf.substr(C->Head, Nl - C->Head);
-  C->Head = Nl + 1;
+  std::string Line = Buf.substr(0, Nl);
+  Buf.erase(0, Nl + 1);
   // The tail of an oversized frame is swallowed, like a blank line.
   if (std::exchange(C->Discarding, false) || trimString(Line).empty())
     return true;
@@ -684,6 +720,7 @@ void Server::submitJob(QueryJob Job) {
   auto Shared = std::make_shared<QueryJob>(std::move(Job));
   Pool.submit([this, Shared] {
     executeQuery(*Shared);
+    Shared->C->drain();
     Tenant *T = Shared->T;
     if (T->finishQuery()) {
       std::optional<QueryJob> Next;

@@ -12,7 +12,9 @@
 /// per connection. Queries go to the engine TaskPool — the same
 /// share-nothing workers a batch campaign uses, fed by the network
 /// instead of a campaign vector — whose workers write their own
-/// answers. The thread count does not grow with the connections.
+/// answers. Answers are written without blocking (Conn), so the loop
+/// never waits on a client. The thread count does not grow with the
+/// connections.
 ///
 /// Queries are answered by one engine::Executor, the same answer path
 /// batch campaigns use: result-cache hit (tenant-scoped spec) → warm
@@ -43,6 +45,7 @@
 #include "support/Env.h"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <memory>
@@ -98,25 +101,42 @@ public:
   void requestStop();
 
 private:
-  /// One client connection. send() is the only writer and serializes
-  /// frames under WriteMutex, so responses from the serve loop and pool
-  /// workers interleave at line granularity only. A send whose socket
-  /// does not drain within the send timeout (1 s) marks the Conn Closed
-  /// and shuts the socket down; the serve loop then drops it. The socket
-  /// closes once the loop and every in-flight answer have let go.
+  /// One client connection. send() is the only writer: it queues a frame
+  /// in Out and writes what the socket takes without blocking, so frames
+  /// from the serve loop and pool workers interleave at line granularity
+  /// only, and the loop never waits on a client. The loop writes the rest
+  /// as the socket drains (and handles no more of the client's lines
+  /// meanwhile); a pool worker waits for its own answer (drain()).
+  /// Answers a client leaves queued for the send timeout (1 s) mark the
+  /// Conn Closed and shut the socket down; the loop then drops it. The
+  /// socket closes once the loop and every in-flight answer have let go.
   struct Conn {
     int Fd = -1;
-    std::mutex WriteMutex;
     std::atomic<bool> Closed{false};
+    /// Write side, under WriteMutex: the bytes the socket has not taken
+    /// yet, and since when some have been waiting.
+    std::mutex WriteMutex;
+    std::string Out;
+    std::chrono::steady_clock::time_point Queued;
     /// Read side, touched only by the serve loop: the bytes read and not
-    /// yet handled (from Head on), the bound tenant, and whether the rest
-    /// of an oversized frame is being swallowed.
+    /// yet handled, whether a line was handled last round (another may
+    /// be buffered), whether the rest of an oversized frame is being
+    /// swallowed, and the bound tenant.
     std::string Buf;
-    size_t Head = 0;
+    bool Ready = false;
     bool Discarding = false;
     Tenant *T = nullptr;
     ~Conn();
     void send(const std::string &Line);
+    /// Writes what the socket takes of the queued bytes; true while some
+    /// are left.
+    bool flush();
+    /// Waits until the queued bytes are written or the Conn closes.
+    void drain();
+    void close();
+
+  private:
+    void flushLocked();
   };
 
   /// One admitted query waiting for / occupying a pool slot.
@@ -137,7 +157,7 @@ private:
   /// up or the read failed.
   static bool readFrom(Conn &C);
   /// Frames the next complete line in \p C's buffer and hands it to
-  /// handleRequest. False when no line is left or \p C is closed.
+  /// handleRequest. False when no line was left.
   bool handleLine(const std::shared_ptr<Conn> &C);
   void handleRequest(const std::shared_ptr<Conn> &C, Request Req);
   /// Sync verb handlers return false when they answered with an error

@@ -13,6 +13,7 @@
 
 #include "cache/ResultStore.h"
 #include "engine/Engine.h"
+#include "engine/JobIo.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
@@ -253,6 +254,42 @@ TEST(ReportProfileCli, Table4GridHasARowPerConfigurationWithThePaperColumns) {
     SomeApproxGen |= Gen > 0;
   }
   EXPECT_TRUE(SomeApproxGen) << Out;
+  EXPECT_TRUE(contains(Out, "include the Exact-Strict seconds")) << Out;
+
+  // Without exact_stage_reused, an Approx-Strict job solved its own
+  // exact stage (the daemon answers each query alone): its row reads its
+  // own seconds, charged nothing, and no legend line says otherwise.
+  std::string Paired = slurp(D / "t4.json"), Alone;
+  for (std::string_view Line : splitString(Paired, '\n'))
+    if (!contains(std::string(Line), "\"exact_stage_reused\""))
+      Alone += std::string(Line) + "\n";
+  ASSERT_NE(Alone.size(), Paired.size());
+  JsonValue AloneReport = parsed(Alone);
+  ASSERT_TRUE(writeFileAtomic(D / "alone.json", Alone));
+  Out = run(tool("report_profile") + " " + D / "alone.json");
+  EXPECT_FALSE(contains(Out, "include the Exact-Strict seconds")) << Out;
+  std::map<std::string, std::pair<double, unsigned>> OwnGen;
+  for (const JsonValue &J : AloneReport.field("jobs")->Items) {
+    std::optional<JobResult> R = jobResultFromJson(J, nullptr);
+    ASSERT_TRUE(R.has_value());
+    auto &[Sum, Count] = OwnGen[groupKey(R->Spec)];
+    Sum += R->Stats.GenSeconds;
+    ++Count;
+  }
+  unsigned ApproxRows = 0;
+  for (std::string_view Line : splitString(Out, '\n')) {
+    std::istringstream Cells{std::string(Line)};
+    std::vector<std::string> Row;
+    for (std::string Cell; Cells >> Cell;)
+      Row.push_back(Cell);
+    if (Row.size() != 14 || !contains(Row[0], "|Approx-Strict|"))
+      continue;
+    ++ApproxRows;
+    auto [Sum, Count] = OwnGen[Row[0]];
+    ASSERT_GT(Count, 0u) << Row[0];
+    EXPECT_NEAR(std::stod(Row[9]), Sum / Count, 0.0005) << Line;
+  }
+  EXPECT_EQ(ApproxRows, 2u * 2) << Out;
 }
 
 // Table 3 on the engine: the bench writes a parseable report that
@@ -586,14 +623,26 @@ TEST(ServerCli, AcceptAtTheFdLimitDoesNotSpin) {
   for (int I = 0; I < 64; ++I)
     Extra.emplace_back(S.Port);
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  auto failureLogs = [&] {
+    std::string Log = slurp(S.LogPath);
+    size_t N = 0;
+    for (size_t At = 0; (At = Log.find("server.accept_failed", At)) !=
+                        std::string::npos;
+         ++At)
+      ++N;
+    return N;
+  };
+  size_t Logged = failureLogs();
   double Before = cpuSeconds(S.Pid);
   std::this_thread::sleep_for(std::chrono::seconds(1));
   EXPECT_LT(cpuSeconds(S.Pid) - Before, 0.2);
+  // Logged when accepting starts to fail, not at every retry.
+  EXPECT_GE(Logged, 1u);
+  EXPECT_EQ(failureLogs(), Logged);
   EXPECT_TRUE(First.ping());
   Extra.clear();
   Socket Late(S.Port);
   EXPECT_TRUE(Late.ping());
-  EXPECT_TRUE(contains(slurp(S.LogPath), "server.accept_failed"));
 }
 
 // The client's actions against an open-mode daemon: observe, upload,

@@ -277,6 +277,14 @@ TEST(Engine, StrictPairReportMatchesJobsRunAlone) {
   EXPECT_EQ(One.toJson(), Four.toJson());
   EXPECT_NE(One.toJson().find("\"validation\": \"validated-unserializable\""),
             std::string::npos);
+  // Each pair's Approx-Strict job says it took over the exact stage; no
+  // job run alone does.
+  size_t Reused = 0;
+  for (const JobResult &R : One.results())
+    Reused += R.ExactStageReused;
+  EXPECT_EQ(Reused, 4u);
+  for (const JobResult &R : Alone)
+    EXPECT_FALSE(R.ExactStageReused);
 
   // Replay validation runs solver checks too; a taken-over stage also
   // takes over its validation, so count without it.
@@ -329,6 +337,7 @@ TEST(Engine, CanceledExactStageIsNotReused) {
   // The Approx-Strict job ran its own exact stage (and was interrupted
   // in it too).
   EXPECT_TRUE(R.results()[1].Canceled);
+  EXPECT_FALSE(R.results()[1].ExactStageReused);
 }
 
 TEST(Campaign, SpecHashIsStableAndDiscriminating) {
@@ -858,11 +867,13 @@ TEST(JobIo, TimingFieldsRoundTrip) {
   R.Stats.FallbackLiterals = 567;
   R.SolverStats.Collected = true;
   R.SolverStats.Conflicts = 42;
+  R.ExactStageReused = true;
   ReportOptions Timed;
   Timed.IncludeTimings = true;
   std::string Json;
   std::optional<JobResult> Back = roundTrip(R, Timed, Json);
   ASSERT_TRUE(Back) << Json;
+  EXPECT_TRUE(Back->ExactStageReused);
   EXPECT_EQ(Back->Stats.NumLiterals, 1234u);
   EXPECT_EQ(Back->Stats.FallbackLiterals, 567u);
   EXPECT_TRUE(Back->SolverStats.Collected);
@@ -875,6 +886,7 @@ TEST(JobIo, TimingFieldsRoundTrip) {
   roundTrip(R, ReportOptions{}, Plain);
   EXPECT_EQ(Plain.find("fallback_literals"), std::string::npos);
   EXPECT_EQ(Plain.find("solver_stats"), std::string::npos);
+  EXPECT_EQ(Plain.find("exact_stage_reused"), std::string::npos);
 }
 
 // Campaign entries store sessions, txns_per_session, timeout_ms, window

@@ -893,8 +893,8 @@ TEST(ServerE2E, HalfSentLineDoesNotDelayOtherClients) {
 }
 
 // A client that pipelines requests and never reads its answers fills
-// its socket. The blocked answer gives up after the send timeout, the
-// server closes that connection, and the other clients are served.
+// its socket. The server stops reading it, keeps serving the others,
+// and closes it once its answers have waited for the send timeout.
 TEST(ServerE2E, ClientThatStopsReadingIsDisconnected) {
   ServerOptions O;
   O.Workers = 1;
@@ -924,7 +924,9 @@ TEST(ServerE2E, ClientThatStopsReadingIsDisconnected) {
   auto Start = std::chrono::steady_clock::now();
   EXPECT_TRUE(isOk(B.request(R"("verb": "ping")")));
   EXPECT_LT(since(Start), 2.5);
-  // A's queued answers end in EOF or a reset, not in a hang.
+  // A's queued answers end in EOF or a reset, not in a hang, once A has
+  // left them unread for longer than the send timeout (1 s).
+  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
   A.setReadTimeout(5);
   char Chunk[64 * 1024];
   ssize_t N;
@@ -932,6 +934,48 @@ TEST(ServerE2E, ClientThatStopsReadingIsDisconnected) {
          (N < 0 && errno == EINTR)) {
   }
   EXPECT_TRUE(N == 0 || errno == ECONNRESET) << std::strerror(errno);
+}
+
+// A client that pipelines requests and reads its answers a few KB/s
+// never makes the serve loop wait: another client's pings come straight
+// back, and the slow client is closed once its answers have waited for
+// the send timeout.
+TEST(ServerE2E, SlowReaderDoesNotDelayOtherClients) {
+  ServerOptions O;
+  O.Workers = 1;
+  TestServer TS(std::move(O), TenantRegistry());
+  ASSERT_TRUE(TS.start());
+  TestClient A, B;
+  ASSERT_TRUE(A.connect(TS.S.port()) && B.connect(TS.S.port()));
+  A.setReadTimeout(5);
+  B.setReadTimeout(5);
+  std::string Batch;
+  while (Batch.size() < (64u << 10))
+    Batch += "{\"verb\": \"status\"}\n";
+  ASSERT_TRUE(A.sendLine(Batch));
+  // A reads 1 KiB every 250 ms while B pings, then the rest at once: it
+  // ends in EOF or a reset only if the server has closed it.
+  std::atomic<bool> Pinging{true}, Ended{false};
+  std::thread Reader([&] {
+    char Chunk[1024];
+    ssize_t N;
+    while ((N = ::read(A.Fd, Chunk, sizeof(Chunk))) > 0 ||
+           (N < 0 && errno == EINTR))
+      if (Pinging.load())
+        std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    Ended.store(N == 0 || errno == ECONNRESET);
+  });
+  double Slowest = 0;
+  for (int I = 0; I < 20; ++I) {
+    auto Start = std::chrono::steady_clock::now();
+    EXPECT_TRUE(isOk(B.request(R"("verb": "ping")")));
+    Slowest = std::max(Slowest, since(Start));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  Pinging.store(false);
+  EXPECT_LT(Slowest, 0.5);
+  Reader.join();
+  EXPECT_TRUE(Ended.load());
 }
 
 // A frame over MaxRequestBytes is answered with too_large and skipped
